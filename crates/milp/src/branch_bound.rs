@@ -199,6 +199,23 @@ pub struct MipWarmStart {
     root: LpWarmStart,
 }
 
+/// Simplex counters of the search, summed over every node LP, cut
+/// re-solve and strong-branch probe in merge order.
+#[derive(Debug, Clone, Copy, Default)]
+struct LpCounts {
+    iterations: usize,
+    dual_flips: usize,
+    warm_fallbacks: usize,
+}
+
+impl LpCounts {
+    fn add(&mut self, s: &Solution) {
+        self.iterations += s.iterations;
+        self.dual_flips += s.dual_flips;
+        self.warm_fallbacks += s.warm_fallbacks;
+    }
+}
+
 /// One open node: a set of bound changes relative to the root model.
 #[derive(Debug, Clone)]
 struct Node {
@@ -503,7 +520,7 @@ pub(crate) fn solve_outcome(
     let finish = |values_reduced: Vec<f64>,
                   status: SolveStatus,
                   gap: f64,
-                  iterations: usize,
+                  counts: LpCounts,
                   nodes: usize,
                   work: u64|
      -> Solution {
@@ -514,7 +531,9 @@ pub(crate) fn solve_outcome(
             objective,
             status,
             gap,
-            iterations,
+            iterations: counts.iterations,
+            dual_flips: counts.dual_flips,
+            warm_fallbacks: counts.warm_fallbacks,
             nodes,
             work,
         }
@@ -530,7 +549,7 @@ pub(crate) fn solve_outcome(
     }
 
     let start = Instant::now();
-    let mut iterations = 0usize;
+    let mut counts = LpCounts::default();
     let mut nodes_explored = 0usize;
     // Deterministic work-unit ledger: every node charged at batch accept,
     // every LP call's true cost — successful, infeasible, tripped, or
@@ -682,7 +701,7 @@ pub(crate) fn solve_outcome(
             let Some(NodeLp { mut sol, mut basis }) = lp? else {
                 continue; // node LP infeasible: closed
             };
-            iterations += sol.iterations;
+            counts.add(&sol);
 
             // Pseudocost update: how much did branching this variable in
             // this direction degrade the relaxation, per unit of
@@ -718,7 +737,7 @@ pub(crate) fn solve_outcome(
                     work_spent += cut_work;
                     match lp2 {
                         Ok((s2, b2)) => {
-                            iterations += s2.iterations;
+                            counts.add(&s2);
                             sol = s2;
                             basis = b2;
                         }
@@ -781,7 +800,7 @@ pub(crate) fn solve_outcome(
                     work_spent += cut_work;
                     match lp2 {
                         Ok((s2, b2)) => {
-                            iterations += s2.iterations;
+                            counts.add(&s2);
                             sol = s2;
                             basis = b2;
                         }
@@ -869,7 +888,7 @@ pub(crate) fn solve_outcome(
                         work_spent += probe_work;
                         match probe {
                             Ok(ps) => {
-                                iterations += ps.iterations;
+                                counts.add(&ps);
                                 pseudo[j]
                                     .observe(up, ((ps.objective - sol.objective) / dist).max(0.0));
                             }
@@ -1036,7 +1055,7 @@ pub(crate) fn solve_outcome(
                 values,
                 SolveStatus::Feasible,
                 gap,
-                iterations,
+                counts,
                 nodes_explored,
                 work_spent,
             )
@@ -1073,7 +1092,7 @@ pub(crate) fn solve_outcome(
                     values,
                     status,
                     gap,
-                    iterations,
+                    counts,
                     nodes_explored,
                     work_spent,
                 )),

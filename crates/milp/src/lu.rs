@@ -558,6 +558,9 @@ impl DenseInv {
     }
 
     /// In-place product-form pivot on position `r` with FTRAN column `w`.
+    /// The axpy runs over the whole column, entry `r` included, so it
+    /// vectorizes; entry `r` is then overwritten with `f`, so its scratch
+    /// value never escapes and the result is bit-identical to skipping it.
     fn update(&mut self, r: usize, w: &[f64]) -> Result<(), Singular> {
         let m = self.m;
         let pivot = w[r];
@@ -571,10 +574,8 @@ impl DenseInv {
                 continue;
             }
             let f = pr / pivot;
-            for (i, (ci, &wi)) in col.iter_mut().zip(w).enumerate() {
-                if i != r {
-                    *ci -= wi * f;
-                }
+            for (ci, &wi) in col.iter_mut().zip(w) {
+                *ci -= wi * f;
             }
             col[r] = f;
         }
@@ -953,6 +954,68 @@ mod tests {
         let want = dense_solve(3, &updated, &b, true);
         for (got, want) in y.iter().zip(&want) {
             assert!((got - want).abs() < 1e-9);
+        }
+    }
+
+    /// The pre-vectorization dense update, kept verbatim as the bitwise
+    /// reference: the axpy skips entry `r` instead of overwriting it.
+    fn masked_update(inv: &mut DenseInv, r: usize, w: &[f64]) {
+        let m = inv.m;
+        let pivot = w[r];
+        for c in 0..m {
+            let col = &mut inv.binv[c * m..(c + 1) * m];
+            let pr = col[r];
+            if pr == 0.0 {
+                continue;
+            }
+            let f = pr / pivot;
+            for (i, (ci, &wi)) in col.iter_mut().zip(w).enumerate() {
+                if i != r {
+                    *ci -= wi * f;
+                }
+            }
+            col[r] = f;
+        }
+    }
+
+    #[test]
+    fn dense_update_matches_masked_loop_bitwise() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // SplitMix64, mapped to a value in [-1, 1).
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        for m in [3usize, 8, 17, 64] {
+            // A random diagonally dominant basis with a few off-diagonal
+            // entries per column, so the inverse is dense but sound.
+            let cols: Vec<Vec<(u32, f64)>> = (0..m)
+                .map(|c| {
+                    let mut col = vec![(c as u32, 4.0 + next())];
+                    for k in 1..4 {
+                        let row = (c + k * 5) % m;
+                        if row != c && col.iter().all(|&(r, _)| r as usize != row) {
+                            col.push((row as u32, next()));
+                        }
+                    }
+                    col.sort_unstable_by_key(|&(r, _)| r);
+                    col
+                })
+                .collect();
+            let inv = DenseInv::factorize(m, &refs(&cols)).unwrap();
+            for r in [0, m / 2, m - 1] {
+                let mut w: Vec<f64> = (0..m).map(|_| next()).collect();
+                w[r] = 2.0 + next();
+                let mut fast = inv.clone();
+                let mut slow = inv.clone();
+                fast.update(r, &w).unwrap();
+                masked_update(&mut slow, r, &w);
+                let bits = |d: &DenseInv| d.binv.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&slow), "m = {m}, r = {r}");
+            }
         }
     }
 

@@ -224,6 +224,9 @@ struct Tableau<'a> {
     /// Factorization workspace (reused across refactorizations).
     fscratch: lu::FactorScratch,
     iterations: usize,
+    /// Dual-simplex bound flips among `iterations`: ratio-test steps that
+    /// moved the entering column bound-to-bound instead of pivoting.
+    dual_flips: usize,
     /// Basis refactorizations performed (each is a work unit: a
     /// refactorization costs a multiple of an ordinary iteration, and
     /// counting it keeps the work measure monotone through the
@@ -252,6 +255,44 @@ struct Tableau<'a> {
     /// (scaled) column, the per-column pricing floor scale. See
     /// [`Tableau::reduced_cost_scaled`].
     colmax: Vec<f64>,
+}
+
+/// What the dual simplex can keep across bound flips. Every field is a
+/// function of the basis factorization alone (plus the leaving row, for
+/// the pivot row), and a flip leaves the basis untouched; a pivot or a
+/// refactorization calls [`DualRowCache::basis_changed`].
+struct DualRowCache {
+    /// Duals `y = c_B' B⁻¹`, computed on first use after a basis change.
+    y: Vec<f64>,
+    y_valid: bool,
+    /// Leaving row whose pivot row `rho`/`alpha` hold, if any.
+    row: Option<usize>,
+    /// `ρ = e_row' B⁻¹`.
+    rho: Vec<f64>,
+    /// `(j, α_j)` of the ratio test's admissible columns, in column order
+    /// (see [`Tableau::pivot_row_into`]).
+    alpha: Vec<(u32, f64)>,
+    /// Reduced cost per column under `y`; `NaN` until priced.
+    d: Vec<f64>,
+}
+
+impl DualRowCache {
+    fn new(ncols: usize) -> Self {
+        DualRowCache {
+            y: Vec::new(),
+            y_valid: false,
+            row: None,
+            rho: Vec::new(),
+            alpha: Vec::new(),
+            d: vec![f64::NAN; ncols],
+        }
+    }
+
+    fn basis_changed(&mut self) {
+        self.y_valid = false;
+        self.row = None;
+        self.d.fill(f64::NAN);
+    }
 }
 
 impl<'a> Tableau<'a> {
@@ -882,21 +923,25 @@ impl<'a> Tableau<'a> {
     /// values may violate their bounds (the state right after a bound or
     /// RHS perturbation), pivots until primal feasibility is restored.
     ///
-    /// Uses the bounded-variable dual ratio test with bound flips. The
-    /// duals are recomputed exactly every iteration (cheap: `c_B` is
-    /// sparse in the paper's programs, so the BTRAN is hyper-sparse).
+    /// Uses the bounded-variable dual ratio test with bound flips. Most
+    /// iterations are flips (about 90% on warm what-if chains), and a
+    /// flip moves one nonbasic column bound-to-bound without touching the
+    /// basis, so the duals, the pivot row and the reduced costs it priced
+    /// stay exact across it: they live in a [`DualRowCache`] that only a
+    /// basis change (a pivot or any refactorization) clears, and the
+    /// pivot row is re-derived only when the leaving row changes. Every
+    /// value read from the cache is the one a fresh BTRAN on the same
+    /// factors would produce, bit for bit, so the pivot path is that of
+    /// recomputing everything each iteration.
     /// Returns `Err(Infeasible)` when a violated row admits no entering
     /// column — the standard dual-simplex infeasibility certificate.
     fn dual_reoptimize(&mut self, cost: &[f64], iter_limit: usize) -> Result<()> {
         let m = self.m;
-        // A healthy warm start repairs feasibility in a handful of pivots
-        // (the perturbation touched one bound or one right-hand side), so
-        // the dual phase gets a budget proportional to the basis size, far
-        // below the global limit: a degenerate stall is cheaper to abandon
-        // to the cold fallback than to grind through.
+        // The dual phase's own iteration guard, proportional to the basis
+        // size and far below the global limit: a degenerate stall is
+        // cheaper to abandon to the cold fallback than to grind through.
         let budget = iter_limit.min(self.iterations + 4 * m + 100);
-        let mut rho: Vec<f64> = Vec::new();
-        let mut y: Vec<f64> = Vec::new();
+        let mut cache = DualRowCache::new(self.ncols);
         let mut w: Vec<f64> = Vec::new();
         loop {
             if self.iterations >= budget {
@@ -908,6 +953,7 @@ impl<'a> Tableau<'a> {
             self.iterations += 1;
             if self.basis.should_refactorize() {
                 self.refactorize()?;
+                cache.basis_changed();
             }
 
             // Leaving row: the basic variable with the largest bound
@@ -932,25 +978,19 @@ impl<'a> Tableau<'a> {
                 return Ok(()); // primal feasible
             };
 
-            self.binv_row_into(r, &mut rho);
-            self.btran_duals_into(cost, &mut y);
+            if cache.row != Some(r) {
+                self.pivot_row_into(r, &mut cache);
+            }
 
-            // Entering column: bounded dual ratio test. The leaving basic
-            // moves toward its violated bound; xb[r] changes by
-            // `-alpha_rj · Δx_j`, so eligibility is a sign condition on
-            // `alpha_rj` and the entering variable's resting state.
+            // Entering column: bounded dual ratio test over the cached
+            // pivot row, in column order. The leaving basic moves toward
+            // its violated bound; xb[r] changes by `-alpha_rj · Δx_j`, so
+            // eligibility is a sign condition on `alpha_rj` and the
+            // entering variable's resting state (which a flip changes, so
+            // it is read live).
             let mut best: Option<(f64, f64, usize)> = None; // (ratio, |alpha|, col)
-            for j in 0..self.ncols {
-                if self.state[j] == VState::Basic || self.lo[j] == self.hi[j] {
-                    continue;
-                }
-                let mut alpha = 0.0;
-                for &(row, a) in self.col(j) {
-                    alpha += rho[row as usize] * a;
-                }
-                if alpha.abs() <= self.tol.pivot {
-                    continue;
-                }
+            for &(j32, alpha) in &cache.alpha {
+                let j = j32 as usize;
                 // Required movement direction of the entering variable.
                 let dx_sign = if below {
                     -alpha.signum()
@@ -966,8 +1006,14 @@ impl<'a> Tableau<'a> {
                 if !ok {
                     continue;
                 }
-                let d = self.reduced_cost(j, cost, &y);
-                let ratio = d.abs() / alpha.abs();
+                if cache.d[j].is_nan() {
+                    if !cache.y_valid {
+                        self.btran_duals_into(cost, &mut cache.y);
+                        cache.y_valid = true;
+                    }
+                    cache.d[j] = self.reduced_cost(j, cost, &cache.y);
+                }
+                let ratio = cache.d[j].abs() / alpha.abs();
                 let better = match best {
                     None => true,
                     Some((br, ba, _)) => {
@@ -991,6 +1037,7 @@ impl<'a> Tableau<'a> {
                 // The FTRAN disagrees with the row estimate — numerically
                 // dangerous; rebuild the factorization and retry.
                 self.refactorize()?;
+                cache.basis_changed();
                 continue;
             }
             let leaving = self.basic[r] as usize;
@@ -1003,7 +1050,8 @@ impl<'a> Tableau<'a> {
 
             // Bound flip: the entering variable would overshoot its own
             // opposite bound before the leaving one reaches `target`. Move
-            // it bound-to-bound and pick a new pivot for this row.
+            // it bound-to-bound and pick a new pivot for this row; the
+            // basis, and so every cached quantity, is unchanged.
             let range = self.hi[j] - self.lo[j];
             if range.is_finite() && dx.abs() > range + tol::TIE_REL * (1.0 + range) {
                 let step = range.copysign(dx);
@@ -1015,6 +1063,7 @@ impl<'a> Tableau<'a> {
                     VState::AtUpper => VState::AtLower,
                     s => s,
                 };
+                self.dual_flips += 1;
                 continue;
             }
 
@@ -1033,7 +1082,31 @@ impl<'a> Tableau<'a> {
             self.state[j] = VState::Basic;
             self.basic[r] = j as u32;
             self.update_basis(r, &w)?;
+            cache.basis_changed();
         }
+    }
+
+    /// Fills `cache` with the pivot row of leaving row `r`: `ρ = e_r'
+    /// B⁻¹`, then `α_j = ρ·a_j` for every nonbasic, non-fixed column,
+    /// keeping those with `|α_j| > tol.pivot` in column order — exactly
+    /// the columns the dual ratio test can admit.
+    fn pivot_row_into(&mut self, r: usize, cache: &mut DualRowCache) {
+        self.binv_row_into(r, &mut cache.rho);
+        cache.alpha.clear();
+        for j in 0..self.ncols {
+            if self.state[j] == VState::Basic || self.lo[j] == self.hi[j] {
+                continue;
+            }
+            let mut alpha = 0.0;
+            for &(row, a) in self.col(j) {
+                alpha += cache.rho[row as usize] * a;
+            }
+            if alpha.abs() <= self.tol.pivot {
+                continue;
+            }
+            cache.alpha.push((j as u32, alpha));
+        }
+        cache.row = Some(r);
     }
 
     /// Applies the basis change for a pivot on row `r` with FTRAN column
@@ -1432,6 +1505,7 @@ fn build<'a>(model: &'a Model, prep: &'a Prep) -> Result<(Tableau<'a>, Vec<usize
             scratch: Vec::new(),
             fscratch: lu::FactorScratch::default(),
             iterations: 0,
+            dual_flips: 0,
             refactorizations: 0,
             work_budget: u64::MAX,
             work_base: 0,
@@ -1569,6 +1643,7 @@ fn build_from_warm<'a>(model: &'a Model, w: &LpWarmStart, prep: &'a Prep) -> Opt
         scratch: Vec::new(),
         fscratch: lu::FactorScratch::default(),
         iterations: 0,
+        dual_flips: 0,
         refactorizations: 0,
         work_budget: u64::MAX,
         work_base: 0,
@@ -1631,6 +1706,8 @@ fn extract(model: &Model, t: &Tableau<'_>, prep: &Prep) -> Solution {
         status: SolveStatus::Optimal,
         gap: 0.0,
         iterations: t.iterations,
+        dual_flips: t.dual_flips,
+        warm_fallbacks: 0,
         nodes: 1,
         work: t.work_spent(),
     }
@@ -1694,6 +1771,8 @@ pub(crate) fn solve_warm_budgeted(
     let prep = Prep::new(model);
     let budget = work_budget.unwrap_or(u64::MAX);
     let mut warm_work = 0u64;
+    let mut warm_flips = 0usize;
+    let mut fallbacks = 0usize;
     if let Some(w) = warm {
         if let Some(mut t) = build_from_warm(model, w, &prep) {
             t.work_budget = budget;
@@ -1734,12 +1813,17 @@ pub(crate) fn solve_warm_budgeted(
             }
             // Charge the abandoned warm attempt to the cold fallback.
             warm_work = t.work_spent();
+            warm_flips = t.dual_flips;
+            fallbacks = 1;
             *work_out = warm_work;
         }
     }
     let t = solve_cold_budgeted(model, &prep, budget, warm_work, work_out)?;
     let basis = t.capture(model, &prep);
-    Ok((extract(model, &t, &prep), basis))
+    let mut sol = extract(model, &t, &prep);
+    sol.dual_flips += warm_flips;
+    sol.warm_fallbacks = fallbacks;
+    Ok((sol, basis))
 }
 
 /// The cold two-phase solve: build with artificials, phase 1 when needed,
@@ -1861,6 +1945,8 @@ pub(crate) fn solve_budgeted(
             status: SolveStatus::Optimal,
             gap: 0.0,
             iterations: 0,
+            dual_flips: 0,
+            warm_fallbacks: 0,
             nodes: 1,
             work: 0,
         });

@@ -25,6 +25,15 @@ pub struct Solution {
     pub gap: f64,
     /// Simplex iterations performed (summed over branch-and-bound nodes).
     pub iterations: usize,
+    /// Dual-simplex bound flips: ratio-test steps that moved a boxed
+    /// column bound-to-bound instead of changing the basis. Summed like
+    /// `iterations`, and (like `work`) including those of a warm attempt
+    /// that was abandoned to the cold solve.
+    pub dual_flips: usize,
+    /// Warm starts abandoned to the cold two-phase solve (numerical
+    /// trouble, an uncertifiable repair, or the dual phase's iteration
+    /// guard), summed like `iterations`.
+    pub warm_fallbacks: usize,
     /// Branch-and-bound nodes explored (1 for pure LPs).
     pub nodes: usize,
     /// Deterministic work units spent producing this solution: simplex

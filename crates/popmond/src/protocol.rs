@@ -37,6 +37,14 @@ pub const MAX_SCENARIOS: usize = 4096;
 /// behavior under deadlines stays reproducible in tests. The value is
 /// sized so that single-digit-millisecond deadlines already admit the
 /// root relaxation on the paper-scale instances.
+///
+/// The solver's measured rate is far lower. `milp.units_per_ms` on the
+/// benchmark's `serve_whatif` workload (2-core x86-64 VM, median of 8
+/// traced runs) reads about 200 units/ms with the dual phase
+/// recomputing its duals and pivot row on every bound flip, and about
+/// 250 with the flip-stable caches. A `deadline_ms` therefore runs about
+/// 8× longer than its face value. Changing the constant would change
+/// deadline semantics, so it stays.
 pub const WORK_UNITS_PER_MS: u64 = 2_000;
 
 /// Back-off hint (milliseconds) attached to `overloaded` shed errors.
