@@ -10,6 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use netgraph::NodeId;
 use placement::instance::PpmInstance;
 use placement::passive::{greedy_static, solve_ppm_mecf_bb, ExactOptions};
+use placement::solve::SolveRequest;
 use popgen::{FamilySpec, GravitySpec, PopSpec, TrafficSpec};
 
 /// Dijkstra trees and Yen k-SP on the large presets (figures 9-11 and the
@@ -172,12 +173,12 @@ fn bench_warm_start(c: &mut Criterion) {
     });
     g.sample_size(10);
     g.bench_function("fig7_exact_kgrid_chained", |b| {
-        let opts = ExactOptions::default();
         b.iter(|| {
             let mut chain = placement::delta::DeltaInstance::from_instance(&inst);
             let mut devices = 0usize;
             for k in [0.75, 0.8, 0.85, 0.9, 0.95, 1.0] {
-                devices += chain.solve_exact(k, &opts).unwrap().device_count();
+                let out = chain.solve(&SolveRequest::ppm(k)).unwrap();
+                devices += out.into_ppm().unwrap().device_count();
             }
             devices
         })

@@ -9,6 +9,10 @@
 //! the `*_par4` scaling stage (which depends on the runner's core count)
 //! are tracked in the JSON but not gated.
 
+use popmond::json::{self, Value};
+
+use crate::perf::SCHEMA;
+
 /// Stages compared by the gate: deterministic solver-bound stages with
 /// tens of milliseconds (or more) of smoke wall-clock each.
 pub const STABLE_STAGES: &[&str] = &[
@@ -52,57 +56,37 @@ impl std::fmt::Display for Regression {
 }
 
 /// Extracts `(name, cases_per_s)` for every entry of the `"stages"` array
-/// of a `popmon-bench/1` report. A tolerant scanner, not a JSON parser —
-/// the report's emitter is in-tree (`perf::BenchReport::to_json`) and
-/// writes one stage object per line; anything that does not look like
-/// that is a descriptive `Err`, never a wrong answer.
+/// of a `popmon-bench/1` report, parsed with the workspace's JSON codec
+/// ([`popmond::json`]). Anything that is not such a report is a
+/// descriptive `Err`, never a wrong answer.
 pub fn parse_stage_rates(json: &str) -> Result<Vec<(String, f64)>, String> {
-    if !json.contains("\"schema\": \"popmon-bench/1\"") {
-        return Err("not a popmon-bench/1 report (missing schema marker)".into());
+    let doc = json::parse(json).map_err(|e| format!("not JSON: {e}"))?;
+    if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
+        return Err(format!("not a {SCHEMA} report (missing schema marker)"));
     }
-    let stages_at = json
-        .find("\"stages\": [")
+    let stages = doc
+        .get("stages")
+        .and_then(Value::as_arr)
         .ok_or_else(|| "no \"stages\" array in report".to_string())?;
-    let body = &json[stages_at..];
-    let end = body
-        .find(']')
-        .ok_or_else(|| "unterminated \"stages\" array".to_string())?;
-    let body = &body[..end];
-
-    let mut out = Vec::new();
-    for line in body.lines() {
-        let line = line.trim();
-        if !line.starts_with('{') {
-            continue;
-        }
-        let name =
-            field_str(line, "name").ok_or_else(|| format!("stage entry without a name: {line}"))?;
-        let rate = field_num(line, "cases_per_s")
+    let mut out = Vec::with_capacity(stages.len());
+    for stage in stages {
+        let name = stage
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("stage entry without a name: {}", stage.to_json()))?;
+        let rate = stage
+            .get("cases_per_s")
+            .and_then(Value::as_f64)
             .ok_or_else(|| format!("stage {name:?} without cases_per_s"))?;
         if !rate.is_finite() || rate < 0.0 {
             return Err(format!("stage {name:?} has invalid cases_per_s {rate}"));
         }
-        out.push((name, rate));
+        out.push((name.to_string(), rate));
     }
     if out.is_empty() {
         return Err("report has an empty \"stages\" array".into());
     }
     Ok(out)
-}
-
-fn field_str(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn field_num(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 /// Compares fresh rates against committed ones over the stable stages
@@ -142,6 +126,10 @@ mod tests {
     use crate::perf::{BenchReport, StageResult};
 
     fn report(rates: &[(&'static str, f64)]) -> String {
+        report_with_note(rates, "cases")
+    }
+
+    fn report_with_note(rates: &[(&'static str, f64)], note: &'static str) -> String {
         BenchReport {
             mode: "smoke",
             threads: 1,
@@ -153,7 +141,7 @@ mod tests {
                     wall_s: if cps > 0.0 { 10.0 / cps } else { 0.0 },
                     iters: 1,
                     cases: 10,
-                    note: "cases",
+                    note,
                 })
                 .collect(),
         }
@@ -174,8 +162,27 @@ mod tests {
     fn rejects_malformed_input() {
         assert!(parse_stage_rates("{}").is_err());
         assert!(parse_stage_rates("\"schema\": \"popmon-bench/1\"").is_err());
-        let no_stages = report(&[]).replace("\"stages\": [", "\"stagex\": [");
+        let no_stages = report(&[]).replace("\"stages\":[", "\"stagex\":[");
         assert!(parse_stage_rates(&no_stages).is_err());
+        assert!(parse_stage_rates(&report(&[])).is_err());
+    }
+
+    #[test]
+    fn notes_with_quotes_and_backslashes_round_trip() {
+        let note = r#"cases = "LP solves" under C:\popmon"#;
+        let json = report_with_note(&[("fig7_sweep", 36.0)], note);
+        let doc = json::parse(&json).expect("the report is valid JSON");
+        let stages = doc.get("stages").and_then(Value::as_arr).unwrap();
+        assert_eq!(stages[0].get("note").and_then(Value::as_str), Some(note));
+        let rates = parse_stage_rates(&json).unwrap();
+        assert_eq!(rates, vec![("fig7_sweep".to_string(), 36.0)]);
+    }
+
+    #[test]
+    fn parses_the_committed_report() {
+        let committed = include_str!("../../../BENCH_popmon.json");
+        let rates = parse_stage_rates(committed).unwrap();
+        assert!(rates.iter().any(|(name, _)| name == "fig7_sweep"));
     }
 
     #[test]

@@ -14,6 +14,11 @@
 
 use std::time::Instant;
 
+use popmond::json::Value;
+
+/// The report's schema tag (its `"schema"` field).
+pub const SCHEMA: &str = "popmon-bench/1";
+
 /// One measured stage of the benchmark grid.
 #[derive(Debug, Clone)]
 pub struct StageResult {
@@ -162,71 +167,86 @@ impl BenchReport {
     }
 
     /// Serializes the report to the `BENCH_popmon.json` schema
-    /// (documented in DESIGN.md). Stage names are static identifiers, so
-    /// no JSON string escaping is required.
+    /// (documented in DESIGN.md) through the workspace's JSON codec
+    /// ([`popmond::json`]), one line. Times are rounded to microseconds
+    /// and rates to thousandths.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"popmon-bench/1\",\n");
-        out.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"generated_unix\": {},\n", self.generated_unix));
-        out.push_str(&format!(
-            "  \"total_wall_s\": {:.6},\n",
-            self.total_wall_s()
-        ));
-        out.push_str("  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_s\": {:.6}, \"iters\": {}, \"cases\": {}, \
-                 \"cases_per_s\": {:.3}, \"note\": \"{}\"}}{}\n",
-                s.name,
-                s.wall_s,
-                s.iters,
-                s.cases,
-                s.cases_per_s(),
-                s.note,
-                if i + 1 < self.stages.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"baseline\": {\n");
-        out.push_str(
-            "    \"captured_at\": \"pre-PR2 commit ffa26e6 (serial sweeps, full-scan Dantzig \
-             pricing); stages added later frozen pre-optimization (see perf::BASELINE)\",\n",
-        );
-        out.push_str("    \"stages\": {\n");
-        for (i, (name, wall_s, cps)) in BASELINE.iter().enumerate() {
-            out.push_str(&format!(
-                "      \"{name}\": {{\"wall_s\": {wall_s:.6}, \"cases_per_s\": {cps:.3}}}{}\n",
-                if i + 1 < BASELINE.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("    }\n");
-        out.push_str("  },\n");
-        out.push_str("  \"speedup_vs_baseline\": {\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            // Rate-based: cases/s is invariant to iteration-count changes
-            // (the baseline and today's grid process identical case units).
-            let speedup = BASELINE
-                .iter()
-                .find(|(n, _, _)| *n == s.name)
-                .filter(|(_, _, cps)| *cps > 0.0)
-                .map(|(_, _, cps)| s.cases_per_s() / cps);
-            match speedup {
-                Some(x) => out.push_str(&format!("    \"{}\": {:.3}", s.name, x)),
-                None => out.push_str(&format!("    \"{}\": null", s.name)),
-            }
-            out.push_str(if i + 1 < self.stages.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
+        let stages = self
+            .stages
+            .iter()
+            .map(|s| {
+                object(vec![
+                    ("name", Value::Str(s.name.into())),
+                    ("wall_s", rounded(s.wall_s, 6)),
+                    ("iters", Value::Num(s.iters as f64)),
+                    ("cases", Value::Num(s.cases as f64)),
+                    ("cases_per_s", rounded(s.cases_per_s(), 3)),
+                    ("note", Value::Str(s.note.into())),
+                ])
+            })
+            .collect();
+        let baseline = BASELINE
+            .iter()
+            .map(|&(name, wall_s, cps)| {
+                let entry = object(vec![
+                    ("wall_s", rounded(wall_s, 6)),
+                    ("cases_per_s", rounded(cps, 3)),
+                ]);
+                (name.to_string(), entry)
+            })
+            .collect();
+        // Rate-based: cases/s is invariant to iteration-count changes (the
+        // baseline and today's grid process identical case units).
+        let speedups = self
+            .stages
+            .iter()
+            .map(|s| {
+                let speedup = BASELINE
+                    .iter()
+                    .find(|(n, _, _)| *n == s.name)
+                    .filter(|(_, _, cps)| *cps > 0.0)
+                    .map_or(Value::Null, |(_, _, cps)| rounded(s.cases_per_s() / cps, 3));
+                (s.name.to_string(), speedup)
+            })
+            .collect();
+        let captured_at = "commit ffa26e6 (serial sweeps, full-scan Dantzig pricing); stages \
+                           added later frozen pre-optimization (see perf::BASELINE)";
+        let mut json = object(vec![
+            ("schema", Value::Str(SCHEMA.into())),
+            ("mode", Value::Str(self.mode.into())),
+            ("threads", Value::Num(self.threads as f64)),
+            ("generated_unix", Value::Num(self.generated_unix as f64)),
+            ("total_wall_s", rounded(self.total_wall_s(), 6)),
+            ("stages", Value::Arr(stages)),
+            (
+                "baseline",
+                object(vec![
+                    ("captured_at", Value::Str(captured_at.into())),
+                    ("stages", Value::Obj(baseline)),
+                ]),
+            ),
+            ("speedup_vs_baseline", Value::Obj(speedups)),
+        ])
+        .to_json();
+        json.push('\n');
+        json
     }
+}
+
+/// A JSON object with the given fields, in order.
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// `x` rounded to `decimals` places, as a JSON number.
+fn rounded(x: f64, decimals: i32) -> Value {
+    let scale = 10f64.powi(decimals);
+    Value::Num((x * scale).round() / scale)
 }
 
 #[cfg(test)]
@@ -284,13 +304,15 @@ mod tests {
                 },
             ],
         };
-        let j = r.to_json();
-        // Structural smoke checks: balanced braces/brackets, key fields.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-        assert!(j.contains("\"schema\": \"popmon-bench/1\""));
-        assert!(j.contains("\"total_wall_s\": 1.500000"));
-        assert!(j.contains("\"name\": \"a\""));
-        assert!(j.contains("\"speedup_vs_baseline\""));
+        let doc = popmond::json::parse(&r.to_json()).expect("valid JSON");
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some(SCHEMA));
+        assert_eq!(doc.get("total_wall_s").and_then(Value::as_f64), Some(1.5));
+        let stages = doc.get("stages").and_then(Value::as_arr).unwrap();
+        assert_eq!(stages[0].get("name").and_then(Value::as_str), Some("a"));
+        assert_eq!(
+            stages[1].get("cases_per_s").and_then(Value::as_f64),
+            Some(8.0)
+        );
+        assert!(doc.get("speedup_vs_baseline").is_some());
     }
 }

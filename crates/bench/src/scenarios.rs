@@ -26,7 +26,7 @@ use placement::dynamic::{run_controller, ControllerSpec};
 use placement::instance::PpmInstance;
 use placement::passive::{
     flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_exact, solve_ppm_mecf_bb,
-    ExactOptions,
+    ExactOptions, PpmSolution,
 };
 use placement::resilience::{greedy_expected, score_ensemble};
 use placement::sampling::{solve_ppme, PpmeOptions, SamplingProblem};
@@ -58,6 +58,15 @@ fn ppm_instance_of(
 // fig7: passive devices vs. k on the 10-router POP (greedy vs. exact ILP)
 // ---------------------------------------------------------------------------
 
+/// An exact `PPM(k)` solve with default knobs on a warm chain; `None`
+/// when the target is unreachable.
+fn chain_ppm(chain: &mut DeltaInstance, k: f64) -> Option<PpmSolution> {
+    chain
+        .solve(&SolveRequest::ppm(k))
+        .expect("valid request")
+        .into_ppm()
+}
+
 /// The figure-7 sweep: for each coverage target `k` (percent), the
 /// decreasing-load greedy and the exact ILP device counts averaged over
 /// seeds, plus the mean exact solve time. The per-seed instance is built
@@ -85,11 +94,7 @@ pub fn fig7_report(engine: &Engine, pop: &Pop, k_percents: &[u32], seeds: u64) -
                 .map(|&k_pct| {
                     let k = k_pct as f64 / 100.0;
                     let g = greedy_static(&inst, k).expect("all traffic coverable on this POP");
-                    let (ilp, secs) = timed(|| {
-                        chain
-                            .solve_exact(k, &ExactOptions::default())
-                            .expect("feasible")
-                    });
+                    let (ilp, secs) = timed(|| chain_ppm(&mut chain, k).expect("feasible"));
                     assert!(inst.is_feasible(&ilp.edges, k));
                     (g.device_count() as f64, ilp.device_count() as f64, secs)
                 })
@@ -194,10 +199,7 @@ pub fn mecf_ablation_report(
                         greedy_static(&inst, k).expect("feasible").device_count() as f64,
                         greedy_adaptive(&inst, k).expect("feasible").device_count() as f64,
                         flow_greedy_ppm(&inst, k).expect("feasible").device_count() as f64,
-                        chain
-                            .solve_exact(k, &opts)
-                            .expect("feasible")
-                            .device_count() as f64,
+                        chain_ppm(&mut chain, k).expect("feasible").device_count() as f64,
                         solve_ppm_mecf_bb(&inst, k, &opts)
                             .expect("feasible")
                             .device_count() as f64,
@@ -374,7 +376,6 @@ pub fn incremental_report(
     seeds: u64,
 ) -> ScenarioReport {
     let spec = ScenarioSpec::new("xp_incremental", k_percents.to_vec()).with_seeds(seeds);
-    let opts = ExactOptions::default();
     engine.run_chain_report(
         &spec,
         "section,x,incremental_total,scratch_total,penalty",
@@ -387,8 +388,8 @@ pub fn incremental_report(
                 .iter()
                 .map(|&k_pct| {
                     let k = k_pct as f64 / 100.0;
-                    let inc = inc_chain.solve_exact(k, &opts).expect("feasible");
-                    let scratch = scratch_chain.solve_exact(k, &opts).expect("feasible");
+                    let inc = chain_ppm(&mut inc_chain, k).expect("feasible");
+                    let scratch = chain_ppm(&mut scratch_chain, k).expect("feasible");
                     assert!(setup.inst.is_feasible(&inc.edges, k));
                     (inc.device_count() as f64, scratch.device_count() as f64)
                 })
@@ -413,7 +414,6 @@ pub fn budget_gain_report(
     seeds: u64,
 ) -> ScenarioReport {
     let spec = ScenarioSpec::new("xp_incremental_gain", extras.to_vec()).with_seeds(seeds);
-    let opts = ExactOptions::default();
     engine.run_chain_report(
         &spec,
         "section,x,coverage_gain,coverage_after_percent,unused",
@@ -425,7 +425,11 @@ pub fn budget_gain_report(
             c.points
                 .iter()
                 .map(|&extra| {
-                    let b = chain.solve_budget(extra as usize, &opts);
+                    let b = chain
+                        .solve(&SolveRequest::budget(extra as usize))
+                        .expect("valid request")
+                        .into_budget()
+                        .expect("budget request");
                     let gain = (b.coverage - before).max(0.0);
                     (gain, 100.0 * b.coverage_fraction())
                 })
@@ -977,7 +981,7 @@ pub fn resilience_report(
         |c: ChainCase<'_, ResiliencePoint>| {
             let req = SolveRequest::ppm(0.9)
                 .exact()
-                .with_exact_options(&family_exact_options());
+                .with_node_budget(family_exact_options().max_nodes);
             let dspec = DynamicSpec::default();
             let mut state: Option<GroupState> = None;
             c.points

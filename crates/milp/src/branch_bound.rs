@@ -39,12 +39,14 @@ use crate::{Result, Solution, SolveStatus, SolverError};
 /// Cut rows accepted per separation round (most violated first).
 const CUTS_PER_ROUND: usize = 16;
 
-/// Tuning knobs for [`Model::solve_mip_with`].
+/// Tuning knobs for [`Model::solve_mip`].
 #[derive(Debug, Clone)]
 pub struct MipOptions {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// Optional wall-clock limit.
+    /// Optional wall-clock limit. Its expiry depends on the host, so
+    /// reproducible callers leave it `None` and bound the search by
+    /// `max_nodes` or `work_budget`.
     pub time_limit: Option<Duration>,
     /// Relative optimality gap at which the search stops early.
     pub rel_gap: f64,
@@ -92,11 +94,10 @@ pub struct MipOptions {
     /// iterations + basis refactorizations + branch-and-bound nodes).
     /// Unlike [`MipOptions::time_limit`], exhaustion is a pure function of
     /// the search trajectory — identical budgets produce bitwise-identical
-    /// results at any thread count — and the anytime entry point
-    /// ([`Model::solve_mip_anytime`]) returns the best incumbent and dual
-    /// bound found instead of an error. `None` (the default) disables the
-    /// budget entirely; the unbudgeted code path is untouched, so existing
-    /// results stay byte-identical. The budget can be overshot by a
+    /// results at any thread count — and [`Model::solve_mip`] returns the
+    /// best incumbent and dual bound found as [`MipOutcome::Interrupted`]
+    /// instead of an error. `None` (the default) disables the budget
+    /// entirely. The budget can be overshot by a
     /// bounded, deterministic amount (the simplex checks every 64th
     /// iteration, and in-flight batch members run to completion).
     pub work_budget: Option<u64>,
@@ -122,7 +123,7 @@ impl Default for MipOptions {
     }
 }
 
-/// Result of an anytime MIP solve ([`Model::solve_mip_anytime`]).
+/// Result of a MIP solve ([`Model::solve_mip`]).
 ///
 /// The **anytime contract**: for a minimization model,
 /// `bound ≤ optimal ≤ incumbent.objective` whenever an incumbent exists
@@ -133,8 +134,8 @@ impl Default for MipOptions {
 #[derive(Debug, Clone)]
 pub enum MipOutcome {
     /// The search ran to its natural end under the budget: a proven
-    /// optimum, or a limit-terminated feasible solution exactly as the
-    /// non-anytime API would have returned it.
+    /// optimum, or a feasible solution stopped by `max_nodes`,
+    /// `time_limit` or `rel_gap` ([`SolveStatus::Feasible`], with its gap).
     Complete(Solution),
     /// The work budget tripped mid-search. The best incumbent found so
     /// far (if any) and the sharpest dual bound proven are preserved —
@@ -169,6 +170,19 @@ impl MipOutcome {
     pub fn is_complete(&self) -> bool {
         matches!(self, MipOutcome::Complete(_))
     }
+
+    /// The complete solution, or the budget trip as
+    /// [`SolverError::Interrupted`]. For callers that set no
+    /// [`MipOptions::work_budget`] (where no trip can happen) or that
+    /// treat a trip as a failure.
+    pub fn into_solution(self) -> Result<Solution> {
+        match self {
+            MipOutcome::Complete(s) => Ok(s),
+            MipOutcome::Interrupted { work_spent, .. } => {
+                Err(SolverError::Interrupted { work_spent })
+            }
+        }
+    }
 }
 
 /// Resolves the worker count: an explicit request wins; 0 consults
@@ -185,7 +199,7 @@ fn resolve_threads(requested: usize) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Cross-solve warm-start state returned by [`Model::solve_mip_warm`]: the
+/// Cross-solve warm-start state returned by [`Model::solve_mip`]: the
 /// optimal basis of the root relaxation (over the *presolved* model),
 /// reusable as the root start of the next solve in a perturbation chain.
 /// Reuse is guarded by [`LpWarmStart`]'s shape *and* coefficient
@@ -417,64 +431,32 @@ fn solve_node_lp(
         model.vars[j].lo = lo;
         model.vars[j].hi = hi;
     }
-    // The root always routes through the warm-capable path so chains can
-    // seed it and its basis can seed the next chain link; interior nodes
-    // reuse the parent basis only when `warm_basis` is on.
+    // The root always keeps its basis so chains can seed the next link
+    // from it; interior nodes keep theirs (for their children, cut
+    // re-solves and strong-branch probes) only when `warm_basis` is on.
+    let keep_basis = warm_path || node.depth == 0;
     let mut work = 0u64;
-    let lp = if warm_path || node.depth == 0 {
-        simplex::solve_warm_budgeted(model, node.basis.as_deref(), lp_budget, &mut work)
-    } else {
-        simplex::solve_budgeted(model, lp_budget, &mut work).map(|s| (s, None))
-    };
+    let lp = simplex::solve(model, node.basis.as_deref(), lp_budget, &mut work);
     restore(model, root, &node.changes);
     let outcome = match lp {
-        Ok((sol, basis)) => Ok(Some(NodeLp { sol, basis })),
+        Ok((sol, basis)) => Ok(Some(NodeLp {
+            sol,
+            basis: basis.filter(|_| keep_basis),
+        })),
         Err(SolverError::Infeasible) => Ok(None),
         Err(e) => Err(e),
     };
     (outcome, work)
 }
 
-/// Entry point used by [`Model::solve_mip`] and friends. `warm` seeds the
-/// root LP basis from a previous solve of a perturbed sibling model; the
-/// returned [`MipWarmStart`] carries this solve's root basis onward (or
-/// `None` when the root LP never produced a reusable basis).
-///
-/// Flattens a budget interruption into the legacy surface: an interrupted
-/// search with an incumbent reports it as a [`SolveStatus::Feasible`]
-/// solution with its gap (the same shape a node-limit stop produces), and
-/// one without an incumbent surfaces [`SolverError::Interrupted`]. Use
-/// [`solve_outcome`] / [`Model::solve_mip_anytime`] for the typed form.
-pub(crate) fn solve(
-    model: &Model,
-    opts: &MipOptions,
-    warm: Option<&MipWarmStart>,
-) -> Result<(Solution, Option<MipWarmStart>)> {
-    match solve_outcome(model, opts, warm)? {
-        (MipOutcome::Complete(sol), w) => Ok((sol, w)),
-        (
-            MipOutcome::Interrupted {
-                incumbent: Some(sol),
-                ..
-            },
-            w,
-        ) => Ok((sol, w)),
-        (
-            MipOutcome::Interrupted {
-                incumbent: None,
-                work_spent,
-                ..
-            },
-            _,
-        ) => Err(SolverError::Interrupted { work_spent }),
-    }
-}
-
-/// The full anytime search. See [`MipOutcome`] for the contract; with
+/// The branch-and-bound search behind [`Model::solve_mip`]. See
+/// [`MipOutcome`] for the anytime contract; with
 /// [`MipOptions::work_budget`] unset this never returns
-/// [`MipOutcome::Interrupted`] and is byte-identical to the pre-anytime
-/// search.
-pub(crate) fn solve_outcome(
+/// [`MipOutcome::Interrupted`]. `warm` seeds the root LP basis from a
+/// previous solve of a perturbed sibling model; the returned
+/// [`MipWarmStart`] carries this solve's root basis onward (or `None` when
+/// the root LP never produced a reusable basis).
+pub(crate) fn solve(
     model: &Model,
     opts: &MipOptions,
     warm: Option<&MipWarmStart>,
@@ -548,7 +530,8 @@ pub(crate) fn solve_outcome(
         }
     }
 
-    let start = Instant::now();
+    // The wall clock is read only when a time limit is set.
+    let deadline = opts.time_limit.and_then(|l| Instant::now().checked_add(l));
     let mut counts = LpCounts::default();
     let mut nodes_explored = 0usize;
     // Deterministic work-unit ledger: every node charged at batch accept,
@@ -601,7 +584,7 @@ pub(crate) fn solve_outcome(
         let work_tripped = opts.work_budget.is_some_and(|b| work_spent >= b);
         if work_tripped
             || nodes_explored + batch.len() > opts.max_nodes
-            || opts.time_limit.is_some_and(|l| start.elapsed() >= l)
+            || deadline.is_some_and(|d| Instant::now() >= d)
         {
             // Return the collected nodes so the final gap sees their bounds.
             for node in batch {
@@ -728,12 +711,7 @@ pub(crate) fn solve_outcome(
                         break;
                     }
                     let mut cut_work = 0u64;
-                    let lp2 = simplex::solve_warm_budgeted(
-                        &node_model,
-                        basis.as_ref(),
-                        lp_budget,
-                        &mut cut_work,
-                    );
+                    let lp2 = simplex::solve(&node_model, basis.as_ref(), lp_budget, &mut cut_work);
                     work_spent += cut_work;
                     match lp2 {
                         Ok((s2, b2)) => {
@@ -790,12 +768,7 @@ pub(crate) fn solve_outcome(
                         node_model.vars[j].hi = hi;
                     }
                     let mut cut_work = 0u64;
-                    let lp2 = simplex::solve_warm_budgeted(
-                        &node_model,
-                        basis.as_ref(),
-                        lp_budget,
-                        &mut cut_work,
-                    );
+                    let lp2 = simplex::solve(&node_model, basis.as_ref(), lp_budget, &mut cut_work);
                     restore(&mut node_model, &root_model, &node.changes);
                     work_spent += cut_work;
                     match lp2 {
@@ -872,17 +845,13 @@ pub(crate) fn solve_outcome(
                             node_model.vars[j].hi = x.floor();
                         }
                         let mut probe_work = 0u64;
-                        let probe = if let Some(w) = lp_arc.as_deref() {
-                            simplex::solve_warm_budgeted(
-                                &node_model,
-                                Some(w),
-                                lp_budget,
-                                &mut probe_work,
-                            )
-                            .map(|(s, _)| s)
-                        } else {
-                            simplex::solve_budgeted(&node_model, lp_budget, &mut probe_work)
-                        };
+                        let probe = simplex::solve(
+                            &node_model,
+                            lp_arc.as_deref(),
+                            lp_budget,
+                            &mut probe_work,
+                        )
+                        .map(|(s, _)| s);
                         node_model.vars[j].lo = plo;
                         node_model.vars[j].hi = phi;
                         work_spent += probe_work;
@@ -1155,7 +1124,15 @@ fn round_heuristic(model: &Model, values: &[f64], int_vars: &[usize]) -> Option<
 
 #[cfg(test)]
 mod tests {
-    use crate::{Cmp, MipOptions, Model, Sense, SolveStatus, SolverError, VarKind};
+    use crate::{
+        Cmp, MipOptions, Model, Result, Sense, Solution, SolveStatus, SolverError, VarKind,
+    };
+
+    /// An unbudgeted solve's solution.
+    fn mip(m: &Model, opts: &MipOptions) -> Result<Solution> {
+        m.solve_mip(opts, None)
+            .and_then(|(out, _)| out.into_solution())
+    }
 
     /// The plain search: no cuts, no strong branching, serial single-node
     /// batches — the baseline the enriched default engine must agree with.
@@ -1179,7 +1156,7 @@ mod tests {
         let b = m.add_var("b", VarKind::Binary, 0.0, 1.0, 13.0);
         let c = m.add_var("c", VarKind::Binary, 0.0, 1.0, 7.0);
         m.add_constr(vec![(a, 3.0), (b, 4.0), (c, 2.0)], Cmp::Le, 6.0);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 20.0).abs() < 1e-6, "obj = {}", s.objective);
         assert!(s.is_one(b, 1e-6) && s.is_one(c, 1e-6));
@@ -1195,7 +1172,7 @@ mod tests {
         m.add_constr(vec![(a, 1.0), (c, 1.0)], Cmp::Ge, 1.0);
         m.add_constr(vec![(a, 1.0), (b, 1.0)], Cmp::Ge, 1.0);
         m.add_constr(vec![(b, 1.0), (c, 1.0)], Cmp::Ge, 1.0);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 2.0).abs() < 1e-6);
     }
@@ -1208,7 +1185,7 @@ mod tests {
         let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, 2.0);
         let y = m.add_var("y", VarKind::Continuous, 0.0, f64::INFINITY, 1.0);
         m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 3.5);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert!((s.objective - 3.5).abs() < 1e-6);
         assert!(s.value(x).abs() < 1e-6);
     }
@@ -1219,7 +1196,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", VarKind::Integer, 0.0, 10.0, 1.0);
         m.add_constr(vec![(x, 2.0)], Cmp::Le, 5.0);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert!((s.value(x) - 2.0).abs() < 1e-6);
     }
 
@@ -1229,7 +1206,10 @@ mod tests {
         let x = m.add_var("x", VarKind::Binary, 0.0, 1.0, 1.0);
         let y = m.add_var("y", VarKind::Binary, 0.0, 1.0, 1.0);
         m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 3.0);
-        assert_eq!(m.solve_mip().unwrap_err(), SolverError::Infeasible);
+        assert_eq!(
+            mip(&m, &MipOptions::default()).unwrap_err(),
+            SolverError::Infeasible
+        );
     }
 
     #[test]
@@ -1238,7 +1218,7 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         let x = m.add_var("x", VarKind::Continuous, 0.0, 10.0, 1.0);
         m.add_constr(vec![(x, 1.0)], Cmp::Ge, 2.5);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert!((s.objective - 2.5).abs() < 1e-9);
     }
 
@@ -1253,7 +1233,7 @@ mod tests {
             m.add_constr(vec![(w[0], 1.0), (w[1], 1.0)], Cmp::Ge, 1.0);
         }
         m.set_initial_solution(vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         // Optimal vertex cover of a path of 6 nodes (5 edges) costs 2? No:
         // pairs (0,1),(1,2),(2,3),(3,4),(4,5): picking x1, x3 covers the
@@ -1278,7 +1258,7 @@ mod tests {
             max_nodes: 1,
             ..Default::default()
         };
-        match m.solve_mip_with(&opts) {
+        match mip(&m, &opts) {
             Ok(s) => {
                 // Root produced an incumbent via rounding; gap may be positive.
                 assert!(s.objective <= total / 2.0);
@@ -1287,7 +1267,7 @@ mod tests {
             Err(e) => panic!("unexpected error {e}"),
         }
         // With a generous budget it must prove optimality.
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 77.0).abs() < 1e-6, "obj = {}", s.objective);
     }
@@ -1302,7 +1282,7 @@ mod tests {
         let x2 = m.add_var("x2", VarKind::Binary, 0.0, 1.0, 1.0);
         m.add_constr(vec![(x1, 1.0), (x2, 1.0)], Cmp::Ge, 1.0);
         m.fix_var(x0, 1.0);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert!(s.is_one(x0, 1e-9));
         assert!((s.objective - 2.0).abs() < 1e-6);
     }
@@ -1315,7 +1295,7 @@ mod tests {
         let y = m.add_var("y", VarKind::Integer, 0.0, 100.0, 1.0);
         m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Eq, 7.0);
         m.add_constr(vec![(x, 1.0), (y, -1.0)], Cmp::Eq, 1.0);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert!((s.value(x) - 4.0).abs() < 1e-6);
         assert!((s.value(y) - 3.0).abs() < 1e-6);
     }
@@ -1334,18 +1314,22 @@ mod tests {
             ];
             m.add_constr(terms, Cmp::Ge, 1.0);
         }
-        let with = m
-            .solve_mip_with(&MipOptions {
+        let with = mip(
+            &m,
+            &MipOptions {
                 presolve: true,
                 ..Default::default()
-            })
-            .unwrap();
-        let without = m
-            .solve_mip_with(&MipOptions {
+            },
+        )
+        .unwrap();
+        let without = mip(
+            &m,
+            &MipOptions {
                 presolve: false,
                 ..Default::default()
-            })
-            .unwrap();
+            },
+        )
+        .unwrap();
         assert!((with.objective - without.objective).abs() < 1e-6);
     }
 
@@ -1380,9 +1364,10 @@ mod tests {
         // optima — only how fast the proof goes.
         for (n, stride) in [(8, 2), (11, 3), (13, 4)] {
             let m = cover_instance(n, stride);
-            let plain = m.solve_mip_with(&plain()).unwrap();
-            let rich = m
-                .solve_mip_with(&MipOptions {
+            let plain = mip(&m, &plain()).unwrap();
+            let rich = mip(
+                &m,
+                &MipOptions {
                     cut_rounds: 4,
                     node_cut_depth: 2,
                     reliability: 2,
@@ -1390,8 +1375,9 @@ mod tests {
                     threads: 2,
                     warm_basis: true,
                     ..Default::default()
-                })
-                .unwrap();
+                },
+            )
+            .unwrap();
             assert_eq!(plain.status, SolveStatus::Optimal);
             assert_eq!(rich.status, SolveStatus::Optimal);
             assert!(
@@ -1409,12 +1395,15 @@ mod tests {
         // objective, and values — the pool's determinism contract.
         let m = cover_instance(13, 4);
         let solve_with_threads = |threads: usize| {
-            m.solve_mip_with(&MipOptions {
-                node_batch: 4,
-                threads,
-                warm_basis: true,
-                ..Default::default()
-            })
+            mip(
+                &m,
+                &MipOptions {
+                    node_batch: 4,
+                    threads,
+                    warm_basis: true,
+                    ..Default::default()
+                },
+            )
             .unwrap()
         };
         let one = solve_with_threads(1);
@@ -1433,7 +1422,7 @@ mod tests {
         let x = m.add_var("x", VarKind::Binary, 0.0, 1.0, 1.0);
         let y = m.add_var("y", VarKind::Binary, 0.0, 1.0, -1.0);
         m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 1.0);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - (-1.0)).abs() < 1e-9);
 
@@ -1441,7 +1430,7 @@ mod tests {
         let a = m.add_var("a", VarKind::Binary, 0.0, 1.0, 1.0);
         let b = m.add_var("b", VarKind::Binary, 0.0, 1.0, -1.0);
         m.add_constr(vec![(a, 1.0), (b, -1.0)], Cmp::Ge, 0.0);
-        let s = m.solve_mip().unwrap();
+        let s = mip(&m, &MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!(s.objective.abs() < 1e-9, "obj = {}", s.objective);
     }

@@ -51,11 +51,10 @@ pub enum SolverError {
         nodes: usize,
     },
     /// A cooperative work budget (see [`crate::MipOptions::work_budget`])
-    /// was exhausted mid-solve. This is an *internal* control-flow signal:
-    /// the anytime entry points ([`crate::Model::solve_mip_anytime`])
-    /// intercept it and return [`crate::MipOutcome::Interrupted`] carrying
-    /// the best incumbent and dual bound instead, so callers only observe
-    /// this variant from the raw LP interfaces.
+    /// was exhausted mid-solve. [`crate::Model::solve_mip`] intercepts it
+    /// and returns [`crate::MipOutcome::Interrupted`] carrying the best
+    /// incumbent and dual bound instead; callers see this variant only
+    /// from [`crate::MipOutcome::into_solution`].
     Interrupted {
         /// Deterministic work units (simplex iterations + refactorizations
         /// + branch-and-bound nodes) spent before the budget tripped.

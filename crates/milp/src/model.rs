@@ -567,7 +567,7 @@ impl Model {
 
     /// Solves the continuous relaxation (integrality marks ignored).
     pub fn solve_lp(&self) -> Result<Solution> {
-        simplex::solve(self)
+        simplex::solve(self, None, None, &mut 0).map(|(s, _)| s)
     }
 
     /// Solves the continuous relaxation, optionally warm-starting from the
@@ -576,57 +576,40 @@ impl Model {
     /// basis snapshot for the next re-solve.
     ///
     /// With `None` (or a shape-incompatible snapshot) this is a cold
-    /// [`Model::solve_lp`] that additionally captures the basis. After
-    /// bound or right-hand-side perturbations the warm path re-optimizes
-    /// with the dual simplex — typically a handful of pivots instead of a
-    /// full two-phase solve.
+    /// solve, bitwise equal to [`Model::solve_lp`]. After bound or
+    /// right-hand-side perturbations the warm path re-optimizes with the
+    /// dual simplex — typically a handful of pivots instead of a full
+    /// two-phase solve.
     pub fn solve_lp_warm(
         &self,
         warm: Option<&LpWarmStart>,
     ) -> Result<(Solution, Option<LpWarmStart>)> {
-        simplex::solve_warm(self, warm)
+        simplex::solve(self, warm, None, &mut 0)
     }
 
-    /// Solves the mixed-integer program with default options.
-    pub fn solve_mip(&self) -> Result<Solution> {
-        branch_bound::solve(self, &MipOptions::default(), None).map(|(s, _)| s)
-    }
-
-    /// Solves the mixed-integer program with explicit options.
-    pub fn solve_mip_with(&self, opts: &MipOptions) -> Result<Solution> {
-        branch_bound::solve(self, opts, None).map(|(s, _)| s)
-    }
-
-    /// Solves the mixed-integer program, warm-starting the root LP from a
-    /// previous [`Model::solve_mip_warm`] of a perturbed sibling model and
-    /// returning the root basis for the next link of the chain.
+    /// Solves the mixed-integer program by branch and bound.
     ///
-    /// This is the cross-sweep-point reuse layer: a `k`-grid of `PPM(k)`
-    /// programs differs only in one right-hand side, so each point's root
-    /// relaxation starts from the previous point's optimal basis. Within a
-    /// single call, enable [`MipOptions::warm_basis`] to also reuse parent
-    /// bases across branch-and-bound nodes.
-    pub fn solve_mip_warm(
-        &self,
-        opts: &MipOptions,
-        warm: Option<&MipWarmStart>,
-    ) -> Result<(Solution, Option<MipWarmStart>)> {
-        branch_bound::solve(self, opts, warm)
-    }
-
-    /// Solves the mixed-integer program under the anytime contract: when
+    /// `warm` seeds the root LP from the root basis of a previous solve of
+    /// a perturbed sibling model, and the returned [`MipWarmStart`] carries
+    /// this solve's root basis to the next link of the chain. A `k`-grid
+    /// of `PPM(k)` programs differs only in one right-hand side, so each
+    /// point's root relaxation starts from the previous point's optimal
+    /// basis. Within one call, [`MipOptions::warm_basis`] also reuses
+    /// parent bases across branch-and-bound nodes.
+    ///
+    /// The outcome follows the anytime contract: when
     /// [`MipOptions::work_budget`] trips mid-search this returns
-    /// [`MipOutcome::Interrupted`] carrying the best incumbent found and the
-    /// sharpest dual bound proven, instead of an error. With no budget (or a
-    /// budget at least as large as the uninterrupted solve's
-    /// [`Solution::work`]) the result is [`MipOutcome::Complete`] and is
-    /// bitwise identical to [`Model::solve_mip_warm`].
-    pub fn solve_mip_anytime(
+    /// [`MipOutcome::Interrupted`] carrying the best incumbent found and
+    /// the sharpest dual bound proven, instead of an error. With no budget
+    /// (or a budget at least as large as the uninterrupted solve's
+    /// [`Solution::work`]) the result is [`MipOutcome::Complete`].
+    /// [`MipOutcome::into_solution`] unwraps an unbudgeted outcome.
+    pub fn solve_mip(
         &self,
         opts: &MipOptions,
         warm: Option<&MipWarmStart>,
     ) -> Result<(MipOutcome, Option<MipWarmStart>)> {
-        branch_bound::solve_outcome(self, opts, warm)
+        branch_bound::solve(self, opts, warm)
     }
 }
 

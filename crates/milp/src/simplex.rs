@@ -898,23 +898,26 @@ impl<'a> Tableau<'a> {
         }
     }
 
-    /// Snapshots the current basis for warm-starting a perturbed re-solve.
-    /// Returns `None` when an artificial column is still basic (rare:
-    /// degenerate phase-1 leftovers) — such a basis is not expressible over
-    /// structurals + slacks alone.
-    fn capture(&self, model: &Model, prep: &Prep) -> Option<LpWarmStart> {
+    /// Turns the finished tableau into a basis snapshot for warm-starting
+    /// a perturbed re-solve. The basic set and its factorization are moved,
+    /// not cloned, so a caller that drops the snapshot pays only an O(m)
+    /// fingerprint. Returns `None` when an artificial column is still
+    /// basic (rare: degenerate phase-1 leftovers) — such a basis is not
+    /// expressible over structurals + slacks alone.
+    fn into_warm_start(mut self, model: &Model, prep: &Prep) -> Option<LpWarmStart> {
         let n = self.n;
         let nm = n + self.m;
         if self.basic.iter().any(|&c| (c as usize) >= nm) {
             return None;
         }
+        self.state.truncate(nm);
         Some(LpWarmStart {
             n,
             m: self.m,
             basic_fp: model.basis_fingerprint(&self.basic),
-            state: self.state[..nm].to_vec(),
-            basic: self.basic.clone(),
-            basis: self.basis.clone(),
+            state: self.state,
+            basic: self.basic,
+            basis: self.basis,
             scale_fp: prep.scale_fp(),
         })
     }
@@ -1726,30 +1729,25 @@ fn phase2_costs(model: &Model, ncols: usize, prep: &Prep) -> Vec<f64> {
     c2
 }
 
-/// Solves the continuous relaxation of `model`, optionally warm-starting
-/// from a prior basis; returns the solution plus a basis snapshot for the
-/// next link of the chain.
+/// Solves the continuous relaxation of `model` — the one simplex entry
+/// point. Returns the solution plus the final basis as a snapshot for the
+/// next link of a warm chain (moved out of the tableau, never cloned, so
+/// callers that drop it pay nothing for it).
 ///
-/// The warm path refactorizes the stored basic set, runs the **dual
-/// simplex** to repair primal feasibility under the perturbed bounds /
-/// right-hand sides, then the primal simplex to certify optimality (and
-/// absorb any objective perturbation). Numerical trouble on the warm path
-/// falls back to the cold two-phase solve, so a stale-but-same-shape
-/// basis can cost time, never correctness — `Infeasible`/`Unbounded` are
-/// only returned off certified pivots.
-pub(crate) fn solve_warm(
-    model: &Model,
-    warm: Option<&LpWarmStart>,
-) -> Result<(Solution, Option<LpWarmStart>)> {
-    solve_warm_budgeted(model, warm, None, &mut 0)
-}
-
-/// [`solve_warm`] under an optional cooperative work budget (simplex
-/// iterations + refactorizations). When the budget trips mid-solve the
-/// call returns [`SolverError::Interrupted`] carrying the cumulative work
+/// `warm` optionally seeds the solve from a prior basis. The warm path
+/// refactorizes the stored basic set, runs the **dual simplex** to repair
+/// primal feasibility under the perturbed bounds / right-hand sides, then
+/// the primal simplex to certify optimality (and absorb any objective
+/// perturbation). Numerical trouble on the warm path falls back to the
+/// cold two-phase solve, so a stale-but-same-shape basis can cost time,
+/// never correctness — `Infeasible`/`Unbounded` are only returned off
+/// certified pivots.
+///
+/// `work_budget` is an optional cooperative work budget (simplex
+/// iterations + refactorizations). When it trips mid-solve the call
+/// returns [`SolverError::Interrupted`] carrying the cumulative work
 /// spent — including any work burned by a failed warm attempt before the
 /// cold fallback, so the reported number is the true cost of the call.
-/// `None` is exactly [`solve_warm`].
 ///
 /// `work_out` receives the work this call performed **whatever** the
 /// outcome — success, infeasibility, a budget trip, or a numerical
@@ -1758,7 +1756,7 @@ pub(crate) fn solve_warm(
 /// budget equal to a solve's own reported work could then trip inside
 /// work the report never showed. (On success `work_out` equals the
 /// returned [`Solution::work`].)
-pub(crate) fn solve_warm_budgeted(
+pub(crate) fn solve(
     model: &Model,
     warm: Option<&LpWarmStart>,
     work_budget: Option<u64>,
@@ -1766,7 +1764,7 @@ pub(crate) fn solve_warm_budgeted(
 ) -> Result<(Solution, Option<LpWarmStart>)> {
     *work_out = 0;
     if model.constrs.is_empty() {
-        return solve(model).map(|s| (s, None));
+        return solve_unconstrained(model).map(|s| (s, None));
     }
     let prep = Prep::new(model);
     let budget = work_budget.unwrap_or(u64::MAX);
@@ -1792,8 +1790,8 @@ pub(crate) fn solve_warm_budgeted(
             match attempt {
                 Ok(()) => {
                     *work_out = t.work_spent();
-                    let basis = t.capture(model, &prep);
-                    return Ok((extract(model, &t, &prep), basis));
+                    let sol = extract(model, &t, &prep);
+                    return Ok((sol, t.into_warm_start(model, &prep)));
                 }
                 // Unboundedness is certified by a ray off an exact ratio
                 // test and survives the fallback unchanged; everything
@@ -1818,12 +1816,11 @@ pub(crate) fn solve_warm_budgeted(
             *work_out = warm_work;
         }
     }
-    let t = solve_cold_budgeted(model, &prep, budget, warm_work, work_out)?;
-    let basis = t.capture(model, &prep);
+    let t = solve_cold(model, &prep, budget, warm_work, work_out)?;
     let mut sol = extract(model, &t, &prep);
     sol.dual_flips += warm_flips;
     sol.warm_fallbacks = fallbacks;
-    Ok((sol, basis))
+    Ok((sol, t.into_warm_start(model, &prep)))
 }
 
 /// The cold two-phase solve: build with artificials, phase 1 when needed,
@@ -1833,7 +1830,7 @@ pub(crate) fn solve_warm_budgeted(
 /// inaccurate answer. `work_out` receives the work performed (on top of
 /// `work_base`) on **every** exit path, error or not — infeasibility
 /// verdicts cost pivots too, and the MIP ledger counts them.
-fn solve_cold_budgeted<'a>(
+fn solve_cold<'a>(
     model: &'a Model,
     prep: &'a Prep,
     work_budget: u64,
@@ -1897,64 +1894,46 @@ fn solve_cold_budgeted<'a>(
     Ok(t)
 }
 
-/// Solves the continuous relaxation of `model`.
-pub(crate) fn solve(model: &Model) -> Result<Solution> {
-    solve_budgeted(model, None, &mut 0)
-}
-
-/// [`solve`] under an optional cooperative work budget; `None` is exactly
-/// [`solve`]. `work_out` receives the work performed on every exit path
-/// (see [`solve_warm_budgeted`]).
-pub(crate) fn solve_budgeted(
-    model: &Model,
-    work_budget: Option<u64>,
-    work_out: &mut u64,
-) -> Result<Solution> {
-    *work_out = 0;
-    // Degenerate case: no constraints — every variable sits at its best bound.
-    if model.constrs.is_empty() {
-        let minimize = matches!(model.sense, crate::Sense::Minimize);
-        let mut values = Vec::with_capacity(model.vars.len());
-        for v in &model.vars {
-            let c = if minimize { v.cost } else { -v.cost };
-            let x = if c > 0.0 {
-                if v.lo.is_finite() {
-                    v.lo
-                } else {
-                    return Err(SolverError::Unbounded);
-                }
-            } else if c < 0.0 {
-                if v.hi.is_finite() {
-                    v.hi
-                } else {
-                    return Err(SolverError::Unbounded);
-                }
-            } else if v.lo.is_finite() {
+/// The degenerate case of [`solve`]: no constraints, so every variable
+/// sits at its best bound.
+fn solve_unconstrained(model: &Model) -> Result<Solution> {
+    let minimize = matches!(model.sense, crate::Sense::Minimize);
+    let mut values = Vec::with_capacity(model.vars.len());
+    for v in &model.vars {
+        let c = if minimize { v.cost } else { -v.cost };
+        let x = if c > 0.0 {
+            if v.lo.is_finite() {
                 v.lo
-            } else if v.hi.is_finite() {
+            } else {
+                return Err(SolverError::Unbounded);
+            }
+        } else if c < 0.0 {
+            if v.hi.is_finite() {
                 v.hi
             } else {
-                0.0
-            };
-            values.push(x);
-        }
-        let objective = model.objective_value(&values);
-        return Ok(Solution {
-            values,
-            objective,
-            status: SolveStatus::Optimal,
-            gap: 0.0,
-            iterations: 0,
-            dual_flips: 0,
-            warm_fallbacks: 0,
-            nodes: 1,
-            work: 0,
-        });
+                return Err(SolverError::Unbounded);
+            }
+        } else if v.lo.is_finite() {
+            v.lo
+        } else if v.hi.is_finite() {
+            v.hi
+        } else {
+            0.0
+        };
+        values.push(x);
     }
-
-    let prep = Prep::new(model);
-    let t = solve_cold_budgeted(model, &prep, work_budget.unwrap_or(u64::MAX), 0, work_out)?;
-    Ok(extract(model, &t, &prep))
+    let objective = model.objective_value(&values);
+    Ok(Solution {
+        values,
+        objective,
+        status: SolveStatus::Optimal,
+        gap: 0.0,
+        iterations: 0,
+        dual_flips: 0,
+        warm_fallbacks: 0,
+        nodes: 1,
+        work: 0,
+    })
 }
 
 #[cfg(test)]

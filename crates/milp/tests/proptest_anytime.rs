@@ -134,7 +134,10 @@ proptest! {
     #[test]
     fn budgets_are_anytime_monotone_and_reproducing(inst in instances()) {
         let model = build(&inst);
-        let opt = model.solve_mip_with(&engine(1, None)).expect("covering instance is feasible");
+        let opt = model
+            .solve_mip(&engine(1, None), None)
+            .and_then(|(out, _)| out.into_solution())
+            .expect("covering instance is feasible");
         let tol = 1e-6 * (1.0 + opt.objective.abs());
 
         // A deterministic budget ladder derived from the one-shot cost:
@@ -144,10 +147,10 @@ proptest! {
         let mut last_incumbent = f64::INFINITY;
         for &budget in &ladder {
             let (one, _) = model
-                .solve_mip_anytime(&engine(1, Some(budget)), None)
+                .solve_mip(&engine(1, Some(budget)), None)
                 .expect("budgeted solve never errors on a feasible instance");
             let (four, _) = model
-                .solve_mip_anytime(&engine(4, Some(budget)), None)
+                .solve_mip(&engine(4, Some(budget)), None)
                 .expect("budgeted solve never errors on a feasible instance");
 
             // (c) worker-count independence at every budget.
@@ -191,7 +194,7 @@ proptest! {
         // reproduces the unbudgeted solve bitwise, at 1 and 4 workers.
         for threads in [1usize, 4] {
             let (full, _) = model
-                .solve_mip_anytime(&engine(threads, Some(opt.work)), None)
+                .solve_mip(&engine(threads, Some(opt.work)), None)
                 .expect("feasible");
             match full {
                 MipOutcome::Complete(s) => assert_solutions_bitwise(&s, &opt),

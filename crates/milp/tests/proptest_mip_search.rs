@@ -69,6 +69,13 @@ fn build(inst: &Instance) -> Model {
 
 /// The plain reference engine: serial, cut-free, most-infeasible-style
 /// pseudocost start with no strong branching.
+/// An unbudgeted solve's solution.
+fn mip(model: &Model, opts: &MipOptions) -> milp::Result<milp::Solution> {
+    model
+        .solve_mip(opts, None)
+        .and_then(|(out, _)| out.into_solution())
+}
+
 fn plain() -> MipOptions {
     MipOptions {
         cut_rounds: 0,
@@ -101,8 +108,8 @@ proptest! {
     #[test]
     fn enriched_engine_matches_plain_serial_search(inst in instances()) {
         let model = build(&inst);
-        let a = model.solve_mip_with(&plain()).expect("covering instance is feasible");
-        let b = model.solve_mip_with(&enriched(2)).expect("covering instance is feasible");
+        let a = mip(&model, &plain()).expect("covering instance is feasible");
+        let b = mip(&model, &enriched(2)).expect("covering instance is feasible");
         // Same optimum ...
         prop_assert!(
             (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
@@ -115,8 +122,8 @@ proptest! {
     #[test]
     fn node_pool_is_deterministic_across_thread_counts(inst in instances()) {
         let model = build(&inst);
-        let one = model.solve_mip_with(&enriched(1)).expect("feasible");
-        let four = model.solve_mip_with(&enriched(4)).expect("feasible");
+        let one = mip(&model, &enriched(1)).expect("feasible");
+        let four = mip(&model, &enriched(4)).expect("feasible");
         prop_assert_eq!(one.nodes, four.nodes);
         prop_assert_eq!(one.iterations, four.iterations);
         prop_assert_eq!(one.objective.to_bits(), four.objective.to_bits());

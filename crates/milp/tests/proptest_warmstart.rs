@@ -13,8 +13,8 @@
 //!   optimal *vertex* may legitimately differ).
 //!
 //! A second property runs the same contract through the MIP layer:
-//! `solve_mip_warm` with node-level basis reuse against a cold
-//! `solve_mip`, over covering programs whose coverage target drifts.
+//! `solve_mip` chained through its warm start, with node-level basis
+//! reuse, against a cold `solve_mip`, over covering programs whose coverage target drifts.
 //!
 //! Perturbation kind 3 rewrites a whole row's coefficients via
 //! `Model::set_constr`: the per-column fingerprint scheme must either
@@ -116,13 +116,18 @@ proptest! {
         let nrows = rows.len();
         let mut basis: Option<LpWarmStart> = None;
 
-        // Seed the chain (cold solve through the warm API must agree with
-        // the plain LP entry point).
+        // Seed the chain. A cold solve through the warm API runs the same
+        // simplex path as the plain LP entry point, so the two agree bit
+        // for bit.
         match model.solve_lp_warm(None) {
             Ok((s, b)) => {
                 basis = b;
                 let cold = model.solve_lp().unwrap();
-                prop_assert!((s.objective - cold.objective).abs() < 1e-6);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&s.values), bits(&cold.values));
+                prop_assert_eq!(s.objective.to_bits(), cold.objective.to_bits());
+                prop_assert_eq!(s.iterations, cold.iterations);
+                prop_assert_eq!(s.work, cold.work);
             }
             Err(SolverError::Infeasible) => {}
             Err(e) => panic!("unexpected error on the seed solve: {e}"),
@@ -260,8 +265,12 @@ proptest! {
         for (i, &t) in targets.iter().enumerate() {
             let row = row_ids[i % row_ids.len()];
             m.set_rhs(row, t.round());
-            let warm = m.solve_mip_warm(&warm_opts, warm_state.as_ref());
-            let cold = m.solve_mip();
+            let warm = m
+                .solve_mip(&warm_opts, warm_state.as_ref())
+                .and_then(|(out, state)| Ok((out.into_solution()?, state)));
+            let cold = m
+                .solve_mip(&MipOptions::default(), None)
+                .and_then(|(out, _)| out.into_solution());
             match (warm, cold) {
                 (Ok((w, state)), Ok(c)) => {
                     prop_assert!(

@@ -1,7 +1,13 @@
 //! Integration stress tests for the milp crate: classical problem families
 //! with independently computable optima.
 
-use milp::{Cmp, Model, Sense, SolveStatus, VarKind};
+use milp::{Cmp, MipOptions, Model, Sense, Solution, SolveStatus, VarKind};
+
+/// A default-options solve's solution.
+fn mip(m: &Model) -> milp::Result<Solution> {
+    m.solve_mip(&MipOptions::default(), None)
+        .and_then(|(out, _)| out.into_solution())
+}
 
 /// Assignment problem: n×n cost matrix, MIP vs brute-force permutations.
 fn solve_assignment(costs: &[Vec<f64>]) -> (f64, f64) {
@@ -19,7 +25,7 @@ fn solve_assignment(costs: &[Vec<f64>]) -> (f64, f64) {
         let col: Vec<_> = (0..n).map(|j| (xs[j][i], 1.0)).collect();
         m.add_constr(col, Cmp::Eq, 1.0);
     }
-    let sol = m.solve_mip().expect("assignment always feasible");
+    let sol = mip(&m).expect("assignment always feasible");
     assert_eq!(sol.status, SolveStatus::Optimal);
     m.check_feasible(&sol.values, 1e-6)
         .expect("solution must validate");
@@ -133,7 +139,7 @@ fn monotone_chain_with_budget() {
     }
     let all: Vec<_> = ys.iter().map(|&y| (y, 1.0)).collect();
     m.add_constr(all, Cmp::Le, 5.0);
-    let sol = m.solve_mip().unwrap();
+    let sol = mip(&m).unwrap();
     // Monotone + budget 5 -> take the first five: 12+11+10+9+8 = 50.
     assert!(
         (sol.objective - 50.0).abs() < 1e-6,
@@ -176,7 +182,7 @@ fn knapsack_01_matches_dp() {
         .collect();
     let terms: Vec<_> = xs.iter().zip(&weights).map(|(&x, &w)| (x, w)).collect();
     m.add_constr(terms, Cmp::Le, cap as f64);
-    let sol = m.solve_mip().unwrap();
+    let sol = mip(&m).unwrap();
 
     // Integer-weight DP.
     let mut dp = vec![0.0f64; cap + 1];
@@ -203,7 +209,7 @@ fn infeasible_chain() {
     m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Ge, 15.0);
     m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 5.0);
     assert!(matches!(m.solve_lp(), Err(milp::SolverError::Infeasible)));
-    assert!(matches!(m.solve_mip(), Err(milp::SolverError::Infeasible)));
+    assert!(matches!(mip(&m), Err(milp::SolverError::Infeasible)));
 }
 
 /// Degenerate LP with many redundant constraints still terminates and is

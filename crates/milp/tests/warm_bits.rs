@@ -4,7 +4,7 @@
 //! covering and packing right-hand sides moved, boxes pinned or cut —
 //! and re-solved warm from the previous link's basis, which drives the
 //! dual phase through long runs of bound flips. Budgeted
-//! `solve_mip_anytime` runs over LP2-shaped covering programs (node
+//! `solve_mip` runs over LP2-shaped covering programs (node
 //! warm starts, cuts, strong-branch probes) follow at 1 and 4 workers.
 //! Every objective and value bit, every iteration, work and node count,
 //! and every outcome kind is folded into one FNV-1a digest.
@@ -238,7 +238,7 @@ fn engine(threads: usize, work_budget: Option<u64>) -> MipOptions {
 
 /// Folds one budgeted anytime solve into `digest`; returns its flips.
 fn anytime(model: &Model, opts: &MipOptions, digest: &mut Digest) -> usize {
-    match model.solve_mip_anytime(opts, None) {
+    match model.solve_mip(opts, None) {
         Ok((MipOutcome::Complete(s), _)) => {
             digest.word(0xC0);
             digest.solution(&s);
@@ -302,7 +302,7 @@ fn warm_chains_and_anytime_solves_keep_their_bits() {
             12 + 2 * seed as usize,
             0.85,
         );
-        let full = match model.solve_mip_anytime(&engine(1, None), None) {
+        let full = match model.solve_mip(&engine(1, None), None) {
             Ok((MipOutcome::Complete(s), _)) => s.work,
             other => panic!("seed {seed}: unbudgeted solve did not complete: {other:?}"),
         };

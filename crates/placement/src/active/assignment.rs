@@ -15,7 +15,7 @@
 //!   both-eligible probe, an auxiliary max-load variable, solved by
 //!   `milp`).
 
-use milp::{Cmp, Model, Sense, VarId, VarKind};
+use milp::{Cmp, MipOptions, Model, Sense, VarId, VarKind};
 use netgraph::NodeId;
 
 use crate::active::{BeaconPlacement, ProbeSet};
@@ -146,7 +146,10 @@ pub fn assign_probes_ilp(probes: &ProbeSet, placement: &BeaconPlacement) -> Prob
         m.add_constr(terms, Cmp::Le, -fixed_load[&b]);
     }
 
-    let sol = m.solve_mip().expect("assignment is always feasible");
+    let sol = m
+        .solve_mip(&MipOptions::default(), None)
+        .and_then(|(out, _)| out.into_solution())
+        .expect("assignment is always feasible");
     let emitter: Vec<NodeId> = probes
         .probes
         .iter()

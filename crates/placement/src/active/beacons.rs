@@ -139,7 +139,8 @@ pub fn place_beacons_ilp(
         ..Default::default()
     };
     let sol = m
-        .solve_mip_with(&opts)
+        .solve_mip(&opts, None)
+        .and_then(|(out, _)| out.into_solution())
         .expect("vertex cover over probe endpoints is feasible");
     let beacons: Vec<NodeId> = graph
         .nodes()

@@ -220,7 +220,8 @@ pub fn campaign_exact(prob: &CampaignProblem, opts: &MipOptions) -> CampaignSolu
         m.add_constr(budget_terms, Cmp::Le, prob.max_total_stretch);
     }
     let sol = m
-        .solve_mip_with(opts)
+        .solve_mip(opts, None)
+        .and_then(|(out, _)| out.into_solution())
         .expect("choosing route 0 everywhere is feasible");
     let assignment: Vec<usize> = vars
         .iter()

@@ -12,7 +12,7 @@
 //!   once per instance structure; successive grid points only move a
 //!   right-hand side ([`milp::Model::set_rhs`]) and re-optimize from the
 //!   previous point's root basis with the dual simplex
-//!   ([`milp::Model::solve_mip_warm`]), with branch-and-bound nodes
+//!   ([`milp::Model::solve_mip`]'s warm start), with branch-and-bound nodes
 //!   reusing their parent's basis;
 //! * **delta-aware re-routing** — in routed mode, failing a link re-runs
 //!   Yen/Dijkstra only for the traffics whose path actually crossed it
@@ -26,17 +26,17 @@
 
 use std::collections::HashMap;
 
-use milp::{ConstrId, MipOptions, MipOutcome, MipWarmStart, Model, SolveStatus, VarId};
+use milp::{ConstrId, MipOptions, MipWarmStart, Model, VarId};
 use netgraph::delta::RoutePlan;
 use netgraph::{EdgeId, Graph, NodeId};
 use popgen::TrafficSet;
 
 use crate::instance::PpmInstance;
 use crate::passive::{
-    build_budget_model, build_lp2_target, install_greedy_incumbent, BudgetSolution, ExactOptions,
-    PpmSolution,
+    build_budget_model, build_lp2_target, install_greedy_incumbent, selected_edges, BudgetSolution,
+    ExactOptions, PpmSolution,
 };
-use crate::solve::{Anytime, PlacementError, SolveOutcome, SolveRequest};
+use crate::solve::{Anytime, PlacementError};
 
 /// Routed backing for link toggles: the graph and the delta-aware route
 /// plan under the current failures (the failure set itself lives in
@@ -297,8 +297,8 @@ impl DeltaInstance {
     }
 
     /// Fails link `e`: no device may sit on it — even a pre-installed one
-    /// (failure beats installation in both [`DeltaInstance::solve_exact`]
-    /// and [`DeltaInstance::solve_budget`]) — and, in routed mode, every
+    /// (failure beats installation in both the exact and the budget
+    /// solves of [`DeltaInstance::solve`]) — and, in routed mode, every
     /// traffic whose path crossed it is re-routed around it (traffics
     /// disconnected by the failure keep their volume with an empty
     /// support, i.e. become uncoverable). Returns how many traffics were
@@ -410,39 +410,16 @@ impl DeltaInstance {
     }
 
     /// Exact minimum-device `PPM(k)` on the current state, warm-started
-    /// from the previous solve of this chain. Identical results to
-    /// [`solve_ppm_exact`] (no installed devices) / [`solve_incremental`]
-    /// (with them); `None` when the target is unreachable.
-    ///
-    /// Deprecated shim: new code should build a
-    /// [`SolveRequest`](crate::solve::SolveRequest) and call
-    /// [`DeltaInstance::solve`] — this method now routes through it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` lies outside `[0, 1]`.
-    pub fn solve_exact(&mut self, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
-        let req = SolveRequest::ppm(k).with_exact_options(opts);
-        let outcome = self.solve(&req).unwrap_or_else(|e| panic!("{e}"));
-        // Legacy surface: a degraded anytime answer collapses to its
-        // partial placement (the unified API keeps the record).
-        let outcome = match outcome {
-            SolveOutcome::Degraded { partial, .. } => *partial,
-            other => other,
-        };
-        match outcome {
-            SolveOutcome::Ppm(sol) => Some(sol),
-            SolveOutcome::Unreachable => None,
-            other => unreachable!("PPM request produced {other:?}"),
-        }
-    }
-
-    /// The exact-solve kernel behind [`DeltaInstance::solve`] (`k` already
-    /// validated by the request).
+    /// from the previous solve of this chain: the kernel behind
+    /// [`DeltaInstance::solve`] (`k` already validated by the request).
+    /// Identical results to [`solve_ppm_exact`] (no installed devices) /
+    /// [`solve_incremental`] (with them); `Done(None)` when the target is
+    /// unreachable.
     pub(crate) fn solve_exact_core(
         &mut self,
         k: f64,
         opts: &ExactOptions,
+        work_budget: Option<u64>,
     ) -> Anytime<Option<PpmSolution>> {
         let inst = self.instance();
         let target = k * inst.total_volume();
@@ -497,13 +474,10 @@ impl DeltaInstance {
             },
             integral_objective: Some(true),
             warm_basis: true,
-            work_budget: opts.work_budget,
+            work_budget,
             ..Default::default()
         };
-        let (outcome, warm) = match cache
-            .model
-            .solve_mip_anytime(&mip_opts, cache.warm.as_ref())
-        {
+        let (outcome, warm) = match cache.model.solve_mip(&mip_opts, cache.warm.as_ref()) {
             Ok(out) => out,
             Err(milp::SolverError::Infeasible) => return Anytime::Done(None),
             Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
@@ -511,57 +485,24 @@ impl DeltaInstance {
         if warm.is_some() {
             cache.warm = warm;
         }
-        let num_edges = self.num_edges;
-        let extract = |sol: &milp::Solution| -> Vec<usize> {
-            (0..num_edges)
-                .filter(|&e| sol.is_one(cache.xs[e], 1e-4))
-                .collect()
-        };
-        match outcome {
-            MipOutcome::Complete(sol) => Anytime::Done(Some(PpmSolution::from_edges(
+        Anytime::from_mip(outcome, |sol, proven| {
+            Some(PpmSolution::from_edges(
                 &inst,
-                extract(&sol),
-                sol.status == SolveStatus::Optimal,
-            ))),
-            MipOutcome::Interrupted {
-                incumbent,
-                bound,
-                work_spent,
-            } => Anytime::Cut {
-                incumbent: incumbent
-                    .map(|sol| Some(PpmSolution::from_edges(&inst, extract(&sol), false))),
-                bound,
-                work_spent,
-            },
-        }
+                selected_edges(&cache.xs, sol),
+                proven,
+            ))
+        })
     }
 
     /// Maximum-coverage placement of at most `budget` new devices on top
-    /// of the installed set, warm-started along the chain. Identical
-    /// results to [`solve_budget`].
-    ///
-    /// Deprecated shim: new code should build a
-    /// [`SolveRequest::budget`](crate::solve::SolveRequest::budget) request
-    /// and call [`DeltaInstance::solve`] — this method now routes through
-    /// it.
-    pub fn solve_budget(&mut self, budget: usize, opts: &ExactOptions) -> BudgetSolution {
-        let req = SolveRequest::budget(budget).with_exact_options(opts);
-        let outcome = self.solve(&req).unwrap_or_else(|e| panic!("{e}"));
-        let outcome = match outcome {
-            SolveOutcome::Degraded { partial, .. } => *partial,
-            other => other,
-        };
-        match outcome {
-            SolveOutcome::Budget(sol) => sol,
-            other => unreachable!("budget request produced {other:?}"),
-        }
-    }
-
-    /// The budget-solve kernel behind [`DeltaInstance::solve`].
+    /// of the installed set, warm-started along the chain: the budget
+    /// kernel behind [`DeltaInstance::solve`]. Identical results to
+    /// [`solve_budget`].
     pub(crate) fn solve_budget_core(
         &mut self,
         budget: usize,
         opts: &ExactOptions,
+        work_budget: Option<u64>,
     ) -> Anytime<BudgetSolution> {
         let inst = self.instance();
         if self.budget_cache.is_none() {
@@ -590,52 +531,19 @@ impl DeltaInstance {
             max_nodes: opts.max_nodes,
             time_limit: opts.time_limit,
             warm_basis: true,
-            work_budget: opts.work_budget,
+            work_budget,
             ..Default::default()
         };
         let (outcome, warm) = cache
             .model
-            .solve_mip_anytime(&mip_opts, cache.warm.as_ref())
+            .solve_mip(&mip_opts, cache.warm.as_ref())
             .expect("budget problem is always feasible");
         if warm.is_some() {
             cache.warm = warm;
         }
-        let num_edges = self.num_edges;
-        let to_budget_solution = |sol: &milp::Solution, proven: bool| -> BudgetSolution {
-            let edges: Vec<usize> = (0..num_edges)
-                .filter(|&e| sol.is_one(cache.xs[e], 1e-4))
-                .collect();
-            let coverage = inst.coverage(&edges);
-            BudgetSolution {
-                edges,
-                coverage,
-                total_volume: inst.total_volume(),
-                proven_optimal: proven,
-            }
-        };
-        match outcome {
-            MipOutcome::Complete(sol) => {
-                let proven = sol.status == SolveStatus::Optimal;
-                Anytime::Done(to_budget_solution(&sol, proven))
-            }
-            MipOutcome::Interrupted {
-                incumbent,
-                bound,
-                work_spent,
-            } => Anytime::Cut {
-                incumbent: incumbent.map(|sol| to_budget_solution(&sol, false)),
-                bound,
-                work_spent,
-            },
-        }
-    }
-
-    /// Coverage gain (absolute volume) of buying `extra` devices on top
-    /// of the installed base — [`crate::passive::expected_gain`], chained.
-    pub fn expected_gain(&mut self, extra: usize, opts: &ExactOptions) -> f64 {
-        let before = self.instance().coverage(&self.installed);
-        let after = self.solve_budget(extra, opts).coverage;
-        (after - before).max(0.0)
+        Anytime::from_mip(outcome, |sol, proven| {
+            BudgetSolution::from_edges(&inst, selected_edges(&cache.xs, sol), proven)
+        })
     }
 
     // --- Fallible mutation surface -------------------------------------
@@ -797,6 +705,18 @@ mod tests {
     use super::*;
     use crate::instance::fixture_figure3;
     use crate::passive::{solve_budget, solve_incremental, solve_ppm_exact};
+    use crate::solve::SolveRequest;
+
+    /// An exact `PPM(k)` solve on the chain with default knobs.
+    fn chain_ppm(delta: &mut DeltaInstance, k: f64) -> Option<PpmSolution> {
+        delta.solve(&SolveRequest::ppm(k)).unwrap().into_ppm()
+    }
+
+    /// A budget solve on the chain with default knobs.
+    fn chain_budget(delta: &mut DeltaInstance, devices: usize) -> BudgetSolution {
+        let out = delta.solve(&SolveRequest::budget(devices)).unwrap();
+        out.into_budget().expect("budget request")
+    }
 
     #[test]
     fn chain_matches_one_shot_on_figure3() {
@@ -804,7 +724,7 @@ mod tests {
         let mut delta = DeltaInstance::from_instance(&inst);
         let opts = ExactOptions::default();
         for k in [0.5, 0.75, 0.9, 1.0] {
-            let chained = delta.solve_exact(k, &opts).unwrap();
+            let chained = chain_ppm(&mut delta, k).unwrap();
             let fresh = solve_ppm_exact(&inst, k, &opts).unwrap();
             assert_eq!(chained.device_count(), fresh.device_count(), "k = {k}");
             assert!(inst.is_feasible(&chained.edges, k));
@@ -819,7 +739,7 @@ mod tests {
         delta.set_installed(&[0]);
         let opts = ExactOptions::default();
         for k in [0.75, 1.0] {
-            let chained = delta.solve_exact(k, &opts).unwrap();
+            let chained = chain_ppm(&mut delta, k).unwrap();
             let fresh = solve_incremental(&inst, k, &[0], &opts).unwrap();
             assert_eq!(chained.device_count(), fresh.device_count(), "k = {k}");
             assert!(chained.edges.contains(&0), "installed device must stay");
@@ -832,7 +752,7 @@ mod tests {
         let mut delta = DeltaInstance::from_instance(&inst);
         let opts = ExactOptions::default();
         for b in 0..=3 {
-            let chained = delta.solve_budget(b, &opts);
+            let chained = chain_budget(&mut delta, b);
             let fresh = solve_budget(&inst, b, &[], &opts);
             assert!(
                 (chained.coverage - fresh.coverage).abs() < 1e-9,
@@ -846,19 +766,19 @@ mod tests {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
         let opts = ExactOptions::default();
-        let _ = delta.solve_exact(1.0, &opts).unwrap();
+        let _ = chain_ppm(&mut delta, 1.0).unwrap();
 
         // Scale one demand, add a flow, remove a flow — after each delta
         // the chained answer must equal the one-shot answer on the
         // materialized instance.
         delta.scale_demand(0, 3.0);
         let t = delta.add_flow(2.5, vec![3, 4]);
-        let a = delta.solve_exact(0.9, &opts).unwrap();
+        let a = chain_ppm(&mut delta, 0.9).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(a.device_count(), fresh.device_count());
 
         delta.remove_flow(t);
-        let b = delta.solve_exact(0.9, &opts).unwrap();
+        let b = chain_ppm(&mut delta, 0.9).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(b.device_count(), fresh.device_count());
     }
@@ -867,12 +787,11 @@ mod tests {
     fn disabled_link_is_never_selected() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        let opts = ExactOptions::default();
-        let free = delta.solve_exact(1.0, &opts).unwrap();
+        let free = chain_ppm(&mut delta, 1.0).unwrap();
         assert_eq!(free.edges, vec![1, 2]);
         // Unrouted mode: failing link 1 only forbids the device there.
         delta.fail_link(1);
-        let constrained = delta.solve_exact(1.0, &opts).unwrap();
+        let constrained = chain_ppm(&mut delta, 1.0).unwrap();
         assert!(!constrained.edges.contains(&1));
         assert!(delta.instance().is_feasible(&constrained.edges, 1.0));
         assert!(constrained.device_count() >= free.device_count());
@@ -881,13 +800,12 @@ mod tests {
     #[test]
     fn failing_an_installed_link_kills_its_device_in_both_solvers() {
         let inst = fixture_figure3();
-        let opts = ExactOptions::default();
         let mut delta = DeltaInstance::from_instance(&inst);
         delta.set_installed(&[1]);
         delta.fail_link(1);
         // Exact: the dead device is gone and the cover must rebuild
         // around it.
-        let exact = delta.solve_exact(1.0, &opts).unwrap();
+        let exact = chain_ppm(&mut delta, 1.0).unwrap();
         assert!(
             !exact.edges.contains(&1),
             "failed link must not host a device"
@@ -895,7 +813,7 @@ mod tests {
         assert!(inst.is_feasible(&exact.edges, 1.0));
         // Budget: same precedence — with budget 0 nothing can be placed
         // and the dead installed device contributes no coverage.
-        let b = delta.solve_budget(0, &opts);
+        let b = chain_budget(&mut delta, 0);
         assert!(
             b.edges.is_empty(),
             "dead installed device must not count, got {:?}",
@@ -909,7 +827,7 @@ mod tests {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
         let opts = ExactOptions::default();
-        let _ = delta.solve_exact(1.0, &opts).unwrap();
+        let _ = chain_ppm(&mut delta, 1.0).unwrap();
         assert!(delta.exact_cache.is_some());
 
         // Scale, re-add an existing support group, remove — all volume-only
@@ -926,7 +844,7 @@ mod tests {
         assert!(delta.exact_cache.is_some(), "remove must repair in place");
 
         // And the repaired model answers exactly like a cold solve.
-        let chained = delta.solve_exact(0.9, &opts).unwrap();
+        let chained = chain_ppm(&mut delta, 0.9).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(chained.device_count(), fresh.device_count());
         assert!(delta.instance().is_feasible(&chained.edges, 0.9));
@@ -937,7 +855,7 @@ mod tests {
             delta.exact_cache.is_none(),
             "new support group must drop the cache"
         );
-        let chained = delta.solve_exact(0.9, &opts).unwrap();
+        let chained = chain_ppm(&mut delta, 0.9).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(chained.device_count(), fresh.device_count());
     }
@@ -947,12 +865,12 @@ mod tests {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
         let opts = ExactOptions::default();
-        let _ = delta.solve_exact(1.0, &opts).unwrap();
+        let _ = chain_ppm(&mut delta, 1.0).unwrap();
 
         // Unrouted fail/restore never re-routes: pure bound repairs.
         delta.fail_link(1);
         assert!(delta.exact_cache.is_some(), "fail must repair in place");
-        let a = delta.solve_exact(1.0, &opts).unwrap();
+        let a = chain_ppm(&mut delta, 1.0).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
         // solve_ppm_exact has no disabled set; compare against the chained
         // invariant instead: feasible, link excluded, optimal.
@@ -962,7 +880,7 @@ mod tests {
 
         delta.restore_link(1);
         assert!(delta.exact_cache.is_some(), "restore must repair in place");
-        let b = delta.solve_exact(1.0, &opts).unwrap();
+        let b = chain_ppm(&mut delta, 1.0).unwrap();
         let cold = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
         assert_eq!(b.device_count(), cold.device_count());
 
@@ -972,12 +890,12 @@ mod tests {
             delta.exact_cache.is_some(),
             "set_installed must repair in place"
         );
-        let c = delta.solve_exact(1.0, &opts).unwrap();
+        let c = chain_ppm(&mut delta, 1.0).unwrap();
         let cold = solve_incremental(&delta.instance(), 1.0, &[0], &opts).unwrap();
         assert_eq!(c.device_count(), cold.device_count());
         assert!(c.edges.contains(&0));
         delta.set_installed(&[]);
-        let d = delta.solve_exact(1.0, &opts).unwrap();
+        let d = chain_ppm(&mut delta, 1.0).unwrap();
         let cold = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
         assert_eq!(d.device_count(), cold.device_count());
     }
@@ -994,7 +912,7 @@ mod tests {
         let mut delta = DeltaInstance::from_instance(&inst);
         let opts = ExactOptions::default();
         let k = 0.8;
-        let _ = delta.solve_exact(k, &opts);
+        let _ = chain_ppm(&mut delta, k);
 
         // A what-if stream: every answer must equal the cold solve on the
         // materialized instance (the service's determinism contract).
@@ -1020,7 +938,7 @@ mod tests {
         ];
         for (step, mutate) in script.iter().enumerate() {
             mutate(&mut delta);
-            let chained = delta.solve_exact(k, &opts);
+            let chained = chain_ppm(&mut delta, k);
             // The cold reference replays the same mutation prefix on a
             // fresh chain, so its first solve builds the model from
             // scratch — the service-vs-batch contract in miniature.
@@ -1028,7 +946,7 @@ mod tests {
             for m in &script[..=step] {
                 m(&mut replay);
             }
-            let cold = replay.solve_exact(k, &opts);
+            let cold = chain_ppm(&mut replay, k);
             // Warm and cold may land on different optimal vertices, so the
             // contract is the optimum value plus feasibility — byte-equal
             // placements are only promised for identical call sequences
@@ -1053,7 +971,7 @@ mod tests {
                     solve_incremental(&snapshot, k, &installed, &opts)
                 };
                 if let Some(b) = one_shot {
-                    let a = delta.solve_exact(k, &opts).unwrap();
+                    let a = chain_ppm(&mut delta, k).unwrap();
                     assert_eq!(a.device_count(), b.device_count(), "step {step}");
                 }
             }

@@ -12,18 +12,21 @@
 //! row count on symmetric-routing instances), then warm-starts the MIP with
 //! the best greedy solution so branch-and-bound prunes from the start.
 
-use milp::{Cmp, MipOptions, MipOutcome, Model, Sense, SolveStatus, VarId, VarKind};
+use milp::{Cmp, MipOptions, Model, Sense, VarId, VarKind};
 
 use crate::instance::PpmInstance;
-use crate::passive::{greedy_adaptive, greedy_static, PpmSolution};
+use crate::passive::{greedy_adaptive, greedy_static, selected_edges, PpmSolution};
 use crate::solve::Anytime;
 
-/// Options for the exact solvers.
+/// Options for the exact batch solvers. A deterministic work budget is a
+/// [`crate::solve::SolveRequest`] knob, not one of these: the request path
+/// reports a tripped budget as [`crate::solve::SolveOutcome::Degraded`].
 #[derive(Debug, Clone)]
 pub struct ExactOptions {
     /// Node limit handed to branch-and-bound.
     pub max_nodes: usize,
-    /// Optional wall-clock limit.
+    /// Optional wall-clock limit (host-dependent; reproducible callers
+    /// leave it `None`).
     pub time_limit: Option<std::time::Duration>,
     /// Seed the MIP with the best greedy solution (default true).
     pub warm_start: bool,
@@ -31,15 +34,6 @@ pub struct ExactOptions {
     /// (default: prove optimality). Useful for the fixed-charge `PPME`
     /// MILP whose LP bound is loose.
     pub rel_gap: f64,
-    /// Deterministic work budget (simplex iterations + refactorizations +
-    /// branch-and-bound nodes; see [`milp::MipOptions::work_budget`]) for
-    /// anytime solves. `None` (the default) solves to the legacy limits
-    /// and is byte-identical to the pre-budget behavior. When set, the
-    /// legacy kernels degrade silently to the best incumbent (or the
-    /// paper's greedy when the search had none); route through the
-    /// unified [`crate::solve::SolveRequest`] API to observe the
-    /// degradation record ([`crate::solve::SolveOutcome::Degraded`]).
-    pub work_budget: Option<u64>,
 }
 
 impl Default for ExactOptions {
@@ -49,7 +43,6 @@ impl Default for ExactOptions {
             time_limit: None,
             warm_start: true,
             rel_gap: 1e-9,
-            work_budget: None,
         }
     }
 }
@@ -139,13 +132,13 @@ pub fn build_lp1_target(inst: &PpmInstance, target_volume: f64) -> (Model, Vec<V
 /// Returns `None` when the target is unreachable (uncoverable traffic
 /// exceeds `1 - k`).
 pub fn solve_ppm_exact(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
-    solve_with(inst, k, opts, Formulation::Lp2)
+    solve_with(inst, k, opts, None, Formulation::Lp2).unbudgeted()
 }
 
 /// Solves `PPM(k)` exactly through the arc-path Linear Program 1 (slower;
 /// used for cross-validation against LP 2).
 pub fn solve_ppm_mecf(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
-    solve_with(inst, k, opts, Formulation::Lp1)
+    solve_with(inst, k, opts, None, Formulation::Lp1).unbudgeted()
 }
 
 /// Nodes evaluated per batch-synchronous round of the MIP search. A fixed
@@ -163,36 +156,22 @@ enum Formulation {
     Lp1,
 }
 
-fn solve_with(
-    inst: &PpmInstance,
-    k: f64,
-    opts: &ExactOptions,
-    formulation: Formulation,
-) -> Option<PpmSolution> {
-    match solve_with_anytime(inst, k, opts, formulation) {
-        Anytime::Done(sol) => sol,
-        // Legacy surface under a budget: degrade silently to the best
-        // answer available (the unified API reports the record instead).
-        Anytime::Cut { incumbent, .. } => incumbent
-            .flatten()
-            .or_else(|| crate::solve::greedy_constrained(inst, &[], &[], k)),
-    }
-}
-
 /// The one-shot exact LP2 kernel under the anytime contract, for the
 /// unified dispatcher ([`crate::solve::solve_instance`]).
 pub(crate) fn solve_ppm_exact_anytime(
     inst: &PpmInstance,
     k: f64,
     opts: &ExactOptions,
+    work_budget: Option<u64>,
 ) -> Anytime<Option<PpmSolution>> {
-    solve_with_anytime(inst, k, opts, Formulation::Lp2)
+    solve_with(inst, k, opts, work_budget, Formulation::Lp2)
 }
 
-fn solve_with_anytime(
+fn solve_with(
     inst: &PpmInstance,
     k: f64,
     opts: &ExactOptions,
+    work_budget: Option<u64>,
     formulation: Formulation,
 ) -> Anytime<Option<PpmSolution>> {
     assert!(
@@ -230,42 +209,24 @@ fn solve_with_anytime(
         // outputs stay byte-identical at any `threads` setting.
         threads: 0,
         node_batch: EXACT_NODE_BATCH,
-        work_budget: opts.work_budget,
+        work_budget,
         ..Default::default()
     };
-    let extract = |sol: &milp::Solution| -> Vec<usize> {
-        (0..merged.num_edges)
-            .filter(|&e| sol.is_one(xs[e], 1e-4))
-            .collect()
-    };
-    let outcome = match model.solve_mip_anytime(&mip_opts, None) {
+    let outcome = match model.solve_mip(&mip_opts, None) {
         Ok((out, _)) => out,
         Err(milp::SolverError::Infeasible) => return Anytime::Done(None),
         Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
     };
-    match outcome {
-        MipOutcome::Complete(sol) => {
-            let proven = sol.status == SolveStatus::Optimal;
-            let solution = PpmSolution::from_edges(inst, extract(&sol), proven);
-            debug_assert!(
-                inst.is_feasible(&solution.edges, k),
-                "exact solver produced an infeasible selection: coverage {} < {}",
-                solution.coverage,
-                target
-            );
-            Anytime::Done(Some(solution))
-        }
-        MipOutcome::Interrupted {
-            incumbent,
-            bound,
-            work_spent,
-        } => Anytime::Cut {
-            incumbent: incumbent
-                .map(|sol| Some(PpmSolution::from_edges(inst, extract(&sol), false))),
-            bound,
-            work_spent,
-        },
-    }
+    Anytime::from_mip(outcome, |sol, proven| {
+        let solution = PpmSolution::from_edges(inst, selected_edges(&xs, sol), proven);
+        debug_assert!(
+            inst.is_feasible(&solution.edges, k),
+            "exact solver produced an infeasible selection: coverage {} < {}",
+            solution.coverage,
+            target
+        );
+        Some(solution)
+    })
 }
 
 /// Seeds `model` with the better of the two greedy solutions on the

@@ -18,7 +18,14 @@ pub use mecf_bb::solve_ppm_mecf_bb;
 pub(crate) use variants::{build_budget_model, solve_budget_anytime};
 pub use variants::{expected_gain, solve_budget, solve_incremental, BudgetSolution};
 
+use milp::{Solution, VarId};
+
 use crate::instance::PpmInstance;
+
+/// The edges whose device variable `xs[e]` is one in `sol`, ascending.
+pub(crate) fn selected_edges(xs: &[VarId], sol: &Solution) -> Vec<usize> {
+    (0..xs.len()).filter(|&e| sol.is_one(xs[e], 1e-4)).collect()
+}
 
 /// A solution to `PPM(k)`: the selected monitor links plus bookkeeping.
 #[derive(Debug, Clone, PartialEq)]

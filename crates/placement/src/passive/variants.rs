@@ -10,10 +10,10 @@
 //!   or a set of new devices": the budget problem on top of an installed
 //!   base, reported as the coverage delta.
 
-use milp::{Cmp, MipOptions, MipOutcome, Model, Sense, SolveStatus, VarId, VarKind};
+use milp::{Cmp, MipOptions, Model, Sense, SolveStatus, VarId, VarKind};
 
 use crate::instance::PpmInstance;
-use crate::passive::{build_lp2_target, ExactOptions, PpmSolution};
+use crate::passive::{build_lp2_target, selected_edges, ExactOptions, PpmSolution};
 use crate::solve::Anytime;
 
 /// Solution of the budget-constrained maximum-coverage problem.
@@ -30,6 +30,17 @@ pub struct BudgetSolution {
 }
 
 impl BudgetSolution {
+    /// Builds a solution from a device set (ascending), computing its
+    /// coverage on `inst`.
+    pub(crate) fn from_edges(inst: &PpmInstance, edges: Vec<usize>, proven: bool) -> Self {
+        BudgetSolution {
+            coverage: inst.coverage(&edges),
+            total_volume: inst.total_volume(),
+            proven_optimal: proven,
+            edges,
+        }
+    }
+
     /// Fraction of the total volume covered.
     pub fn coverage_fraction(&self) -> f64 {
         if self.total_volume > 0.0 {
@@ -66,17 +77,17 @@ pub fn solve_incremental(
         warm_basis: true,
         ..Default::default()
     };
-    let sol = match model.solve_mip_with(&mip_opts) {
+    let sol = match model
+        .solve_mip(&mip_opts, None)
+        .and_then(|(out, _)| out.into_solution())
+    {
         Ok(s) => s,
         Err(milp::SolverError::Infeasible) => return None,
         Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
     };
-    let edges: Vec<usize> = (0..merged.num_edges)
-        .filter(|&e| sol.is_one(xs[e], 1e-4))
-        .collect();
     Some(PpmSolution::from_edges(
         inst,
-        edges,
+        selected_edges(&xs, &sol),
         sol.status == SolveStatus::Optimal,
     ))
 }
@@ -119,14 +130,7 @@ pub fn solve_budget(
     installed: &[usize],
     opts: &ExactOptions,
 ) -> BudgetSolution {
-    match solve_budget_anytime(inst, budget, installed, opts) {
-        Anytime::Done(sol) => sol,
-        // Legacy surface under a budget: degrade silently (the unified
-        // API reports the degradation record instead).
-        Anytime::Cut { incumbent, .. } => {
-            incumbent.unwrap_or_else(|| crate::solve::greedy_budget(inst, budget, installed, &[]))
-        }
-    }
+    solve_budget_anytime(inst, budget, installed, opts, None).unbudgeted()
 }
 
 /// The one-shot budget kernel under the anytime contract, for the unified
@@ -136,6 +140,7 @@ pub(crate) fn solve_budget_anytime(
     budget: usize,
     installed: &[usize],
     opts: &ExactOptions,
+    work_budget: Option<u64>,
 ) -> Anytime<BudgetSolution> {
     let merged = inst.merged();
     let (mut model, xs) = build_budget_model(&merged, installed);
@@ -146,39 +151,15 @@ pub(crate) fn solve_budget_anytime(
         max_nodes: opts.max_nodes,
         time_limit: opts.time_limit,
         warm_basis: true,
-        work_budget: opts.work_budget,
+        work_budget,
         ..Default::default()
     };
-    let to_budget_solution = |sol: &milp::Solution, proven: bool| -> BudgetSolution {
-        let edges: Vec<usize> = (0..merged.num_edges)
-            .filter(|&e| sol.is_one(xs[e], 1e-4))
-            .collect();
-        let coverage = inst.coverage(&edges);
-        BudgetSolution {
-            edges,
-            coverage,
-            total_volume: inst.total_volume(),
-            proven_optimal: proven,
-        }
-    };
     let (outcome, _) = model
-        .solve_mip_anytime(&mip_opts, None)
+        .solve_mip(&mip_opts, None)
         .expect("budget problem is always feasible");
-    match outcome {
-        MipOutcome::Complete(sol) => {
-            let proven = sol.status == SolveStatus::Optimal;
-            Anytime::Done(to_budget_solution(&sol, proven))
-        }
-        MipOutcome::Interrupted {
-            incumbent,
-            bound,
-            work_spent,
-        } => Anytime::Cut {
-            incumbent: incumbent.map(|sol| to_budget_solution(&sol, false)),
-            bound,
-            work_spent,
-        },
-    }
+    Anytime::from_mip(outcome, |sol, proven| {
+        BudgetSolution::from_edges(inst, selected_edges(&xs, sol), proven)
+    })
 }
 
 /// Expected coverage gain (absolute volume) from buying `extra` devices on

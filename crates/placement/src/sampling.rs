@@ -351,7 +351,10 @@ pub fn solve_ppme(prob: &SamplingProblem, opts: &PpmeOptions) -> Option<PpmeSolu
         rel_gap: opts.rel_gap,
         ..Default::default()
     };
-    let sol = match model.solve_mip_with(&mip_opts) {
+    let sol = match model
+        .solve_mip(&mip_opts, None)
+        .and_then(|(out, _)| out.into_solution())
+    {
         Ok(s) => s,
         Err(milp::SolverError::Infeasible) => return None,
         Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
@@ -399,7 +402,6 @@ fn full_cover_incumbent(prob: &SamplingProblem, opts: &PpmeOptions) -> Option<Ve
         time_limit: Some(std::time::Duration::from_secs(10)),
         warm_start: true,
         rel_gap: opts.rel_gap.max(1e-9),
-        work_budget: None,
     };
     let cover = crate::passive::solve_ppm_exact(&inst, 1.0, &inner)
         .or_else(|| crate::passive::greedy_adaptive(&inst, 1.0))?;

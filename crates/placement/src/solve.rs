@@ -1,25 +1,23 @@
 //! The unified solve API: one typed request/outcome pair for every
 //! placement entry point.
 //!
-//! The solver surface grew three call-signature dialects — the batch
-//! functions ([`solve_ppm_exact`](crate::passive::solve_ppm_exact),
-//! [`greedy_static`], [`solve_budget`](crate::passive::solve_budget)),
-//! the chained methods on [`DeltaInstance`], and the `popmond` service's
-//! wire queries. [`SolveRequest`] → [`SolveOutcome`] unifies them: the
-//! request carries the objective (`PPM(k)` or `APM`), the method (greedy
-//! or exact), and the solver knobs that used to ride [`ExactOptions`];
-//! the outcome is one enum over the existing solution types. Validation
+//! [`SolveRequest`] → [`SolveOutcome`] is how the one-shot dispatchers
+//! ([`solve_instance`], [`solve_apm`]), the warm chains
+//! ([`DeltaInstance::solve`]) and the `popmond` service's wire queries
+//! solve: the request carries the objective (`PPM(k)` or `APM`), the
+//! method (greedy or exact) and the solver knobs; the outcome is one enum
+//! over the existing solution types. Validation
 //! ([`SolveRequest::validate`]) happens once, with typed
-//! [`PlacementError`]s, before any solver state is touched.
-//!
-//! The pre-existing entry points remain as thin shims over this module
-//! (or as the kernels it dispatches to) so solver behavior — and every
-//! golden row derived from it — is byte-identical; prefer the unified API
-//! in new code. See DESIGN.md § "The solve API" for the deprecation path.
+//! [`PlacementError`]s, before any solver state is touched. A work budget
+//! enters only here, and a tripped one is reported as
+//! [`SolveOutcome::Degraded`]. The batch kernels
+//! ([`solve_ppm_exact`](crate::passive::solve_ppm_exact),
+//! [`solve_budget`](crate::passive::solve_budget), …) take
+//! [`ExactOptions`] and run unbudgeted. See DESIGN.md § "The solve API".
 
 use std::fmt;
-use std::time::Duration;
 
+use milp::{MipOutcome, Solution, SolveStatus};
 use netgraph::{Graph, NodeId};
 
 use crate::active::{compute_probes, place_beacons_greedy, place_beacons_ilp};
@@ -83,7 +81,8 @@ pub enum SolveMethod {
 }
 
 /// A validated solve request: objective, method, and the solver knobs
-/// that previously rode [`ExactOptions`] (defaults match it exactly).
+/// (defaults match [`ExactOptions`]). Nothing it runs reads the wall
+/// clock: exact solves are bounded by nodes, gap and work units.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveRequest {
     /// What to optimize.
@@ -96,17 +95,14 @@ pub struct SolveRequest {
     /// (the budget variant) instead of minimum devices at target `k`.
     /// Exact PPM only.
     pub device_budget: Option<usize>,
-    /// Optional wall-clock bound for exact solves (forfeits proven
-    /// optimality on expiry; keep `None` in deterministic reports).
-    pub time_limit: Option<Duration>,
     /// Relative MIP gap for exact solves.
     pub rel_gap: f64,
     /// Install a greedy incumbent before exact solves (plain instances).
     pub warm_start: bool,
     /// Deterministic work budget for exact solves (simplex iterations +
     /// refactorizations + branch-and-bound nodes). `None` (the default)
-    /// runs to the legacy limits, byte-identical to the pre-budget
-    /// behavior; `Some(units)` makes the solve *anytime*: when the budget
+    /// runs to the node and gap limits; `Some(units)` makes the solve
+    /// *anytime*: when the budget
     /// trips, the dispatcher returns [`SolveOutcome::Degraded`] carrying
     /// the partial exact answer (or a greedy fallback) instead of
     /// blocking until branch-and-bound finishes.
@@ -121,10 +117,9 @@ impl SolveRequest {
             method: SolveMethod::Exact,
             node_budget: defaults.max_nodes,
             device_budget: None,
-            time_limit: defaults.time_limit,
             rel_gap: defaults.rel_gap,
             warm_start: defaults.warm_start,
-            work_budget: defaults.work_budget,
+            work_budget: None,
         }
     }
 
@@ -172,25 +167,14 @@ impl SolveRequest {
         self
     }
 
-    /// Copies every solver knob from an [`ExactOptions`] (the bridge the
-    /// deprecated shims use; [`SolveRequest::exact_options`] inverts it).
-    pub fn with_exact_options(mut self, opts: &ExactOptions) -> Self {
-        self.node_budget = opts.max_nodes;
-        self.time_limit = opts.time_limit;
-        self.rel_gap = opts.rel_gap;
-        self.warm_start = opts.warm_start;
-        self.work_budget = opts.work_budget;
-        self
-    }
-
-    /// The request's knobs as the kernel-level [`ExactOptions`].
-    pub fn exact_options(&self) -> ExactOptions {
+    /// The request's knobs as the kernels' [`ExactOptions`] (the work
+    /// budget travels separately).
+    fn exact_options(&self) -> ExactOptions {
         ExactOptions {
             max_nodes: self.node_budget,
-            time_limit: self.time_limit,
+            time_limit: None,
             rel_gap: self.rel_gap,
             warm_start: self.warm_start,
-            work_budget: self.work_budget,
         }
     }
 
@@ -309,6 +293,27 @@ pub enum SolveOutcome {
     },
 }
 
+impl SolveOutcome {
+    /// The placement of a finished `PPM(k)` solve: `Some` for
+    /// [`SolveOutcome::Ppm`] only (`None` also for `Unreachable` and
+    /// `Degraded`).
+    pub fn into_ppm(self) -> Option<PpmSolution> {
+        match self {
+            SolveOutcome::Ppm(sol) => Some(sol),
+            _ => None,
+        }
+    }
+
+    /// The placement of a finished budget solve: `Some` for
+    /// [`SolveOutcome::Budget`] only.
+    pub fn into_budget(self) -> Option<BudgetSolution> {
+        match self {
+            SolveOutcome::Budget(sol) => Some(sol),
+            _ => None,
+        }
+    }
+}
+
 /// Kernel-level anytime result: the finished answer, or the record of a
 /// work-budget interruption with whatever incumbent survived. Mapped onto
 /// [`SolveOutcome::Degraded`] by the unified dispatchers.
@@ -325,6 +330,37 @@ pub(crate) enum Anytime<T> {
         /// Work units spent when the budget tripped.
         work_spent: u64,
     },
+}
+
+impl<T> Anytime<T> {
+    /// The one `MipOutcome` → `Anytime` mapping: `answer(solution,
+    /// proven)` reads a placement off a MIP solution. A complete solve is
+    /// proven when optimal; an interrupted incumbent never is.
+    pub(crate) fn from_mip(outcome: MipOutcome, answer: impl Fn(&Solution, bool) -> T) -> Self {
+        match outcome {
+            MipOutcome::Complete(sol) => {
+                Anytime::Done(answer(&sol, sol.status == SolveStatus::Optimal))
+            }
+            MipOutcome::Interrupted {
+                incumbent,
+                bound,
+                work_spent,
+            } => Anytime::Cut {
+                incumbent: incumbent.map(|sol| answer(&sol, false)),
+                bound,
+                work_spent,
+            },
+        }
+    }
+
+    /// The answer of a solve run without a work budget, which cannot be
+    /// cut.
+    pub(crate) fn unbudgeted(self) -> T {
+        match self {
+            Anytime::Done(answer) => answer,
+            Anytime::Cut { .. } => unreachable!("a solve without a work budget was interrupted"),
+        }
+    }
 }
 
 /// Maps a PPM kernel attempt onto the outcome surface, running `fallback`
@@ -406,12 +442,14 @@ pub fn solve_instance(
     };
     if let Some(budget) = req.device_budget {
         return Ok(budget_outcome(
-            solve_budget_anytime(inst, budget, &[], &req.exact_options()),
+            solve_budget_anytime(inst, budget, &[], &req.exact_options(), req.work_budget),
             || greedy_budget(inst, budget, &[], &[]),
         ));
     }
     let attempt = match req.method {
-        SolveMethod::Exact => solve_ppm_exact_anytime(inst, k, &req.exact_options()),
+        SolveMethod::Exact => {
+            solve_ppm_exact_anytime(inst, k, &req.exact_options(), req.work_budget)
+        }
         SolveMethod::Greedy => Anytime::Done(greedy_static(inst, k)),
     };
     Ok(ppm_outcome(attempt, || {
@@ -447,7 +485,7 @@ pub fn solve_apm(graph: &Graph, req: &SolveRequest) -> Result<SolveOutcome, Plac
 /// The paper's decreasing-load greedy, lifted to a constrained state:
 /// pre-installed devices contribute their coverage for free (dead ones on
 /// failed links do not — failure beats installation, matching
-/// [`DeltaInstance::solve_exact`]), failed links can never host a device,
+/// [`DeltaInstance::solve`]), failed links can never host a device,
 /// and the greedy covers the residual target on the masked instance.
 /// `installed` and `disabled` must be sorted.
 pub fn greedy_constrained(
@@ -546,9 +584,8 @@ pub fn greedy_budget(
 
 impl DeltaInstance {
     /// Solves a unified request on the chain's current state — the one
-    /// dispatch the deprecated [`DeltaInstance::solve_exact`] /
-    /// [`DeltaInstance::solve_budget`] shims and the `popmond` service
-    /// route through. Exact solves ride the warm chain; greedy solves run
+    /// solve method of a chain, and the one the `popmond` service routes
+    /// through. Exact solves ride the warm chain; greedy solves run
     /// [`greedy_constrained`] on the materialized instance. APM requests
     /// are rejected (they need a router graph; use [`solve_apm`]).
     ///
@@ -565,13 +602,13 @@ impl DeltaInstance {
             ));
         };
         if let Some(budget) = req.device_budget {
-            let attempt = self.solve_budget_core(budget, &req.exact_options());
+            let attempt = self.solve_budget_core(budget, &req.exact_options(), req.work_budget);
             return Ok(budget_outcome(attempt, || {
                 greedy_budget(&self.instance(), budget, self.installed(), self.disabled())
             }));
         }
         let attempt = match req.method {
-            SolveMethod::Exact => self.solve_exact_core(k, &req.exact_options()),
+            SolveMethod::Exact => self.solve_exact_core(k, &req.exact_options(), req.work_budget),
             SolveMethod::Greedy => {
                 let inst = self.instance();
                 Anytime::Done(greedy_constrained(
@@ -635,22 +672,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_solve_matches_the_shims() {
-        let inst = figure3();
-        let mut a = DeltaInstance::from_instance(&inst);
-        let mut b = DeltaInstance::from_instance(&inst);
-        let opts = ExactOptions::default();
-        for k in [0.5, 1.0] {
-            let via_request = a.solve(&SolveRequest::ppm(k)).unwrap();
-            let via_shim = b.solve_exact(k, &opts).unwrap();
-            let SolveOutcome::Ppm(sol) = via_request else {
-                panic!("expected a PPM outcome");
-            };
-            assert_eq!(sol.device_count(), via_shim.device_count(), "k = {k}");
-        }
-    }
-
-    #[test]
     fn validation_rejects_bad_requests() {
         for (req, field) in [
             (SolveRequest::ppm(1.5), "k"),
@@ -674,28 +695,6 @@ mod tests {
                 .unwrap_err()
                 .field,
             "objective"
-        );
-    }
-
-    #[test]
-    fn exact_options_round_trip() {
-        let opts = ExactOptions {
-            max_nodes: 123,
-            time_limit: Some(Duration::from_millis(7)),
-            warm_start: false,
-            rel_gap: 0.25,
-            work_budget: Some(4_096),
-        };
-        let req = SolveRequest::ppm(0.5).with_exact_options(&opts);
-        let back = req.exact_options();
-        assert_eq!(back.max_nodes, opts.max_nodes);
-        assert_eq!(back.time_limit, opts.time_limit);
-        assert_eq!(back.warm_start, opts.warm_start);
-        assert_eq!(back.rel_gap, opts.rel_gap);
-        assert_eq!(back.work_budget, opts.work_budget);
-        assert_eq!(
-            SolveRequest::ppm(0.5).with_work_budget(64).work_budget,
-            Some(64)
         );
     }
 

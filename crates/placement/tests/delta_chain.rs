@@ -12,6 +12,7 @@
 use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
 use placement::passive::{solve_budget, solve_incremental, solve_ppm_exact, ExactOptions};
+use placement::solve::SolveRequest;
 use popgen::{PopSpec, TrafficSpec};
 
 fn seed0_instance() -> PpmInstance {
@@ -28,7 +29,11 @@ fn fig7_grid_chain_matches_fresh() {
     let mut chain = DeltaInstance::from_instance(&inst);
     for k_pct in [75u32, 80, 85, 90, 95, 100] {
         let k = k_pct as f64 / 100.0;
-        let chained = chain.solve_exact(k, &opts).expect("coverable");
+        let chained = chain
+            .solve(&SolveRequest::ppm(k))
+            .unwrap()
+            .into_ppm()
+            .expect("coverable");
         let fresh = solve_ppm_exact(&inst, k, &opts).expect("coverable");
         assert_eq!(
             chained.device_count(),
@@ -52,7 +57,11 @@ fn incremental_grid_chain_matches_fresh() {
     chain.set_installed(&base.edges);
     for k_pct in [85u32, 90, 95, 100] {
         let k = k_pct as f64 / 100.0;
-        let chained = chain.solve_exact(k, &opts).expect("feasible");
+        let chained = chain
+            .solve(&SolveRequest::ppm(k))
+            .unwrap()
+            .into_ppm()
+            .expect("feasible");
         let fresh = solve_incremental(&inst, k, &base.edges, &opts).expect("feasible");
         assert_eq!(
             chained.device_count(),
@@ -77,7 +86,11 @@ fn budget_grid_chain_matches_fresh() {
     let mut chain = DeltaInstance::from_instance(&inst);
     chain.set_installed(&base.edges);
     for extra in [1usize, 2, 3, 4, 5] {
-        let chained = chain.solve_budget(extra, &opts);
+        let chained = chain
+            .solve(&SolveRequest::budget(extra))
+            .unwrap()
+            .into_budget()
+            .expect("budget");
         let fresh = solve_budget(&inst, extra, &base.edges, &opts);
         assert!(
             (chained.coverage - fresh.coverage).abs() < 1e-6,

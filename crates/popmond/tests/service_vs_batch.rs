@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
-use placement::passive::ExactOptions;
+use placement::solve::SolveRequest;
 use popgen::{PopSpec, TrafficSpec};
 use popmond::json::{self, Value};
 use popmond::protocol::{parse_request, Request, WhatIf, DEFAULT_MAX_NODES};
@@ -135,11 +135,8 @@ fn run_sessions(routed: bool, count: usize, base_seed: u64) {
                 let doc = json::parse(&resp).expect("checkpoint response is JSON");
                 assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true), "{resp}");
                 let service_feasible = doc.get("feasible").and_then(Value::as_bool).unwrap();
-                let opts = ExactOptions {
-                    max_nodes: DEFAULT_MAX_NODES,
-                    ..Default::default()
-                };
-                match cold.solve_exact(CHECKPOINT_K, &opts) {
+                let req = SolveRequest::ppm(CHECKPOINT_K).with_node_budget(DEFAULT_MAX_NODES);
+                match cold.solve(&req).expect("valid request").into_ppm() {
                     None => assert!(
                         !service_feasible,
                         "service found a solution where a cold solve proves none exists: {resp}"

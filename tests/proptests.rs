@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use popmon::milp::{Cmp, Model, Sense, VarKind};
+use popmon::milp::{Cmp, MipOptions, Model, Sense, VarKind};
 use popmon::placement::instance::PpmInstance;
 use popmon::placement::passive::{
     brute_force_ppm, greedy_adaptive, greedy_static, solve_ppm_exact, ExactOptions,
@@ -124,7 +124,10 @@ proptest! {
             let terms: Vec<_> = r.iter().map(|&i| (xs[i], 1.0)).collect();
             m.add_constr(terms, Cmp::Ge, 1.0);
         }
-        let sol = m.solve_mip().expect("always feasible: all ones works");
+        let sol = m
+            .solve_mip(&MipOptions::default(), None)
+            .and_then(|(out, _)| out.into_solution())
+            .expect("always feasible: all ones works");
         // Exhaustive check.
         let mut best = usize::MAX;
         for mask in 0u32..64 {
