@@ -8,8 +8,7 @@
 //!
 //! Every scenario is walked through one warm `DeltaInstance` chain per
 //! `(family, size, seed)` (fail / scale / score / restore — never a cold
-//! rebuild), the same machinery the `resilience_ensemble_1k` bench stage
-//! prices against cold per-scenario rebuilds.
+//! rebuild).
 //!
 //! `--scale S` multiplies the instance sizes; `--seeds N` averages seeded
 //! instances per point. Runs through the scenario engine (`POPMON_THREADS`

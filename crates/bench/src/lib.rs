@@ -12,8 +12,6 @@
 
 use std::time::Instant;
 
-pub mod gate;
-pub mod perf;
 pub mod scenarios;
 
 /// Parsed command-line arguments common to all experiment binaries.

@@ -760,7 +760,7 @@ pub struct FamilyPoint {
 /// The validated spec for a sweep point: the family's canonical shape with
 /// the point's size and density, and `routers/2` traffic endpoints so the
 /// traffic matrix scales quadratically but stays solvable.
-pub fn family_spec(point: &FamilyPoint) -> FamilySpec {
+fn family_spec(point: &FamilyPoint) -> FamilySpec {
     let endpoints = (point.routers / 2).max(2);
     let mut spec = FamilySpec::canonical(point.family, point.routers, endpoints)
         .unwrap_or_else(|| panic!("unknown family {:?}", point.family));
@@ -770,7 +770,7 @@ pub fn family_spec(point: &FamilyPoint) -> FamilySpec {
 }
 
 /// The exact-solver budget every topology-family consumer shares (the
-/// sweep binary, the golden/parity tests, the bench stages): node-bounded
+/// sweep binary and the golden/parity tests): node-bounded
 /// and never wall-clock-bounded, so family reports stay deterministic and
 /// the regression tests can never drift from the shipped sweep's options.
 pub fn family_exact_options() -> ExactOptions {

@@ -519,8 +519,7 @@ impl Model {
     /// Integer/binary variables keep scale 1 regardless of `col_pow`
     /// (integrality is not preserved under non-unit substitution). An
     /// initial solution is transformed along. This is the generator behind
-    /// the ill-conditioning differential tests and the
-    /// `simplex_illcond_25router` bench stage.
+    /// the ill-conditioning differential tests.
     ///
     /// # Panics
     ///

@@ -4,8 +4,8 @@
 //! point, on the seed-0 state of each experiment grid.
 //!
 //! This is the correctness half of the warm-start layer's contract (the
-//! speed half lives in `BENCH_popmon.json`): the chains reuse *bases*,
-//! never answers, so every proven-optimal count must agree with the
+//! speed half is `popbench`'s `serve_whatif` workload): the chains reuse
+//! *bases*, never answers, so every proven-optimal count must agree with the
 //! corresponding `solve_ppm_exact` / `solve_incremental` / `solve_budget`
 //! call scenarios.rs used to make per grid point.
 

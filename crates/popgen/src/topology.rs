@@ -110,8 +110,7 @@ impl PopSpec {
 
     /// A 20-router POP between the paper's Figure 8 instance and the
     /// 29-router active-monitoring POP: the first rung of the ROADMAP's
-    /// 20–25+ router ladder for the exact passive solvers (the
-    /// `simplex_lp2_20router` bench stage runs its LP2 relaxation).
+    /// 20–25+ router ladder for the exact passive solvers.
     pub fn scale_20() -> Self {
         Self {
             backbone: 6,
@@ -123,9 +122,9 @@ impl PopSpec {
         }
     }
 
-    /// A 25-router POP — the second rung of the 20–25+ router ladder
-    /// (`simplex_lp2_25router`); 56 traffic endpoints hence `56 × 55 =
-    /// 3080` traffics, half again past the Figure 8 scale.
+    /// A 25-router POP — the second rung of the 20–25+ router ladder;
+    /// 56 traffic endpoints hence `56 × 55 = 3080` traffics, half again
+    /// past the Figure 8 scale.
     pub fn scale_25() -> Self {
         Self {
             backbone: 7,
@@ -139,10 +138,8 @@ impl PopSpec {
 
     /// A 50-router POP — the third rung of the scaling ladder, double the
     /// `scale_25` rung: 66 traffic endpoints hence `66 × 65 = 4290`
-    /// traffics. Backs the gated `simplex_lp2_50router` /
-    /// `exact_scale_50` bench stages that price the enriched MIP search
-    /// (cuts + reliability branching + parallel node pool) past the
-    /// paper's own instances.
+    /// traffics. Prices the enriched MIP search (cuts + reliability
+    /// branching + parallel node pool) past the paper's own instances.
     pub fn scale_50() -> Self {
         Self {
             backbone: 12,
@@ -155,9 +152,9 @@ impl PopSpec {
     }
 
     /// A 100-router POP — the fourth rung, between `scale_50` and the
-    /// paper's closing 150-router claim. Exercised ungated (the exact
-    /// solve is minutes-scale); `PopSpec::large_150` remains the
-    /// generation-only end point.
+    /// paper's closing 150-router claim (the exact solve is
+    /// minutes-scale); `PopSpec::large_150` remains the generation-only
+    /// end point.
     pub fn scale_100() -> Self {
         Self {
             backbone: 18,

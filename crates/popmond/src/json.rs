@@ -363,9 +363,13 @@ mod tests {
 
     #[test]
     fn roundtrips_a_protocol_shaped_object() {
-        let text = r#"{"op":"solve","id":"a","k":0.8,"edges":[1,2,3],"routed":false,"note":null}"#;
+        let text = r#"{"op":"solve","id":"a","k":0.8,"edges":[1,2,3],"routed":false,"note":null,"tag":"cases = \"LP solves\" under C:\\popmon"}"#;
         let v = parse(text).unwrap();
         assert_eq!(v.get("op").unwrap().as_str(), Some("solve"));
+        assert_eq!(
+            v.get("tag").unwrap().as_str(),
+            Some(r#"cases = "LP solves" under C:\popmon"#)
+        );
         assert_eq!(v.get("k").unwrap().as_f64(), Some(0.8));
         assert_eq!(v.get("edges").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("routed").unwrap().as_bool(), Some(false));

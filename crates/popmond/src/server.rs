@@ -85,11 +85,22 @@ struct SemState {
 }
 
 /// The outcome of a bounded slot acquisition.
-enum Acquired {
-    /// A permit is held; the caller must [`Semaphore::release`] it.
-    Permit,
+enum Acquired<'a> {
+    /// A permit is held until the guard drops, unwinding included.
+    Permit(Permit<'a>),
     /// The waiting queue was full; nothing is held.
     Shed,
+}
+
+/// A held semaphore permit. Dropping it returns the permit, so a panic
+/// inside a solve cannot leak a slot.
+struct Permit<'a>(&'a Semaphore);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().expect("semaphore poisoned").permits += 1;
+        self.0.cv.notify_one();
+    }
 }
 
 impl Semaphore {
@@ -106,7 +117,7 @@ impl Semaphore {
     /// Takes a permit, blocking on the condvar while all are busy —
     /// unless `queue_cap` requests are already waiting, in which case the
     /// caller is shed without blocking.
-    fn acquire_or_shed(&self, queue_cap: usize) -> Acquired {
+    fn acquire_or_shed(&self, queue_cap: usize) -> Acquired<'_> {
         let mut s = self.state.lock().expect("semaphore poisoned");
         if s.permits == 0 {
             if s.waiting >= queue_cap {
@@ -119,12 +130,7 @@ impl Semaphore {
             s.waiting -= 1;
         }
         s.permits -= 1;
-        Acquired::Permit
-    }
-
-    fn release(&self) {
-        self.state.lock().expect("semaphore poisoned").permits += 1;
-        self.cv.notify_one();
+        Acquired::Permit(Permit(self))
     }
 }
 
@@ -262,11 +268,7 @@ fn serve_connection(
                 continue;
             }
             let reply = match semaphore.acquire_or_shed(queue_cap) {
-                Acquired::Permit => {
-                    let reply = service.handle_line(trimmed);
-                    semaphore.release();
-                    reply
-                }
+                Acquired::Permit(_permit) => service.handle_line(trimmed),
                 // Shed path: nothing was processed and no state touched.
                 // Health probes are exempt — they are O(shards) cheap and
                 // must keep answering while the solver slots are saturated.
@@ -388,17 +390,13 @@ mod tests {
         // One permit, held by the test: waiters must park on the condvar
         // (no spinning to observe) and wake exactly when released.
         let sem = Arc::new(Semaphore::new(1));
-        assert!(matches!(sem.acquire_or_shed(4), Acquired::Permit));
+        let Acquired::Permit(held) = sem.acquire_or_shed(4) else {
+            panic!("a free permit must be granted");
+        };
         let waiters: Vec<_> = (0..3)
             .map(|_| {
                 let sem = sem.clone();
-                std::thread::spawn(move || match sem.acquire_or_shed(4) {
-                    Acquired::Permit => {
-                        sem.release();
-                        true
-                    }
-                    Acquired::Shed => false,
-                })
+                std::thread::spawn(move || matches!(sem.acquire_or_shed(4), Acquired::Permit(_)))
             })
             .collect();
         // Give the waiters time to enqueue, then check the shed path: a
@@ -409,13 +407,26 @@ mod tests {
         assert!(matches!(sem.acquire_or_shed(0), Acquired::Shed));
         assert!(matches!(sem.acquire_or_shed(3), Acquired::Shed));
         // Release the held permit: every queued waiter must drain.
-        sem.release();
+        drop(held);
         for w in waiters {
             assert!(w.join().unwrap(), "queued waiter must get a permit");
         }
         let s = sem.state.lock().unwrap();
         assert_eq!(s.permits, 1);
         assert_eq!(s.waiting, 0);
+    }
+
+    #[test]
+    fn a_panic_while_holding_a_permit_returns_it() {
+        let sem = Semaphore::new(1);
+        let unwound = std::panic::catch_unwind(|| {
+            let Acquired::Permit(_permit) = sem.acquire_or_shed(0) else {
+                unreachable!("a free permit must be granted");
+            };
+            panic!("solve panicked while holding the permit");
+        });
+        assert!(unwound.is_err());
+        assert!(matches!(sem.acquire_or_shed(0), Acquired::Permit(_)));
     }
 
     #[test]
