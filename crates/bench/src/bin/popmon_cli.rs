@@ -194,7 +194,6 @@ fn sampling(pop: &Pop, ts: &TrafficSet, k: f64, h: f64) -> ExitCode {
         max_nodes: 200_000,
         time_limit: Some(std::time::Duration::from_secs(60)),
         rel_gap: 0.02,
-        ..Default::default()
     };
     let Some(sol) = solve_ppme(&prob, &opts) else {
         eprintln!("error: PPME(h = {h}, k = {k}) is infeasible on this input");

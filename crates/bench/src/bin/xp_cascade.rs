@@ -12,7 +12,8 @@
 //! crafted-overlap demonstration below it is deterministic and unswept.
 
 use placement::cascade::{independent_monitored, solve_ppme_cascade};
-use placement::sampling::{solve_ppme, PpmeOptions, SamplingPath, SamplingProblem};
+use placement::passive::ExactOptions;
+use placement::sampling::{solve_ppme, SamplingPath, SamplingProblem};
 use popgen::PopSpec;
 
 fn main() {
@@ -59,8 +60,8 @@ fn main() {
         setup_cost: vec![1.0; 2],
         exploit_cost: vec![2.0; 2],
     };
-    let additive = solve_ppme(&prob, &PpmeOptions::default()).expect("feasible");
-    let cascade = solve_ppme_cascade(&prob, &PpmeOptions::default()).expect("feasible");
+    let additive = solve_ppme(&prob, &ExactOptions::default()).expect("feasible");
+    let cascade = solve_ppme_cascade(&prob, &ExactOptions::default()).expect("feasible");
     let actual = independent_monitored(&prob, &additive.rates);
     println!(
         "shared_links,{:.2},{:.2},{:.1},{:.1}",

@@ -14,7 +14,7 @@
 //! memoized across all grid points; the CSV is byte-identical to a
 //! serial run.
 
-use placement::sampling::PpmeOptions;
+use placement::passive::ExactOptions;
 use popgen::PopSpec;
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
             }
         }
     }
-    let opts = PpmeOptions {
+    let opts = ExactOptions {
         rel_gap: 0.02,
         time_limit: Some(std::time::Duration::from_secs(60)),
         ..Default::default()

@@ -13,7 +13,6 @@
 //! placements — go through the run's [`engine::Memo`], keyed by seed.
 
 use engine::{Case, ChainCase, Engine, ScenarioReport, ScenarioSpec};
-use milp::MipOptions;
 use netgraph::Graph;
 use placement::active::{
     assign_probes_ilp, compute_probes, place_beacons_greedy, place_beacons_ilp,
@@ -29,7 +28,7 @@ use placement::passive::{
     ExactOptions, PpmSolution,
 };
 use placement::resilience::{greedy_expected, score_ensemble};
-use placement::sampling::{solve_ppme, PpmeOptions, SamplingProblem};
+use placement::sampling::{solve_ppme, SamplingProblem};
 use placement::solve::{SolveOutcome, SolveRequest};
 use popgen::dynamic::{DynamicSpec, TrafficProcess};
 use popgen::{
@@ -257,8 +256,8 @@ pub fn cascade_report(
             let k = *c.point as f64 / 100.0;
             let (ci, ce) = SamplingProblem::uniform_costs(pop.graph.edge_count());
             let prob = SamplingProblem::from_multi(&pop.graph, &multi, 0.0, k, ci, ce);
-            let additive = solve_ppme(&prob, &PpmeOptions::default()).expect("feasible");
-            let cascade = solve_ppme_cascade(&prob, &PpmeOptions::default()).expect("feasible");
+            let additive = solve_ppme(&prob, &ExactOptions::default()).expect("feasible");
+            let cascade = solve_ppme_cascade(&prob, &ExactOptions::default()).expect("feasible");
             let actual = independent_monitored(&prob, &additive.rates);
             (
                 additive.total_cost(),
@@ -291,7 +290,7 @@ pub fn sampling_cost_report(
     pop: &Pop,
     hk_percents: &[(u32, u32)],
     seeds: u64,
-    opts: &PpmeOptions,
+    opts: &ExactOptions,
 ) -> ScenarioReport {
     let spec = ScenarioSpec::new("xp_sampling_cost", hk_percents.to_vec()).with_seeds(seeds);
     engine.run_report(
@@ -382,7 +381,9 @@ pub fn incremental_report(
         |c: ChainCase<'_, u32>| {
             let setup = incremental_seed_setup(c.memo, pop, c.seed);
             let mut inc_chain = DeltaInstance::from_instance(&setup.inst);
-            inc_chain.set_installed(&setup.base_edges);
+            inc_chain
+                .try_set_installed(&setup.base_edges)
+                .expect("base placement edges are in range");
             let mut scratch_chain = DeltaInstance::from_instance(&setup.inst);
             c.points
                 .iter()
@@ -421,7 +422,9 @@ pub fn budget_gain_report(
             let setup = incremental_seed_setup(c.memo, pop, c.seed);
             let before = setup.inst.coverage(&setup.base_edges);
             let mut chain = DeltaInstance::from_instance(&setup.inst);
-            chain.set_installed(&setup.base_edges);
+            chain
+                .try_set_installed(&setup.base_edges)
+                .expect("base placement edges are in range");
             c.points
                 .iter()
                 .map(|&extra| {
@@ -503,7 +506,7 @@ pub fn campaign_report(
             let total = prob.total_volume();
             let before = prob.evaluate(&vec![0; prob.traffics.len()]).0;
             let g = campaign_greedy(&prob);
-            let e = campaign_exact(&prob, &MipOptions::default());
+            let e = campaign_exact(&prob);
             [
                 100.0 * before / total,
                 100.0 * g.monitored / total,

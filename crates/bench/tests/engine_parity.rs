@@ -107,7 +107,7 @@ fn cascade_parallel_matches_serial() {
 fn sampling_cost_parallel_matches_serial() {
     let pop = PopSpec::small().build();
     let points = [(0u32, 50u32), (20, 60)];
-    let opts = placement::sampling::PpmeOptions {
+    let opts = placement::passive::ExactOptions {
         rel_gap: 0.02,
         time_limit: None,
         ..Default::default()

@@ -15,7 +15,6 @@
 use engine::Engine;
 use placement::instance::PpmInstance;
 use placement::passive::{greedy_static, solve_ppm_exact, solve_ppm_mecf_bb, ExactOptions};
-use placement::sampling::PpmeOptions;
 use popgen::{PopSpec, TrafficSpec};
 use popmon_bench::scenarios;
 
@@ -261,7 +260,7 @@ fn sampling_cost_golden_seed0() {
     let pop = PopSpec::small().build();
     let points: Vec<(u32, u32)> =
         [(0u32, 40u32), (0, 60), (0, 80), (0, 95), (20, 40), (20, 80)].to_vec();
-    let opts = PpmeOptions {
+    let opts = ExactOptions {
         rel_gap: 0.02,
         time_limit: None,
         ..Default::default()

@@ -11,19 +11,22 @@
 //! replays the identical node sequence, incumbent trajectory, and final
 //! solution bit-for-bit.
 //!
-//! The relaxation is tightened with **cutting planes** (see [`crate::cuts`]):
-//! [`MipOptions::cut_rounds`] violated rounds at the root and one round at
-//! nodes no deeper than [`MipOptions::node_cut_depth`]. Cut rows are
-//! appended with [`Model::add_constr`] and the LP re-solved from the
-//! previous basis — the warm-start row-extension path makes each re-solve
-//! a short dual repair of just the violated rows instead of a cold solve.
+//! The model is always presolved first, and the bound is rounded up
+//! (`ceil`) whenever the objective is integral over integer solutions —
+//! every nonzero cost on an integer variable, with an integral coefficient.
+//!
+//! The root relaxation is tightened with **cutting planes** (see
+//! [`crate::cuts`]): up to [`CUT_ROUNDS`] violated rounds, each appended
+//! with [`Model::add_constr`] and re-solved from the previous basis — the
+//! warm-start row-extension path makes each re-solve a short dual repair
+//! of just the violated rows instead of a cold solve.
 //!
 //! Branching is **reliability branching**: candidates are scored by the
 //! two-sided pseudocost rule, but a direction with fewer than
-//! [`MipOptions::reliability`] real observations is not trusted — the
-//! candidate is strong-branched (its child LP actually solved) and the
-//! measured degradation recorded, seeding the pseudocosts with truth
-//! before the cheap estimates take over.
+//! [`RELIABILITY`] real observations is not trusted — the best
+//! [`STRONG_CANDS`] such candidates are strong-branched (their child LPs
+//! actually solved) and the measured degradations recorded, seeding the
+//! pseudocosts with truth before the cheap estimates take over.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -38,6 +41,14 @@ use crate::{Result, Solution, SolveStatus, SolverError};
 
 /// Cut rows accepted per separation round (most violated first).
 const CUTS_PER_ROUND: usize = 16;
+/// Separation rounds at the root; each appends the violated rows and
+/// re-solves the root LP from its previous basis.
+const CUT_ROUNDS: usize = 4;
+/// Reliability threshold η: a pseudocost direction with fewer than η real
+/// observations is distrusted, and the candidate strong-branched instead.
+const RELIABILITY: u32 = 4;
+/// Maximum branching candidates strong-branched per node.
+const STRONG_CANDS: usize = 8;
 
 /// Tuning knobs for [`Model::solve_mip`].
 #[derive(Debug, Clone)]
@@ -50,13 +61,6 @@ pub struct MipOptions {
     pub time_limit: Option<Duration>,
     /// Relative optimality gap at which the search stops early.
     pub rel_gap: f64,
-    /// Declares the objective integral over feasible integer solutions,
-    /// allowing bounds to be rounded up (`ceil`) for stronger pruning.
-    /// `None` auto-detects: true when every variable with a nonzero cost is
-    /// integer with an integral cost coefficient.
-    pub integral_objective: Option<bool>,
-    /// Run the presolve reductions before the search (default true).
-    pub presolve: bool,
     /// Reuse each node's LP basis to warm-start its children (dual simplex
     /// on the one changed bound instead of a cold two-phase solve).
     ///
@@ -66,21 +70,6 @@ pub struct MipOptions {
     /// incumbent may then legitimately differ between the two settings.
     /// Proven-optimal runs return the same objective either way.
     pub warm_basis: bool,
-    /// Rounds of cutting planes separated at the root (0 disables cuts).
-    /// Each round appends the violated rows and re-solves the root LP from
-    /// its previous basis.
-    pub cut_rounds: usize,
-    /// Additionally separate one round of cuts at interior nodes of depth
-    /// at most this (0 = root only). The rows are globally valid, so they
-    /// tighten every later node, not just the separating one.
-    pub node_cut_depth: usize,
-    /// Reliability threshold η: a pseudocost direction with fewer than η
-    /// real observations is distrusted, and the candidate is
-    /// strong-branched (child LP solved) instead. 0 disables strong
-    /// branching and trusts the cost-seeded pseudocosts immediately.
-    pub reliability: u32,
-    /// Maximum branching candidates strong-branched per node.
-    pub strong_cands: usize,
     /// Worker threads for the batch LP solves. 0 resolves `POPMON_THREADS`
     /// and falls back to the machine's parallelism. The value never
     /// affects results — only wall-clock.
@@ -109,13 +98,7 @@ impl Default for MipOptions {
             max_nodes: 200_000,
             time_limit: None,
             rel_gap: 1e-9,
-            integral_objective: None,
-            presolve: true,
             warm_basis: false,
-            cut_rounds: 4,
-            node_cut_depth: 0,
-            reliability: 4,
-            strong_cands: 8,
             threads: 1,
             node_batch: 1,
             work_budget: None,
@@ -337,7 +320,10 @@ impl PartialOrd for Node {
     }
 }
 
-fn auto_integral_objective(model: &Model) -> bool {
+/// Whether every feasible integer solution has an integral objective:
+/// each variable with a nonzero cost is integer with an integral cost
+/// coefficient. Such bounds may be rounded up for stronger pruning.
+fn integral_objective(model: &Model) -> bool {
     model
         .vars
         .iter()
@@ -471,13 +457,7 @@ pub(crate) fn solve(
         }
     }
 
-    // Presolve (kept optional for debugging and for the tests that compare
-    // with/without reductions).
-    let pre = if opts.presolve {
-        presolve::presolve(&work)?
-    } else {
-        presolve::identity(&work)
-    };
+    let pre = presolve::presolve(&work)?;
     let mut root_model = pre.model.clone();
 
     let int_vars: Vec<usize> = root_model
@@ -488,9 +468,7 @@ pub(crate) fn solve(
         .map(|(i, _)| i)
         .collect();
 
-    let integral_obj = opts
-        .integral_objective
-        .unwrap_or_else(|| auto_integral_objective(&root_model));
+    let integral_obj = integral_objective(&root_model);
     let strengthen = |b: f64| {
         if integral_obj {
             (b - tol::int_eps(b)).ceil()
@@ -705,7 +683,7 @@ pub(crate) fn solve(
                 root_basis_out = basis.clone().map(|root| MipWarmStart { root });
                 let mut infeasible_by_cuts = false;
                 let mut tripped_in_cuts = false;
-                for _ in 0..opts.cut_rounds {
+                for _ in 0..CUT_ROUNDS {
                     let found = cuts::separate(&root_model, &sol.values, CUTS_PER_ROUND);
                     if append_cuts(&mut root_model, &mut node_model, &found, &mut seen_cuts) == 0 {
                         break;
@@ -753,50 +731,9 @@ pub(crate) fn solve(
                 }
             }
 
-            let mut bound = strengthen(sol.objective);
+            let bound = strengthen(sol.objective);
             if closed_by(&incumbent, bound, opts.rel_gap) {
                 continue;
-            }
-
-            // Shallow interior nodes: one violated round of globally valid
-            // cuts, re-solved under this node's bounds.
-            if node.depth > 0 && node.depth <= opts.node_cut_depth {
-                let found = cuts::separate(&root_model, &sol.values, CUTS_PER_ROUND);
-                if append_cuts(&mut root_model, &mut node_model, &found, &mut seen_cuts) > 0 {
-                    for &(j, lo, hi) in &node.changes {
-                        node_model.vars[j].lo = lo;
-                        node_model.vars[j].hi = hi;
-                    }
-                    let mut cut_work = 0u64;
-                    let lp2 = simplex::solve(&node_model, basis.as_ref(), lp_budget, &mut cut_work);
-                    restore(&mut node_model, &root_model, &node.changes);
-                    work_spent += cut_work;
-                    match lp2 {
-                        Ok((s2, b2)) => {
-                            counts.add(&s2);
-                            sol = s2;
-                            basis = b2;
-                        }
-                        // Only this subtree is proven empty.
-                        Err(SolverError::Infeasible) => continue,
-                        // Budget trip mid-tightening: terminal (see the
-                        // root-cut trip above) — the pre-cut relaxation
-                        // is untouched and still a valid bound for the
-                        // requeued node.
-                        Err(SolverError::Interrupted { .. }) => {
-                            let mut back = node.clone();
-                            back.bound = bound;
-                            open.push(back);
-                            interrupted = true;
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                    bound = strengthen(sol.objective);
-                    if closed_by(&incumbent, bound, opts.rel_gap) {
-                        continue;
-                    }
-                }
             }
 
             // ---- expansion, under this node's bounds ----
@@ -823,10 +760,10 @@ pub(crate) fn solve(
             // choice — branching there closes one child instantly.
             let mut forced: Option<usize> = None;
             let mut probe_tripped = false;
-            if opts.reliability > 0 && !cands.is_empty() {
+            if !cands.is_empty() {
                 let mut order: Vec<usize> = (0..cands.len()).collect();
                 order.sort_by(|&a, &b| cand_cmp(&pseudo, &cands[a], &cands[b]));
-                'probing: for &ci in order.iter().take(opts.strong_cands) {
+                'probing: for &ci in order.iter().take(STRONG_CANDS) {
                     let (j, dd, ud) = cands[ci];
                     for up in [false, true] {
                         let (obs, dist) = if up {
@@ -834,7 +771,7 @@ pub(crate) fn solve(
                         } else {
                             (pseudo[j].down_n, dd)
                         };
-                        if obs >= opts.reliability {
+                        if obs >= RELIABILITY {
                             continue;
                         }
                         let x = sol.values[j];
@@ -1134,15 +1071,13 @@ mod tests {
             .and_then(|(out, _)| out.into_solution())
     }
 
-    /// The plain search: no cuts, no strong branching, serial single-node
-    /// batches — the baseline the enriched default engine must agree with.
-    fn plain() -> MipOptions {
+    /// The engine `placement` ships for its exact solves: warm node bases
+    /// and 8-node batches, here across two workers.
+    fn shipped() -> MipOptions {
         MipOptions {
-            cut_rounds: 0,
-            node_cut_depth: 0,
-            reliability: 0,
-            threads: 1,
-            node_batch: 1,
+            warm_basis: true,
+            threads: 2,
+            node_batch: 8,
             ..Default::default()
         }
     }
@@ -1300,92 +1235,99 @@ mod tests {
         assert!((s.value(y) - 3.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn presolve_toggle_agrees() {
-        let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = (0..8)
-            .map(|i| m.add_var(format!("x{i}"), VarKind::Binary, 0.0, 1.0, 1.0))
-            .collect();
-        for i in 0..8usize {
-            let terms = vec![
-                (vars[i], 1.0),
-                (vars[(i + 2) % 8], 1.0),
-                (vars[(i + 5) % 8], 1.0),
-            ];
-            m.add_constr(terms, Cmp::Ge, 1.0);
-        }
-        let with = mip(
-            &m,
-            &MipOptions {
-                presolve: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let without = mip(
-            &m,
-            &MipOptions {
-                presolve: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!((with.objective - without.objective).abs() < 1e-6);
+    /// A 0–1 covering program as plain data: a cost per variable and rows
+    /// `Σ_{j ∈ row} x_j ≥ 1`.
+    struct Cover {
+        costs: Vec<f64>,
+        rows: Vec<Vec<usize>>,
     }
 
-    /// A small set-cover family used by the engine-agreement tests below.
-    fn cover_instance(n: usize, stride: usize) -> Model {
-        let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = (0..n)
-            .map(|i| {
-                m.add_var(
-                    format!("x{i}"),
-                    VarKind::Binary,
-                    0.0,
-                    1.0,
-                    1.0 + (i % 3) as f64,
-                )
-            })
-            .collect();
-        for i in 0..n {
-            let terms = vec![
-                (vars[i], 1.0),
-                (vars[(i + stride) % n], 1.0),
-                (vars[(i + 2 * stride + 1) % n], 1.0),
-            ];
-            m.add_constr(terms, Cmp::Ge, 1.0);
+    impl Cover {
+        fn model(&self) -> Model {
+            let mut m = Model::new(Sense::Minimize);
+            let vars: Vec<_> = self
+                .costs
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| m.add_var(format!("x{i}"), VarKind::Binary, 0.0, 1.0, c))
+                .collect();
+            for row in &self.rows {
+                m.add_constr(row.iter().map(|&j| (vars[j], 1.0)).collect(), Cmp::Ge, 1.0);
+            }
+            m
         }
-        m
+
+        /// The optimum by enumerating every subset — an oracle that shares
+        /// no code with the solver.
+        fn brute_force(&self) -> f64 {
+            let n = self.costs.len();
+            let picked = |mask: u32, j: usize| mask >> j & 1 == 1;
+            (0u32..1 << n)
+                .filter(|&mask| {
+                    self.rows
+                        .iter()
+                        .all(|row| row.iter().any(|&j| picked(mask, j)))
+                })
+                .map(|mask| {
+                    (0..n)
+                        .filter(|&j| picked(mask, j))
+                        .map(|j| self.costs[j])
+                        .sum()
+                })
+                .fold(f64::INFINITY, f64::min)
+        }
+    }
+
+    /// A small set-cover family: `n` binaries costing 1–3, and one row per
+    /// variable over it and two strided neighbours.
+    fn cover_instance(n: usize, stride: usize) -> Cover {
+        Cover {
+            costs: (0..n).map(|i| 1.0 + (i % 3) as f64).collect(),
+            rows: (0..n)
+                .map(|i| vec![i, (i + stride) % n, (i + 2 * stride + 1) % n])
+                .collect(),
+        }
+    }
+
+    /// Both shipped configurations prove the oracle's optimum on `cover`.
+    fn assert_matches_subset_oracle(cover: &Cover) {
+        let want = cover.brute_force();
+        let m = cover.model();
+        for opts in [MipOptions::default(), shipped()] {
+            let got = mip(&m, &opts).unwrap();
+            assert_eq!(got.status, SolveStatus::Optimal);
+            assert!(
+                (got.objective - want).abs() < 1e-6,
+                "n={}: solver {} vs subsets {want}",
+                cover.costs.len(),
+                got.objective
+            );
+        }
     }
 
     #[test]
-    fn enriched_engine_agrees_with_plain_search() {
-        // Cuts + reliability branching + batching must not change proven
+    fn cyclic_cover_matches_subset_oracle() {
+        // Presolve must not change the proven optimum of a cyclic cover.
+        assert_matches_subset_oracle(&Cover {
+            costs: vec![1.0; 8],
+            rows: (0..8).map(|i| vec![i, (i + 2) % 8, (i + 5) % 8]).collect(),
+        });
+    }
+
+    #[test]
+    fn shipped_engine_matches_subset_oracle() {
+        // Cuts, reliability branching and batching must not change proven
         // optima — only how fast the proof goes.
         for (n, stride) in [(8, 2), (11, 3), (13, 4)] {
-            let m = cover_instance(n, stride);
-            let plain = mip(&m, &plain()).unwrap();
-            let rich = mip(
-                &m,
-                &MipOptions {
-                    cut_rounds: 4,
-                    node_cut_depth: 2,
-                    reliability: 2,
-                    node_batch: 4,
-                    threads: 2,
-                    warm_basis: true,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(plain.status, SolveStatus::Optimal);
-            assert_eq!(rich.status, SolveStatus::Optimal);
-            assert!(
-                (plain.objective - rich.objective).abs() < 1e-6,
-                "n={n}: plain {} vs rich {}",
-                plain.objective,
-                rich.objective
-            );
+            assert_matches_subset_oracle(&cover_instance(n, stride));
+        }
+        // Vertex covers of odd cycles: the LP sits at all-½, so the
+        // search has to branch.
+        for n in [7, 9, 13] {
+            assert_matches_subset_oracle(&Cover {
+                costs: vec![1.0; n],
+                rows: (0..n).map(|i| vec![i, (i + 1) % n]).collect(),
+            });
         }
     }
 
@@ -1393,15 +1335,13 @@ mod tests {
     fn parallel_pool_is_deterministic_across_thread_counts() {
         // Same node_batch, different thread counts: identical node count,
         // objective, and values — the pool's determinism contract.
-        let m = cover_instance(13, 4);
+        let m = cover_instance(13, 4).model();
         let solve_with_threads = |threads: usize| {
             mip(
                 &m,
                 &MipOptions {
-                    node_batch: 4,
                     threads,
-                    warm_basis: true,
-                    ..Default::default()
+                    ..shipped()
                 },
             )
             .unwrap()

@@ -14,13 +14,16 @@
 //!   inverse below ~200 rows), devex pricing over a candidate list with a
 //!   Bland anti-cycling fallback, and an artificial-variable phase 1
 //!   ([`Model::solve_lp`]);
-//! * a **branch-and-bound** driver for the integer variables with
-//!   most-fractional branching (pseudocost-scored tie-breaking), best-bound
-//!   node selection with depth-first plunging, optional integral-objective
-//!   bound strengthening, a rounding incumbent heuristic, and node/time
-//!   limits ([`Model::solve_mip`]);
+//! * a **branch-and-bound** driver for the integer variables with root
+//!   cutting planes, reliability branching (pseudocost scores seeded by
+//!   strong-branch probes, most-fractional tie-breaking), best-bound node
+//!   selection with depth-first plunging over a deterministic batch-parallel
+//!   node pool, bound rounding whenever the objective is integral, a
+//!   rounding incumbent heuristic, and node, work and time limits
+//!   ([`Model::solve_mip`]); its tuning is fixed, and [`MipOptions`] holds
+//!   only the limits, the gap, basis reuse, and the batch and thread counts;
 //! * a light **presolve** (fixed-variable substitution, empty/redundant row
-//!   elimination), applied inside [`Model::solve_mip`].
+//!   elimination), always applied inside [`Model::solve_mip`].
 //!
 //! The solver targets the instance sizes of the paper and its scale-up
 //! experiments (tens of binaries, thousands of continuous variables and

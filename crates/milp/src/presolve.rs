@@ -61,14 +61,6 @@ impl Presolved {
     }
 }
 
-/// The no-op presolve used when reductions are disabled.
-pub(crate) fn identity(model: &Model) -> Presolved {
-    Presolved {
-        model: model.clone(),
-        map: (0..model.vars.len()).map(VarMap::Kept).collect(),
-    }
-}
-
 /// Runs the reductions; errors with [`SolverError::Infeasible`] when a row
 /// is proven unsatisfiable.
 pub(crate) fn presolve(model: &Model) -> Result<Presolved> {
@@ -327,18 +319,6 @@ mod tests {
         let mut m = Model::new(Sense::Minimize);
         m.add_var("x", VarKind::Integer, 0.5, 0.5, 1.0);
         assert_eq!(presolve(&m).unwrap_err(), SolverError::Infeasible);
-    }
-
-    #[test]
-    fn identity_keeps_everything() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_var("x", VarKind::Continuous, 0.0, 1.0, 1.0);
-        let y = m.add_var("y", VarKind::Continuous, 0.0, 1.0, 1.0);
-        m.add_constr(vec![(x, 1.0), (y, 1.0)], Cmp::Le, 5.0);
-        let p = identity(&m);
-        assert_eq!(p.model.var_count(), 2);
-        assert_eq!(p.model.constr_count(), 1);
-        assert_eq!(p.expand(&[0.25, 0.5]), vec![0.25, 0.5]);
     }
 
     #[test]

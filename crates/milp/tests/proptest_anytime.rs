@@ -2,9 +2,12 @@
 //!
 //! Instances are the same random LP2-shaped covering programs as
 //! `proptest_mip_search` (binary `x_e` with unit cost, VUB rows, one
-//! coverage row). For every instance the uninterrupted optimum is solved
-//! once, then the budgeted search must uphold three properties at 1 and
-//! 4 workers:
+//! coverage row). The engine is the one `placement` ships (warm node
+//! bases, default cuts and reliability branching) at both of its batch
+//! sizes: 1, what `DeltaInstance` chains run under the serve path's work
+//! budgets, and 8, what the one-shot exact solver runs. For every instance
+//! and batch size the uninterrupted optimum is solved once, then the
+//! budgeted search must uphold three properties at 1 and 4 workers:
 //!
 //! * **Sandwich**: any budget yields an outcome with
 //!   `bound ≤ optimal ≤ incumbent.objective` (minimization) — an
@@ -65,17 +68,17 @@ fn build(inst: &Instance) -> Model {
     m
 }
 
-/// The full enriched engine (cuts, reliability branching, 4-node
-/// batches) at a fixed batch size, with an optional work budget.
-fn engine(threads: usize, work_budget: Option<u64>) -> MipOptions {
+/// The shipped engine's batch sizes: `DeltaInstance` chains and the
+/// one-shot exact solver.
+const SHIPPED_BATCHES: [usize; 2] = [1, 8];
+
+/// The shipped engine at `node_batch` nodes per round and `threads`
+/// workers, with an optional work budget.
+fn engine(node_batch: usize, threads: usize, work_budget: Option<u64>) -> MipOptions {
     MipOptions {
-        cut_rounds: 4,
-        node_cut_depth: 2,
-        reliability: 2,
-        strong_cands: 4,
-        threads,
-        node_batch: 4,
         warm_basis: true,
+        threads,
+        node_batch,
         work_budget,
         ..Default::default()
     }
@@ -128,82 +131,108 @@ fn incumbent_objective(o: &MipOutcome) -> f64 {
     o.solution().map_or(f64::INFINITY, |s| s.objective)
 }
 
+/// The three anytime properties of one instance at one batch size.
+fn check_anytime(model: &Model, node_batch: usize) {
+    let engine = |threads, budget| engine(node_batch, threads, budget);
+    let opt = model
+        .solve_mip(&engine(1, None), None)
+        .and_then(|(out, _)| out.into_solution())
+        .expect("covering instance is feasible");
+    let tol = 1e-6 * (1.0 + opt.objective.abs());
+
+    // A deterministic budget ladder derived from the one-shot cost:
+    // starved, partial, half, and exactly the full amount.
+    let ladder = [1u64, (opt.work / 4).max(1), (opt.work / 2).max(1), opt.work];
+
+    let mut last_incumbent = f64::INFINITY;
+    for &budget in &ladder {
+        let (one, _) = model
+            .solve_mip(&engine(1, Some(budget)), None)
+            .expect("budgeted solve never errors on a feasible instance");
+        let (four, _) = model
+            .solve_mip(&engine(4, Some(budget)), None)
+            .expect("budgeted solve never errors on a feasible instance");
+
+        // (c) worker-count independence at every budget.
+        assert_outcomes_bitwise(&one, &four);
+
+        // (a) the sandwich: bound ≤ optimal ≤ incumbent.
+        match &one {
+            MipOutcome::Complete(s) => {
+                prop_assert!(
+                    (s.objective - opt.objective).abs() <= tol,
+                    "batch {}: complete-under-budget disagrees with optimum: {} vs {}",
+                    node_batch,
+                    s.objective,
+                    opt.objective
+                );
+            }
+            MipOutcome::Interrupted {
+                incumbent,
+                bound,
+                work_spent,
+            } => {
+                prop_assert!(*work_spent >= 1, "interruption must charge work");
+                prop_assert!(
+                    *bound <= opt.objective + tol,
+                    "batch {}: dual bound {} exceeds the optimum {}",
+                    node_batch,
+                    bound,
+                    opt.objective
+                );
+                if let Some(s) = incumbent {
+                    prop_assert!(
+                        s.objective >= opt.objective - tol,
+                        "batch {}: incumbent {} beats the proven optimum {}",
+                        node_batch,
+                        s.objective,
+                        opt.objective
+                    );
+                }
+            }
+        }
+
+        // (b) monotone: a larger budget never worsens the incumbent.
+        let cur = incumbent_objective(&one);
+        prop_assert!(
+            cur <= last_incumbent + tol,
+            "batch {}: incumbent worsened as the budget grew: {} -> {}",
+            node_batch,
+            last_incumbent,
+            cur
+        );
+        last_incumbent = cur;
+    }
+
+    // (c) reproduction: budget == one-shot work yields Complete and
+    // reproduces the unbudgeted solve bitwise, at 1 and 4 workers.
+    for threads in [1usize, 4] {
+        let (full, _) = model
+            .solve_mip(&engine(threads, Some(opt.work)), None)
+            .expect("feasible");
+        match full {
+            MipOutcome::Complete(s) => assert_solutions_bitwise(&s, &opt),
+            MipOutcome::Interrupted { work_spent, .. } => prop_assert!(
+                false,
+                "batch {}: budget equal to the one-shot work ({}) still tripped at {} \
+                 ({} workers)",
+                node_batch,
+                opt.work,
+                work_spent,
+                threads
+            ),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn budgets_are_anytime_monotone_and_reproducing(inst in instances()) {
         let model = build(&inst);
-        let opt = model
-            .solve_mip(&engine(1, None), None)
-            .and_then(|(out, _)| out.into_solution())
-            .expect("covering instance is feasible");
-        let tol = 1e-6 * (1.0 + opt.objective.abs());
-
-        // A deterministic budget ladder derived from the one-shot cost:
-        // starved, partial, half, and exactly the full amount.
-        let ladder = [1u64, (opt.work / 4).max(1), (opt.work / 2).max(1), opt.work];
-
-        let mut last_incumbent = f64::INFINITY;
-        for &budget in &ladder {
-            let (one, _) = model
-                .solve_mip(&engine(1, Some(budget)), None)
-                .expect("budgeted solve never errors on a feasible instance");
-            let (four, _) = model
-                .solve_mip(&engine(4, Some(budget)), None)
-                .expect("budgeted solve never errors on a feasible instance");
-
-            // (c) worker-count independence at every budget.
-            assert_outcomes_bitwise(&one, &four);
-
-            // (a) the sandwich: bound ≤ optimal ≤ incumbent.
-            match &one {
-                MipOutcome::Complete(s) => {
-                    prop_assert!(
-                        (s.objective - opt.objective).abs() <= tol,
-                        "complete-under-budget disagrees with optimum: {} vs {}",
-                        s.objective, opt.objective
-                    );
-                }
-                MipOutcome::Interrupted { incumbent, bound, work_spent } => {
-                    prop_assert!(*work_spent >= 1, "interruption must charge work");
-                    prop_assert!(
-                        *bound <= opt.objective + tol,
-                        "dual bound {} exceeds the optimum {}", bound, opt.objective
-                    );
-                    if let Some(s) = incumbent {
-                        prop_assert!(
-                            s.objective >= opt.objective - tol,
-                            "incumbent {} beats the proven optimum {}",
-                            s.objective, opt.objective
-                        );
-                    }
-                }
-            }
-
-            // (b) monotone: a larger budget never worsens the incumbent.
-            let cur = incumbent_objective(&one);
-            prop_assert!(
-                cur <= last_incumbent + tol,
-                "incumbent worsened as the budget grew: {} -> {}", last_incumbent, cur
-            );
-            last_incumbent = cur;
-        }
-
-        // (c) reproduction: budget == one-shot work yields Complete and
-        // reproduces the unbudgeted solve bitwise, at 1 and 4 workers.
-        for threads in [1usize, 4] {
-            let (full, _) = model
-                .solve_mip(&engine(threads, Some(opt.work)), None)
-                .expect("feasible");
-            match full {
-                MipOutcome::Complete(s) => assert_solutions_bitwise(&s, &opt),
-                MipOutcome::Interrupted { work_spent, .. } => prop_assert!(
-                    false,
-                    "budget equal to the one-shot work ({}) still tripped at {} \
-                     ({} workers)", opt.work, work_spent, threads
-                ),
-            }
+        for node_batch in SHIPPED_BATCHES {
+            check_anytime(&model, node_batch);
         }
     }
 }

@@ -1,17 +1,18 @@
-//! Property tests for the enriched MIP search: cutting planes, reliability
-//! branching, and the batch-synchronous parallel node pool must be
-//! *transparent* — they may change how fast the search closes, never what
-//! it returns.
+//! Property tests for the shipped MIP search: presolve, cutting planes,
+//! reliability branching, and the batch-synchronous parallel node pool
+//! must be *transparent* — they may change how fast the search closes,
+//! never what it returns.
 //!
 //! Instances are random LP2-shaped covering programs (the MECF structure
 //! the flow-cover separator targets): binary `x_e` with unit cost, one
 //! continuous `δ_t ∈ [0, 1]` per traffic, VUB rows `Σ_{e ∈ S_t} x_e ≥ δ_t`
 //! and a coverage row `Σ v_t δ_t ≥ k·V`. Two properties:
 //!
-//! * **Differential**: the full engine (cuts at root and shallow nodes,
-//!   reliability branching, 4-node batches across 2 workers, warm bases)
-//!   agrees with a plain serial cut-free search on the objective — and
-//!   hence, at `rel_gap = 1e-9` with unit costs, on the device count.
+//! * **Differential**: the engine `placement` ships (root cuts,
+//!   reliability branching, warm bases; 1-node batches as in the delta
+//!   chains, 8-node batches across 2 workers as in the one-shot exact
+//!   solver) finds the device count of a brute-force oracle that
+//!   enumerates every edge subset and shares no code with `milp`.
 //! * **Determinism**: with a fixed `node_batch` the search trajectory is a
 //!   function of the batch sequence alone, so 1 worker and 4 workers must
 //!   return byte-identical results — nodes, iterations, objective, and
@@ -67,8 +68,26 @@ fn build(inst: &Instance) -> Model {
     m
 }
 
-/// The plain reference engine: serial, cut-free, most-infeasible-style
-/// pseudocost start with no strong branching.
+/// The fewest edges whose supports cover at least `k·V` of the volume,
+/// by enumerating all `2^num_edges` subsets (at most 256 here).
+fn brute_force_devices(inst: &Instance) -> u32 {
+    let total: f64 = inst.traffics.iter().map(|(v, _)| v).sum();
+    let target = inst.k * total;
+    (0u32..1 << inst.num_edges)
+        .filter(|&mask| {
+            let covered: f64 = inst
+                .traffics
+                .iter()
+                .filter(|(_, s)| s.iter().any(|&e| mask >> e & 1 == 1))
+                .map(|(v, _)| v)
+                .sum();
+            covered >= target - 1e-9 * (1.0 + target)
+        })
+        .map(u32::count_ones)
+        .min()
+        .expect("every support is non-empty, so all edges cover everything")
+}
+
 /// An unbudgeted solve's solution.
 fn mip(model: &Model, opts: &MipOptions) -> milp::Result<milp::Solution> {
     model
@@ -76,28 +95,13 @@ fn mip(model: &Model, opts: &MipOptions) -> milp::Result<milp::Solution> {
         .and_then(|(out, _)| out.into_solution())
 }
 
-fn plain() -> MipOptions {
+/// The shipped engine at `node_batch` nodes per round and `threads`
+/// workers.
+fn shipped(node_batch: usize, threads: usize) -> MipOptions {
     MipOptions {
-        cut_rounds: 0,
-        node_cut_depth: 0,
-        reliability: 0,
-        strong_cands: 0,
-        threads: 1,
-        node_batch: 1,
-        ..Default::default()
-    }
-}
-
-/// The full enriched engine at a fixed batch size.
-fn enriched(threads: usize) -> MipOptions {
-    MipOptions {
-        cut_rounds: 4,
-        node_cut_depth: 2,
-        reliability: 2,
-        strong_cands: 4,
-        threads,
-        node_batch: 4,
         warm_basis: true,
+        threads,
+        node_batch,
         ..Default::default()
     }
 }
@@ -106,24 +110,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn enriched_engine_matches_plain_serial_search(inst in instances()) {
+    fn shipped_engine_matches_subset_oracle(inst in instances()) {
         let model = build(&inst);
-        let a = mip(&model, &plain()).expect("covering instance is feasible");
-        let b = mip(&model, &enriched(2)).expect("covering instance is feasible");
-        // Same optimum ...
-        prop_assert!(
-            (a.objective - b.objective).abs() <= 1e-6 * (1.0 + a.objective.abs()),
-            "plain {} vs enriched {}", a.objective, b.objective
-        );
-        // ... and with unit costs at rel_gap 1e-9, the same device count.
-        prop_assert_eq!(a.objective.round() as u64, b.objective.round() as u64);
+        let want = brute_force_devices(&inst);
+        for opts in [shipped(1, 1), shipped(8, 2)] {
+            let got = mip(&model, &opts).expect("covering instance is feasible");
+            // Unit costs at rel_gap 1e-9: the objective is the device count.
+            prop_assert!(
+                (got.objective - f64::from(want)).abs() <= 1e-6,
+                "batch {}: solver {} vs subsets {}", opts.node_batch, got.objective, want
+            );
+        }
     }
 
     #[test]
     fn node_pool_is_deterministic_across_thread_counts(inst in instances()) {
         let model = build(&inst);
-        let one = mip(&model, &enriched(1)).expect("feasible");
-        let four = mip(&model, &enriched(4)).expect("feasible");
+        let one = mip(&model, &shipped(8, 1)).expect("feasible");
+        let four = mip(&model, &shipped(8, 4)).expect("feasible");
         prop_assert_eq!(one.nodes, four.nodes);
         prop_assert_eq!(one.iterations, four.iterations);
         prop_assert_eq!(one.objective.to_bits(), four.objective.to_bits());

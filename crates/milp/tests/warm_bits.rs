@@ -4,8 +4,9 @@
 //! covering and packing right-hand sides moved, boxes pinned or cut —
 //! and re-solved warm from the previous link's basis, which drives the
 //! dual phase through long runs of bound flips. Budgeted
-//! `solve_mip` runs over LP2-shaped covering programs (node
-//! warm starts, cuts, strong-branch probes) follow at 1 and 4 workers.
+//! `solve_mip` runs of the shipped engine over LP2-shaped covering
+//! programs (node warm starts, cuts, strong-branch probes) follow at 1
+//! and 4 workers.
 //! Every objective and value bit, every iteration, work and node count,
 //! and every outcome kind is folded into one FNV-1a digest.
 //!
@@ -19,7 +20,9 @@ use milp::{
 };
 
 /// The digest of everything below, pinned before the flip-stable dual
-/// caches and the branch-free dense update landed.
+/// caches and the branch-free dense update landed. The six covering
+/// programs close in at most five nodes, so the MIP half pins the root
+/// (cuts, first probes, rounding) more than the deeper search.
 const WARM_BITS_DIGEST: u64 = 0x187c_7798_ea0e_f964;
 
 /// SplitMix64: a tiny seeded generator, so the instances cannot drift
@@ -222,14 +225,12 @@ fn covering(seed: u64, edges: usize, traffics: usize, k: f64) -> Model {
     model
 }
 
+/// The engine `placement::passive::exact` ships: warm node bases and
+/// 8-node batches, at `threads` workers and an optional work budget.
 fn engine(threads: usize, work_budget: Option<u64>) -> MipOptions {
     MipOptions {
-        cut_rounds: 4,
-        node_cut_depth: 2,
-        reliability: 2,
-        strong_cands: 4,
         threads,
-        node_batch: 4,
+        node_batch: 8,
         warm_basis: true,
         work_budget,
         ..Default::default()

@@ -134,12 +134,8 @@ pub fn place_beacons_ilp(
             1.0,
         );
     }
-    let opts = MipOptions {
-        integral_objective: Some(true),
-        ..Default::default()
-    };
     let sol = m
-        .solve_mip(&opts, None)
+        .solve_mip(&MipOptions::default(), None)
         .and_then(|(out, _)| out.into_solution())
         .expect("vertex cover over probe endpoints is feasible");
     let beacons: Vec<NodeId> = graph

@@ -193,7 +193,7 @@ pub fn campaign_greedy(prob: &CampaignProblem) -> CampaignSolution {
 /// Exact campaign: one binary per (traffic, candidate route), exactly one
 /// route per traffic, maximize monitored volume subject to the stretch
 /// budget.
-pub fn campaign_exact(prob: &CampaignProblem, opts: &MipOptions) -> CampaignSolution {
+pub fn campaign_exact(prob: &CampaignProblem) -> CampaignSolution {
     let mut m = Model::new(Sense::Maximize);
     let mut vars: Vec<Vec<VarId>> = Vec::with_capacity(prob.traffics.len());
     let mut budget_terms: Vec<(VarId, f64)> = Vec::new();
@@ -220,7 +220,7 @@ pub fn campaign_exact(prob: &CampaignProblem, opts: &MipOptions) -> CampaignSolu
         m.add_constr(budget_terms, Cmp::Le, prob.max_total_stretch);
     }
     let sol = m
-        .solve_mip(opts, None)
+        .solve_mip(&MipOptions::default(), None)
         .and_then(|(out, _)| out.into_solution())
         .expect("choosing route 0 everywhere is feasible");
     let assignment: Vec<usize> = vars
@@ -282,7 +282,7 @@ mod tests {
         let (pop, ts, installed) = setup(0.75);
         let prob = CampaignProblem::new(&pop.graph, &ts, installed, 3, f64::INFINITY);
         let g = campaign_greedy(&prob);
-        let e = campaign_exact(&prob, &MipOptions::default());
+        let e = campaign_exact(&prob);
         assert!((g.monitored - e.monitored).abs() < 1e-6);
     }
 
@@ -295,7 +295,7 @@ mod tests {
         let budget = unconstrained.total_stretch / 5.0;
         let prob = CampaignProblem::new(&pop.graph, &ts, installed, 3, budget);
         let g = campaign_greedy(&prob);
-        let e = campaign_exact(&prob, &MipOptions::default());
+        let e = campaign_exact(&prob);
         assert!(g.total_stretch <= budget + 1e-9);
         assert!(e.total_stretch <= budget + 1e-9);
         assert!(
@@ -311,7 +311,7 @@ mod tests {
         let g = campaign_greedy(&prob);
         // Only zero-stretch moves (equal-cost alternates) are allowed.
         assert_eq!(g.total_stretch, 0.0);
-        let e = campaign_exact(&prob, &MipOptions::default());
+        let e = campaign_exact(&prob);
         assert!(e.total_stretch <= 1e-9);
     }
 

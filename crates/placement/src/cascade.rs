@@ -26,7 +26,8 @@
 //! how much extra exploitation cost independent sampling needs versus the
 //! additive model at equal coverage.
 
-use crate::sampling::{PpmeOptions, PpmeSolution, SamplingProblem};
+use crate::passive::ExactOptions;
+use crate::sampling::{PpmeSolution, SamplingProblem};
 
 /// Exact monitored ratio of one path under independent sampling:
 /// `1 − Π_{e ∈ p}(1 − r_e)`.
@@ -121,7 +122,7 @@ impl CascadeSolution {
 /// when post-validation under the true semantics fails (which the safe
 /// inflation prevents in all but degenerate edge cases — the validator
 /// result is checked before returning).
-pub fn solve_ppme_cascade(prob: &SamplingProblem, opts: &PpmeOptions) -> Option<CascadeSolution> {
+pub fn solve_ppme_cascade(prob: &SamplingProblem, opts: &ExactOptions) -> Option<CascadeSolution> {
     // Fast path: when the additive optimum's rates do not overlap on any
     // path, the two semantics coincide and the additive solution is
     // already valid (and optimal — independent coverage never exceeds
@@ -264,7 +265,7 @@ mod tests {
     #[test]
     fn cascade_solution_meets_target_under_true_semantics() {
         let p = prob(0.7);
-        let s = solve_ppme_cascade(&p, &PpmeOptions::default()).expect("feasible");
+        let s = solve_ppme_cascade(&p, &ExactOptions::default()).expect("feasible");
         check_cascade_solution(&p, &s.base.installed, &s.rates, 1e-6).unwrap();
         assert!(s.monitored_independent + 1e-6 >= 0.7 * p.total_volume());
         assert!(s.monitored_additive + 1e-9 >= s.monitored_independent);
@@ -274,8 +275,8 @@ mod tests {
     fn cascade_costs_at_least_the_additive_model() {
         // At equal coverage the non-coordinated devices cannot be cheaper.
         let p = prob(0.7);
-        let additive = crate::sampling::solve_ppme(&p, &PpmeOptions::default()).unwrap();
-        let cascade = solve_ppme_cascade(&p, &PpmeOptions::default()).unwrap();
+        let additive = crate::sampling::solve_ppme(&p, &ExactOptions::default()).unwrap();
+        let cascade = solve_ppme_cascade(&p, &ExactOptions::default()).unwrap();
         assert!(
             cascade.total_cost() + 1e-6 >= additive.total_cost(),
             "cascade {} vs additive {}",
@@ -287,7 +288,7 @@ mod tests {
     #[test]
     fn shrink_pass_reduces_overprovisioning() {
         let p = prob(0.6);
-        let s = solve_ppme_cascade(&p, &PpmeOptions::default()).unwrap();
+        let s = solve_ppme_cascade(&p, &ExactOptions::default()).unwrap();
         // The final exploitation cost is no worse than the inflated LP's.
         assert!(s.exploit_cost <= s.base.exploit_cost + 1e-9);
     }
@@ -298,7 +299,7 @@ mod tests {
         // device at rate 1 still captures everything, so this stays
         // feasible; the solver must handle the capped inflation.
         let p = prob(1.0);
-        let s = solve_ppme_cascade(&p, &PpmeOptions::default()).expect("rate-1 devices suffice");
+        let s = solve_ppme_cascade(&p, &ExactOptions::default()).expect("rate-1 devices suffice");
         assert!(s.monitored_independent + 1e-6 >= p.total_volume());
     }
 }

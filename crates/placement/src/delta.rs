@@ -36,7 +36,7 @@ use crate::passive::{
     build_budget_model, build_lp2_target, install_greedy_incumbent, selected_edges, BudgetSolution,
     ExactOptions, PpmSolution,
 };
-use crate::solve::{Anytime, PlacementError};
+use crate::solve::{greedy_budget, Anytime, PlacementError};
 
 /// Routed backing for link toggles: the graph and the delta-aware route
 /// plan under the current failures (the failure set itself lives in
@@ -75,7 +75,10 @@ struct ModelCache {
 ///
 /// Structural mutations (flows added/removed, demands scaled, links
 /// toggled) invalidate the cached models; coverage-target and budget
-/// moves ride the warm-start chain.
+/// moves ride the warm-start chain. Every mutation validates its
+/// arguments first and rejects bad ones with a [`PlacementError`],
+/// mutating nothing — the `popmond` service maps these straight onto its
+/// wire errors.
 #[derive(Debug, Default)]
 pub struct DeltaInstance {
     num_edges: usize,
@@ -191,24 +194,20 @@ impl DeltaInstance {
     /// place — one coverage-row update — and the warm chain survives; a
     /// genuinely new support drops the cache.
     ///
-    /// # Panics
-    ///
-    /// Panics on a negative/NaN volume or an out-of-range support edge.
-    pub fn add_flow(&mut self, volume: f64, support: Vec<usize>) -> usize {
-        assert!(
-            volume.is_finite() && volume >= 0.0,
-            "volume must be finite and >= 0"
-        );
+    /// Rejects a negative or non-finite volume and an out-of-range support
+    /// edge, mutating nothing.
+    pub fn try_add_flow(
+        &mut self,
+        volume: f64,
+        support: Vec<usize>,
+    ) -> Result<usize, PlacementError> {
+        check_volume(volume)?;
+        for &e in &support {
+            self.check_link("support", e)?;
+        }
         let mut support = support;
         support.sort_unstable();
         support.dedup();
-        if let Some(&max) = support.last() {
-            assert!(
-                max < self.num_edges,
-                "support references edge {max} >= {}",
-                self.num_edges
-            );
-        }
         self.budget_cache = None;
         if let Some(routing) = self.routing.as_mut() {
             // Explicit-support flows are not endpoint-routed: they keep
@@ -217,69 +216,63 @@ impl DeltaInstance {
         }
         self.traffics.push((volume, support));
         self.refresh_exact_volumes();
-        self.traffics.len() - 1
+        Ok(self.traffics.len() - 1)
     }
 
     /// Removes flow `t` (indices above `t` shift down, as in `Vec::remove`).
     /// A volume-only repair on the cached exact model: the warm chain
     /// survives (the emptied group's coverage weight drops, its row stays).
-    pub fn remove_flow(&mut self, t: usize) {
+    pub fn try_remove_flow(&mut self, t: usize) -> Result<(), PlacementError> {
+        self.check_traffic(t)?;
         self.budget_cache = None;
         if let Some(routing) = self.routing.as_mut() {
             routing.pair_of.remove(t);
         }
         self.traffics.remove(t);
         self.refresh_exact_volumes();
+        Ok(())
     }
 
     /// Scales the demand of flow `t` by `factor`. A volume-only repair on
-    /// the cached exact model: the warm chain survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the scaled volume is negative or not finite.
-    pub fn scale_demand(&mut self, t: usize, factor: f64) {
+    /// the cached exact model: the warm chain survives. Rejects a scaled
+    /// volume that is negative or not finite, mutating nothing.
+    pub fn try_scale_demand(&mut self, t: usize, factor: f64) -> Result<(), PlacementError> {
+        self.check_traffic(t)?;
         let v = self.traffics[t].0 * factor;
-        assert!(
-            v.is_finite() && v >= 0.0,
-            "scaled volume must be finite and >= 0, got {v}"
-        );
+        if !v.is_finite() || v < 0.0 {
+            return Err(PlacementError::new(
+                "factor",
+                format!("scaled volume must be finite and >= 0, got {v}"),
+            ));
+        }
         self.budget_cache = None;
         self.traffics[t].0 = v;
         self.refresh_exact_volumes();
+        Ok(())
     }
 
     /// Sets the demand of flow `t` to an absolute `volume`. The exact-reset
-    /// sibling of [`DeltaInstance::scale_demand`]: scaling back by `1/f`
-    /// does not round-trip in floating point, so chains that must restore a
-    /// bit-exact base state (the resilience scorer between scenarios) set
-    /// the recorded base volume instead. A volume-only repair on the cached
-    /// exact model: the warm chain survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the volume is negative or not finite.
-    pub fn set_demand(&mut self, t: usize, volume: f64) {
-        assert!(
-            volume.is_finite() && volume >= 0.0,
-            "volume must be finite and >= 0, got {volume}"
-        );
+    /// sibling of [`DeltaInstance::try_scale_demand`]: scaling back by
+    /// `1/f` does not round-trip in floating point, so chains that must
+    /// restore a bit-exact base state (the resilience scorer between
+    /// scenarios) set the recorded base volume instead. A volume-only
+    /// repair on the cached exact model: the warm chain survives.
+    pub fn try_set_demand(&mut self, t: usize, volume: f64) -> Result<(), PlacementError> {
+        self.check_traffic(t)?;
+        check_volume(volume)?;
         self.budget_cache = None;
         self.traffics[t].0 = volume;
         self.refresh_exact_volumes();
+        Ok(())
     }
 
     /// Replaces the pre-installed device set (edges fixed to 1 at zero
     /// cost — [`solve_incremental`]'s sunk-cost semantics). A bound/cost
     /// repair on the cached exact model: only the edges whose status
     /// changed are touched and the warm chain survives.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range edge.
-    pub fn set_installed(&mut self, installed: &[usize]) {
+    pub fn try_set_installed(&mut self, installed: &[usize]) -> Result<(), PlacementError> {
         for &e in installed {
-            assert!(e < self.num_edges, "installed edge {e} out of range");
+            self.check_link("installed", e)?;
         }
         let mut new: Vec<usize> = installed.to_vec();
         new.sort_unstable();
@@ -294,6 +287,7 @@ impl DeltaInstance {
                 }
             }
         }
+        Ok(())
     }
 
     /// Fails link `e`: no device may sit on it — even a pre-installed one
@@ -309,20 +303,32 @@ impl DeltaInstance {
     /// link), this is a pure bound repair on the cached exact model —
     /// `x_e` fixed to 0 — and the next solve is an incremental dual-simplex
     /// re-optimization, not a cold rebuild.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range edge.
-    pub fn fail_link(&mut self, e: usize) -> usize {
-        assert!(e < self.num_edges, "link {e} out of range");
+    pub fn try_fail_link(&mut self, e: usize) -> Result<usize, PlacementError> {
+        self.check_link("link", e)?;
         if !self.disabled.contains(&e) {
             self.disabled.push(e);
             self.disabled.sort_unstable();
         }
+        Ok(self.relink(e))
+    }
+
+    /// Restores a previously failed link (an *improving* change: in
+    /// routed mode every traffic is re-routed from scratch). Returns the
+    /// number of re-routed traffics. Like [`DeltaInstance::try_fail_link`],
+    /// a re-route-free restore keeps the warm chain alive.
+    pub fn try_restore_link(&mut self, e: usize) -> Result<usize, PlacementError> {
+        self.check_link("link", e)?;
+        self.disabled.retain(|&d| d != e);
+        Ok(self.relink(e))
+    }
+
+    /// After link `e` changed status: re-routes, then repairs the cached
+    /// exact model in place when nothing re-routed (drops it otherwise —
+    /// the merged group structure is stale). Returns the re-route count.
+    fn relink(&mut self, e: usize) -> usize {
         let rerouted = self.reroute();
         self.budget_cache = None;
         if rerouted > 0 {
-            // Supports changed: the merged group structure is stale.
             self.exact_cache = None;
         } else if let Some(cache) = self.exact_cache.as_mut() {
             sync_exact_edge(cache, &self.installed, &self.disabled, e);
@@ -330,21 +336,32 @@ impl DeltaInstance {
         rerouted
     }
 
-    /// Restores a previously failed link (an *improving* change: in
-    /// routed mode every traffic is re-routed from scratch). Returns the
-    /// number of re-routed traffics. Like [`DeltaInstance::fail_link`],
-    /// a re-route-free restore keeps the warm chain alive.
-    pub fn restore_link(&mut self, e: usize) -> usize {
-        assert!(e < self.num_edges, "link {e} out of range");
-        self.disabled.retain(|&d| d != e);
-        let rerouted = self.reroute();
-        self.budget_cache = None;
-        if rerouted > 0 {
-            self.exact_cache = None;
-        } else if let Some(cache) = self.exact_cache.as_mut() {
-            sync_exact_edge(cache, &self.installed, &self.disabled, e);
+    /// Checks that link `e`, given as `field`, exists.
+    fn check_link(&self, field: &'static str, e: usize) -> Result<(), PlacementError> {
+        if e >= self.num_edges {
+            return Err(PlacementError::new(
+                field,
+                format!(
+                    "link {e} out of range (instance has {} links)",
+                    self.num_edges
+                ),
+            ));
         }
-        rerouted
+        Ok(())
+    }
+
+    /// Checks that flow `t` exists.
+    fn check_traffic(&self, t: usize) -> Result<(), PlacementError> {
+        if t >= self.traffics.len() {
+            return Err(PlacementError::new(
+                "traffic",
+                format!(
+                    "traffic {t} out of range (instance has {} traffics)",
+                    self.traffics.len()
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// Re-routes against the current failure set; no-op without routing.
@@ -458,21 +475,13 @@ impl DeltaInstance {
         let cache = self.exact_cache.as_mut().expect("built above");
         let target_row = cache.target_row;
         cache.model.set_rhs(target_row, target);
-        if plain && opts.warm_start {
+        if plain {
             install_greedy_incumbent(&mut cache.model, &cache.xs, &inst, &cache.merged, k);
         }
-        // Mirror the one-shot solvers' options exactly (solve_ppm_exact
-        // forwards rel_gap, solve_incremental keeps the default) so chain
-        // results are comparable point for point.
         let mip_opts = MipOptions {
             max_nodes: opts.max_nodes,
             time_limit: opts.time_limit,
-            rel_gap: if plain {
-                opts.rel_gap
-            } else {
-                MipOptions::default().rel_gap
-            },
-            integral_objective: Some(true),
+            rel_gap: opts.rel_gap,
             warm_basis: true,
             work_budget,
             ..Default::default()
@@ -534,10 +543,19 @@ impl DeltaInstance {
             work_budget,
             ..Default::default()
         };
-        let (outcome, warm) = cache
-            .model
-            .solve_mip(&mip_opts, cache.warm.as_ref())
-            .expect("budget problem is always feasible");
+        let (outcome, warm) = match cache.model.solve_mip(&mip_opts, cache.warm.as_ref()) {
+            Ok(out) => out,
+            // The node limit closed the search before any incumbent landed.
+            Err(milp::SolverError::NodeLimitNoSolution { .. }) => {
+                return Anytime::Done(greedy_budget(
+                    &inst,
+                    budget,
+                    &self.installed,
+                    &self.disabled,
+                ));
+            }
+            Err(e) => panic!("budget problem is always feasible: {e:?}"),
+        };
         if warm.is_some() {
             cache.warm = warm;
         }
@@ -545,126 +563,17 @@ impl DeltaInstance {
             BudgetSolution::from_edges(&inst, selected_edges(&cache.xs, sol), proven)
         })
     }
+}
 
-    // --- Fallible mutation surface -------------------------------------
-    //
-    // Typed-error (`PlacementError`) forms of the panicking mutations
-    // above, for callers that forward untrusted input (the `popmond`
-    // service maps these straight onto its wire errors). Each validates
-    // first and mutates nothing on rejection.
-
-    /// Checks that link `e` exists.
-    fn check_link(&self, e: usize) -> Result<(), PlacementError> {
-        if e >= self.num_edges {
-            return Err(PlacementError::new(
-                "link",
-                format!(
-                    "link {e} out of range (instance has {} links)",
-                    self.num_edges
-                ),
-            ));
-        }
-        Ok(())
+/// Rejects a negative or non-finite volume.
+fn check_volume(volume: f64) -> Result<(), PlacementError> {
+    if !volume.is_finite() || volume < 0.0 {
+        return Err(PlacementError::new(
+            "volume",
+            format!("volume must be finite and >= 0, got {volume}"),
+        ));
     }
-
-    /// Checks that flow `t` exists.
-    fn check_traffic(&self, t: usize) -> Result<(), PlacementError> {
-        if t >= self.traffics.len() {
-            return Err(PlacementError::new(
-                "traffic",
-                format!(
-                    "traffic {t} out of range (instance has {} traffics)",
-                    self.traffics.len()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Fallible [`DeltaInstance::fail_link`].
-    pub fn try_fail_link(&mut self, e: usize) -> Result<usize, PlacementError> {
-        self.check_link(e)?;
-        Ok(self.fail_link(e))
-    }
-
-    /// Fallible [`DeltaInstance::restore_link`].
-    pub fn try_restore_link(&mut self, e: usize) -> Result<usize, PlacementError> {
-        self.check_link(e)?;
-        Ok(self.restore_link(e))
-    }
-
-    /// Fallible [`DeltaInstance::scale_demand`].
-    pub fn try_scale_demand(&mut self, t: usize, factor: f64) -> Result<(), PlacementError> {
-        self.check_traffic(t)?;
-        let v = self.traffics[t].0 * factor;
-        if !v.is_finite() || v < 0.0 {
-            return Err(PlacementError::new(
-                "factor",
-                format!("scaled volume must be finite and >= 0, got {v}"),
-            ));
-        }
-        self.scale_demand(t, factor);
-        Ok(())
-    }
-
-    /// Fallible [`DeltaInstance::set_demand`].
-    pub fn try_set_demand(&mut self, t: usize, volume: f64) -> Result<(), PlacementError> {
-        self.check_traffic(t)?;
-        if !volume.is_finite() || volume < 0.0 {
-            return Err(PlacementError::new(
-                "volume",
-                format!("volume must be finite and >= 0, got {volume}"),
-            ));
-        }
-        self.set_demand(t, volume);
-        Ok(())
-    }
-
-    /// Fallible [`DeltaInstance::add_flow`].
-    pub fn try_add_flow(
-        &mut self,
-        volume: f64,
-        support: Vec<usize>,
-    ) -> Result<usize, PlacementError> {
-        if !volume.is_finite() || volume < 0.0 {
-            return Err(PlacementError::new(
-                "volume",
-                format!("volume must be finite and >= 0, got {volume}"),
-            ));
-        }
-        if let Some(&e) = support.iter().find(|&&e| e >= self.num_edges) {
-            return Err(PlacementError::new(
-                "support",
-                format!(
-                    "link {e} out of range (instance has {} links)",
-                    self.num_edges
-                ),
-            ));
-        }
-        Ok(self.add_flow(volume, support))
-    }
-
-    /// Fallible [`DeltaInstance::remove_flow`].
-    pub fn try_remove_flow(&mut self, t: usize) -> Result<(), PlacementError> {
-        self.check_traffic(t)?;
-        self.remove_flow(t);
-        Ok(())
-    }
-
-    /// Fallible [`DeltaInstance::set_installed`].
-    pub fn try_set_installed(&mut self, installed: &[usize]) -> Result<(), PlacementError> {
-        if let Some(&e) = installed.iter().find(|&&e| e >= self.num_edges) {
-            return Err(PlacementError::new(
-                "installed",
-                format!(
-                    "link {e} out of range (instance has {} links)",
-                    self.num_edges
-                ),
-            ));
-        }
-        self.set_installed(installed);
-        Ok(())
-    }
+    Ok(())
 }
 
 /// Re-syncs `x_e`'s bounds and cost in a cached exact model after edge `e`
@@ -736,7 +645,7 @@ mod tests {
     fn chain_matches_incremental_with_installed_base() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        delta.set_installed(&[0]);
+        delta.try_set_installed(&[0]).unwrap();
         let opts = ExactOptions::default();
         for k in [0.75, 1.0] {
             let chained = chain_ppm(&mut delta, k).unwrap();
@@ -771,13 +680,13 @@ mod tests {
         // Scale one demand, add a flow, remove a flow — after each delta
         // the chained answer must equal the one-shot answer on the
         // materialized instance.
-        delta.scale_demand(0, 3.0);
-        let t = delta.add_flow(2.5, vec![3, 4]);
+        delta.try_scale_demand(0, 3.0).unwrap();
+        let t = delta.try_add_flow(2.5, vec![3, 4]).unwrap();
         let a = chain_ppm(&mut delta, 0.9).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(a.device_count(), fresh.device_count());
 
-        delta.remove_flow(t);
+        delta.try_remove_flow(t).unwrap();
         let b = chain_ppm(&mut delta, 0.9).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(b.device_count(), fresh.device_count());
@@ -790,7 +699,7 @@ mod tests {
         let free = chain_ppm(&mut delta, 1.0).unwrap();
         assert_eq!(free.edges, vec![1, 2]);
         // Unrouted mode: failing link 1 only forbids the device there.
-        delta.fail_link(1);
+        delta.try_fail_link(1).unwrap();
         let constrained = chain_ppm(&mut delta, 1.0).unwrap();
         assert!(!constrained.edges.contains(&1));
         assert!(delta.instance().is_feasible(&constrained.edges, 1.0));
@@ -801,8 +710,8 @@ mod tests {
     fn failing_an_installed_link_kills_its_device_in_both_solvers() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        delta.set_installed(&[1]);
-        delta.fail_link(1);
+        delta.try_set_installed(&[1]).unwrap();
+        delta.try_fail_link(1).unwrap();
         // Exact: the dead device is gone and the cover must rebuild
         // around it.
         let exact = chain_ppm(&mut delta, 1.0).unwrap();
@@ -832,15 +741,15 @@ mod tests {
 
         // Scale, re-add an existing support group, remove — all volume-only
         // repairs: the cached model must survive every one of them.
-        delta.scale_demand(0, 2.5);
+        delta.try_scale_demand(0, 2.5).unwrap();
         assert!(delta.exact_cache.is_some(), "scale must repair in place");
         let support = delta.traffics[1].1.clone();
-        let t = delta.add_flow(1.5, support);
+        let t = delta.try_add_flow(1.5, support).unwrap();
         assert!(
             delta.exact_cache.is_some(),
             "existing-group add_flow must repair in place"
         );
-        delta.remove_flow(t);
+        delta.try_remove_flow(t).unwrap();
         assert!(delta.exact_cache.is_some(), "remove must repair in place");
 
         // And the repaired model answers exactly like a cold solve.
@@ -850,7 +759,7 @@ mod tests {
         assert!(delta.instance().is_feasible(&chained.edges, 0.9));
 
         // A genuinely new support group is structural: cache dropped.
-        delta.add_flow(1.0, vec![0, 3]);
+        delta.try_add_flow(1.0, vec![0, 3]).unwrap();
         assert!(
             delta.exact_cache.is_none(),
             "new support group must drop the cache"
@@ -868,7 +777,7 @@ mod tests {
         let _ = chain_ppm(&mut delta, 1.0).unwrap();
 
         // Unrouted fail/restore never re-routes: pure bound repairs.
-        delta.fail_link(1);
+        delta.try_fail_link(1).unwrap();
         assert!(delta.exact_cache.is_some(), "fail must repair in place");
         let a = chain_ppm(&mut delta, 1.0).unwrap();
         let fresh = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
@@ -878,14 +787,14 @@ mod tests {
         assert!(delta.instance().is_feasible(&a.edges, 1.0));
         assert!(a.device_count() >= fresh.device_count());
 
-        delta.restore_link(1);
+        delta.try_restore_link(1).unwrap();
         assert!(delta.exact_cache.is_some(), "restore must repair in place");
         let b = chain_ppm(&mut delta, 1.0).unwrap();
         let cold = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
         assert_eq!(b.device_count(), cold.device_count());
 
         // set_installed is a cost/bound repair on the changed edges only.
-        delta.set_installed(&[0]);
+        delta.try_set_installed(&[0]).unwrap();
         assert!(
             delta.exact_cache.is_some(),
             "set_installed must repair in place"
@@ -894,7 +803,7 @@ mod tests {
         let cold = solve_incremental(&delta.instance(), 1.0, &[0], &opts).unwrap();
         assert_eq!(c.device_count(), cold.device_count());
         assert!(c.edges.contains(&0));
-        delta.set_installed(&[]);
+        delta.try_set_installed(&[]).unwrap();
         let d = chain_ppm(&mut delta, 1.0).unwrap();
         let cold = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
         assert_eq!(d.device_count(), cold.device_count());
@@ -920,21 +829,21 @@ mod tests {
         type Mutation = Box<dyn Fn(&mut DeltaInstance)>;
         let script: Vec<Mutation> = vec![
             Box::new(|d| {
-                d.fail_link(0);
+                d.try_fail_link(0).unwrap();
             }),
-            Box::new(|d| d.scale_demand(2, 1.75)),
+            Box::new(|d| d.try_scale_demand(2, 1.75).unwrap()),
             Box::new(move |d| {
-                d.fail_link(m - 1);
+                d.try_fail_link(m - 1).unwrap();
             }),
             Box::new(|d| {
-                d.restore_link(0);
+                d.try_restore_link(0).unwrap();
             }),
-            Box::new(|d| d.set_installed(&[1, 3])),
-            Box::new(|d| d.scale_demand(0, 0.25)),
+            Box::new(|d| d.try_set_installed(&[1, 3]).unwrap()),
+            Box::new(|d| d.try_scale_demand(0, 0.25).unwrap()),
             Box::new(move |d| {
-                d.restore_link(m - 1);
+                d.try_restore_link(m - 1).unwrap();
             }),
-            Box::new(|d| d.set_installed(&[])),
+            Box::new(|d| d.try_set_installed(&[]).unwrap()),
         ];
         for (step, mutate) in script.iter().enumerate() {
             mutate(&mut delta);
@@ -1009,7 +918,7 @@ mod tests {
             .iter()
             .filter(|(_, s)| s.contains(&heavy))
             .count();
-        let recomputed = delta.fail_link(heavy);
+        let recomputed = delta.try_fail_link(heavy).unwrap();
         assert_eq!(
             recomputed, crossing,
             "exactly the crossing traffics re-route"
@@ -1053,13 +962,13 @@ mod tests {
         // the surviving endpoint-routed traffics must keep re-routing
         // against their own pairs (this used to index the route plan
         // with post-churn traffic indices).
-        delta.remove_flow(1);
-        let added = delta.add_flow(4.0, vec![0, 1]);
+        delta.try_remove_flow(1).unwrap();
+        let added = delta.try_add_flow(4.0, vec![0, 1]).unwrap();
         let mut endpoints: Vec<_> = ts.traffics.iter().map(|t| (t.src, t.dst)).collect();
         endpoints.remove(1);
 
         let heavy = delta.instance().traffics[0].1[0];
-        delta.fail_link(heavy);
+        delta.try_fail_link(heavy).unwrap();
         let after = delta.instance();
         assert_eq!(
             after.traffics[added].1,
@@ -1088,7 +997,7 @@ mod tests {
 
         // Restoring is an improving change (full recompute): alignment
         // must survive that path too.
-        delta.restore_link(heavy);
+        delta.try_restore_link(heavy).unwrap();
         let restored = delta.instance();
         for (i, &(src, dst)) in endpoints.iter().enumerate() {
             assert_eq!(

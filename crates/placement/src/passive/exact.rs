@@ -9,8 +9,9 @@
 //!   for cross-validation (Theorem 2 says both solve the same problem).
 //!
 //! The exact solver first merges identical-support traffics (halving the
-//! row count on symmetric-routing instances), then warm-starts the MIP with
-//! the best greedy solution so branch-and-bound prunes from the start.
+//! row count on symmetric-routing instances), then always warm-starts the
+//! MIP with the best greedy solution so branch-and-bound prunes from the
+//! start.
 
 use milp::{Cmp, MipOptions, Model, Sense, VarId, VarKind};
 
@@ -28,8 +29,6 @@ pub struct ExactOptions {
     /// Optional wall-clock limit (host-dependent; reproducible callers
     /// leave it `None`).
     pub time_limit: Option<std::time::Duration>,
-    /// Seed the MIP with the best greedy solution (default true).
-    pub warm_start: bool,
     /// Relative optimality gap at which the search may stop early
     /// (default: prove optimality). Useful for the fixed-charge `PPME`
     /// MILP whose LP bound is loose.
@@ -41,7 +40,6 @@ impl Default for ExactOptions {
         Self {
             max_nodes: 50_000,
             time_limit: None,
-            warm_start: true,
             rel_gap: 1e-9,
         }
     }
@@ -191,16 +189,12 @@ fn solve_with(
         Formulation::Lp1 => build_lp1_target(&merged, target),
     };
 
-    if opts.warm_start {
-        install_greedy_incumbent(&mut model, &xs, inst, &merged, k);
-    }
+    install_greedy_incumbent(&mut model, &xs, inst, &merged, k);
 
     let mip_opts = MipOptions {
         max_nodes: opts.max_nodes,
         time_limit: opts.time_limit,
         rel_gap: opts.rel_gap,
-        // Device count is integral: round LP bounds up.
-        integral_objective: Some(true),
         // Node LPs differ from their parent by one bound: reuse the basis.
         warm_basis: true,
         // Solve node LPs in parallel (POPMON_THREADS-aware). The batch
@@ -210,7 +204,6 @@ fn solve_with(
         threads: 0,
         node_batch: EXACT_NODE_BATCH,
         work_budget,
-        ..Default::default()
     };
     let outcome = match model.solve_mip(&mip_opts, None) {
         Ok((out, _)) => out,
@@ -363,17 +356,6 @@ mod tests {
         let inst = fixture_figure3();
         let s = solve_ppm_exact(&inst, 0.0, &ExactOptions::default()).unwrap();
         assert_eq!(s.device_count(), 0);
-    }
-
-    #[test]
-    fn no_warm_start_still_optimal() {
-        let inst = fixture_figure3();
-        let opts = ExactOptions {
-            warm_start: false,
-            ..Default::default()
-        };
-        let s = solve_ppm_exact(&inst, 1.0, &opts).unwrap();
-        assert_eq!(s.device_count(), 2);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use milp::{Cmp, MipOptions, Model, Sense, SolveStatus, VarId, VarKind};
 
 use crate::instance::PpmInstance;
 use crate::passive::{build_lp2_target, selected_edges, ExactOptions, PpmSolution};
-use crate::solve::Anytime;
+use crate::solve::{greedy_budget, Anytime};
 
 /// Solution of the budget-constrained maximum-coverage problem.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +73,6 @@ pub fn solve_incremental(
     let mip_opts = MipOptions {
         max_nodes: opts.max_nodes,
         time_limit: opts.time_limit,
-        integral_objective: Some(true),
         warm_basis: true,
         ..Default::default()
     };
@@ -154,9 +153,17 @@ pub(crate) fn solve_budget_anytime(
         work_budget,
         ..Default::default()
     };
-    let (outcome, _) = model
-        .solve_mip(&mip_opts, None)
-        .expect("budget problem is always feasible");
+    let outcome = match model.solve_mip(&mip_opts, None) {
+        Ok((outcome, _)) => outcome,
+        // The node limit closed the search before any incumbent landed.
+        Err(milp::SolverError::NodeLimitNoSolution { .. }) => {
+            let mut base = installed.to_vec();
+            base.sort_unstable();
+            base.dedup();
+            return Anytime::Done(greedy_budget(inst, budget, &base, &[]));
+        }
+        Err(e) => panic!("budget problem is always feasible: {e:?}"),
+    };
     Anytime::from_mip(outcome, |sol, proven| {
         BudgetSolution::from_edges(inst, selected_edges(&xs, sol), proven)
     })

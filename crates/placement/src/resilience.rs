@@ -5,10 +5,10 @@
 //! matrix; a production fleet sees correlated link failures (SRLGs) and
 //! demand churn. This module evaluates how a placement *holds up*: each
 //! scenario of a [`popgen::failure`] ensemble is walked through a
-//! [`DeltaInstance`] chain — [`DeltaInstance::fail_link`] per failed
-//! link, [`DeltaInstance::scale_demand`] per demand factor — scored, and
-//! rolled back ([`DeltaInstance::restore_link`] +
-//! [`DeltaInstance::set_demand`] with the recorded base volume, an exact
+//! [`DeltaInstance`] chain — [`DeltaInstance::try_fail_link`] per failed
+//! link, [`DeltaInstance::try_scale_demand`] per demand factor — scored, and
+//! rolled back ([`DeltaInstance::try_restore_link`] +
+//! [`DeltaInstance::try_set_demand`] with the recorded base volume, an exact
 //! float reset), so a thousand scenarios cost incremental updates, never
 //! a cold rebuild.
 //!
@@ -163,6 +163,10 @@ fn fraction(covered: f64, total: f64) -> f64 {
 /// on them are dead throughout. On unrouted chains the result is bitwise
 /// equal to [`score_ensemble_cold`]; routed chains take the documented
 /// materializing slow path.
+///
+/// Past the up-front validation the only error is a scaled demand that
+/// overflows to infinity; it returns with that scenario's earlier deltas
+/// still applied to the chain.
 pub fn score_ensemble(
     delta: &mut DeltaInstance,
     placement: &[usize],
@@ -178,7 +182,7 @@ pub fn score_ensemble(
     placed.sort_unstable();
     placed.dedup();
     if delta.is_routed() {
-        return Ok(score_routed(delta, &placed, scenarios));
+        return score_routed(delta, &placed, scenarios);
     }
 
     let base = delta.instance();
@@ -215,7 +219,7 @@ pub fn score_ensemble(
     let mut newly_failed: Vec<usize> = Vec::new();
     for s in scenarios {
         for &(t, f) in &s.demand_factors {
-            delta.scale_demand(t, f);
+            delta.try_scale_demand(t, f)?;
             // The same multiply the chain just did — and the same one the
             // cold path does — so the bits agree.
             vol[t] *= f;
@@ -226,7 +230,7 @@ pub fn score_ensemble(
             if base_disabled_mask[e] {
                 continue; // already failed on the chain: no double fault
             }
-            let rerouted = delta.fail_link(e);
+            let rerouted = delta.try_fail_link(e)?;
             debug_assert_eq!(rerouted, 0, "unrouted chains never re-route");
             newly_failed.push(e);
             if placed_mask[e] {
@@ -252,10 +256,10 @@ pub fn score_ensemble(
             coverage: fraction(covered, total),
             live_devices: live_base - dead_placed,
         });
-        // Roll back: restores re-enable the links, set_demand writes the
+        // Roll back: restores re-enable the links, try_set_demand writes the
         // recorded base volume back bit-exactly.
         for &e in &newly_failed {
-            let rerouted = delta.restore_link(e);
+            let rerouted = delta.try_restore_link(e)?;
             debug_assert_eq!(rerouted, 0, "unrouted chains never re-route");
             if placed_mask[e] {
                 for &t in &touch[e] {
@@ -265,7 +269,7 @@ pub fn score_ensemble(
         }
         for &(t, _) in &s.demand_factors {
             let v = base.traffics[t].0;
-            delta.set_demand(t, v);
+            delta.try_set_demand(t, v)?;
             vol[t] = v;
         }
     }
@@ -281,7 +285,7 @@ fn score_routed(
     delta: &mut DeltaInstance,
     placed: &[usize],
     scenarios: &[Scenario],
-) -> EnsembleScore {
+) -> Result<EnsembleScore, PlacementError> {
     let base_volumes: Vec<f64> = (0..delta.traffic_count())
         .map(|t| delta.demand(t))
         .collect();
@@ -290,14 +294,14 @@ fn score_routed(
     let mut newly_failed: Vec<usize> = Vec::new();
     for s in scenarios {
         for &(t, f) in &s.demand_factors {
-            delta.scale_demand(t, f);
+            delta.try_scale_demand(t, f)?;
         }
         newly_failed.clear();
         for &e in &s.failed_links {
             if base_disabled.binary_search(&e).is_ok() {
                 continue;
             }
-            delta.fail_link(e);
+            delta.try_fail_link(e)?;
             newly_failed.push(e);
         }
         let inst = delta.instance();
@@ -311,13 +315,13 @@ fn score_routed(
             live_devices: live.len(),
         });
         for &e in &newly_failed {
-            delta.restore_link(e);
+            delta.try_restore_link(e)?;
         }
         for &(t, _) in &s.demand_factors {
-            delta.set_demand(t, base_volumes[t]);
+            delta.try_set_demand(t, base_volumes[t])?;
         }
     }
-    summarize(per)
+    Ok(summarize(per))
 }
 
 /// The cold-rebuild reference: an independent [`PpmInstance`] per
@@ -500,7 +504,7 @@ mod tests {
     fn base_failures_persist_across_scenarios() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        delta.fail_link(1);
+        delta.try_fail_link(1).unwrap();
         // Scenario re-failing link 1 must not double-fault or restore it.
         let scenarios = vec![scenario(&[1], &[]), scenario(&[], &[])];
         let warm = score_ensemble(&mut delta, &[1, 2], &scenarios).unwrap();
@@ -532,10 +536,10 @@ mod tests {
             // routed instances (supports re-route around failures).
             let mut fresh = DeltaInstance::from_traffic(&pop.graph, &ts);
             for &(t, f) in &s.demand_factors {
-                fresh.scale_demand(t, f);
+                fresh.try_scale_demand(t, f).unwrap();
             }
             for &e in &s.failed_links {
-                fresh.fail_link(e);
+                fresh.try_fail_link(e).unwrap();
             }
             let inst = fresh.instance();
             let live: Vec<usize> = placement

@@ -26,6 +26,8 @@ use milp::{Cmp, MipOptions, Model, Sense, SolveStatus, VarId, VarKind};
 use netgraph::Graph;
 use popgen::{MultiTraffic, TrafficSet};
 
+use crate::passive::ExactOptions;
+
 /// One routed path of a (possibly multi-routed) traffic.
 #[derive(Debug, Clone)]
 pub struct SamplingPath {
@@ -321,11 +323,8 @@ pub fn build_lp3(prob: &SamplingProblem) -> (Model, Vec<VarId>, Vec<VarId>, Vec<
     (m, xs, rs, ds)
 }
 
-/// Options for [`solve_ppme`].
-pub type PpmeOptions = crate::passive::ExactOptions;
-
 /// Solves `PPME(h, k)` to optimality (subject to node/time limits and the
-/// optional relative gap of [`PpmeOptions`]).
+/// optional relative gap of [`ExactOptions`]).
 ///
 /// Returns `None` when the instance is infeasible (some traffic cannot meet
 /// its floor even with every link monitored at rate 1).
@@ -334,15 +333,13 @@ pub type PpmeOptions = crate::passive::ExactOptions;
 /// the LP relaxation a loose bound, so the MIP is seeded with a full-cover
 /// incumbent: the optimal `PPM(1)` devices at sampling rate 1, which
 /// satisfies every floor. On larger instances prefer a nonzero
-/// [`PpmeOptions::rel_gap`] (e.g. `0.02`) — branch-and-bound without
+/// [`ExactOptions::rel_gap`] (e.g. `0.02`) — branch-and-bound without
 /// strong cuts closes the last percent slowly.
-pub fn solve_ppme(prob: &SamplingProblem, opts: &PpmeOptions) -> Option<PpmeSolution> {
+pub fn solve_ppme(prob: &SamplingProblem, opts: &ExactOptions) -> Option<PpmeSolution> {
     let (mut model, xs, rs, ds) = build_lp3(prob);
 
-    if opts.warm_start {
-        if let Some(warm) = full_cover_incumbent(prob, opts) {
-            model.set_initial_solution(warm);
-        }
+    if let Some(warm) = full_cover_incumbent(prob, opts) {
+        model.set_initial_solution(warm);
     }
 
     let mip_opts = MipOptions {
@@ -388,7 +385,7 @@ pub fn solve_ppme(prob: &SamplingProblem, opts: &PpmeOptions) -> Option<PpmeSolu
 /// all floors and the global target hold whenever full cover is possible.
 /// Variable layout must match [`build_lp3`]: `x` block, `r` block, `δ`
 /// block.
-fn full_cover_incumbent(prob: &SamplingProblem, opts: &PpmeOptions) -> Option<Vec<f64>> {
+fn full_cover_incumbent(prob: &SamplingProblem, opts: &ExactOptions) -> Option<Vec<f64>> {
     let inst = crate::instance::PpmInstance::new(
         prob.num_edges,
         prob.paths
@@ -397,10 +394,9 @@ fn full_cover_incumbent(prob: &SamplingProblem, opts: &PpmeOptions) -> Option<Ve
             .collect(),
     );
     // Keep the inner PPM solve cheap: it only seeds the incumbent.
-    let inner = crate::passive::ExactOptions {
+    let inner = ExactOptions {
         max_nodes: 2_000,
         time_limit: Some(std::time::Duration::from_secs(10)),
-        warm_start: true,
         rel_gap: opts.rel_gap.max(1e-9),
     };
     let cover = crate::passive::solve_ppm_exact(&inst, 1.0, &inner)
@@ -459,7 +455,7 @@ mod tests {
     #[test]
     fn full_coverage_solution_is_valid() {
         let prob = small_problem(0.0, 1.0);
-        let s = solve_ppme(&prob, &PpmeOptions::default()).unwrap();
+        let s = solve_ppme(&prob, &ExactOptions::default()).unwrap();
         prob.check_solution(&s.installed, &s.rates, 1e-6).unwrap();
         assert!(s.proven_optimal);
         // Full coverage needs rates summing to >= 1 on every path; two
@@ -475,8 +471,8 @@ mod tests {
     fn partial_coverage_is_cheaper() {
         let prob_full = small_problem(0.0, 1.0);
         let prob_part = small_problem(0.0, 0.6);
-        let full = solve_ppme(&prob_full, &PpmeOptions::default()).unwrap();
-        let part = solve_ppme(&prob_part, &PpmeOptions::default()).unwrap();
+        let full = solve_ppme(&prob_full, &ExactOptions::default()).unwrap();
+        let part = solve_ppme(&prob_part, &ExactOptions::default()).unwrap();
         assert!(part.total_cost() < full.total_cost());
         prob_part
             .check_solution(&part.installed, &part.rates, 1e-6)
@@ -488,7 +484,7 @@ mod tests {
         // k = 0.5 with cheap exploitation: sampling part of the heavy link
         // beats full-rate monitoring.
         let prob = small_problem(0.0, 0.5);
-        let s = solve_ppme(&prob, &PpmeOptions::default()).unwrap();
+        let s = solve_ppme(&prob, &ExactOptions::default()).unwrap();
         let frac = s.rates.iter().any(|&r| r > 1e-6 && r < 1.0 - 1e-6);
         assert!(
             frac,
@@ -502,7 +498,7 @@ mod tests {
         // k = 0.5 could ignore the light traffics entirely, but h = 0.4
         // forces some sampling on every traffic's path.
         let prob = small_problem(0.4, 0.5);
-        let s = solve_ppme(&prob, &PpmeOptions::default()).unwrap();
+        let s = solve_ppme(&prob, &ExactOptions::default()).unwrap();
         prob.check_solution(&s.installed, &s.rates, 1e-6).unwrap();
         let mon = prob.monitored_volumes(&s.rates);
         for t in 0..4 {
@@ -520,7 +516,7 @@ mod tests {
     #[test]
     fn devices_follow_rates() {
         let prob = small_problem(0.0, 0.8);
-        let s = solve_ppme(&prob, &PpmeOptions::default()).unwrap();
+        let s = solve_ppme(&prob, &ExactOptions::default()).unwrap();
         for e in 0..prob.num_edges {
             if s.rates[e] > 1e-6 {
                 assert!(s.installed[e], "rate without device on link {e}");
@@ -538,7 +534,7 @@ mod tests {
             prob.paths.len() > prob.num_traffics,
             "multi-routing adds paths"
         );
-        let s = solve_ppme(&prob, &PpmeOptions::default()).unwrap();
+        let s = solve_ppme(&prob, &ExactOptions::default()).unwrap();
         prob.check_solution(&s.installed, &s.rates, 1e-5).unwrap();
     }
 

@@ -82,7 +82,9 @@ pub enum SolveMethod {
 
 /// A validated solve request: objective, method, and the solver knobs
 /// (defaults match [`ExactOptions`]). Nothing it runs reads the wall
-/// clock: exact solves are bounded by nodes, gap and work units.
+/// clock: exact solves are bounded by nodes and work units, and run to
+/// [`ExactOptions`]' default gap with the greedy incumbent installed on
+/// plain instances.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveRequest {
     /// What to optimize.
@@ -95,10 +97,6 @@ pub struct SolveRequest {
     /// (the budget variant) instead of minimum devices at target `k`.
     /// Exact PPM only.
     pub device_budget: Option<usize>,
-    /// Relative MIP gap for exact solves.
-    pub rel_gap: f64,
-    /// Install a greedy incumbent before exact solves (plain instances).
-    pub warm_start: bool,
     /// Deterministic work budget for exact solves (simplex iterations +
     /// refactorizations + branch-and-bound nodes). `None` (the default)
     /// runs to the node and gap limits; `Some(units)` makes the solve
@@ -111,14 +109,11 @@ pub struct SolveRequest {
 
 impl SolveRequest {
     fn with_objective(objective: Objective) -> Self {
-        let defaults = ExactOptions::default();
         SolveRequest {
             objective,
             method: SolveMethod::Exact,
-            node_budget: defaults.max_nodes,
+            node_budget: ExactOptions::default().max_nodes,
             device_budget: None,
-            rel_gap: defaults.rel_gap,
-            warm_start: defaults.warm_start,
             work_budget: None,
         }
     }
@@ -172,9 +167,7 @@ impl SolveRequest {
     fn exact_options(&self) -> ExactOptions {
         ExactOptions {
             max_nodes: self.node_budget,
-            time_limit: None,
-            rel_gap: self.rel_gap,
-            warm_start: self.warm_start,
+            ..ExactOptions::default()
         }
     }
 
@@ -195,12 +188,6 @@ impl SolveRequest {
             return Err(PlacementError::new(
                 "node_budget",
                 "must be at least 1".to_string(),
-            ));
-        }
-        if !self.rel_gap.is_finite() || self.rel_gap < 0.0 {
-            return Err(PlacementError::new(
-                "rel_gap",
-                format!("must be finite and >= 0, got {}", self.rel_gap),
             ));
         }
         if self.device_budget.is_some() {
@@ -668,6 +655,25 @@ mod tests {
                 panic!("expected a budget outcome");
             };
             assert_eq!(sol.coverage.to_bits(), kernel.coverage.to_bits(), "b = {b}");
+        }
+    }
+
+    #[test]
+    fn node_limit_without_incumbent_falls_back_to_greedy_budget() {
+        use popgen::{PopSpec, TrafficSpec};
+
+        // One node closes the search before the budget MIP finds an
+        // incumbent; the answer is the greedy on the same state, unproven.
+        let pop = PopSpec::paper_15().build();
+        let ts = TrafficSpec::default().generate(&pop, 1);
+        let inst = PpmInstance::from_traffic(&pop.graph, &ts);
+        let req = SolveRequest::budget(3).with_node_budget(1);
+        let want = greedy_budget(&inst, 3, &[], &[]);
+        assert!(!want.edges.is_empty());
+        let one_shot = solve_instance(&inst, &req).unwrap();
+        let chained = DeltaInstance::from_instance(&inst).solve(&req).unwrap();
+        for out in [one_shot, chained] {
+            assert_eq!(out, SolveOutcome::Budget(want.clone()));
         }
     }
 

@@ -54,7 +54,7 @@ fn incremental_grid_chain_matches_fresh() {
     let base = solve_ppm_exact(&inst, 0.8, &opts).expect("PPM(0.8) feasible");
 
     let mut chain = DeltaInstance::from_instance(&inst);
-    chain.set_installed(&base.edges);
+    chain.try_set_installed(&base.edges).unwrap();
     for k_pct in [85u32, 90, 95, 100] {
         let k = k_pct as f64 / 100.0;
         let chained = chain
@@ -84,7 +84,7 @@ fn budget_grid_chain_matches_fresh() {
     let base = solve_ppm_exact(&inst, 0.8, &opts).expect("PPM(0.8) feasible");
 
     let mut chain = DeltaInstance::from_instance(&inst);
-    chain.set_installed(&base.edges);
+    chain.try_set_installed(&base.edges).unwrap();
     for extra in [1usize, 2, 3, 4, 5] {
         let chained = chain
             .solve(&SolveRequest::budget(extra))

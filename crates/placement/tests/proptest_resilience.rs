@@ -98,7 +98,7 @@ proptest! {
             .into_iter()
             .collect();
         for &e in &base_disabled {
-            delta.fail_link(e);
+            delta.try_fail_link(e).unwrap();
         }
 
         let warm = score_ensemble(&mut delta, &placement, &scenarios)

@@ -42,20 +42,17 @@ fn build_cold(seed: u64, routed: bool) -> DeltaInstance {
 
 /// Applies a parsed protocol mutation to the independent cold instance.
 fn apply(delta: &mut DeltaInstance, action: &WhatIf) {
-    match action {
-        WhatIf::FailLink(e) => {
-            delta.fail_link(*e);
-        }
-        WhatIf::RestoreLink(e) => {
-            delta.restore_link(*e);
-        }
-        WhatIf::ScaleDemand { t, factor } => delta.scale_demand(*t, *factor),
+    let applied = match action {
+        WhatIf::FailLink(e) => delta.try_fail_link(*e).map(drop),
+        WhatIf::RestoreLink(e) => delta.try_restore_link(*e).map(drop),
+        WhatIf::ScaleDemand { t, factor } => delta.try_scale_demand(*t, *factor),
         WhatIf::AddFlow { volume, support } => {
-            delta.add_flow(*volume, support.clone());
+            delta.try_add_flow(*volume, support.clone()).map(drop)
         }
-        WhatIf::RemoveFlow(t) => delta.remove_flow(*t),
-        WhatIf::SetInstalled(installed) => delta.set_installed(installed),
-    }
+        WhatIf::RemoveFlow(t) => delta.try_remove_flow(*t),
+        WhatIf::SetInstalled(installed) => delta.try_set_installed(installed),
+    };
+    applied.expect("the scripted mutation is valid");
 }
 
 fn roundtrip(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> String {

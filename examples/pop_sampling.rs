@@ -10,7 +10,8 @@
 //! Run with: `cargo run --release --example pop_sampling`
 
 use popmon::placement::dynamic::{run_controller, ControllerSpec};
-use popmon::placement::sampling::{solve_ppme, PpmeOptions, SamplingProblem};
+use popmon::placement::passive::ExactOptions;
+use popmon::placement::sampling::{solve_ppme, SamplingProblem};
 use popmon::popgen::dynamic::{DynamicSpec, TrafficProcess};
 use popmon::popgen::{PopSpec, TrafficSpec};
 
@@ -26,7 +27,7 @@ fn main() {
     let (setup, exploit) = SamplingProblem::uniform_costs(ne);
     let prob = SamplingProblem::from_multi(&pop.graph, &multi, 0.2, 0.9, setup, exploit);
 
-    let sol = solve_ppme(&prob, &PpmeOptions::default()).expect("feasible");
+    let sol = solve_ppme(&prob, &ExactOptions::default()).expect("feasible");
     prob.check_solution(&sol.installed, &sol.rates, 1e-5)
         .expect("valid");
     println!(

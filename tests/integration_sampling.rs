@@ -7,7 +7,7 @@ use popmon::placement::dynamic::{
 };
 use popmon::placement::instance::PpmInstance;
 use popmon::placement::passive::{solve_ppm_exact, ExactOptions};
-use popmon::placement::sampling::{solve_ppme, PpmeOptions, SamplingProblem};
+use popmon::placement::sampling::{solve_ppme, SamplingProblem};
 use popmon::popgen::dynamic::{DynamicSpec, TrafficProcess};
 use popmon::popgen::{PopSpec, TrafficSpec};
 
@@ -18,7 +18,7 @@ fn ppme_solution_validates_and_beats_naive_full_rate() {
     let ne = pop.graph.edge_count();
     let (ci, ce) = SamplingProblem::uniform_costs(ne);
     let prob = SamplingProblem::from_multi(&pop.graph, &multi, 0.1, 0.8, ci, ce);
-    let sol = solve_ppme(&prob, &PpmeOptions::default()).unwrap();
+    let sol = solve_ppme(&prob, &ExactOptions::default()).unwrap();
     prob.check_solution(&sol.installed, &sol.rates, 1e-5)
         .unwrap();
 
@@ -43,7 +43,7 @@ fn ppme_cost_monotone_in_k() {
     for k in [0.4, 0.6, 0.8, 0.95] {
         let (ci, ce) = SamplingProblem::uniform_costs(ne);
         let prob = SamplingProblem::from_multi(&pop.graph, &multi, 0.0, k, ci, ce);
-        let sol = solve_ppme(&prob, &PpmeOptions::default()).unwrap();
+        let sol = solve_ppme(&prob, &ExactOptions::default()).unwrap();
         assert!(
             sol.total_cost() + 1e-6 >= last,
             "optimal cost must not decrease with k (k = {k})"
@@ -130,7 +130,7 @@ fn single_path_ppme_specializes_to_ppm_structure() {
     let ppm = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
     let prob =
         SamplingProblem::from_traffic_set(&pop.graph, &ts, 0.0, k, vec![1.0; ne], vec![0.0; ne]);
-    let ppme = solve_ppme(&prob, &PpmeOptions::default()).unwrap();
+    let ppme = solve_ppme(&prob, &ExactOptions::default()).unwrap();
     assert_eq!(
         ppm.device_count(),
         ppme.device_count(),
