@@ -49,6 +49,13 @@ const CUT_ROUNDS: usize = 4;
 const RELIABILITY: u32 = 4;
 /// Maximum branching candidates strong-branched per node.
 const STRONG_CANDS: usize = 8;
+/// Open nodes that may hold a factorized basis snapshot. When children
+/// would push the count past it, the open nodes that pop last give up
+/// their factorization (down to half the cap): they keep the basic set
+/// and refactorize it when popped, so the open queue's snapshot memory
+/// stays bounded however wide the search grows, while the plunge the
+/// search is on keeps its factors.
+const SNAPSHOT_CAP: usize = 4;
 
 /// Tuning knobs for [`Model::solve_mip`].
 #[derive(Debug, Clone)]
@@ -225,7 +232,8 @@ struct Node {
     seq: usize,
     /// `(var index, lo, hi)` overrides.
     changes: Vec<(usize, f64, f64)>,
-    /// Parent's LP basis (shared by both children) when basis reuse is on.
+    /// Parent's LP basis (shared by both children) when basis reuse is on;
+    /// stripped of its factorization past [`SNAPSHOT_CAP`].
     basis: Option<Arc<LpWarmStart>>,
     /// The branching that created this node: `(variable, up branch,
     /// fractional distance moved)`, used to update that variable's
@@ -522,6 +530,10 @@ pub(crate) fn solve(
     let mut interrupted = false;
     let mut open = BinaryHeap::new();
     let mut seq = 0usize;
+    // Open nodes holding a factorized snapshot (see [`SNAPSHOT_CAP`]).
+    // Nodes re-queued by a budget trip are not counted: the search ends
+    // with them.
+    let mut factored_open = usize::from(warm.is_some());
     open.push(Node {
         bound: f64::NEG_INFINITY,
         depth: 0,
@@ -551,6 +563,9 @@ pub(crate) fn solve(
         let mut batch: Vec<Node> = Vec::new();
         while batch.len() < node_batch {
             let Some(node) = open.pop() else { break };
+            if holds_factors(&node) {
+                factored_open -= 1;
+            }
             if closed_by(&incumbent, node.bound, opts.rel_gap) {
                 continue;
             }
@@ -902,11 +917,13 @@ pub(crate) fn solve(
                     down.push((j, lo, x.floor()));
                     let mut up = node.changes.clone();
                     up.push((j, x.ceil(), hi));
-                    let child_basis = if opts.warm_basis {
-                        lp_arc.clone()
-                    } else {
-                        None
-                    };
+                    let child_basis = lp_arc.clone().filter(|_| opts.warm_basis);
+                    if child_basis.is_some() {
+                        if factored_open + 2 > SNAPSHOT_CAP {
+                            factored_open = strip_factors(&mut open, SNAPSHOT_CAP / 2);
+                        }
+                        factored_open += 2;
+                    }
                     seq += 1;
                     open.push(Node {
                         bound,
@@ -1015,6 +1032,31 @@ pub(crate) fn solve(
             }
         }
     }
+}
+
+/// Whether an open node carries a factorized basis snapshot.
+fn holds_factors(node: &Node) -> bool {
+    node.basis.as_ref().is_some_and(|b| b.has_factors())
+}
+
+/// Strips the factorization from all but the `keep` open nodes that pop
+/// first (see [`SNAPSHOT_CAP`]); returns how many still hold one.
+fn strip_factors(open: &mut BinaryHeap<Node>, keep: usize) -> usize {
+    let mut nodes = std::mem::take(open).into_vec();
+    let mut held: Vec<usize> = (0..nodes.len())
+        .filter(|&i| holds_factors(&nodes[i]))
+        .collect();
+    // Heap order: the greatest node pops first.
+    held.sort_unstable_by(|&a, &b| nodes[b].cmp(&nodes[a]));
+    for &i in held.iter().skip(keep) {
+        let lean = nodes[i]
+            .basis
+            .as_ref()
+            .map(|b| Arc::new(b.without_factors()));
+        nodes[i].basis = lean;
+    }
+    *open = BinaryHeap::from(nodes);
+    held.len().min(keep)
 }
 
 /// Candidate ordering for branching: higher pseudocost score first, then

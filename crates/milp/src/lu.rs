@@ -486,6 +486,9 @@ impl DenseInv {
         for i in 0..m {
             inv[i * m + i] = 1.0;
         }
+        // Multipliers of the current elimination step (column `piv` of
+        // `b`, zero at the pivot row itself).
+        let mut f = vec![0.0f64; m];
         for piv in 0..m {
             let (mut best_r, mut best_v) = (piv, 0.0f64);
             for r in piv..m {
@@ -509,17 +512,21 @@ impl DenseInv {
                 b[c * m + piv] /= d;
                 inv[c * m + piv] /= d;
             }
-            for r in 0..m {
-                if r == piv {
-                    continue;
-                }
-                let f = b[piv * m + r];
-                if f == 0.0 {
-                    continue;
-                }
-                for c in 0..m {
-                    b[c * m + r] -= f * b[c * m + piv];
-                    inv[c * m + r] -= f * inv[c * m + piv];
+            // Eliminate column `piv` from every other row, one matrix
+            // column at a time: the inner loop runs down a contiguous
+            // column, and columns with a zero in the pivot row (most of
+            // a sparse basis) are skipped outright.
+            f.copy_from_slice(&b[piv * m..(piv + 1) * m]);
+            f[piv] = 0.0;
+            for mat in [&mut b, &mut inv] {
+                for col in mat.chunks_exact_mut(m) {
+                    let p = col[piv];
+                    if p == 0.0 {
+                        continue;
+                    }
+                    for (x, &fr) in col.iter_mut().zip(&f) {
+                        *x -= fr * p;
+                    }
                 }
             }
         }

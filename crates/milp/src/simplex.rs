@@ -31,6 +31,12 @@
 //!   only declared after a full scan under exact duals. A long
 //!   non-improving streak switches to Bland's rule (on exact duals),
 //!   which guarantees termination on degenerate instances.
+//! * Warm re-solves repair primal feasibility with a bounded-variable
+//!   **dual simplex** whose long-step ratio test flips every boxed column
+//!   it passes in one update and pivots once per iteration (see
+//!   [`Tableau::dual_reoptimize`]).
+
+use std::collections::BinaryHeap;
 
 use crate::model::{Cmp, Model};
 use crate::tol::{self, Tol};
@@ -69,8 +75,10 @@ pub struct LpWarmStart {
     basic: Vec<u32>,
     /// The factorization (plus eta chain) captured with the basis, so a
     /// reuse installs it with a clone instead of a refactorization; flat
-    /// storage keeps the clone a few `memcpy`s.
-    basis: lu::Basis,
+    /// storage keeps the clone a few `memcpy`s. `None` in a snapshot
+    /// stripped to its basic set ([`LpWarmStart::without_factors`]),
+    /// which refactorizes on reuse.
+    basis: Option<lu::Basis>,
     /// Fingerprint of the equilibration scaling the snapshot was captured
     /// under ([`scaling::Scaling::fp`], or [`scaling::IDENTITY_FP`]). A
     /// basis is only valid in the scaled space it was optimal in, so a
@@ -78,6 +86,29 @@ pub struct LpWarmStart {
     /// derived from the matrix alone, so the rhs/bound/cost perturbations
     /// of the sweep chains keep the fingerprint stable.
     scale_fp: u64,
+}
+
+impl LpWarmStart {
+    /// The same snapshot without its factorization: the variable states
+    /// and basic set only, `O(n + m)` instead of the factors' `O(m²)`
+    /// (dense) or `O(nnz)` (sparse). A reuse refactorizes the basic set,
+    /// at one work unit.
+    pub(crate) fn without_factors(&self) -> LpWarmStart {
+        LpWarmStart {
+            n: self.n,
+            m: self.m,
+            basic_fp: self.basic_fp,
+            state: self.state.clone(),
+            basic: self.basic.clone(),
+            basis: None,
+            scale_fp: self.scale_fp,
+        }
+    }
+
+    /// Whether the snapshot carries its factorization.
+    pub(crate) fn has_factors(&self) -> bool {
+        self.basis.is_some()
+    }
 }
 
 /// Iterations without objective improvement before switching to Bland.
@@ -92,6 +123,9 @@ const DEGEN_SWITCH: usize = 100_000;
 /// whose inflated corridor then feeds the ratio test bump-sized fake
 /// steps forever instead of letting the vertex resolve combinatorially.
 const SHIFT_AFTER: usize = 20_000;
+/// Relative size of the dual phase's cost perturbation (see
+/// [`Tableau::dual_reoptimize`]).
+const DUAL_PERTURB: f64 = 1e-7;
 /// Devex weight ceiling: a new reference framework starts (all weights
 /// reset to 1) when any weight outgrows it.
 const DEVEX_RESET: f64 = 1e7;
@@ -224,8 +258,8 @@ struct Tableau<'a> {
     /// Factorization workspace (reused across refactorizations).
     fscratch: lu::FactorScratch,
     iterations: usize,
-    /// Dual-simplex bound flips among `iterations`: ratio-test steps that
-    /// moved the entering column bound-to-bound instead of pivoting.
+    /// Boxed columns the dual long-step ratio test flipped bound-to-bound
+    /// (breakpoints passed). Not iterations: every dual iteration pivots.
     dual_flips: usize,
     /// Basis refactorizations performed (each is a work unit: a
     /// refactorization costs a multiple of an ordinary iteration, and
@@ -257,43 +291,39 @@ struct Tableau<'a> {
     colmax: Vec<f64>,
 }
 
-/// What the dual simplex can keep across bound flips. Every field is a
-/// function of the basis factorization alone (plus the leaving row, for
-/// the pivot row), and a flip leaves the basis untouched; a pivot or a
-/// refactorization calls [`DualRowCache::basis_changed`].
-struct DualRowCache {
-    /// Duals `y = c_B' B⁻¹`, computed on first use after a basis change.
-    y: Vec<f64>,
-    y_valid: bool,
-    /// Leaving row whose pivot row `rho`/`alpha` hold, if any.
-    row: Option<usize>,
-    /// `ρ = e_row' B⁻¹`.
-    rho: Vec<f64>,
-    /// `(j, α_j)` of the ratio test's admissible columns, in column order
-    /// (see [`Tableau::pivot_row_into`]).
-    alpha: Vec<(u32, f64)>,
-    /// Reduced cost per column under `y`; `NaN` until priced.
-    d: Vec<f64>,
+/// One admissible breakpoint of the dual ratio test: nonbasic column `j`
+/// with pivot-row entry `alpha` and reduced cost `d`, whose reduced cost
+/// reaches zero after a dual step of `t = |d| / |alpha|` (0 when `d`
+/// already has the wrong sign).
+#[derive(Debug, Clone, Copy)]
+struct Breakpoint {
+    t: f64,
+    j: u32,
+    alpha: f64,
+    d: f64,
 }
 
-impl DualRowCache {
-    fn new(ncols: usize) -> Self {
-        DualRowCache {
-            y: Vec::new(),
-            y_valid: false,
-            row: None,
-            rho: Vec::new(),
-            alpha: Vec::new(),
-            d: vec![f64::NAN; ncols],
-        }
-    }
-
-    fn basis_changed(&mut self) {
-        self.y_valid = false;
-        self.row = None;
-        self.d.fill(f64::NAN);
+/// Min-heap order on `(t, j)` (`BinaryHeap` is a max-heap), so popping
+/// yields the breakpoints in ratio order with a deterministic tie-break.
+impl Ord for Breakpoint {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .t
+            .total_cmp(&self.t)
+            .then_with(|| other.j.cmp(&self.j))
     }
 }
+impl PartialOrd for Breakpoint {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl PartialEq for Breakpoint {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Breakpoint {}
 
 impl<'a> Tableau<'a> {
     fn col(&self, j: usize) -> &[(u32, f64)] {
@@ -917,7 +947,7 @@ impl<'a> Tableau<'a> {
             basic_fp: model.basis_fingerprint(&self.basic),
             state: self.state,
             basic: self.basic,
-            basis: self.basis,
+            basis: Some(self.basis),
             scale_fp: prep.scale_fp(),
         })
     }
@@ -926,26 +956,69 @@ impl<'a> Tableau<'a> {
     /// values may violate their bounds (the state right after a bound or
     /// RHS perturbation), pivots until primal feasibility is restored.
     ///
-    /// Uses the bounded-variable dual ratio test with bound flips. Most
-    /// iterations are flips (about 90% on warm what-if chains), and a
-    /// flip moves one nonbasic column bound-to-bound without touching the
-    /// basis, so the duals, the pivot row and the reduced costs it priced
-    /// stay exact across it: they live in a [`DualRowCache`] that only a
-    /// basis change (a pivot or any refactorization) clears, and the
-    /// pivot row is re-derived only when the leaving row changes. Every
-    /// value read from the cache is the one a fresh BTRAN on the same
-    /// factors would produce, bit for bit, so the pivot path is that of
-    /// recomputing everything each iteration.
-    /// Returns `Err(Infeasible)` when a violated row admits no entering
-    /// column — the standard dual-simplex infeasibility certificate.
+    /// The ratio test is the **long-step** (bound-flipping) one. The
+    /// leaving row is the basic variable with the largest bound
+    /// violation; its pivot row's admissible breakpoints are passed in
+    /// ratio order while the row's remaining infeasibility stays
+    /// positive — each passed boxed column flips to its opposite bound,
+    /// which keeps it dual feasible past its breakpoint and pays off
+    /// `|α_j|·(u_j − l_j)` of the violation — and the first breakpoint
+    /// that would exhaust the violation (or an unboxed one) blocks. All
+    /// passed columns flip with one FTRAN of their summed column, then
+    /// the iteration pivots on the blocking breakpoint, Harris-style:
+    /// the largest `|α|` among the breakpoints whose ratios sit within
+    /// the dual feasibility tolerance of it. Every iteration is a pivot,
+    /// so `iterations` counts pivots and `dual_flips` passed breakpoints.
+    ///
+    /// The duals are updated from the pivot row instead of a BTRAN per
+    /// pivot — `y += θ·ρ` with `θ = d_q/α_q`, kept in reduced-cost form
+    /// as `d_j −= θ·α_j` — and recomputed exactly at every
+    /// refactorization; each row's violation thresholds change only when
+    /// its basic variable does. Returns `Err(Infeasible)` when the row
+    /// stays violated beyond its feasibility tolerance after every
+    /// breakpoint is passed — the dual ray certifying infeasibility.
     fn dual_reoptimize(&mut self, cost: &[f64], iter_limit: usize) -> Result<()> {
         let m = self.m;
         // The dual phase's own iteration guard, proportional to the basis
         // size and far below the global limit: a degenerate stall is
         // cheaper to abandon to the cold fallback than to grind through.
         let budget = iter_limit.min(self.iterations + 4 * m + 100);
-        let mut cache = DualRowCache::new(self.ncols);
+        // The dual phase prices perturbed costs: every nonbasic column's
+        // cost moves by a small deterministic amount in the direction that
+        // keeps it dual feasible, so the zero reduced costs of a
+        // degenerate optimum (the paper's LP 2 is full of them) become
+        // distinct ratios instead of ties the pivot path can cycle
+        // through. Costs are also shifted where a Harris pivot enters a
+        // column whose reduced cost drifted to the wrong sign (see below).
+        // The primal phase that follows re-prices with the true costs.
+        let mut cost = cost.to_vec();
+        for (j, c) in cost.iter_mut().enumerate() {
+            let dir = match self.state[j] {
+                VState::AtLower => 1.0,
+                VState::AtUpper => -1.0,
+                _ => continue,
+            };
+            if self.lo[j] == self.hi[j] {
+                continue;
+            }
+            // A fixed pseudo-random factor in [1, 2) per column.
+            let u = (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            let spread = 1.0 + u as f64 / (1u64 << 53) as f64;
+            *c += dir * DUAL_PERTURB * (1.0 + c.abs()) * spread;
+        }
+        let mut d: Vec<f64> = Vec::new();
+        self.dual_prices_into(&cost, &mut d);
+        // `(lo − ε, hi + ε)` of each row's basic variable: outside it the
+        // row is violated.
+        let mut thresholds: Vec<(f64, f64)> = (0..m).map(|r| self.row_thresholds(r)).collect();
+        let mut rho: Vec<f64> = Vec::new();
+        // `(j, α_j)` of the pivot row's nonzeros over nonbasic, non-fixed
+        // columns.
+        let mut row: Vec<(u32, f64)> = Vec::new();
         let mut w: Vec<f64> = Vec::new();
+        let mut flip: Vec<f64> = Vec::new();
+        let mut heap: BinaryHeap<Breakpoint> = BinaryHeap::new();
+        let mut passed: Vec<Breakpoint> = Vec::new();
         loop {
             if self.iterations >= budget {
                 return Err(SolverError::IterationLimit {
@@ -956,93 +1029,162 @@ impl<'a> Tableau<'a> {
             self.iterations += 1;
             if self.basis.should_refactorize() {
                 self.refactorize()?;
-                cache.basis_changed();
+                self.dual_prices_into(&cost, &mut d);
             }
 
             // Leaving row: the basic variable with the largest bound
-            // violation (relative to its bound's feasibility epsilon);
-            // `below` records which bound it will exit at.
+            // violation; `below` records which bound it will exit at.
             let mut leave: Option<(usize, f64, bool)> = None;
-            for r in 0..m {
-                let j = self.basic[r] as usize;
-                if self.xb[r] < self.lo[j] - self.tol.feas_eps(self.lo[j]) {
-                    let v = self.lo[j] - self.xb[r];
-                    if leave.is_none_or(|(_, bv, _)| v > bv) {
-                        leave = Some((r, v, true));
-                    }
-                } else if self.xb[r] > self.hi[j] + self.tol.feas_eps(self.hi[j]) {
-                    let v = self.xb[r] - self.hi[j];
-                    if leave.is_none_or(|(_, bv, _)| v > bv) {
-                        leave = Some((r, v, false));
-                    }
+            for (r, &(lo_t, hi_t)) in thresholds.iter().enumerate() {
+                let x = self.xb[r];
+                let (v, below) = if x < lo_t {
+                    (self.lo[self.basic[r] as usize] - x, true)
+                } else if x > hi_t {
+                    (x - self.hi[self.basic[r] as usize], false)
+                } else {
+                    continue;
+                };
+                if leave.is_none_or(|(_, bv, _)| v > bv) {
+                    leave = Some((r, v, below));
                 }
             }
-            let Some((r, _, below)) = leave else {
+            let Some((r, violation, below)) = leave else {
                 return Ok(()); // primal feasible
             };
 
-            if cache.row != Some(r) {
-                self.pivot_row_into(r, &mut cache);
-            }
-
-            // Entering column: bounded dual ratio test over the cached
-            // pivot row, in column order. The leaving basic moves toward
-            // its violated bound; xb[r] changes by `-alpha_rj · Δx_j`, so
-            // eligibility is a sign condition on `alpha_rj` and the
-            // entering variable's resting state (which a flip changes, so
-            // it is read live).
-            let mut best: Option<(f64, f64, usize)> = None; // (ratio, |alpha|, col)
-            for &(j32, alpha) in &cache.alpha {
-                let j = j32 as usize;
-                // Required movement direction of the entering variable.
-                let dx_sign = if below {
-                    -alpha.signum()
-                } else {
-                    alpha.signum()
-                };
-                let ok = match self.state[j] {
-                    VState::AtLower => dx_sign > 0.0,
-                    VState::AtUpper => dx_sign < 0.0,
-                    VState::FreeAtZero => true,
-                    VState::Basic => unreachable!(),
-                };
-                if !ok {
+            // Breakpoints of the pivot row. The leaving basic moves toward
+            // its violated bound; xb[r] changes by `-α_j · Δx_j`, so a
+            // column is admissible when its resting bound lets it move
+            // that way. Its reduced cost then shrinks toward zero at rate
+            // `|α_j|` per unit of dual step.
+            self.binv_row_into(r, &mut rho);
+            let s = if below { -1.0 } else { 1.0 };
+            let mut bps = std::mem::take(&mut heap).into_vec();
+            bps.clear();
+            row.clear();
+            for j in 0..self.ncols {
+                if self.state[j] == VState::Basic || self.lo[j] == self.hi[j] {
                     continue;
                 }
-                if cache.d[j].is_nan() {
-                    if !cache.y_valid {
-                        self.btran_duals_into(cost, &mut cache.y);
-                        cache.y_valid = true;
-                    }
-                    cache.d[j] = self.reduced_cost(j, cost, &cache.y);
+                let mut alpha = 0.0;
+                for &(i, a) in self.col(j) {
+                    alpha += rho[i as usize] * a;
                 }
-                let ratio = cache.d[j].abs() / alpha.abs();
-                let better = match best {
-                    None => true,
-                    Some((br, ba, _)) => {
-                        let tie = tol::TIE_REL * (1.0 + br.abs());
-                        ratio < br - tie || ((ratio - br).abs() <= tie && alpha.abs() > ba)
-                    }
+                if alpha == 0.0 {
+                    continue;
+                }
+                row.push((j as u32, alpha));
+                if alpha.abs() <= self.tol.pivot {
+                    continue;
+                }
+                let sign = match self.state[j] {
+                    VState::AtLower if s * alpha > 0.0 => 1.0,
+                    VState::AtUpper if s * alpha < 0.0 => -1.0,
+                    VState::FreeAtZero => 0.0,
+                    _ => continue,
                 };
-                if better {
-                    best = Some((ratio, alpha.abs(), j));
-                }
+                // A column already (slightly) dual infeasible breaks at 0.
+                let slack = if sign == 0.0 {
+                    d[j].abs()
+                } else {
+                    (sign * d[j]).max(0.0)
+                };
+                bps.push(Breakpoint {
+                    t: slack / alpha.abs(),
+                    j: j as u32,
+                    alpha,
+                    d: d[j],
+                });
             }
-            let Some((_, _, j)) = best else {
-                // No direction can push the violated basic toward its
-                // bound: the perturbed LP is infeasible.
-                return Err(SolverError::Infeasible);
-            };
+            heap = BinaryHeap::from(bps);
 
-            self.ftran_into(j, &mut w);
+            // Long step: pass breakpoints while the violation left after
+            // flipping the passed column stays positive.
+            let mut remaining = violation;
+            passed.clear();
+            let blocking = loop {
+                let Some(bp) = heap.pop() else { break None };
+                let j = bp.j as usize;
+                let cut = bp.alpha.abs() * (self.hi[j] - self.lo[j]);
+                if cut.is_finite() && remaining - cut > 0.0 {
+                    remaining -= cut;
+                    passed.push(bp);
+                } else {
+                    break Some(bp);
+                }
+            };
+            let q = match blocking {
+                Some(bp) => {
+                    // Harris pass: every breakpoint whose ratio sits inside
+                    // the tolerance-relaxed minimum ratio may pivot; the
+                    // largest |α| among them is the most stable.
+                    let eps = self.tol.opt;
+                    let mut bound = bp.t + eps / bp.alpha.abs();
+                    let mut q = bp;
+                    while let Some(next) = heap.peek() {
+                        if next.t > bound {
+                            break;
+                        }
+                        let next = heap.pop().expect("peeked");
+                        bound = bound.min(next.t + eps / next.alpha.abs());
+                        if next.alpha.abs() > q.alpha.abs() {
+                            q = next;
+                        }
+                    }
+                    q
+                }
+                None => {
+                    // Every breakpoint passed. Still violated beyond the
+                    // row's tolerance: the dual ray proves infeasibility.
+                    // Otherwise the last flip lands on the bound, up to
+                    // rounding: pivot on that column instead of flipping.
+                    let bound = if below {
+                        self.lo[self.basic[r] as usize]
+                    } else {
+                        self.hi[self.basic[r] as usize]
+                    };
+                    if passed.is_empty() || remaining > self.tol.feas_eps(bound) {
+                        return Err(SolverError::Infeasible);
+                    }
+                    passed.pop().expect("non-empty")
+                }
+            };
+            let qj = q.j as usize;
+
+            self.ftran_into(qj, &mut w);
             let wr = w[r];
             if wr.abs() < self.tol.pivot {
                 // The FTRAN disagrees with the row estimate — numerically
                 // dangerous; rebuild the factorization and retry.
                 self.refactorize()?;
-                cache.basis_changed();
+                self.dual_prices_into(&cost, &mut d);
                 continue;
             }
+
+            // Flip every passed column with one FTRAN of their summed
+            // column.
+            if !passed.is_empty() {
+                flip.clear();
+                flip.resize(m, 0.0);
+                for bp in &passed {
+                    let j = bp.j as usize;
+                    let range = self.hi[j] - self.lo[j];
+                    let (step, to) = match self.state[j] {
+                        VState::AtLower => (range, VState::AtUpper),
+                        _ => (-range, VState::AtLower),
+                    };
+                    for &(i, a) in self.col(j) {
+                        flip[i as usize] += a * step;
+                    }
+                    self.state[j] = to;
+                }
+                self.basis.ftran(&mut flip, &mut self.scratch);
+                for (x, &f) in self.xb.iter_mut().zip(&flip) {
+                    *x -= f;
+                }
+                self.dual_flips += passed.len();
+            }
+
             let leaving = self.basic[r] as usize;
             let target = if below {
                 self.lo[leaving]
@@ -1050,27 +1192,7 @@ impl<'a> Tableau<'a> {
                 self.hi[leaving]
             };
             let dx = (self.xb[r] - target) / wr;
-
-            // Bound flip: the entering variable would overshoot its own
-            // opposite bound before the leaving one reaches `target`. Move
-            // it bound-to-bound and pick a new pivot for this row; the
-            // basis, and so every cached quantity, is unchanged.
-            let range = self.hi[j] - self.lo[j];
-            if range.is_finite() && dx.abs() > range + tol::TIE_REL * (1.0 + range) {
-                let step = range.copysign(dx);
-                for i in 0..m {
-                    self.xb[i] -= w[i] * step;
-                }
-                self.state[j] = match self.state[j] {
-                    VState::AtLower => VState::AtUpper,
-                    VState::AtUpper => VState::AtLower,
-                    s => s,
-                };
-                self.dual_flips += 1;
-                continue;
-            }
-
-            let enter_val = self.nonbasic_value(j) + dx;
+            let enter_val = self.nonbasic_value(qj) + dx;
             for i in 0..m {
                 if i != r {
                     self.xb[i] -= w[i] * dx;
@@ -1082,34 +1204,54 @@ impl<'a> Tableau<'a> {
             } else {
                 VState::AtUpper
             };
-            self.state[j] = VState::Basic;
-            self.basic[r] = j as u32;
-            self.update_basis(r, &w)?;
-            cache.basis_changed();
+            self.state[qj] = VState::Basic;
+            self.basic[r] = q.j;
+            thresholds[r] = self.row_thresholds(r);
+
+            // A column entering off a clamped (wrong-signed) reduced cost
+            // has its cost shifted to make that reduced cost zero, so the
+            // dual step is zero instead of backwards — a backwards step
+            // undoes earlier progress and the dual phase cycles.
+            let theta = if q.t == 0.0 && q.d != 0.0 {
+                cost[qj] -= q.d;
+                0.0
+            } else {
+                q.d / q.alpha
+            };
+            if self.update_basis(r, &w)? {
+                self.dual_prices_into(&cost, &mut d);
+            } else {
+                for &(j, alpha) in &row {
+                    d[j as usize] -= theta * alpha;
+                }
+                d[qj] = 0.0;
+                d[leaving] = -theta;
+            }
         }
     }
 
-    /// Fills `cache` with the pivot row of leaving row `r`: `ρ = e_r'
-    /// B⁻¹`, then `α_j = ρ·a_j` for every nonbasic, non-fixed column,
-    /// keeping those with `|α_j| > tol.pivot` in column order — exactly
-    /// the columns the dual ratio test can admit.
-    fn pivot_row_into(&mut self, r: usize, cache: &mut DualRowCache) {
-        self.binv_row_into(r, &mut cache.rho);
-        cache.alpha.clear();
+    /// Reduced costs `d = c − Aᵀy` under exact duals `y = c_Bᵀ B⁻¹` (one
+    /// BTRAN); zero on basic columns.
+    fn dual_prices_into(&mut self, cost: &[f64], d: &mut Vec<f64>) {
+        let mut y = Vec::new();
+        self.btran_duals_into(cost, &mut y);
+        d.clear();
+        d.resize(self.ncols, 0.0);
         for j in 0..self.ncols {
-            if self.state[j] == VState::Basic || self.lo[j] == self.hi[j] {
-                continue;
+            if self.state[j] != VState::Basic {
+                d[j] = self.reduced_cost(j, cost, &y);
             }
-            let mut alpha = 0.0;
-            for &(row, a) in self.col(j) {
-                alpha += cache.rho[row as usize] * a;
-            }
-            if alpha.abs() <= self.tol.pivot {
-                continue;
-            }
-            cache.alpha.push((j as u32, alpha));
         }
-        cache.row = Some(r);
+    }
+
+    /// `(lo − ε, hi + ε)` of row `r`'s basic variable, `ε` its bounds'
+    /// feasibility epsilons: the dual simplex's violation thresholds.
+    fn row_thresholds(&self, r: usize) -> (f64, f64) {
+        let j = self.basic[r] as usize;
+        (
+            self.lo[j] - self.tol.feas_eps(self.lo[j]),
+            self.hi[j] + self.tol.feas_eps(self.hi[j]),
+        )
     }
 
     /// Applies the basis change for a pivot on row `r` with FTRAN column
@@ -1626,14 +1768,32 @@ fn build_from_warm<'a>(model: &'a Model, w: &LpWarmStart, prep: &'a Prep) -> Opt
 
     // Install the carried factorization: the fingerprint guard above
     // certifies the basic columns' coefficients are the ones it was
-    // computed from, so a clone is as good as a refactorization.
-    let basis = w.basis.clone();
+    // computed from, so a clone is as good as a refactorization. A
+    // stripped snapshot factorizes its basic set afresh.
+    let struct_cols = prep.cols(model);
+    let basis = match &w.basis {
+        Some(b) => b.clone(),
+        None => {
+            let cols: Vec<&[(u32, f64)]> = basic
+                .iter()
+                .map(|&c| {
+                    let j = c as usize;
+                    if j < n {
+                        struct_cols[j].as_slice()
+                    } else {
+                        std::slice::from_ref(&extra_cols[j - n])
+                    }
+                })
+                .collect();
+            lu::Basis::factorize(m, &cols).ok()?
+        }
+    };
 
     let mut t = Tableau {
         m,
         n,
         ncols: n + m,
-        struct_cols: prep.cols(model),
+        struct_cols,
         extra_cols,
         lo,
         hi,
@@ -1647,14 +1807,14 @@ fn build_from_warm<'a>(model: &'a Model, w: &LpWarmStart, prep: &'a Prep) -> Opt
         fscratch: lu::FactorScratch::default(),
         iterations: 0,
         dual_flips: 0,
-        refactorizations: 0,
+        refactorizations: u64::from(w.basis.is_none()),
         work_budget: u64::MAX,
         work_base: 0,
         tol: prep.tol,
         shifted: Vec::new(),
         colmax: Vec::new(),
     };
-    if extend || t.basis.should_refactorize() {
+    if w.basis.is_some() && (extend || t.basis.should_refactorize()) {
         // Long chains still refactorize periodically, even across
         // snapshot hops; the extension path *always* refactorizes (the
         // carried factor has the wrong dimension). A singular basic set
@@ -2129,6 +2289,61 @@ mod tests {
         // Continuous model: integrality not enforced, values pass as-is.
         m.check_feasible(&s.values, 1e-6).unwrap();
         assert!(s.objective > 0.0);
+    }
+
+    #[test]
+    fn row_landing_on_its_bound_after_every_flip_is_feasible() {
+        // 0.1·x1 + 0.2·x2 + 0.3·x3 ≥ b over unit boxes, warm from b = 0.
+        // With b = 0.1 + 0.2 + 0.3 in floating point, the long step passes
+        // all three breakpoints and the row's remaining violation is a
+        // rounding residue of ~1e-16: the row is feasible (at x = 1), not
+        // a dual ray, and the verdict must not send the solve cold.
+        let mut m = Model::new(Sense::Minimize);
+        let x: Vec<_> = (0..3)
+            .map(|j| var(&mut m, &format!("x{j}"), 0.0, 1.0, 1.0 + j as f64))
+            .collect();
+        let row = m.add_constr(vec![(x[0], 0.1), (x[1], 0.2), (x[2], 0.3)], Cmp::Ge, 0.0);
+        let (_, basis) = m.solve_lp_warm(None).unwrap();
+        let basis = basis.expect("optimal basis captured");
+        m.set_rhs(row, 0.1 + 0.2 + 0.3);
+
+        let prep = super::Prep::new(&m);
+        let mut t = super::build_from_warm(&m, &basis, &prep).expect("snapshot installs");
+        let c2 = super::phase2_costs(&m, t.ncols, &prep);
+        t.dual_reoptimize(&c2, 1000)
+            .expect("a row that flips onto its bound is feasible");
+
+        let (s, _) = m.solve_lp_warm(Some(&basis)).unwrap();
+        assert_eq!(s.warm_fallbacks, 0, "the warm attempt fell back cold");
+        assert!(
+            (s.objective - 6.0).abs() < 1e-9,
+            "objective {}",
+            s.objective
+        );
+    }
+
+    #[test]
+    fn snapshot_without_factors_refactorizes_on_reuse() {
+        let mut m = Model::new(Sense::Minimize);
+        let x = var(&mut m, "x", 0.0, 4.0, 1.0);
+        let y = var(&mut m, "y", 0.0, 4.0, 3.0);
+        let z = var(&mut m, "z", 0.0, 4.0, 2.0);
+        let row = m.add_constr(vec![(x, 1.0), (y, 2.0), (z, 1.0)], Cmp::Ge, 3.0);
+        m.add_constr(vec![(x, 1.0), (z, -1.0)], Cmp::Le, 1.0);
+        let (_, basis) = m.solve_lp_warm(None).unwrap();
+        let basis = basis.expect("optimal basis captured");
+        let stripped = basis.without_factors();
+        assert!(basis.has_factors() && !stripped.has_factors());
+        m.set_rhs(row, 7.0);
+        let (full, _) = m.solve_lp_warm(Some(&basis)).unwrap();
+        let (lean, _) = m.solve_lp_warm(Some(&stripped)).unwrap();
+        let cold = m.solve_lp().unwrap();
+        assert_eq!(lean.warm_fallbacks, 0);
+        for s in [&full, &lean] {
+            assert!((s.objective - cold.objective).abs() < 1e-9);
+        }
+        // The refactorization is charged as one work unit.
+        assert_eq!(lean.work, full.work + 1);
     }
 
     #[test]

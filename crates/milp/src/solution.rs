@@ -25,10 +25,11 @@ pub struct Solution {
     pub gap: f64,
     /// Simplex iterations performed (summed over branch-and-bound nodes).
     pub iterations: usize,
-    /// Dual-simplex bound flips: ratio-test steps that moved a boxed
-    /// column bound-to-bound instead of changing the basis. Summed like
-    /// `iterations`, and (like `work`) including those of a warm attempt
-    /// that was abandoned to the cold solve.
+    /// Dual-simplex bound flips: breakpoints the long-step ratio test
+    /// passed, each a boxed column moved bound-to-bound within one
+    /// iteration. Not counted in `iterations` (every dual iteration is a
+    /// pivot). Summed like `iterations`, and (like `work`) including those
+    /// of a warm attempt that was abandoned to the cold solve.
     pub dual_flips: usize,
     /// Warm starts abandoned to the cold two-phase solve (numerical
     /// trouble, an uncertifiable repair, or the dual phase's iteration

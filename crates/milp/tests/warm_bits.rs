@@ -3,10 +3,12 @@
 //! Seeded chains of boxed-variable LPs are perturbed link by link —
 //! covering and packing right-hand sides moved, boxes pinned or cut —
 //! and re-solved warm from the previous link's basis, which drives the
-//! dual phase through long runs of bound flips. Budgeted
-//! `solve_mip` runs of the shipped engine over LP2-shaped covering
-//! programs (node warm starts, cuts, strong-branch probes) follow at 1
-//! and 4 workers.
+//! long-step dual ratio test through its bound flips. A two-row chain
+//! whose dual walk outruns the dual phase's iteration guard pins the
+//! cold fallback. Budgeted `solve_mip` runs of the shipped engine over
+//! LP2-shaped covering programs (node warm starts, cuts, strong-branch
+//! probes), six of them branching past the root, follow at 1 and 4
+//! workers.
 //! Every objective and value bit, every iteration, work and node count,
 //! and every outcome kind is folded into one FNV-1a digest.
 //!
@@ -19,11 +21,13 @@ use milp::{
     Cmp, LpWarmStart, MipOptions, MipOutcome, Model, Sense, Solution, SolverError, VarKind,
 };
 
-/// The digest of everything below, pinned before the flip-stable dual
-/// caches and the branch-free dense update landed. The six covering
-/// programs close in at most five nodes, so the MIP half pins the root
-/// (cuts, first probes, rounding) more than the deeper search.
-const WARM_BITS_DIGEST: u64 = 0x187c_7798_ea0e_f964;
+/// The digest of everything below, pinned when the long-step dual ratio
+/// test replaced the one-flip-per-iteration test. The six small covering
+/// programs close in at most five nodes and pin the root (cuts, first
+/// probes, rounding); the six deep ones take 7–15 nodes each and pin the
+/// search below it, including open nodes past the snapshot cap that
+/// refactorize a stripped basis when popped.
+const WARM_BITS_DIGEST: u64 = 0x1d48_f08a_383d_57f1;
 
 /// SplitMix64: a tiny seeded generator, so the instances cannot drift
 /// with any generator crate.
@@ -199,6 +203,55 @@ fn lp_chain(seed: u64, n: usize, m: usize, links: usize, digest: &mut Digest) ->
     (flips, fallbacks)
 }
 
+/// A chain over one two-row LP with `n` columns: `min Σ s_j² x_j` with
+/// `Σ x_j = 1`, `Σ 2 s_j x_j = 2 s̄` and `x ≥ 0`, for `s_j = j/16`. The
+/// optimum mixes the two columns around `s̄`, and its dual feasible
+/// region is a polygon with one edge per column. Each link moves `s̄`
+/// to the other end of the range, so the warm dual simplex walks the
+/// polygon one vertex per pivot — past the dual phase's `4m + 100`
+/// iteration guard when `n` is large — and the cold fallback answers.
+/// Folds every link into `digest`; returns the fallbacks taken.
+fn polygon_chain(n: usize, links: usize, digest: &mut Digest) -> usize {
+    let mut model = Model::new(Sense::Minimize);
+    let s: Vec<f64> = (0..n).map(|j| j as f64 / 16.0).collect();
+    let xs: Vec<_> = s
+        .iter()
+        .enumerate()
+        .map(|(j, &sj)| {
+            model.add_var(
+                format!("x{j}"),
+                VarKind::Continuous,
+                0.0,
+                f64::INFINITY,
+                sj * sj,
+            )
+        })
+        .collect();
+    model.add_constr(xs.iter().map(|&x| (x, 1.0)).collect(), Cmp::Eq, 1.0);
+    let mean = model.add_constr(
+        xs.iter().zip(&s).map(|(&x, &sj)| (x, 2.0 * sj)).collect(),
+        Cmp::Eq,
+        0.0,
+    );
+    let mut basis: Option<LpWarmStart> = None;
+    let mut fallbacks = 0;
+    for k in 0..=links {
+        let target = if k % 2 == 0 { 2.0 } else { s[n - 1] - 2.0 } + 1.0 / 32.0;
+        model.set_rhs(mean, 2.0 * target);
+        match model.solve_lp_warm(basis.as_ref()) {
+            Ok((sol, b)) => {
+                digest.solution(&sol);
+                fallbacks += sol.warm_fallbacks;
+                if b.is_some() {
+                    basis = b;
+                }
+            }
+            Err(e) => digest.error(&e),
+        }
+    }
+    fallbacks
+}
+
 /// An LP2-shaped covering program: binary `x_e` at unit cost, one VUB
 /// row per traffic, one coverage row at fraction `k`.
 fn covering(seed: u64, edges: usize, traffics: usize, k: f64) -> Model {
@@ -292,17 +345,32 @@ fn warm_chains_and_anytime_solves_keep_their_bits() {
     for seed in 100..102u64 {
         fold(lp_chain(seed, 260, 220, 6, &mut digest));
     }
+    // The dual walk that outruns the guard.
+    lp_fallbacks += polygon_chain(400, 4, &mut digest);
     assert!(lp_flips > 0, "the LP chains never flipped a bound");
     assert!(lp_fallbacks > 0, "no warm attempt fell back cold");
 
     let mut mip_flips = 0;
-    for seed in 0..6u64 {
-        let model = covering(
+    let small = (0..6u64).map(|seed| {
+        covering(
             1000 + seed,
             10 + seed as usize,
             12 + 2 * seed as usize,
             0.85,
-        );
+        )
+    });
+    // (seed, edges, traffics) of covering programs that branch: 7 to 15
+    // nodes each.
+    let deep = [
+        (2003, 36, 78),
+        (2006, 30, 60),
+        (2007, 32, 66),
+        (2008, 34, 72),
+        (2009, 36, 78),
+        (2010, 38, 84),
+    ]
+    .map(|(seed, edges, traffics)| covering(seed, edges, traffics, 0.85));
+    for (seed, model) in small.chain(deep).enumerate() {
         let full = match model.solve_mip(&engine(1, None), None) {
             Ok((MipOutcome::Complete(s), _)) => s.work,
             other => panic!("seed {seed}: unbudgeted solve did not complete: {other:?}"),
@@ -325,5 +393,32 @@ fn warm_chains_and_anytime_solves_keep_their_bits() {
         digest.0, WARM_BITS_DIGEST,
         "warm-path bits moved: digest {:#018x}",
         digest.0
+    );
+}
+
+/// The warm node re-solves of a deep covering search stay warm. With a
+/// one-flip-per-iteration dual ratio test, a column flipped for one
+/// leaving row flipped back for the next, and these six searches fell
+/// back cold 33 times, charging 28,040 work units for 12,684 iterations
+/// of successful solves; the long-step test finishes every re-solve
+/// warm, and nearly every work unit is an iteration that counts.
+#[test]
+fn deep_covering_searches_stay_warm() {
+    let (mut fallbacks, mut work, mut iterations) = (0, 0, 0);
+    for seed in 0..6u64 {
+        let model = covering(5000 + seed, 40, 90, 0.85);
+        match model.solve_mip(&engine(1, None), None) {
+            Ok((MipOutcome::Complete(s), _)) => {
+                fallbacks += s.warm_fallbacks;
+                work += s.work;
+                iterations += s.iterations as u64;
+            }
+            other => panic!("seed {seed}: unbudgeted solve did not complete: {other:?}"),
+        }
+    }
+    assert!(fallbacks <= 3, "{fallbacks} warm re-solves fell back cold");
+    assert!(
+        work * 4 <= iterations * 5,
+        "{work} work units for {iterations} iterations"
     );
 }
