@@ -370,10 +370,10 @@ fn warm_chains_and_anytime_solves_keep_their_bits() {
         (2010, 38, 84),
     ]
     .map(|(seed, edges, traffics)| covering(seed, edges, traffics, 0.85));
-    for (seed, model) in small.chain(deep).enumerate() {
+    for (case, model) in small.chain(deep).enumerate() {
         let full = match model.solve_mip(&engine(1, None), None) {
             Ok((MipOutcome::Complete(s), _)) => s.work,
-            other => panic!("seed {seed}: unbudgeted solve did not complete: {other:?}"),
+            other => panic!("case {case}: unbudgeted solve did not complete: {other:?}"),
         };
         for budget in [full / 5, full / 2, full] {
             let mut at = [Digest::new(), Digest::new()];
@@ -382,7 +382,7 @@ fn warm_chains_and_anytime_solves_keep_their_bits() {
             }
             assert_eq!(
                 at[0].0, at[1].0,
-                "seed {seed} budget {budget}: 1 vs 4 workers"
+                "case {case} budget {budget}: 1 vs 4 workers"
             );
             digest.word(at[0].0);
         }
