@@ -47,8 +47,8 @@ struct Routing {
     plan: RoutePlan,
     /// For each current traffic, the plan pair that routes it — `None`
     /// for flows added later with an explicit support, which are not
-    /// endpoint-routed and never re-route. Aligned with
-    /// `DeltaInstance::traffics` across flow insertions and removals.
+    /// endpoint-routed and never re-route. Aligned with the instance's
+    /// traffics across flow insertions and removals.
     pair_of: Vec<Option<usize>>,
 }
 
@@ -81,10 +81,10 @@ struct ModelCache {
 /// wire errors.
 #[derive(Debug, Default)]
 pub struct DeltaInstance {
-    num_edges: usize,
-    /// `(volume, sorted support)` per traffic — the *original* (unmerged)
-    /// instance the solvers' coverage semantics are defined on.
-    traffics: Vec<(f64, Vec<usize>)>,
+    /// The current *original* (unmerged) instance the solvers' coverage
+    /// semantics are defined on. Every mutation keeps its supports sorted
+    /// and duplicate-free, as [`PpmInstance::new`] would leave them.
+    inst: PpmInstance,
     /// Pre-installed devices (`x_e` fixed to 1 at zero cost — the paper's
     /// incremental-deployment setting).
     installed: Vec<usize>,
@@ -97,11 +97,15 @@ pub struct DeltaInstance {
 
 impl DeltaInstance {
     /// Starts a chain from an existing instance (no routed backing: link
-    /// failures only disable device placement, they cannot re-route).
+    /// failures only disable device placement, they cannot re-route),
+    /// normalized as [`PpmInstance::new`] normalizes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PpmInstance::new`] does.
     pub fn from_instance(inst: &PpmInstance) -> Self {
         DeltaInstance {
-            num_edges: inst.num_edges,
-            traffics: inst.traffics.clone(),
+            inst: PpmInstance::new(inst.num_edges, inst.traffics.clone()),
             ..Default::default()
         }
     }
@@ -133,8 +137,10 @@ impl DeltaInstance {
             .collect();
         let pair_of = (0..pairs.len()).map(Some).collect();
         Ok(DeltaInstance {
-            num_edges: graph.edge_count(),
-            traffics,
+            inst: PpmInstance {
+                num_edges: graph.edge_count(),
+                traffics,
+            },
             routing: Some(Routing {
                 graph: graph.clone(),
                 plan,
@@ -144,20 +150,21 @@ impl DeltaInstance {
         })
     }
 
-    /// Materializes the current instance (the exact state the chained
-    /// solves are answering for).
-    pub fn instance(&self) -> PpmInstance {
-        PpmInstance::new(self.num_edges, self.traffics.clone())
+    /// The current instance (the exact state the chained solves are
+    /// answering for), lent without a copy. The borrow ends at the next
+    /// mutation; `.clone()` it for a snapshot that must outlive one.
+    pub fn instance(&self) -> &PpmInstance {
+        &self.inst
     }
 
     /// Number of traffics currently in the instance.
     pub fn traffic_count(&self) -> usize {
-        self.traffics.len()
+        self.inst.traffics.len()
     }
 
     /// Number of links in the instance.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.inst.num_edges
     }
 
     /// The pre-installed device set (sorted, deduplicated).
@@ -184,7 +191,7 @@ impl DeltaInstance {
     ///
     /// Panics on an out-of-range flow index.
     pub fn demand(&self, t: usize) -> f64 {
-        self.traffics[t].0
+        self.inst.traffics[t].0
     }
 
     /// Adds a flow and returns its index.
@@ -214,9 +221,9 @@ impl DeltaInstance {
             // their support verbatim across link toggles.
             routing.pair_of.push(None);
         }
-        self.traffics.push((volume, support));
+        self.inst.traffics.push((volume, support));
         self.refresh_exact_volumes();
-        Ok(self.traffics.len() - 1)
+        Ok(self.inst.traffics.len() - 1)
     }
 
     /// Removes flow `t` (indices above `t` shift down, as in `Vec::remove`).
@@ -228,7 +235,7 @@ impl DeltaInstance {
         if let Some(routing) = self.routing.as_mut() {
             routing.pair_of.remove(t);
         }
-        self.traffics.remove(t);
+        self.inst.traffics.remove(t);
         self.refresh_exact_volumes();
         Ok(())
     }
@@ -238,7 +245,7 @@ impl DeltaInstance {
     /// volume that is negative or not finite, mutating nothing.
     pub fn try_scale_demand(&mut self, t: usize, factor: f64) -> Result<(), PlacementError> {
         self.check_traffic(t)?;
-        let v = self.traffics[t].0 * factor;
+        let v = self.inst.traffics[t].0 * factor;
         if !v.is_finite() || v < 0.0 {
             return Err(PlacementError::new(
                 "factor",
@@ -246,7 +253,7 @@ impl DeltaInstance {
             ));
         }
         self.budget_cache = None;
-        self.traffics[t].0 = v;
+        self.inst.traffics[t].0 = v;
         self.refresh_exact_volumes();
         Ok(())
     }
@@ -261,7 +268,7 @@ impl DeltaInstance {
         self.check_traffic(t)?;
         check_volume(volume)?;
         self.budget_cache = None;
-        self.traffics[t].0 = volume;
+        self.inst.traffics[t].0 = volume;
         self.refresh_exact_volumes();
         Ok(())
     }
@@ -338,12 +345,12 @@ impl DeltaInstance {
 
     /// Checks that link `e`, given as `field`, exists.
     fn check_link(&self, field: &'static str, e: usize) -> Result<(), PlacementError> {
-        if e >= self.num_edges {
+        if e >= self.inst.num_edges {
             return Err(PlacementError::new(
                 field,
                 format!(
                     "link {e} out of range (instance has {} links)",
-                    self.num_edges
+                    self.inst.num_edges
                 ),
             ));
         }
@@ -352,12 +359,12 @@ impl DeltaInstance {
 
     /// Checks that flow `t` exists.
     fn check_traffic(&self, t: usize) -> Result<(), PlacementError> {
-        if t >= self.traffics.len() {
+        if t >= self.inst.traffics.len() {
             return Err(PlacementError::new(
                 "traffic",
                 format!(
                     "traffic {t} out of range (instance has {} traffics)",
-                    self.traffics.len()
+                    self.inst.traffics.len()
                 ),
             ));
         }
@@ -375,7 +382,7 @@ impl DeltaInstance {
             .reroute_avoiding(&routing.graph, &banned)
             .expect("pairs stay valid");
         routing.plan = plan;
-        for (i, t) in self.traffics.iter_mut().enumerate() {
+        for (i, t) in self.inst.traffics.iter_mut().enumerate() {
             if let Some(p) = routing.pair_of[i] {
                 t.1 = support_of(&routing.plan, p);
             }
@@ -404,7 +411,7 @@ impl DeltaInstance {
         // original traffic order (merge_traffics stable-sorts, so within a
         // group the summation order — hence the float — is identical).
         let mut vols = vec![0.0f64; cache.groups.len()];
-        for (v, s) in &self.traffics {
+        for (v, s) in &self.inst.traffics {
             if *v <= 0.0 || s.is_empty() {
                 continue;
             }
@@ -438,7 +445,7 @@ impl DeltaInstance {
         opts: &ExactOptions,
         work_budget: Option<u64>,
     ) -> Anytime<Option<PpmSolution>> {
-        let inst = self.instance();
+        let inst = &self.inst;
         let target = k * inst.total_volume();
         if target > inst.max_coverage_fraction() * inst.total_volume() + 1e-9 {
             return Anytime::Done(None);
@@ -476,7 +483,7 @@ impl DeltaInstance {
         let target_row = cache.target_row;
         cache.model.set_rhs(target_row, target);
         if plain {
-            install_greedy_incumbent(&mut cache.model, &cache.xs, &inst, &cache.merged, k);
+            install_greedy_incumbent(&mut cache.model, &cache.xs, inst, &cache.merged, k);
         }
         let mip_opts = MipOptions {
             max_nodes: opts.max_nodes,
@@ -496,7 +503,7 @@ impl DeltaInstance {
         }
         Anytime::from_mip(outcome, |sol, proven| {
             Some(PpmSolution::from_edges(
-                &inst,
+                inst,
                 selected_edges(&cache.xs, sol),
                 proven,
             ))
@@ -513,7 +520,7 @@ impl DeltaInstance {
         opts: &ExactOptions,
         work_budget: Option<u64>,
     ) -> Anytime<BudgetSolution> {
-        let inst = self.instance();
+        let inst = &self.inst;
         if self.budget_cache.is_none() {
             let merged = inst.merged();
             let (mut model, xs) = build_budget_model(&merged, &self.installed);
@@ -547,12 +554,7 @@ impl DeltaInstance {
             Ok(out) => out,
             // The node limit closed the search before any incumbent landed.
             Err(milp::SolverError::NodeLimitNoSolution { .. }) => {
-                return Anytime::Done(greedy_budget(
-                    &inst,
-                    budget,
-                    &self.installed,
-                    &self.disabled,
-                ));
+                return Anytime::Done(greedy_budget(inst, budget, &self.installed, &self.disabled));
             }
             Err(e) => panic!("budget problem is always feasible: {e:?}"),
         };
@@ -560,7 +562,7 @@ impl DeltaInstance {
             cache.warm = warm;
         }
         Anytime::from_mip(outcome, |sol, proven| {
-            BudgetSolution::from_edges(&inst, selected_edges(&cache.xs, sol), proven)
+            BudgetSolution::from_edges(inst, selected_edges(&cache.xs, sol), proven)
         })
     }
 }
@@ -683,12 +685,12 @@ mod tests {
         delta.try_scale_demand(0, 3.0).unwrap();
         let t = delta.try_add_flow(2.5, vec![3, 4]).unwrap();
         let a = chain_ppm(&mut delta, 0.9).unwrap();
-        let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
+        let fresh = solve_ppm_exact(delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(a.device_count(), fresh.device_count());
 
         delta.try_remove_flow(t).unwrap();
         let b = chain_ppm(&mut delta, 0.9).unwrap();
-        let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
+        let fresh = solve_ppm_exact(delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(b.device_count(), fresh.device_count());
     }
 
@@ -743,7 +745,7 @@ mod tests {
         // repairs: the cached model must survive every one of them.
         delta.try_scale_demand(0, 2.5).unwrap();
         assert!(delta.exact_cache.is_some(), "scale must repair in place");
-        let support = delta.traffics[1].1.clone();
+        let support = delta.inst.traffics[1].1.clone();
         let t = delta.try_add_flow(1.5, support).unwrap();
         assert!(
             delta.exact_cache.is_some(),
@@ -754,7 +756,7 @@ mod tests {
 
         // And the repaired model answers exactly like a cold solve.
         let chained = chain_ppm(&mut delta, 0.9).unwrap();
-        let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
+        let fresh = solve_ppm_exact(delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(chained.device_count(), fresh.device_count());
         assert!(delta.instance().is_feasible(&chained.edges, 0.9));
 
@@ -765,7 +767,7 @@ mod tests {
             "new support group must drop the cache"
         );
         let chained = chain_ppm(&mut delta, 0.9).unwrap();
-        let fresh = solve_ppm_exact(&delta.instance(), 0.9, &opts).unwrap();
+        let fresh = solve_ppm_exact(delta.instance(), 0.9, &opts).unwrap();
         assert_eq!(chained.device_count(), fresh.device_count());
     }
 
@@ -780,7 +782,7 @@ mod tests {
         delta.try_fail_link(1).unwrap();
         assert!(delta.exact_cache.is_some(), "fail must repair in place");
         let a = chain_ppm(&mut delta, 1.0).unwrap();
-        let fresh = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
+        let fresh = solve_ppm_exact(delta.instance(), 1.0, &opts).unwrap();
         // solve_ppm_exact has no disabled set; compare against the chained
         // invariant instead: feasible, link excluded, optimal.
         assert!(!a.edges.contains(&1));
@@ -790,7 +792,7 @@ mod tests {
         delta.try_restore_link(1).unwrap();
         assert!(delta.exact_cache.is_some(), "restore must repair in place");
         let b = chain_ppm(&mut delta, 1.0).unwrap();
-        let cold = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
+        let cold = solve_ppm_exact(delta.instance(), 1.0, &opts).unwrap();
         assert_eq!(b.device_count(), cold.device_count());
 
         // set_installed is a cost/bound repair on the changed edges only.
@@ -800,12 +802,12 @@ mod tests {
             "set_installed must repair in place"
         );
         let c = chain_ppm(&mut delta, 1.0).unwrap();
-        let cold = solve_incremental(&delta.instance(), 1.0, &[0], &opts).unwrap();
+        let cold = solve_incremental(delta.instance(), 1.0, &[0], &opts).unwrap();
         assert_eq!(c.device_count(), cold.device_count());
         assert!(c.edges.contains(&0));
         delta.try_set_installed(&[]).unwrap();
         let d = chain_ppm(&mut delta, 1.0).unwrap();
-        let cold = solve_ppm_exact(&delta.instance(), 1.0, &opts).unwrap();
+        let cold = solve_ppm_exact(delta.instance(), 1.0, &opts).unwrap();
         assert_eq!(d.device_count(), cold.device_count());
     }
 
@@ -875,9 +877,9 @@ mod tests {
                 let snapshot = delta.instance();
                 let installed = delta.installed.clone();
                 let one_shot = if installed.is_empty() {
-                    solve_ppm_exact(&snapshot, k, &opts)
+                    solve_ppm_exact(snapshot, k, &opts)
                 } else {
-                    solve_incremental(&snapshot, k, &installed, &opts)
+                    solve_incremental(snapshot, k, &installed, &opts)
                 };
                 if let Some(b) = one_shot {
                     let a = chain_ppm(&mut delta, k).unwrap();
@@ -889,6 +891,47 @@ mod tests {
             delta.exact_cache.is_some(),
             "the whole unrouted chain must ride one cached model"
         );
+    }
+
+    #[test]
+    fn every_mutation_keeps_the_lent_instance_normalized() {
+        use popgen::{PopSpec, TrafficSpec};
+
+        // The lent instance skips `PpmInstance::new`, so every mutation
+        // must leave supports sorted and duplicate-free on its own.
+        let pop = PopSpec::small().build();
+        let ts = TrafficSpec::default().generate(&pop, 5);
+        let chains = [
+            DeltaInstance::from_traffic(&pop.graph, &ts),
+            DeltaInstance::from_instance(&PpmInstance::from_traffic(&pop.graph, &ts)),
+        ];
+        for mut delta in chains {
+            let check = |d: &DeltaInstance, after: &str| {
+                let lent = d.instance();
+                let normalized = PpmInstance::new(lent.num_edges, lent.traffics.clone());
+                let routed = d.is_routed();
+                assert_eq!(lent.num_edges, normalized.num_edges, "{after}, {routed}");
+                assert_eq!(lent.traffics, normalized.traffics, "{after}, {routed}");
+            };
+            let m = delta.num_edges();
+            let heavy = delta.instance().traffics[0].1[0];
+            delta
+                .try_add_flow(2.0, vec![m - 1, 0, m - 1, 2, 0])
+                .unwrap();
+            check(&delta, "add_flow");
+            delta.try_fail_link(heavy).unwrap();
+            check(&delta, "fail_link");
+            delta.try_scale_demand(1, 2.5).unwrap();
+            check(&delta, "scale_demand");
+            delta.try_set_demand(2, 0.0).unwrap();
+            check(&delta, "set_demand");
+            delta.try_set_installed(&[3, 1, 3]).unwrap();
+            check(&delta, "set_installed");
+            delta.try_remove_flow(0).unwrap();
+            check(&delta, "remove_flow");
+            delta.try_restore_link(heavy).unwrap();
+            check(&delta, "restore_link");
+        }
     }
 
     #[test]

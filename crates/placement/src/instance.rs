@@ -18,7 +18,7 @@ use popgen::TrafficSet;
 /// (set of edge indices its path traverses). The graph itself is not
 /// needed by the solvers — only the edge-path incidence matters — which is
 /// exactly the observation behind Theorem 1.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PpmInstance {
     /// Number of candidate edges (`|E|`).
     pub num_edges: usize,

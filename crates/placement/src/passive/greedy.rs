@@ -20,11 +20,48 @@ use crate::setcover::greedy_partial_cover;
 
 /// Static decreasing-load greedy. Returns `None` when even all edges
 /// cannot reach the target (uncoverable traffic).
+///
+/// One pass: O(Σ|support| + E log E) (see [`decreasing_load_picks`]).
 pub fn greedy_static(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
     check_k(k);
     let total = inst.total_volume();
-    let target = k * total;
-    let loads = inst.edge_loads();
+    let skip = vec![false; inst.traffics.len()];
+    let dead = vec![false; inst.num_edges];
+    let picked = decreasing_load_picks(inst, &skip, &dead, total, k * total)?;
+    Some(PpmSolution::from_edges(inst, picked, false))
+}
+
+/// The decreasing-load greedy's picks, in pick order, on `inst` restricted
+/// to the traffics `skip` leaves in and with the `dead` links carrying no
+/// load; `None` when every pick together stays short of `target`. `total`
+/// is the volume of the kept traffics, summed in traffic order.
+///
+/// The picks are a prefix of the load order, so a traffic is covered by
+/// the first picked edge on its support. Bucketing the kept traffics by
+/// that edge's rank (a counting sort, stable in traffic order) and adding
+/// each bucket's volumes pick by pick replays the textbook loop's
+/// `covered += v` sequence exactly — rescanning every support per pick —
+/// at O(Σ|support| + E log E) instead of O(picks·Σ|support|).
+pub(crate) fn decreasing_load_picks(
+    inst: &PpmInstance,
+    skip: &[bool],
+    dead: &[bool],
+    total: f64,
+    target: f64,
+) -> Option<Vec<usize>> {
+    let kept = || {
+        inst.traffics
+            .iter()
+            .enumerate()
+            .filter(|&(t, _)| !skip[t])
+            .map(|(_, (v, support))| (*v, support.iter().copied().filter(|&e| !dead[e])))
+    };
+    let mut loads = vec![0.0f64; inst.num_edges];
+    for (v, support) in kept() {
+        for e in support {
+            loads[e] += v;
+        }
+    }
     let mut order: Vec<usize> = (0..inst.num_edges).collect();
     // Decreasing load; ties on the smaller edge index for determinism.
     order.sort_by(|&a, &b| {
@@ -33,30 +70,51 @@ pub fn greedy_static(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
             .expect("finite loads")
             .then(a.cmp(&b))
     });
+    // Only loaded edges are ever picked.
+    let pickable = order.partition_point(|&e| loads[e] > 0.0);
+    let mut rank = vec![usize::MAX; inst.num_edges];
+    for (r, &e) in order[..pickable].iter().enumerate() {
+        rank[e] = r;
+    }
+    // Per kept traffic: its volume and the rank of its first pickable
+    // edge (`usize::MAX` when none is).
+    let first: Vec<(f64, usize)> = kept()
+        .map(|(v, support)| (v, support.map(|e| rank[e]).min().unwrap_or(usize::MAX)))
+        .collect();
+    let mut start = vec![0usize; pickable + 1];
+    for &(_, r) in &first {
+        if r < pickable {
+            start[r + 1] += 1;
+        }
+    }
+    for r in 0..pickable {
+        start[r + 1] += start[r];
+    }
+    let mut next = start.clone();
+    let mut bucketed = vec![0.0f64; start[pickable]];
+    for &(v, r) in &first {
+        if r < pickable {
+            bucketed[next[r]] = v;
+            next[r] += 1;
+        }
+    }
 
-    let mut covered = vec![false; inst.traffics.len()];
     let mut covered_w = 0.0f64;
     let mut picked = Vec::new();
     let tol = 1e-9 * total.max(1.0);
-    for e in order {
+    for (r, &e) in order[..pickable].iter().enumerate() {
         if covered_w + tol >= target {
             break;
         }
-        if loads[e] <= 0.0 {
-            break; // only empty edges remain
-        }
         picked.push(e);
-        for (t, (v, support)) in inst.traffics.iter().enumerate() {
-            if !covered[t] && support.contains(&e) {
-                covered[t] = true;
-                covered_w += v;
-            }
+        for v in &bucketed[start[r]..start[r + 1]] {
+            covered_w += v;
         }
     }
     if covered_w + tol < target {
         return None;
     }
-    Some(PpmSolution::from_edges(inst, picked, false))
+    Some(picked)
 }
 
 /// Adaptive (set-cover) greedy: repeatedly pick the edge covering the most

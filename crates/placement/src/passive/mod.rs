@@ -13,6 +13,7 @@ pub use exact::{
     ExactOptions,
 };
 pub(crate) use exact::{install_greedy_incumbent, solve_ppm_exact_anytime};
+pub(crate) use greedy::decreasing_load_picks;
 pub use greedy::{flow_greedy_ppm, greedy_adaptive, greedy_static};
 pub use mecf_bb::solve_ppm_mecf_bb;
 pub(crate) use variants::{build_budget_model, solve_budget_anytime};

@@ -24,8 +24,8 @@
 //!
 //! On *routed* chains failures re-route the crossing traffics, so
 //! supports change and incremental counters do not apply: the scorer
-//! falls back to materializing the instance per scenario (same chain,
-//! same reset contract, documented slow path).
+//! falls back to re-scoring the whole re-routed instance per scenario
+//! (same chain, same reset contract, documented slow path).
 //!
 //! [`greedy_expected`] is the stochastic-aware counterpart of the
 //! paper's greedy: it picks devices maximizing *expected coverage over
@@ -162,7 +162,7 @@ fn fraction(covered: f64, total: f64) -> f64 {
 /// scenario re-failing one is a no-op, not a double fault), and devices
 /// on them are dead throughout. On unrouted chains the result is bitwise
 /// equal to [`score_ensemble_cold`]; routed chains take the documented
-/// materializing slow path.
+/// re-scoring slow path.
 ///
 /// Past the up-front validation the only error is a scaled demand that
 /// overflows to infinity; it returns with that scenario's earlier deltas
@@ -212,8 +212,10 @@ pub fn score_ensemble(
         }
     }
     let live_base = placed.iter().filter(|&&e| !base_disabled_mask[e]).count();
-    // Current volumes, mirroring the chain's own state.
-    let mut vol: Vec<f64> = base.traffics.iter().map(|&(v, _)| v).collect();
+    // The entry volumes, restored after every scenario, and the current
+    // ones, mirroring the chain's own state.
+    let base_vol: Vec<f64> = base.traffics.iter().map(|&(v, _)| v).collect();
+    let mut vol = base_vol.clone();
 
     let mut per = Vec::with_capacity(scenarios.len());
     let mut newly_failed: Vec<usize> = Vec::new();
@@ -268,15 +270,14 @@ pub fn score_ensemble(
             }
         }
         for &(t, _) in &s.demand_factors {
-            let v = base.traffics[t].0;
-            delta.try_set_demand(t, v)?;
-            vol[t] = v;
+            delta.try_set_demand(t, base_vol[t])?;
+            vol[t] = base_vol[t];
         }
     }
     Ok(summarize(per))
 }
 
-/// The routed slow path: mutate, materialize, score, roll back. The
+/// The routed slow path: mutate, score the whole instance, roll back. The
 /// chain's delta-aware re-routing still makes this cheaper than cold
 /// rebuilds (only crossing traffics re-route on each failure), but the
 /// incremental counters of the unrouted path do not apply once supports

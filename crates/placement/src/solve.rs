@@ -24,8 +24,8 @@ use crate::active::{compute_probes, place_beacons_greedy, place_beacons_ilp};
 use crate::delta::DeltaInstance;
 use crate::instance::PpmInstance;
 use crate::passive::{
-    greedy_static, solve_budget_anytime, solve_ppm_exact_anytime, BudgetSolution, ExactOptions,
-    PpmSolution,
+    decreasing_load_picks, greedy_static, solve_budget_anytime, solve_ppm_exact_anytime,
+    BudgetSolution, ExactOptions, PpmSolution,
 };
 
 /// Typed validation error for placement requests and mutations — the
@@ -473,8 +473,9 @@ pub fn solve_apm(graph: &Graph, req: &SolveRequest) -> Result<SolveOutcome, Plac
 /// pre-installed devices contribute their coverage for free (dead ones on
 /// failed links do not — failure beats installation, matching
 /// [`DeltaInstance::solve`]), failed links can never host a device,
-/// and the greedy covers the residual target on the masked instance.
-/// `installed` and `disabled` must be sorted.
+/// and the greedy covers the residual target on the traffics the live
+/// installed set leaves uncovered. `installed` and `disabled` must be
+/// sorted.
 pub fn greedy_constrained(
     inst: &PpmInstance,
     installed: &[usize],
@@ -484,44 +485,47 @@ pub fn greedy_constrained(
     if installed.is_empty() && disabled.is_empty() {
         return greedy_static(inst, k);
     }
-    let live: Vec<usize> = installed
+    let mut dead = vec![false; inst.num_edges];
+    for &e in disabled {
+        if let Some(d) = dead.get_mut(e) {
+            *d = true;
+        }
+    }
+    let live: Vec<usize> = installed.iter().copied().filter(|&e| !dead[e]).collect();
+    let mut live_mask = vec![false; inst.num_edges];
+    for &e in &live {
+        live_mask[e] = true;
+    }
+    // Traffics already covered by the live installed set drop out; the
+    // rest lose their failed links (a support that empties becomes
+    // uncoverable, as in routed failures). Both sums run in traffic
+    // order, as `PpmInstance::coverage` and `total_volume` do.
+    let skip: Vec<bool> = inst
+        .traffics
         .iter()
-        .copied()
-        .filter(|e| disabled.binary_search(e).is_err())
+        .map(|(_, s)| s.iter().any(|&e| live_mask[e]))
         .collect();
+    let volumes = |covered: bool| -> f64 {
+        inst.traffics
+            .iter()
+            .zip(&skip)
+            .filter(|&(_, &skipped)| skipped == covered)
+            .map(|((v, _), _)| *v)
+            .sum()
+    };
     let target = k * inst.total_volume();
-    let base = inst.coverage(&live);
+    let base = volumes(true);
     if base + 1e-9 >= target {
         return Some(PpmSolution::from_edges(inst, live, false));
     }
-    // Residual instance: traffics already covered by the live installed
-    // set drop out; the rest lose their failed links (a support that
-    // empties becomes uncoverable, as in routed failures).
-    let residual: Vec<(f64, Vec<usize>)> = inst
-        .traffics
-        .iter()
-        .filter(|(_, s)| !s.iter().any(|e| live.binary_search(e).is_ok()))
-        .map(|(v, s)| {
-            (
-                *v,
-                s.iter()
-                    .copied()
-                    .filter(|e| disabled.binary_search(e).is_err())
-                    .collect(),
-            )
-        })
-        .collect();
-    let masked = PpmInstance::new(inst.num_edges, residual);
-    let sub_total = masked.total_volume();
+    let sub_total = volumes(false);
     if sub_total <= 0.0 {
         return None;
     }
     let k_residual = ((target - base) / sub_total).min(1.0);
-    let picked = greedy_static(&masked, k_residual)?;
+    let picked = decreasing_load_picks(inst, &skip, &dead, sub_total, k_residual * sub_total)?;
     let mut edges = live;
-    edges.extend(&picked.edges);
-    edges.sort_unstable();
-    edges.dedup();
+    edges.extend(picked);
     Some(PpmSolution::from_edges(inst, edges, false))
 }
 
@@ -573,7 +577,7 @@ impl DeltaInstance {
     /// Solves a unified request on the chain's current state — the one
     /// solve method of a chain, and the one the `popmond` service routes
     /// through. Exact solves ride the warm chain; greedy solves run
-    /// [`greedy_constrained`] on the materialized instance. APM requests
+    /// [`greedy_constrained`] on the borrowed instance. APM requests
     /// are rejected (they need a router graph; use [`solve_apm`]).
     ///
     /// With [`SolveRequest::work_budget`] set the exact solves are
@@ -591,23 +595,20 @@ impl DeltaInstance {
         if let Some(budget) = req.device_budget {
             let attempt = self.solve_budget_core(budget, &req.exact_options(), req.work_budget);
             return Ok(budget_outcome(attempt, || {
-                greedy_budget(&self.instance(), budget, self.installed(), self.disabled())
+                greedy_budget(self.instance(), budget, self.installed(), self.disabled())
             }));
         }
         let attempt = match req.method {
             SolveMethod::Exact => self.solve_exact_core(k, &req.exact_options(), req.work_budget),
-            SolveMethod::Greedy => {
-                let inst = self.instance();
-                Anytime::Done(greedy_constrained(
-                    &inst,
-                    self.installed(),
-                    self.disabled(),
-                    k,
-                ))
-            }
+            SolveMethod::Greedy => Anytime::Done(greedy_constrained(
+                self.instance(),
+                self.installed(),
+                self.disabled(),
+                k,
+            )),
         };
         Ok(ppm_outcome(attempt, || {
-            greedy_constrained(&self.instance(), self.installed(), self.disabled(), k)
+            greedy_constrained(self.instance(), self.installed(), self.disabled(), k)
         }))
     }
 }
