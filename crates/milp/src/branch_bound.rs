@@ -68,15 +68,6 @@ pub struct MipOptions {
     pub time_limit: Option<Duration>,
     /// Relative optimality gap at which the search stops early.
     pub rel_gap: f64,
-    /// Reuse each node's LP basis to warm-start its children (dual simplex
-    /// on the one changed bound instead of a cold two-phase solve).
-    ///
-    /// Off by default: basis reuse can land node LPs on *different optimal
-    /// vertices* than cold solves, which changes branching order — for
-    /// searches stopped early (node limits, loose `rel_gap`) the reported
-    /// incumbent may then legitimately differ between the two settings.
-    /// Proven-optimal runs return the same objective either way.
-    pub warm_basis: bool,
     /// Worker threads for the batch LP solves. 0 resolves `POPMON_THREADS`
     /// and falls back to the machine's parallelism. The value never
     /// affects results — only wall-clock.
@@ -105,7 +96,6 @@ impl Default for MipOptions {
             max_nodes: 200_000,
             time_limit: None,
             rel_gap: 1e-9,
-            warm_basis: false,
             threads: 1,
             node_batch: 1,
             work_budget: None,
@@ -232,8 +222,9 @@ struct Node {
     seq: usize,
     /// `(var index, lo, hi)` overrides.
     changes: Vec<(usize, f64, f64)>,
-    /// Parent's LP basis (shared by both children) when basis reuse is on;
-    /// stripped of its factorization past [`SNAPSHOT_CAP`].
+    /// Parent's LP basis (shared by both children; `None` when it still
+    /// held an artificial column), stripped of its factorization past
+    /// [`SNAPSHOT_CAP`].
     basis: Option<Arc<LpWarmStart>>,
     /// The branching that created this node: `(variable, up branch,
     /// fractional distance moved)`, used to update that variable's
@@ -390,8 +381,8 @@ fn append_cuts(
     added
 }
 
-/// A node's solved relaxation: the LP solution plus the basis snapshot
-/// (present only when the node went through the warm-capable path).
+/// A node's solved relaxation: the LP solution plus its basis snapshot
+/// (`None` when the final basis still holds an artificial column).
 struct NodeLp {
     sol: Solution,
     basis: Option<LpWarmStart>,
@@ -418,25 +409,19 @@ fn solve_node_lp(
     model: &mut Model,
     root: &Model,
     node: &Node,
-    warm_path: bool,
     lp_budget: Option<u64>,
 ) -> LpOutcome {
     for &(j, lo, hi) in &node.changes {
         model.vars[j].lo = lo;
         model.vars[j].hi = hi;
     }
-    // The root always keeps its basis so chains can seed the next link
-    // from it; interior nodes keep theirs (for their children, cut
-    // re-solves and strong-branch probes) only when `warm_basis` is on.
-    let keep_basis = warm_path || node.depth == 0;
+    // The root's basis seeds the next chain link; every node's seeds its
+    // children, cut re-solves and strong-branch probes.
     let mut work = 0u64;
     let lp = simplex::solve(model, node.basis.as_deref(), lp_budget, &mut work);
     restore(model, root, &node.changes);
     let outcome = match lp {
-        Ok((sol, basis)) => Ok(Some(NodeLp {
-            sol,
-            basis: basis.filter(|_| keep_basis),
-        })),
+        Ok((sol, basis)) => Ok(Some(NodeLp { sol, basis })),
         Err(SolverError::Infeasible) => Ok(None),
         Err(e) => Err(e),
     };
@@ -609,7 +594,6 @@ pub(crate) fn solve(
                         let cursor = &cursor;
                         let batch = &batch;
                         let root = &root_model;
-                        let warm_path = opts.warm_basis;
                         s.spawn(move || {
                             let mut local = root.clone();
                             let mut out: Vec<(usize, LpOutcome)> = Vec::new();
@@ -620,9 +604,7 @@ pub(crate) fn solve(
                                 }
                                 out.push((
                                     i,
-                                    solve_node_lp(
-                                        &mut local, root, &batch[i], warm_path, lp_budget,
-                                    ),
+                                    solve_node_lp(&mut local, root, &batch[i], lp_budget),
                                 ));
                             }
                             out
@@ -642,13 +624,7 @@ pub(crate) fn solve(
         } else {
             let mut v = Vec::with_capacity(batch.len());
             for node in &batch {
-                v.push(solve_node_lp(
-                    &mut node_model,
-                    &root_model,
-                    node,
-                    opts.warm_basis,
-                    lp_budget,
-                ));
+                v.push(solve_node_lp(&mut node_model, &root_model, node, lp_budget));
             }
             v
         };
@@ -917,8 +893,7 @@ pub(crate) fn solve(
                     down.push((j, lo, x.floor()));
                     let mut up = node.changes.clone();
                     up.push((j, x.ceil(), hi));
-                    let child_basis = lp_arc.clone().filter(|_| opts.warm_basis);
-                    if child_basis.is_some() {
+                    if lp_arc.is_some() {
                         if factored_open + 2 > SNAPSHOT_CAP {
                             factored_open = strip_factors(&mut open, SNAPSHOT_CAP / 2);
                         }
@@ -930,7 +905,7 @@ pub(crate) fn solve(
                         depth: node.depth + 1,
                         seq,
                         changes: down,
-                        basis: child_basis.clone(),
+                        basis: lp_arc.clone(),
                         branched: Some((j, false, x - x.floor())),
                         parent_obj: sol.objective,
                     });
@@ -940,7 +915,7 @@ pub(crate) fn solve(
                         depth: node.depth + 1,
                         seq,
                         changes: up,
-                        basis: child_basis,
+                        basis: lp_arc,
                         branched: Some((j, true, x.ceil() - x)),
                         parent_obj: sol.objective,
                     });
@@ -1113,11 +1088,10 @@ mod tests {
             .and_then(|(out, _)| out.into_solution())
     }
 
-    /// The engine `placement` ships for its exact solves: warm node bases
-    /// and 8-node batches, here across two workers.
+    /// The engine `placement` ships for its exact solves: 8-node batches,
+    /// here across two workers.
     fn shipped() -> MipOptions {
         MipOptions {
-            warm_basis: true,
             threads: 2,
             node_batch: 8,
             ..Default::default()
@@ -1331,7 +1305,8 @@ mod tests {
         }
     }
 
-    /// Both shipped configurations prove the oracle's optimum on `cover`.
+    /// The search at one and at eight nodes per batch proves the oracle's
+    /// optimum on `cover`.
     fn assert_matches_subset_oracle(cover: &Cover) {
         let want = cover.brute_force();
         let m = cover.model();

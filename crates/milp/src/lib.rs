@@ -20,8 +20,10 @@
 //!   selection with depth-first plunging over a deterministic batch-parallel
 //!   node pool, bound rounding whenever the objective is integral, a
 //!   rounding incumbent heuristic, and node, work and time limits
-//!   ([`Model::solve_mip`]); its tuning is fixed, and [`MipOptions`] holds
-//!   only the limits, the gap, basis reuse, and the batch and thread counts;
+//!   ([`Model::solve_mip`]); every node LP, cut re-solve and strong-branch
+//!   probe starts from its parent's basis, the tuning is fixed, and
+//!   [`MipOptions`] holds only the limits, the gap, and the batch and
+//!   thread counts;
 //! * a light **presolve** (fixed-variable substitution, empty/redundant row
 //!   elimination), always applied inside [`Model::solve_mip`].
 //!

@@ -593,8 +593,8 @@ impl Model {
     /// this solve's root basis to the next link of the chain. A `k`-grid
     /// of `PPM(k)` programs differs only in one right-hand side, so each
     /// point's root relaxation starts from the previous point's optimal
-    /// basis. Within one call, [`MipOptions::warm_basis`] also reuses
-    /// parent bases across branch-and-bound nodes.
+    /// basis. Within one call, every branch-and-bound node re-solves from
+    /// its parent's basis, and strong-branch probes from their node's.
     ///
     /// The outcome follows the anytime contract: when
     /// [`MipOptions::work_budget`] trips mid-search this returns

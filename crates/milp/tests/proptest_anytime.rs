@@ -2,10 +2,10 @@
 //!
 //! Instances are the same random LP2-shaped covering programs as
 //! `proptest_mip_search` (binary `x_e` with unit cost, VUB rows, one
-//! coverage row). The engine is the one `placement` ships (warm node
-//! bases, default cuts and reliability branching) at both of its batch
-//! sizes: 1, what `DeltaInstance` chains run under the serve path's work
-//! budgets, and 8, what the one-shot exact solver runs. For every instance
+//! coverage row). The engine is the one `placement` ships (default cuts
+//! and reliability branching) at both of its batch sizes: 1, what
+//! `DeltaInstance` chains run under the serve path's work budgets, and 8,
+//! what the one-shot exact solver runs. For every instance
 //! and batch size the uninterrupted optimum is solved once, then the
 //! budgeted search must uphold three properties at 1 and 4 workers:
 //!
@@ -76,7 +76,6 @@ const SHIPPED_BATCHES: [usize; 2] = [1, 8];
 /// workers, with an optional work budget.
 fn engine(node_batch: usize, threads: usize, work_budget: Option<u64>) -> MipOptions {
     MipOptions {
-        warm_basis: true,
         threads,
         node_batch,
         work_budget,

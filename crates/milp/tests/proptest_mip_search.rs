@@ -99,7 +99,6 @@ fn mip(model: &Model, opts: &MipOptions) -> milp::Result<milp::Solution> {
 /// workers.
 fn shipped(node_batch: usize, threads: usize) -> MipOptions {
     MipOptions {
-        warm_basis: true,
         threads,
         node_batch,
         ..Default::default()

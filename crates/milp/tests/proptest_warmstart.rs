@@ -12,9 +12,10 @@
 //! * on feasible links the objectives must match within tolerance (the
 //!   optimal *vertex* may legitimately differ).
 //!
-//! A second property runs the same contract through the MIP layer:
-//! `solve_mip` chained through its warm start, with node-level basis
-//! reuse, against a cold `solve_mip`, over covering programs whose coverage target drifts.
+//! A second property runs the chain through the MIP layer: over covering
+//! programs whose coverage target drifts, `solve_mip` chained through its
+//! warm start must prove the brute-force subset minimum at every link and
+//! agree with a fresh `solve_mip`.
 //!
 //! Perturbation kind 3 rewrites a whole row's coefficients via
 //! `Model::set_constr`: the per-column fingerprint scheme must either
@@ -242,8 +243,9 @@ proptest! {
     }
 
     /// MIP chains: a binary covering program whose coverage right-hand
-    /// side drifts along the chain. Warm roots + node basis reuse must
-    /// reproduce the cold proven optimum at every link.
+    /// side drifts along the chain. At every link, the solve chained
+    /// through its warm root must prove the brute-force subset minimum,
+    /// and agree with a fresh (cold-root) solve of the same model.
     #[test]
     fn warm_mip_chain_matches_cold(
         nvars in 3usize..=6,
@@ -251,39 +253,75 @@ proptest! {
             proptest::collection::vec(0usize..6, 1..=3), 2..=5),
         targets in proptest::collection::vec(0.5f64..=3.0, 1..=4),
     ) {
+        let costs: Vec<f64> = (0..nvars).map(|i| 1.0 + (i % 3) as f64).collect();
         let mut m = Model::new(Sense::Minimize);
-        let ids: Vec<_> = (0..nvars)
-            .map(|i| m.add_var(format!("x{i}"), VarKind::Binary, 0.0, 1.0, 1.0 + (i % 3) as f64))
+        let ids: Vec<_> = costs
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| m.add_var(format!("x{i}"), VarKind::Binary, 0.0, 1.0, c))
             .collect();
-        let mut row_ids = Vec::new();
-        for s in &supports {
-            let terms: Vec<_> = s.iter().map(|&v| (ids[v % nvars], 1.0)).collect();
-            row_ids.push(m.add_constr(terms, Cmp::Ge, 1.0));
-        }
-        let warm_opts = MipOptions { warm_basis: true, ..Default::default() };
+        let rows: Vec<Vec<usize>> = supports
+            .iter()
+            .map(|s| s.iter().map(|&v| v % nvars).collect())
+            .collect();
+        let row_ids: Vec<_> = rows
+            .iter()
+            .map(|r| m.add_constr(r.iter().map(|&v| (ids[v], 1.0)).collect(), Cmp::Ge, 1.0))
+            .collect();
+        let mut rhs = vec![1.0; rows.len()];
         let mut warm_state: Option<milp::MipWarmStart> = None;
         for (i, &t) in targets.iter().enumerate() {
-            let row = row_ids[i % row_ids.len()];
-            m.set_rhs(row, t.round());
-            let warm = m
-                .solve_mip(&warm_opts, warm_state.as_ref())
+            let r = i % rows.len();
+            rhs[r] = t.round();
+            m.set_rhs(row_ids[r], rhs[r]);
+            let want = subset_minimum(&costs, &rows, &rhs);
+            let chained = m
+                .solve_mip(&MipOptions::default(), warm_state.as_ref())
                 .and_then(|(out, state)| Ok((out.into_solution()?, state)));
-            let cold = m
+            let fresh = m
                 .solve_mip(&MipOptions::default(), None)
                 .and_then(|(out, _)| out.into_solution());
-            match (warm, cold) {
-                (Ok((w, state)), Ok(c)) => {
+            match (chained, fresh, want) {
+                (Ok((w, state)), Ok(c), Some(want)) => {
+                    prop_assert!(
+                        (w.objective - want).abs() < 1e-6,
+                        "chained {} vs subsets {want} at target {t}",
+                        w.objective
+                    );
                     prop_assert!(
                         (w.objective - c.objective).abs() < 1e-6,
-                        "warm {} vs cold {} at target {t}",
+                        "chained {} vs fresh {} at target {t}",
                         w.objective,
                         c.objective
                     );
                     warm_state = state;
                 }
-                (Err(SolverError::Infeasible), Err(SolverError::Infeasible)) => {}
-                (w, c) => panic!("warm {w:?} disagrees with cold {c:?} at target {t}"),
+                (Err(SolverError::Infeasible), Err(SolverError::Infeasible), None) => {}
+                (w, c, want) => panic!(
+                    "chained {w:?}, fresh {c:?} and subsets {want:?} disagree at target {t}"
+                ),
             }
         }
     }
+}
+
+/// The least cost of a 0–1 point with `Σ_{j ∈ rows[r]} x_j ≥ rhs[r]` for
+/// every row (a repeated index counts once per occurrence), by enumerating
+/// every subset — an oracle that shares no code with the solver. `None`
+/// when no subset satisfies every row.
+fn subset_minimum(costs: &[f64], rows: &[Vec<usize>], rhs: &[f64]) -> Option<f64> {
+    let picked = |mask: u32, j: usize| mask >> j & 1 == 1;
+    (0u32..1 << costs.len())
+        .filter(|&mask| {
+            rows.iter()
+                .zip(rhs)
+                .all(|(row, &b)| row.iter().filter(|&&j| picked(mask, j)).count() as f64 >= b)
+        })
+        .map(|mask| {
+            (0..costs.len())
+                .filter(|&j| picked(mask, j))
+                .map(|j| costs[j])
+                .sum::<f64>()
+        })
+        .reduce(f64::min)
 }

@@ -278,13 +278,12 @@ fn covering(seed: u64, edges: usize, traffics: usize, k: f64) -> Model {
     model
 }
 
-/// The engine `placement::passive::exact` ships: warm node bases and
-/// 8-node batches, at `threads` workers and an optional work budget.
+/// The engine `placement::passive::exact` ships: 8-node batches, at
+/// `threads` workers and an optional work budget.
 fn engine(threads: usize, work_budget: Option<u64>) -> MipOptions {
     MipOptions {
         threads,
         node_batch: 8,
-        warm_basis: true,
         work_budget,
         ..Default::default()
     }

@@ -115,6 +115,20 @@ pub fn place_beacons_ilp(
     probes: &ProbeSet,
     candidates: &[NodeId],
 ) -> BeaconPlacement {
+    let (m, ys) = beacon_model(graph, probes, candidates);
+    let sol = m
+        .solve_mip(&MipOptions::default(), None)
+        .and_then(|(out, _)| out.into_solution())
+        .expect("vertex cover over probe endpoints is feasible");
+    let beacons: Vec<NodeId> = graph
+        .nodes()
+        .filter(|v| sol.is_one(ys[v.index()], 1e-4))
+        .collect();
+    BeaconPlacement::new(beacons, sol.status == SolveStatus::Optimal)
+}
+
+/// The program [`place_beacons_ilp`] solves, with its `y_i` per vertex.
+fn beacon_model(graph: &Graph, probes: &ProbeSet, candidates: &[NodeId]) -> (Model, Vec<VarId>) {
     let mut m = Model::new(Sense::Minimize);
     let ys: Vec<VarId> = graph
         .nodes()
@@ -134,23 +148,16 @@ pub fn place_beacons_ilp(
             1.0,
         );
     }
-    let sol = m
-        .solve_mip(&MipOptions::default(), None)
-        .and_then(|(out, _)| out.into_solution())
-        .expect("vertex cover over probe endpoints is feasible");
-    let beacons: Vec<NodeId> = graph
-        .nodes()
-        .filter(|v| sol.is_one(ys[v.index()], 1e-4))
-        .collect();
-    BeaconPlacement::new(beacons, sol.status == SolveStatus::Optimal)
+    (m, ys)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::active::compute_probes;
+    use milp::MipOutcome;
     use netgraph::GraphBuilder;
-    use popgen::PopSpec;
+    use popgen::{FamilySpec, PopSpec};
 
     /// A star: probes between leaves all pass the hub but their endpoints
     /// are leaves, so beacon counts differ sharply between strategies.
@@ -196,6 +203,30 @@ mod tests {
             assert!(ilp.proven_optimal);
             assert!(ilp.len() <= greedy.len(), "|V_B| = {size}");
             assert!(ilp.len() <= thiran.len(), "|V_B| = {size}");
+        }
+    }
+
+    #[test]
+    fn waxman_30_beacon_ilp_fits_a_small_work_budget() {
+        // Every node LP re-solves from its parent's basis, so this search
+        // proves 19 beacons in about 1.6k work units. With cold node LPs
+        // it spends about 18.2k and trips the budget.
+        let mut spec = FamilySpec::canonical("waxman", 30, 15).expect("known family");
+        spec.density = 0.7;
+        let (g, _) = spec.build(222).expect("valid spec").router_subgraph();
+        let candidates: Vec<NodeId> = g.nodes().collect();
+        let probes = compute_probes(&g, &candidates);
+        let (m, _) = beacon_model(&g, &probes, &candidates);
+        let opts = MipOptions {
+            work_budget: Some(3_000),
+            ..Default::default()
+        };
+        match m.solve_mip(&opts, None) {
+            Ok((MipOutcome::Complete(s), _)) => {
+                assert_eq!(s.status, SolveStatus::Optimal);
+                assert_eq!(s.objective, 19.0, "work {}", s.work);
+            }
+            other => panic!("beacon ILP did not complete in budget: {other:?}"),
         }
     }
 

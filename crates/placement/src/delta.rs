@@ -489,7 +489,6 @@ impl DeltaInstance {
             max_nodes: opts.max_nodes,
             time_limit: opts.time_limit,
             rel_gap: opts.rel_gap,
-            warm_basis: true,
             work_budget,
             ..Default::default()
         };
@@ -546,7 +545,6 @@ impl DeltaInstance {
         let mip_opts = MipOptions {
             max_nodes: opts.max_nodes,
             time_limit: opts.time_limit,
-            warm_basis: true,
             work_budget,
             ..Default::default()
         };

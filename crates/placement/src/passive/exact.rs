@@ -195,8 +195,6 @@ fn solve_with(
         max_nodes: opts.max_nodes,
         time_limit: opts.time_limit,
         rel_gap: opts.rel_gap,
-        // Node LPs differ from their parent by one bound: reuse the basis.
-        warm_basis: true,
         // Solve node LPs in parallel (POPMON_THREADS-aware). The batch
         // size is a FIXED constant, never derived from the thread count:
         // search decisions depend only on the batch, so CSV and golden

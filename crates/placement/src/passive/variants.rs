@@ -73,7 +73,6 @@ pub fn solve_incremental(
     let mip_opts = MipOptions {
         max_nodes: opts.max_nodes,
         time_limit: opts.time_limit,
-        warm_basis: true,
         ..Default::default()
     };
     let sol = match model
@@ -149,7 +148,6 @@ pub(crate) fn solve_budget_anytime(
     let mip_opts = MipOptions {
         max_nodes: opts.max_nodes,
         time_limit: opts.time_limit,
-        warm_basis: true,
         work_budget,
         ..Default::default()
     };
