@@ -8,12 +8,17 @@
 //! [`PpmInstance`] per grid point, and threads two kinds of reuse through
 //! the solves:
 //!
-//! * **warm-started exact solves** — the LP 2 / budget MIPs are built
-//!   once per instance structure; successive grid points only move a
-//!   right-hand side ([`milp::Model::set_rhs`]) and re-optimize from the
-//!   previous point's root basis with the dual simplex
-//!   ([`milp::Model::solve_mip`]'s warm start), with branch-and-bound nodes
-//!   reusing their parent's basis;
+//! * **warm-started exact solves** — the chain keeps one minimum-device
+//!   (LP 2) and one budget model of the crate's single exact kernel,
+//!   `passive::ExactModel` — the one the one-shot solvers build and throw
+//!   away — built once per instance structure. Successive grid points
+//!   only move a right-hand side ([`milp::Model::set_rhs`]) and
+//!   re-optimize from the previous point's root basis with the dual
+//!   simplex ([`milp::Model::solve_mip`]'s warm start), with
+//!   branch-and-bound nodes reusing their parent's basis; volume and link
+//!   deltas repair the minimum-device model in place. This module only
+//!   decides whether a delta repairs or drops a model; how a model is
+//!   built, constrained, seeded, solved and read back is the kernel's;
 //! * **delta-aware re-routing** — in routed mode, failing a link re-runs
 //!   Yen/Dijkstra only for the traffics whose path actually crossed it
 //!   ([`netgraph::delta::RoutePlan`]).
@@ -22,21 +27,24 @@
 //! bases, never answers: a proven-optimal device count is the unique
 //! optimum either way (pinned by `tests/delta_chain.rs` against
 //! [`solve_ppm_exact`]/[`solve_incremental`]/[`solve_budget`] on the
-//! seed-0 sweeps).
+//! seed-0 sweeps). The chains search serially (one node per round), the
+//! one-shot minimum-device solve in rounds of eight, so a budgeted solve
+//! may stop at a different point on either path. Since both paths share
+//! the kernel, "chain equals fresh solve" cannot catch a model-building
+//! bug; `tests/proptest_passive.rs` checks both against subset
+//! enumeration.
+//!
+//! [`solve_ppm_exact`]: crate::passive::solve_ppm_exact
+//! [`solve_incremental`]: crate::passive::solve_incremental
+//! [`solve_budget`]: crate::passive::solve_budget
 
-use std::collections::HashMap;
-
-use milp::{ConstrId, MipOptions, MipWarmStart, Model, VarId};
 use netgraph::delta::RoutePlan;
 use netgraph::{EdgeId, Graph, NodeId};
 use popgen::TrafficSet;
 
 use crate::instance::PpmInstance;
-use crate::passive::{
-    build_budget_model, build_lp2_target, install_greedy_incumbent, selected_edges, BudgetSolution,
-    ExactOptions, PpmSolution,
-};
-use crate::solve::{greedy_budget, Anytime, PlacementError};
+use crate::passive::{Deployment, ExactModel, ExactOptions};
+use crate::solve::{solve_ppm_request, PlacementError, SolveOutcome, SolveRequest};
 
 /// Routed backing for link toggles: the graph and the delta-aware route
 /// plan under the current failures (the failure set itself lives in
@@ -50,25 +58,6 @@ struct Routing {
     /// endpoint-routed and never re-route. Aligned with the instance's
     /// traffics across flow insertions and removals.
     pair_of: Vec<Option<usize>>,
-}
-
-/// A cached exact model: rebuilt when the instance structure changes,
-/// re-targeted and warm-started along a grid otherwise. Volume-only and
-/// bound-only deltas are *repaired in place* (see the mutation methods),
-/// so the warm chain survives what-if streams, not just `k` grids.
-#[derive(Debug)]
-struct ModelCache {
-    merged: PpmInstance,
-    model: Model,
-    xs: Vec<VarId>,
-    warm: Option<MipWarmStart>,
-    /// The coverage-target (exact) or budget row — stored at build time so
-    /// in-place repairs never have to rediscover it.
-    target_row: ConstrId,
-    /// Exact cache only: the merged identical-support groups in model row
-    /// order, each with the `δ` variable that carries the group's volume
-    /// in the coverage row. Empty for the budget cache.
-    groups: Vec<(Vec<usize>, VarId)>,
 }
 
 /// A `PPM` instance under a chain of deltas (see the module docs).
@@ -91,8 +80,15 @@ pub struct DeltaInstance {
     /// Links that cannot host a device (`x_e` fixed to 0).
     disabled: Vec<usize>,
     routing: Option<Routing>,
-    exact_cache: Option<ModelCache>,
-    budget_cache: Option<ModelCache>,
+    /// The minimum-device (LP 2) model: rebuilt when the instance
+    /// structure changes, repaired in place after volume-only and
+    /// re-route-free link deltas, re-targeted and warm-started along a
+    /// grid otherwise — so the warm chain survives what-if streams, not
+    /// just `k` grids.
+    exact_cache: Option<ExactModel>,
+    /// The budget model: it bakes the installed set and the volumes into
+    /// its structure, so every mutation drops it.
+    budget_cache: Option<ExactModel>,
 }
 
 impl DeltaInstance {
@@ -277,6 +273,8 @@ impl DeltaInstance {
     /// cost — [`solve_incremental`]'s sunk-cost semantics). A bound/cost
     /// repair on the cached exact model: only the edges whose status
     /// changed are touched and the warm chain survives.
+    ///
+    /// [`solve_incremental`]: crate::passive::solve_incremental
     pub fn try_set_installed(&mut self, installed: &[usize]) -> Result<(), PlacementError> {
         for &e in installed {
             self.check_link("installed", e)?;
@@ -290,7 +288,7 @@ impl DeltaInstance {
         if let Some(cache) = self.exact_cache.as_mut() {
             for &e in old.iter().chain(&self.installed) {
                 if old.binary_search(&e).is_ok() != self.installed.binary_search(&e).is_ok() {
-                    sync_exact_edge(cache, &self.installed, &self.disabled, e);
+                    cache.sync_edge(&self.installed, &self.disabled, e);
                 }
             }
         }
@@ -338,7 +336,7 @@ impl DeltaInstance {
         if rerouted > 0 {
             self.exact_cache = None;
         } else if let Some(cache) = self.exact_cache.as_mut() {
-            sync_exact_edge(cache, &self.installed, &self.disabled, e);
+            cache.sync_edge(&self.installed, &self.disabled, e);
         }
         rerouted
     }
@@ -390,178 +388,44 @@ impl DeltaInstance {
         recomputed
     }
 
-    /// After a volume-only delta, repairs the cached exact model's
-    /// coverage row in place: the identical-support groups are unchanged,
-    /// only their summed volumes moved, so one [`milp::Model::set_constr`]
-    /// on the stored target row brings the model back in sync and the warm
-    /// basis survives. Drops the cache instead when some traffic's support
-    /// no longer maps onto the cached groups (the structural case).
+    /// After a volume-only delta, repairs the cached exact model's coverage
+    /// row in place ([`ExactModel::refresh_volumes`]) so its warm basis
+    /// survives, or drops it when some traffic's support no longer maps
+    /// onto the cached groups (the structural case).
     fn refresh_exact_volumes(&mut self) {
-        let Some(mut cache) = self.exact_cache.take() else {
-            return;
-        };
-        let index: HashMap<&[usize], usize> = cache
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(g, (s, _))| (s.as_slice(), g))
-            .collect();
-        // Re-derive each group's volume exactly as `PpmInstance::merged`
-        // would: skip zero-volume/uncoverable traffics, sum the rest in
-        // original traffic order (merge_traffics stable-sorts, so within a
-        // group the summation order — hence the float — is identical).
-        let mut vols = vec![0.0f64; cache.groups.len()];
-        for (v, s) in &self.inst.traffics {
-            if *v <= 0.0 || s.is_empty() {
-                continue;
-            }
-            match index.get(s.as_slice()) {
-                Some(&g) => vols[g] += v,
-                None => return, // new support group: cache stays dropped
+        if let Some(cache) = self.exact_cache.as_mut() {
+            if !cache.refresh_volumes(&self.inst) {
+                self.exact_cache = None;
             }
         }
-        let terms: Vec<(VarId, f64)> = cache
-            .groups
-            .iter()
-            .zip(&vols)
-            .map(|((_, d), &v)| (*d, v))
-            .collect();
-        cache.model.set_constr(cache.target_row, terms);
-        for (g, &v) in vols.iter().enumerate() {
-            cache.merged.traffics[g].0 = v;
-        }
-        self.exact_cache = Some(cache);
     }
 
-    /// Exact minimum-device `PPM(k)` on the current state, warm-started
-    /// from the previous solve of this chain: the kernel behind
-    /// [`DeltaInstance::solve`] (`k` already validated by the request).
-    /// Identical results to [`solve_ppm_exact`] (no installed devices) /
-    /// [`solve_incremental`] (with them); `Done(None)` when the target is
-    /// unreachable.
-    pub(crate) fn solve_exact_core(
-        &mut self,
-        k: f64,
-        opts: &ExactOptions,
-        work_budget: Option<u64>,
-    ) -> Anytime<Option<PpmSolution>> {
-        let inst = &self.inst;
-        let target = k * inst.total_volume();
-        if target > inst.max_coverage_fraction() * inst.total_volume() + 1e-9 {
-            return Anytime::Done(None);
-        }
-        if self.exact_cache.is_none() {
-            let merged = inst.merged();
-            let (mut model, xs) = build_lp2_target(&merged, 0.0);
-            for &e in &self.installed {
-                model.fix_var(xs[e], 1.0);
-                model.set_cost(xs[e], 0.0);
-            }
-            for &e in &self.disabled {
-                model.fix_var(xs[e], 0.0);
-            }
-            let target_row = model.constr(model.constr_count() - 1);
-            // δ variables sit right after the x block, one per merged
-            // group in group order (build_lp2_target's layout).
-            let groups = merged
-                .traffics
-                .iter()
-                .enumerate()
-                .map(|(g, (_, s))| (s.clone(), model.var(xs.len() + g)))
-                .collect();
-            self.exact_cache = Some(ModelCache {
-                merged,
-                model,
-                xs,
-                warm: None,
-                target_row,
-                groups,
-            });
-        }
-        let plain = self.installed.is_empty() && self.disabled.is_empty();
-        let cache = self.exact_cache.as_mut().expect("built above");
-        let target_row = cache.target_row;
-        cache.model.set_rhs(target_row, target);
-        if plain {
-            install_greedy_incumbent(&mut cache.model, &cache.xs, inst, &cache.merged, k);
-        }
-        let mip_opts = MipOptions {
-            max_nodes: opts.max_nodes,
-            time_limit: opts.time_limit,
-            rel_gap: opts.rel_gap,
-            work_budget,
-            ..Default::default()
+    /// Solves a unified request on the chain's current state — the one
+    /// solve method of a chain, and the one the `popmond` service routes
+    /// through. Exact solves ride the warm chain, on the same kernel and
+    /// dispatch as [`crate::solve::solve_instance`] but with the serial
+    /// search; greedy solves run [`crate::solve::greedy_constrained`] on
+    /// the borrowed instance. APM requests are rejected (they need a
+    /// router graph; use [`crate::solve::solve_apm`]).
+    ///
+    /// With [`SolveRequest::work_budget`] set the exact solves are
+    /// *anytime*: a tripped budget yields [`SolveOutcome::Degraded`] with
+    /// the incumbent or a [`crate::solve::greedy_constrained`] /
+    /// [`crate::solve::greedy_budget`] fallback on the same constrained
+    /// state.
+    pub fn solve(&mut self, req: &SolveRequest) -> Result<SolveOutcome, PlacementError> {
+        let at = Deployment {
+            inst: &self.inst,
+            installed: &self.installed,
+            disabled: &self.disabled,
         };
-        let (outcome, warm) = match cache.model.solve_mip(&mip_opts, cache.warm.as_ref()) {
-            Ok(out) => out,
-            Err(milp::SolverError::Infeasible) => return Anytime::Done(None),
-            Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
-        };
-        if warm.is_some() {
-            cache.warm = warm;
-        }
-        Anytime::from_mip(outcome, |sol, proven| {
-            Some(PpmSolution::from_edges(
-                inst,
-                selected_edges(&cache.xs, sol),
-                proven,
-            ))
-        })
-    }
-
-    /// Maximum-coverage placement of at most `budget` new devices on top
-    /// of the installed set, warm-started along the chain: the budget
-    /// kernel behind [`DeltaInstance::solve`]. Identical results to
-    /// [`solve_budget`].
-    pub(crate) fn solve_budget_core(
-        &mut self,
-        budget: usize,
-        opts: &ExactOptions,
-        work_budget: Option<u64>,
-    ) -> Anytime<BudgetSolution> {
-        let inst = &self.inst;
-        if self.budget_cache.is_none() {
-            let merged = inst.merged();
-            let (mut model, xs) = build_budget_model(&merged, &self.installed);
-            // Failure beats installation: a device on a failed link is
-            // dead, so x_e drops to 0 even when e is in the installed set
-            // (matching solve_exact's precedence).
-            for &e in &self.disabled {
-                model.fix_var(xs[e], 0.0);
-            }
-            let target_row = model.constr(model.constr_count() - 1);
-            self.budget_cache = Some(ModelCache {
-                merged,
-                model,
-                xs,
-                warm: None,
-                target_row,
-                groups: Vec::new(),
-            });
-        }
-        let cache = self.budget_cache.as_mut().expect("built above");
-        let budget_row = cache.target_row;
-        cache.model.set_rhs(budget_row, budget as f64);
-        let mip_opts = MipOptions {
-            max_nodes: opts.max_nodes,
-            time_limit: opts.time_limit,
-            work_budget,
-            ..Default::default()
-        };
-        let (outcome, warm) = match cache.model.solve_mip(&mip_opts, cache.warm.as_ref()) {
-            Ok(out) => out,
-            // The node limit closed the search before any incumbent landed.
-            Err(milp::SolverError::NodeLimitNoSolution { .. }) => {
-                return Anytime::Done(greedy_budget(inst, budget, &self.installed, &self.disabled));
-            }
-            Err(e) => panic!("budget problem is always feasible: {e:?}"),
-        };
-        if warm.is_some() {
-            cache.warm = warm;
-        }
-        Anytime::from_mip(outcome, |sol, proven| {
-            BudgetSolution::from_edges(inst, selected_edges(&cache.xs, sol), proven)
-        })
+        solve_ppm_request(
+            req,
+            at,
+            &mut self.exact_cache,
+            &mut self.budget_cache,
+            ExactOptions::mip,
+        )
     }
 }
 
@@ -574,26 +438,6 @@ fn check_volume(volume: f64) -> Result<(), PlacementError> {
         ));
     }
     Ok(())
-}
-
-/// Re-syncs `x_e`'s bounds and cost in a cached exact model after edge `e`
-/// changed installed/disabled status — reproducing exactly the state a
-/// cold rebuild would set up: installed devices are fixed to 1 at zero
-/// cost, failure beats installation (fixed to 0, cost as the rebuild
-/// leaves it), free edges are binary at unit cost.
-fn sync_exact_edge(cache: &mut ModelCache, installed: &[usize], disabled: &[usize], e: usize) {
-    let x = cache.xs[e];
-    let installed = installed.binary_search(&e).is_ok();
-    if disabled.binary_search(&e).is_ok() {
-        cache.model.set_cost(x, if installed { 0.0 } else { 1.0 });
-        cache.model.fix_var(x, 0.0);
-    } else if installed {
-        cache.model.set_cost(x, 0.0);
-        cache.model.fix_var(x, 1.0);
-    } else {
-        cache.model.set_cost(x, 1.0);
-        cache.model.set_bounds(x, 0.0, 1.0);
-    }
 }
 
 /// The sorted support of pair `i` under `plan` (empty when disconnected).
@@ -613,8 +457,9 @@ fn support_of(plan: &RoutePlan, i: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::instance::fixture_figure3;
-    use crate::passive::{solve_budget, solve_incremental, solve_ppm_exact};
-    use crate::solve::SolveRequest;
+    use crate::passive::{
+        solve_budget, solve_incremental, solve_ppm_exact, BudgetSolution, PpmSolution,
+    };
 
     /// An exact `PPM(k)` solve on the chain with default knobs.
     fn chain_ppm(delta: &mut DeltaInstance, k: f64) -> Option<PpmSolution> {

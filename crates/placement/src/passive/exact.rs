@@ -8,16 +8,23 @@
 //!   MECF formulation with explicit flow variables `f_t^e`; bigger but kept
 //!   for cross-validation (Theorem 2 says both solve the same problem).
 //!
-//! The exact solver first merges identical-support traffics (halving the
-//! row count on symmetric-routing instances), then always warm-starts the
-//! MIP with the best greedy solution so branch-and-bound prunes from the
-//! start.
+//! Every LP 2 and budget solve — [`solve_ppm_exact`], the incremental and
+//! budget variants, the unified dispatcher and the warm chains of
+//! [`crate::delta`] — goes through one crate-private [`ExactModel`]. It
+//! merges identical-support traffics (halving the row count on
+//! symmetric-routing instances), fixes installed and failed links, seeds
+//! the MIP with the best greedy solution on plain instances so
+//! branch-and-bound prunes from the start, and reads the placement back.
 
-use milp::{Cmp, MipOptions, Model, Sense, VarId, VarKind};
+use std::collections::HashMap;
+
+use milp::{
+    Cmp, ConstrId, MipOptions, MipWarmStart, Model, Sense, SolveStatus, SolverError, VarId, VarKind,
+};
 
 use crate::instance::PpmInstance;
-use crate::passive::{greedy_adaptive, greedy_static, selected_edges, PpmSolution};
-use crate::solve::Anytime;
+use crate::passive::{greedy_adaptive, greedy_static, selected_edges, BudgetSolution, PpmSolution};
+use crate::solve::{greedy_budget, Anytime};
 
 /// Options for the exact batch solvers. A deterministic work budget is a
 /// [`crate::solve::SolveRequest`] knob, not one of these: the request path
@@ -31,7 +38,9 @@ pub struct ExactOptions {
     pub time_limit: Option<std::time::Duration>,
     /// Relative optimality gap at which the search may stop early
     /// (default: prove optimality). Useful for the fixed-charge `PPME`
-    /// MILP whose LP bound is loose.
+    /// MILP whose LP bound is loose. A `PPM(k)` answer from a search
+    /// allowed a looser gap than the default is never reported
+    /// `proven_optimal`.
     pub rel_gap: f64,
 }
 
@@ -78,6 +87,37 @@ pub fn build_lp2_target(inst: &PpmInstance, target_volume: f64) -> (Model, Vec<V
     // Σ_t δ_t v_t ≥ target
     m.add_constr(coverage_terms, Cmp::Ge, target_volume);
     (m, xs)
+}
+
+/// Builds the maximum-coverage (budget) MIP over a merged instance:
+/// maximize `Σ δ_t v_t` with `δ_t ≤ Σ_{e∈p_t} x_e` and a device budget
+/// row over the non-installed edges. The budget row is the **last**
+/// constraint with a placeholder RHS of 0 — [`ExactModel`] sets the
+/// actual budget with [`Model::set_rhs`], which is what lets the
+/// warm-started chains of [`crate::delta`] walk a budget grid on one
+/// model.
+fn build_budget_model(merged: &PpmInstance, installed: &[usize]) -> (Model, Vec<VarId>) {
+    let mut model = Model::new(Sense::Maximize);
+    let xs: Vec<VarId> = (0..merged.num_edges)
+        .map(|e| model.add_var(format!("x_e{e}"), VarKind::Binary, 0.0, 1.0, 0.0))
+        .collect();
+    let mut budget_terms = Vec::new();
+    for (e, &x) in xs.iter().enumerate() {
+        if installed.contains(&e) {
+            model.fix_var(x, 1.0);
+        } else {
+            budget_terms.push((x, 1.0));
+        }
+    }
+    // Objective: Σ δ_t v_t; constraints δ_t ≤ Σ_{e∈p_t} x_e.
+    for (t, (v, support)) in merged.traffics.iter().enumerate() {
+        let d = model.add_var(format!("delta_t{t}"), VarKind::Continuous, 0.0, 1.0, *v);
+        let mut terms: Vec<(VarId, f64)> = support.iter().map(|&e| (xs[e], 1.0)).collect();
+        terms.push((d, -1.0));
+        model.add_constr(terms, Cmp::Ge, 0.0);
+    }
+    model.add_constr(budget_terms, Cmp::Le, 0.0);
+    (model, xs)
 }
 
 /// Builds Linear Program 1 (arc-path MECF form) for `inst` at fraction `k`.
@@ -130,142 +170,357 @@ pub fn build_lp1_target(inst: &PpmInstance, target_volume: f64) -> (Model, Vec<V
 /// Returns `None` when the target is unreachable (uncoverable traffic
 /// exceeds `1 - k`).
 pub fn solve_ppm_exact(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
-    solve_with(inst, k, opts, None, Formulation::Lp2).unbudgeted()
+    assert_fraction(k);
+    ExactModel::solve_min_devices(
+        &mut None,
+        Deployment::fresh(inst),
+        k,
+        &opts.mip_batched(None),
+    )
+    .unbudgeted()
 }
 
 /// Solves `PPM(k)` exactly through the arc-path Linear Program 1 (slower;
 /// used for cross-validation against LP 2).
 pub fn solve_ppm_mecf(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
-    solve_with(inst, k, opts, None, Formulation::Lp1).unbudgeted()
+    assert_fraction(k);
+    let target = coverage_target(inst, k)?;
+    let (model, xs) = build_lp1_target(&inst.merged(), target);
+    let search = opts.mip_batched(None);
+    let sol = match model
+        .solve_mip(&search, None)
+        .and_then(|(out, _)| out.into_solution())
+    {
+        Ok(sol) => sol,
+        Err(SolverError::Infeasible) => return None,
+        Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
+    };
+    let proven = sol.status == SolveStatus::Optimal && proves_optimality(&search);
+    Some(PpmSolution::from_edges(
+        inst,
+        selected_edges(&xs, &sol),
+        proven,
+    ))
 }
 
-/// Nodes evaluated per batch-synchronous round of the MIP search. A fixed
-/// constant (not a function of the worker count) so the branch-and-bound
-/// trajectory — and therefore every solution and CSV derived from it — is
-/// identical whether the node LPs run on 1 thread or 16.
-const EXACT_NODE_BATCH: usize = 8;
-
-/// Which of the paper's two MIP formulations to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Formulation {
-    /// Linear Program 2 (compact x/δ form) — the default.
-    Lp2,
-    /// Linear Program 1 (arc-path MECF form) — cross-validation.
-    Lp1,
-}
-
-/// The one-shot exact LP2 kernel under the anytime contract, for the
-/// unified dispatcher ([`crate::solve::solve_instance`]).
-pub(crate) fn solve_ppm_exact_anytime(
-    inst: &PpmInstance,
-    k: f64,
-    opts: &ExactOptions,
-    work_budget: Option<u64>,
-) -> Anytime<Option<PpmSolution>> {
-    solve_with(inst, k, opts, work_budget, Formulation::Lp2)
-}
-
-fn solve_with(
-    inst: &PpmInstance,
-    k: f64,
-    opts: &ExactOptions,
-    work_budget: Option<u64>,
-    formulation: Formulation,
-) -> Anytime<Option<PpmSolution>> {
+/// Panics unless `k` is a coverage fraction in `[0, 1]` (sweeps may land
+/// a float hair above 1).
+fn assert_fraction(k: f64) {
     assert!(
         k.is_finite() && (0.0..=1.0 + 1e-12).contains(&k),
         "monitoring fraction k must lie in [0, 1], got {k}"
     );
-    // The coverage target is k of the ORIGINAL volume; merging only drops
-    // traffics that cannot be covered anyway, and the target must not
-    // weaken with them.
+}
+
+/// The coverage target `k·V` in absolute volume, or `None` when the
+/// uncoverable (empty-support) traffic makes it unreachable. The target is
+/// `k` of the ORIGINAL volume: merging only drops traffics that cannot be
+/// covered anyway, and the target must not weaken with them.
+fn coverage_target(inst: &PpmInstance, k: f64) -> Option<f64> {
     let target = k * inst.total_volume();
-    if target > inst.max_coverage_fraction() * inst.total_volume() + 1e-9 {
-        return Anytime::Done(None);
-    }
-    let merged = inst.merged();
-    let (mut model, xs) = match formulation {
-        Formulation::Lp2 => build_lp2_target(&merged, target),
-        Formulation::Lp1 => build_lp1_target(&merged, target),
-    };
-
-    install_greedy_incumbent(&mut model, &xs, inst, &merged, k);
-
-    let mip_opts = MipOptions {
-        max_nodes: opts.max_nodes,
-        time_limit: opts.time_limit,
-        rel_gap: opts.rel_gap,
-        // Solve node LPs in parallel (POPMON_THREADS-aware). The batch
-        // size is a FIXED constant, never derived from the thread count:
-        // search decisions depend only on the batch, so CSV and golden
-        // outputs stay byte-identical at any `threads` setting.
-        threads: 0,
-        node_batch: EXACT_NODE_BATCH,
-        work_budget,
-    };
-    let outcome = match model.solve_mip(&mip_opts, None) {
-        Ok((out, _)) => out,
-        Err(milp::SolverError::Infeasible) => return Anytime::Done(None),
-        Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
-    };
-    Anytime::from_mip(outcome, |sol, proven| {
-        let solution = PpmSolution::from_edges(inst, selected_edges(&xs, sol), proven);
-        debug_assert!(
-            inst.is_feasible(&solution.edges, k),
-            "exact solver produced an infeasible selection: coverage {} < {}",
-            solution.coverage,
-            target
-        );
-        Some(solution)
-    })
+    (target <= inst.max_coverage_fraction() * inst.total_volume() + 1e-9).then_some(target)
 }
 
-/// Seeds `model` with the better of the two greedy solutions on the
-/// original instance (which carries the correct target semantics) as the
-/// branch-and-bound's initial incumbent. Shared by the one-shot exact
-/// solver and the warm-started sweep chains of [`crate::delta`].
-pub(crate) fn install_greedy_incumbent(
-    model: &mut Model,
-    xs: &[VarId],
-    inst: &PpmInstance,
-    merged: &PpmInstance,
-    k: f64,
-) {
-    let warm = match (greedy_static(inst, k), greedy_adaptive(inst, k)) {
-        (Some(a), Some(b)) => Some(if a.device_count() <= b.device_count() {
-            a
-        } else {
-            b
-        }),
-        (a, b) => a.or(b),
-    };
-    if let Some(w) = warm {
-        let mut values = vec![0.0; model.var_count()];
-        for &e in &w.edges {
-            values[xs[e].index()] = 1.0;
+/// Whether a search under `opts` can prove optimality. `milp` reports a
+/// stop within [`MipOptions::rel_gap`] as optimal, so a search allowed a
+/// looser gap than the default proves nothing.
+fn proves_optimality(opts: &MipOptions) -> bool {
+    opts.rel_gap <= MipOptions::default().rel_gap
+}
+
+/// Nodes evaluated per batch-synchronous round of the one-shot
+/// minimum-device search. A fixed constant (not a function of the worker
+/// count) so the branch-and-bound trajectory — and therefore every
+/// solution and CSV derived from it — is identical whether the node LPs
+/// run on 1 thread or 16.
+const EXACT_NODE_BATCH: usize = 8;
+
+impl ExactOptions {
+    /// The serial search of the warm chains, [`solve_incremental`] and
+    /// [`solve_budget`]: these limits and gap under `work_budget`, one
+    /// worker, one node per round.
+    ///
+    /// [`solve_incremental`]: crate::passive::solve_incremental
+    /// [`solve_budget`]: crate::passive::solve_budget
+    pub(crate) fn mip(&self, work_budget: Option<u64>) -> MipOptions {
+        MipOptions {
+            max_nodes: self.max_nodes,
+            time_limit: self.time_limit,
+            rel_gap: self.rel_gap,
+            work_budget,
+            ..MipOptions::default()
         }
-        // Set δ_t consistently: for LP2 the δs are the covered
-        // indicator; for LP1 (flow variables) skip the warm start.
-        let mut var = inst_delta_offset(model, xs);
-        if let Some(delta_start) = var.take() {
-            for (t, (_, support)) in merged.traffics.iter().enumerate() {
-                let covered = support.iter().any(|&e| w.edges.contains(&e));
-                values[delta_start + t] = if covered { 1.0 } else { 0.0 };
+    }
+
+    /// The one-shot minimum-device search: [`ExactOptions::mip`] with the
+    /// node LPs solved in parallel (`POPMON_THREADS`-aware) in rounds of
+    /// [`EXACT_NODE_BATCH`] — never derived from the thread count, so the
+    /// answers are byte-identical at any `threads` setting.
+    pub(crate) fn mip_batched(&self, work_budget: Option<u64>) -> MipOptions {
+        MipOptions {
+            threads: 0,
+            node_batch: EXACT_NODE_BATCH,
+            ..self.mip(work_budget)
+        }
+    }
+}
+
+/// The constrained state an exact solve answers for: the original
+/// (unmerged) instance, the pre-installed devices (`x_e = 1` at zero cost —
+/// the paper's incremental-deployment setting) and the failed links
+/// (`x_e = 0`; failure beats installation). Both link lists are sorted and
+/// duplicate-free.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Deployment<'a> {
+    pub(crate) inst: &'a PpmInstance,
+    pub(crate) installed: &'a [usize],
+    pub(crate) disabled: &'a [usize],
+}
+
+impl<'a> Deployment<'a> {
+    /// Nothing installed, nothing failed.
+    pub(crate) fn fresh(inst: &'a PpmInstance) -> Self {
+        Deployment {
+            inst,
+            installed: &[],
+            disabled: &[],
+        }
+    }
+}
+
+/// The exact `PPM` program of one [`Deployment`]: Linear Program 2
+/// (minimum devices for a coverage target) or the budget model (maximum
+/// coverage for a device budget), built over the merged instance.
+///
+/// The one owner of how these programs are built, constrained, seeded,
+/// solved and read back, and of their variable layout: the `x_e` block,
+/// then one `δ_g` per merged group. One-shot solves build a throwaway
+/// model; [`crate::delta::DeltaInstance`] keeps one of each kind,
+/// re-targets it along a grid ([`Model::set_rhs`] on the goal row),
+/// repairs it in place after volume and link deltas
+/// ([`ExactModel::refresh_volumes`], [`ExactModel::sync_edge`]), and
+/// re-solves from the previous point's root basis.
+#[derive(Debug)]
+pub(crate) struct ExactModel {
+    /// The merged instance the model was built over; its volumes follow
+    /// [`ExactModel::refresh_volumes`].
+    merged: PpmInstance,
+    model: Model,
+    xs: Vec<VarId>,
+    /// The last solve's root basis, the next solve's warm start.
+    warm: Option<MipWarmStart>,
+    /// The coverage-target (LP 2) or device-budget row: the model's last.
+    goal_row: ConstrId,
+}
+
+impl ExactModel {
+    /// Minimum devices covering fraction `k` (already validated) of `at`'s
+    /// total volume, on the LP 2 model in `slot` — built there first when
+    /// the slot is empty. Plain deployments seed the greedy incumbent.
+    /// `Done(None)` when the target is unreachable.
+    pub(crate) fn solve_min_devices(
+        slot: &mut Option<Self>,
+        at: Deployment<'_>,
+        k: f64,
+        opts: &MipOptions,
+    ) -> Anytime<Option<PpmSolution>> {
+        let Some(target) = coverage_target(at.inst, k) else {
+            return Anytime::Done(None);
+        };
+        let this = slot.get_or_insert_with(|| Self::min_devices(at));
+        this.model.set_rhs(this.goal_row, target);
+        if at.installed.is_empty() && at.disabled.is_empty() {
+            this.seed_greedy(at.inst, k);
+        }
+        this.solve(
+            opts,
+            |edges, proven| {
+                let solution = PpmSolution::from_edges(at.inst, edges, proven);
+                debug_assert!(
+                    at.inst.is_feasible(&solution.edges, k),
+                    "exact solver produced an infeasible selection: coverage {} < {target}",
+                    solution.coverage
+                );
+                Some(solution)
+            },
+            |e| matches!(e, SolverError::Infeasible).then_some(None),
+        )
+    }
+
+    /// Maximum coverage with at most `budget` new devices on top of `at`'s
+    /// live installed ones, on the budget model in `slot` — built there
+    /// first when the slot is empty. When the node limit closes the search
+    /// before any incumbent lands, the greedy ([`greedy_budget`]) answers.
+    pub(crate) fn solve_max_coverage(
+        slot: &mut Option<Self>,
+        at: Deployment<'_>,
+        budget: usize,
+        opts: &MipOptions,
+    ) -> Anytime<BudgetSolution> {
+        let this = slot.get_or_insert_with(|| Self::max_coverage(at));
+        this.model.set_rhs(this.goal_row, budget as f64);
+        this.solve(
+            opts,
+            |edges, proven| BudgetSolution::from_edges(at.inst, edges, proven),
+            |e| {
+                matches!(e, SolverError::NodeLimitNoSolution { .. })
+                    .then(|| greedy_budget(at.inst, budget, at.installed, at.disabled))
+            },
+        )
+    }
+
+    /// Linear Program 2 with a placeholder target of 0.
+    fn min_devices(at: Deployment<'_>) -> Self {
+        let merged = at.inst.merged();
+        let (mut model, xs) = build_lp2_target(&merged, 0.0);
+        // Installed devices are sunk cost: only new devices count.
+        for &e in at.installed {
+            model.fix_var(xs[e], 1.0);
+            model.set_cost(xs[e], 0.0);
+        }
+        for &e in at.disabled {
+            model.fix_var(xs[e], 0.0);
+        }
+        Self::new(merged, model, xs)
+    }
+
+    /// The budget model with a placeholder budget of 0.
+    fn max_coverage(at: Deployment<'_>) -> Self {
+        let merged = at.inst.merged();
+        let (mut model, xs) = build_budget_model(&merged, at.installed);
+        // Failure beats installation: a device on a failed link is dead.
+        for &e in at.disabled {
+            model.fix_var(xs[e], 0.0);
+        }
+        Self::new(merged, model, xs)
+    }
+
+    fn new(merged: PpmInstance, model: Model, xs: Vec<VarId>) -> Self {
+        let goal_row = model.constr(model.constr_count() - 1);
+        ExactModel {
+            merged,
+            model,
+            xs,
+            warm: None,
+            goal_row,
+        }
+    }
+
+    /// `δ_g`, the covered share of merged group `g`.
+    fn delta(&self, g: usize) -> VarId {
+        self.model.var(self.xs.len() + g)
+    }
+
+    /// Runs the MIP from the stored warm start (keeping the new one) and
+    /// reads the placement back: `answer(edges, proven)` for a solution,
+    /// `recover(error)` for the errors the caller expects. Any other error
+    /// is a bug.
+    fn solve<T>(
+        &mut self,
+        opts: &MipOptions,
+        answer: impl Fn(Vec<usize>, bool) -> T,
+        recover: impl FnOnce(&SolverError) -> Option<T>,
+    ) -> Anytime<T> {
+        match self.model.solve_mip(opts, self.warm.as_ref()) {
+            Ok((outcome, warm)) => {
+                if warm.is_some() {
+                    self.warm = warm;
+                }
+                let (xs, proves) = (&self.xs, proves_optimality(opts));
+                Anytime::from_mip(outcome, |sol, proven| {
+                    answer(selected_edges(xs, sol), proven && proves)
+                })
             }
-            model.set_initial_solution(values);
+            Err(e) => match recover(&e) {
+                Some(answer) => Anytime::Done(answer),
+                None => panic!("MIP solver failed unexpectedly: {e}"),
+            },
         }
     }
-}
 
-/// For LP2-shaped models the δ variables start right after the x block;
-/// detect that by name so the warm start can fill them. Returns `None` for
-/// LP1-shaped models (flow variables), where warm starts are skipped.
-fn inst_delta_offset(model: &Model, xs: &[VarId]) -> Option<usize> {
-    let first = xs.len();
-    if first < model.var_count() && model.var_name(model.var(first)).starts_with("delta") {
-        Some(first)
-    } else {
-        None
+    /// Seeds the LP 2 model with the better of the two greedy solutions on
+    /// the original instance (which carries the correct target semantics)
+    /// as branch-and-bound's initial incumbent.
+    fn seed_greedy(&mut self, inst: &PpmInstance, k: f64) {
+        let warm = match (greedy_static(inst, k), greedy_adaptive(inst, k)) {
+            (Some(a), Some(b)) => Some(if a.device_count() <= b.device_count() {
+                a
+            } else {
+                b
+            }),
+            (a, b) => a.or(b),
+        };
+        let Some(w) = warm else { return };
+        let mut values = vec![0.0; self.model.var_count()];
+        for &e in &w.edges {
+            values[self.xs[e].index()] = 1.0;
+        }
+        // δ_g is group g's covered indicator.
+        for (g, (_, support)) in self.merged.traffics.iter().enumerate() {
+            let covered = support.iter().any(|&e| w.edges.contains(&e));
+            values[self.delta(g).index()] = if covered { 1.0 } else { 0.0 };
+        }
+        self.model.set_initial_solution(values);
+    }
+
+    /// After a volume-only delta on `inst`, repairs the LP 2 coverage row
+    /// in place: the identical-support groups are unchanged, only their
+    /// summed volumes moved, so one [`Model::set_constr`] brings the model
+    /// back in sync and the warm basis survives. Returns `false` — the
+    /// model is then stale and must be dropped — when some traffic's
+    /// support no longer maps onto the merged groups (the structural case).
+    pub(crate) fn refresh_volumes(&mut self, inst: &PpmInstance) -> bool {
+        let index: HashMap<&[usize], usize> = self
+            .merged
+            .traffics
+            .iter()
+            .enumerate()
+            .map(|(g, (_, s))| (s.as_slice(), g))
+            .collect();
+        // Re-derive each group's volume exactly as `PpmInstance::merged`
+        // would: skip zero-volume/uncoverable traffics, sum the rest in
+        // original traffic order (merge_traffics stable-sorts, so within a
+        // group the summation order — hence the float — is identical).
+        let mut vols = vec![0.0f64; index.len()];
+        for (v, s) in &inst.traffics {
+            if *v <= 0.0 || s.is_empty() {
+                continue;
+            }
+            match index.get(s.as_slice()) {
+                Some(&g) => vols[g] += v,
+                None => return false,
+            }
+        }
+        let terms = vols
+            .iter()
+            .enumerate()
+            .map(|(g, &v)| (self.delta(g), v))
+            .collect();
+        self.model.set_constr(self.goal_row, terms);
+        for (group, v) in self.merged.traffics.iter_mut().zip(vols) {
+            group.0 = v;
+        }
+        true
+    }
+
+    /// Re-syncs the LP 2 model's `x_e` after link `e` changed installed or
+    /// disabled status, reproducing exactly the state a rebuild would set
+    /// up: installed devices are fixed to 1 at zero cost, failure beats
+    /// installation (fixed to 0, cost as the rebuild leaves it), free
+    /// links are binary at unit cost. Both lists sorted.
+    pub(crate) fn sync_edge(&mut self, installed: &[usize], disabled: &[usize], e: usize) {
+        let x = self.xs[e];
+        let installed = installed.binary_search(&e).is_ok();
+        if disabled.binary_search(&e).is_ok() {
+            self.model.set_cost(x, if installed { 0.0 } else { 1.0 });
+            self.model.fix_var(x, 0.0);
+        } else if installed {
+            self.model.set_cost(x, 0.0);
+            self.model.fix_var(x, 1.0);
+        } else {
+            self.model.set_cost(x, 1.0);
+            self.model.set_bounds(x, 0.0, 1.0);
+        }
     }
 }
 

@@ -12,11 +12,10 @@ pub use exact::{
     build_lp1, build_lp1_target, build_lp2, build_lp2_target, solve_ppm_exact, solve_ppm_mecf,
     ExactOptions,
 };
-pub(crate) use exact::{install_greedy_incumbent, solve_ppm_exact_anytime};
+pub(crate) use exact::{Deployment, ExactModel};
 pub(crate) use greedy::decreasing_load_picks;
 pub use greedy::{flow_greedy_ppm, greedy_adaptive, greedy_static};
 pub use mecf_bb::solve_ppm_mecf_bb;
-pub(crate) use variants::{build_budget_model, solve_budget_anytime};
 pub use variants::{expected_gain, solve_budget, solve_incremental, BudgetSolution};
 
 use milp::{Solution, VarId};

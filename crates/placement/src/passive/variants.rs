@@ -10,11 +10,8 @@
 //!   or a set of new devices": the budget problem on top of an installed
 //!   base, reported as the coverage delta.
 
-use milp::{Cmp, MipOptions, Model, Sense, SolveStatus, VarId, VarKind};
-
 use crate::instance::PpmInstance;
-use crate::passive::{build_lp2_target, selected_edges, ExactOptions, PpmSolution};
-use crate::solve::{greedy_budget, Anytime};
+use crate::passive::{Deployment, ExactModel, ExactOptions, PpmSolution};
 
 /// Solution of the budget-constrained maximum-coverage problem.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,64 +57,15 @@ pub fn solve_incremental(
     installed: &[usize],
     opts: &ExactOptions,
 ) -> Option<PpmSolution> {
-    let merged = inst.merged();
-    // Target is k of the ORIGINAL volume (merging drops uncoverable mass).
-    let (mut model, xs) = build_lp2_target(&merged, k * inst.total_volume());
-    for &e in installed {
+    let installed = sorted_links(installed);
+    for &e in &installed {
         assert!(e < inst.num_edges, "installed edge {e} out of range");
-        model.fix_var(xs[e], 1.0);
-        // Installed devices are sunk cost: exclude from the objective so
-        // the solver minimizes only the new devices.
-        model.set_cost(xs[e], 0.0);
     }
-    let mip_opts = MipOptions {
-        max_nodes: opts.max_nodes,
-        time_limit: opts.time_limit,
-        ..Default::default()
+    let at = Deployment {
+        installed: &installed,
+        ..Deployment::fresh(inst)
     };
-    let sol = match model
-        .solve_mip(&mip_opts, None)
-        .and_then(|(out, _)| out.into_solution())
-    {
-        Ok(s) => s,
-        Err(milp::SolverError::Infeasible) => return None,
-        Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
-    };
-    Some(PpmSolution::from_edges(
-        inst,
-        selected_edges(&xs, &sol),
-        sol.status == SolveStatus::Optimal,
-    ))
-}
-
-/// Builds the maximum-coverage (budget) MIP over a merged instance:
-/// maximize `Σ δ_t v_t` with `δ_t ≤ Σ_{e∈p_t} x_e` and a device budget
-/// row over the non-installed edges. The budget row is the **last**
-/// constraint with a placeholder RHS of 0 — callers set the actual budget
-/// with [`Model::set_rhs`], which is what lets the warm-started chains of
-/// [`crate::delta`] walk a budget grid on one model.
-pub(crate) fn build_budget_model(merged: &PpmInstance, installed: &[usize]) -> (Model, Vec<VarId>) {
-    let mut model = Model::new(Sense::Maximize);
-    let xs: Vec<VarId> = (0..merged.num_edges)
-        .map(|e| model.add_var(format!("x_e{e}"), VarKind::Binary, 0.0, 1.0, 0.0))
-        .collect();
-    let mut budget_terms = Vec::new();
-    for (e, &x) in xs.iter().enumerate() {
-        if installed.contains(&e) {
-            model.fix_var(x, 1.0);
-        } else {
-            budget_terms.push((x, 1.0));
-        }
-    }
-    // Objective: Σ δ_t v_t; constraints δ_t ≤ Σ_{e∈p_t} x_e.
-    for (t, (v, support)) in merged.traffics.iter().enumerate() {
-        let d = model.add_var(format!("delta_t{t}"), VarKind::Continuous, 0.0, 1.0, *v);
-        let mut terms: Vec<(VarId, f64)> = support.iter().map(|&e| (xs[e], 1.0)).collect();
-        terms.push((d, -1.0));
-        model.add_constr(terms, Cmp::Ge, 0.0);
-    }
-    model.add_constr(budget_terms, Cmp::Le, 0.0);
-    (model, xs)
+    ExactModel::solve_min_devices(&mut None, at, k, &opts.mip(None)).unbudgeted()
 }
 
 /// Maximum-coverage placement of at most `budget` new devices on top of
@@ -128,43 +76,20 @@ pub fn solve_budget(
     installed: &[usize],
     opts: &ExactOptions,
 ) -> BudgetSolution {
-    solve_budget_anytime(inst, budget, installed, opts, None).unbudgeted()
+    let installed = sorted_links(installed);
+    let at = Deployment {
+        installed: &installed,
+        ..Deployment::fresh(inst)
+    };
+    ExactModel::solve_max_coverage(&mut None, at, budget, &opts.mip(None)).unbudgeted()
 }
 
-/// The one-shot budget kernel under the anytime contract, for the unified
-/// dispatcher ([`crate::solve::solve_instance`]).
-pub(crate) fn solve_budget_anytime(
-    inst: &PpmInstance,
-    budget: usize,
-    installed: &[usize],
-    opts: &ExactOptions,
-    work_budget: Option<u64>,
-) -> Anytime<BudgetSolution> {
-    let merged = inst.merged();
-    let (mut model, xs) = build_budget_model(&merged, installed);
-    let budget_row = model.constr(model.constr_count() - 1);
-    model.set_rhs(budget_row, budget as f64);
-
-    let mip_opts = MipOptions {
-        max_nodes: opts.max_nodes,
-        time_limit: opts.time_limit,
-        work_budget,
-        ..Default::default()
-    };
-    let outcome = match model.solve_mip(&mip_opts, None) {
-        Ok((outcome, _)) => outcome,
-        // The node limit closed the search before any incumbent landed.
-        Err(milp::SolverError::NodeLimitNoSolution { .. }) => {
-            let mut base = installed.to_vec();
-            base.sort_unstable();
-            base.dedup();
-            return Anytime::Done(greedy_budget(inst, budget, &base, &[]));
-        }
-        Err(e) => panic!("budget problem is always feasible: {e:?}"),
-    };
-    Anytime::from_mip(outcome, |sol, proven| {
-        BudgetSolution::from_edges(inst, selected_edges(&xs, sol), proven)
-    })
+/// `links` sorted and deduplicated, as a [`Deployment`] holds them.
+fn sorted_links(links: &[usize]) -> Vec<usize> {
+    let mut links = links.to_vec();
+    links.sort_unstable();
+    links.dedup();
+    links
 }
 
 /// Expected coverage gain (absolute volume) from buying `extra` devices on
@@ -258,6 +183,45 @@ mod tests {
         // t0 already covered; link 2 likewise).
         assert!(on_top <= 2.0 + 1e-9);
         assert!(on_top > 0.0);
+    }
+
+    #[test]
+    fn a_loose_gap_stops_early_and_is_never_proven() {
+        use popgen::{PopSpec, TrafficSpec};
+
+        // Both roots are fractional, so at `rel_gap: 1.0` the search stops
+        // at its first incumbent within 100% of the bound: a worse answer
+        // than the default gap proves, reported unproven.
+        let pop = PopSpec::paper_10().build();
+        let ts = TrafficSpec::default().generate(&pop, 1);
+        let inst = PpmInstance::from_traffic(&pop.graph, &ts);
+        let tight = ExactOptions::default();
+        let loose = ExactOptions {
+            rel_gap: 1.0,
+            ..ExactOptions::default()
+        };
+
+        let (a, b) = (
+            solve_budget(&inst, 4, &[], &loose),
+            solve_budget(&inst, 4, &[], &tight),
+        );
+        assert!(b.proven_optimal);
+        assert!(!a.proven_optimal, "budget at rel_gap 1.0 claims optimality");
+        assert!(a.coverage < b.coverage, "budget ignored rel_gap");
+
+        let (a, b) = (
+            solve_incremental(&inst, 0.9, &[3, 5], &loose).unwrap(),
+            solve_incremental(&inst, 0.9, &[3, 5], &tight).unwrap(),
+        );
+        assert!(b.proven_optimal);
+        assert!(
+            !a.proven_optimal,
+            "incremental at rel_gap 1.0 claims optimality"
+        );
+        assert!(
+            a.device_count() > b.device_count(),
+            "incremental ignored rel_gap"
+        );
     }
 
     #[test]

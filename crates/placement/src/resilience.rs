@@ -328,8 +328,8 @@ fn score_routed(
 /// The cold-rebuild reference: an independent [`PpmInstance`] per
 /// scenario, no chain, no incremental state. This is the differential
 /// oracle for [`score_ensemble`] on unrouted chains (bitwise-equal
-/// scores) and the frozen baseline the `resilience_ensemble_1k` bench
-/// stage is measured against. `base_disabled` must be sorted.
+/// scores, checked by `tests/proptest_resilience.rs`). `base_disabled`
+/// must be sorted.
 pub fn score_ensemble_cold(
     base: &PpmInstance,
     base_disabled: &[usize],

@@ -14,18 +14,19 @@
 //! ([`solve_ppm_exact`](crate::passive::solve_ppm_exact),
 //! [`solve_budget`](crate::passive::solve_budget), …) take
 //! [`ExactOptions`] and run unbudgeted. See DESIGN.md § "The solve API".
+//!
+//! [`DeltaInstance::solve`]: crate::delta::DeltaInstance::solve
 
 use std::fmt;
 
-use milp::{MipOutcome, Solution, SolveStatus};
+use milp::{MipOptions, MipOutcome, Solution, SolveStatus};
 use netgraph::{Graph, NodeId};
 
 use crate::active::{compute_probes, place_beacons_greedy, place_beacons_ilp};
-use crate::delta::DeltaInstance;
 use crate::instance::PpmInstance;
 use crate::passive::{
-    decreasing_load_picks, greedy_static, solve_budget_anytime, solve_ppm_exact_anytime,
-    BudgetSolution, ExactOptions, PpmSolution,
+    decreasing_load_picks, greedy_static, BudgetSolution, Deployment, ExactModel, ExactOptions,
+    PpmSolution,
 };
 
 /// Typed validation error for placement requests and mutations — the
@@ -412,13 +413,44 @@ fn budget_outcome(
     }
 }
 
-/// Solves a one-shot PPM request on a static instance, dispatching to the
-/// batch kernels ([`solve_ppm_exact`] / [`greedy_static`] /
-/// [`solve_budget`]). APM requests are rejected here — they need a router
-/// graph, not an edge-support instance; use [`solve_apm`].
+/// Solves a one-shot PPM request on a static instance, through the same
+/// dispatch as [`DeltaInstance::solve`] on throwaway models: the batch
+/// kernels ([`solve_ppm_exact`] / [`greedy_static`] / [`solve_budget`])
+/// under the request's knobs. APM requests are rejected here — they need
+/// a router graph, not an edge-support instance; use [`solve_apm`].
+///
+/// [`DeltaInstance::solve`]: crate::delta::DeltaInstance::solve
+/// [`solve_ppm_exact`]: crate::passive::solve_ppm_exact
+/// [`solve_budget`]: crate::passive::solve_budget
 pub fn solve_instance(
     inst: &PpmInstance,
     req: &SolveRequest,
+) -> Result<SolveOutcome, PlacementError> {
+    solve_ppm_request(
+        req,
+        Deployment::fresh(inst),
+        &mut None,
+        &mut None,
+        ExactOptions::mip_batched,
+    )
+}
+
+/// The one PPM request dispatch behind [`solve_instance`] and
+/// [`DeltaInstance::solve`]: validate, then budget / exact / greedy on
+/// `at`, then the outcome mapping with the paper's greedy on the same
+/// constrained state as the degradation fallback. `exact` and `budget`
+/// are the caller's minimum-device and budget [`ExactModel`] slots (empty
+/// ones for one-shot solves); `min_devices_search` is the caller's
+/// minimum-device MIP configuration (budget solves always search
+/// serially).
+///
+/// [`DeltaInstance::solve`]: crate::delta::DeltaInstance::solve
+pub(crate) fn solve_ppm_request(
+    req: &SolveRequest,
+    at: Deployment<'_>,
+    exact: &mut Option<ExactModel>,
+    budget: &mut Option<ExactModel>,
+    min_devices_search: fn(&ExactOptions, Option<u64>) -> MipOptions,
 ) -> Result<SolveOutcome, PlacementError> {
     req.validate()?;
     let Objective::Ppm { k } = req.objective else {
@@ -427,20 +459,24 @@ pub fn solve_instance(
             "APM solves need a router graph; use solve_apm".to_string(),
         ));
     };
-    if let Some(budget) = req.device_budget {
-        return Ok(budget_outcome(
-            solve_budget_anytime(inst, budget, &[], &req.exact_options(), req.work_budget),
-            || greedy_budget(inst, budget, &[], &[]),
-        ));
+    let opts = req.exact_options();
+    let (inst, installed, disabled) = (at.inst, at.installed, at.disabled);
+    if let Some(devices) = req.device_budget {
+        let search = opts.mip(req.work_budget);
+        let attempt = ExactModel::solve_max_coverage(budget, at, devices, &search);
+        return Ok(budget_outcome(attempt, || {
+            greedy_budget(inst, devices, installed, disabled)
+        }));
     }
     let attempt = match req.method {
         SolveMethod::Exact => {
-            solve_ppm_exact_anytime(inst, k, &req.exact_options(), req.work_budget)
+            let search = min_devices_search(&opts, req.work_budget);
+            ExactModel::solve_min_devices(exact, at, k, &search)
         }
-        SolveMethod::Greedy => Anytime::Done(greedy_static(inst, k)),
+        SolveMethod::Greedy => Anytime::Done(greedy_constrained(inst, installed, disabled, k)),
     };
     Ok(ppm_outcome(attempt, || {
-        greedy_constrained(inst, &[], &[], k)
+        greedy_constrained(inst, installed, disabled, k)
     }))
 }
 
@@ -476,6 +512,8 @@ pub fn solve_apm(graph: &Graph, req: &SolveRequest) -> Result<SolveOutcome, Plac
 /// and the greedy covers the residual target on the traffics the live
 /// installed set leaves uncovered. `installed` and `disabled` must be
 /// sorted.
+///
+/// [`DeltaInstance::solve`]: crate::delta::DeltaInstance::solve
 pub fn greedy_constrained(
     inst: &PpmInstance,
     installed: &[usize],
@@ -573,49 +611,10 @@ pub fn greedy_budget(
     }
 }
 
-impl DeltaInstance {
-    /// Solves a unified request on the chain's current state — the one
-    /// solve method of a chain, and the one the `popmond` service routes
-    /// through. Exact solves ride the warm chain; greedy solves run
-    /// [`greedy_constrained`] on the borrowed instance. APM requests
-    /// are rejected (they need a router graph; use [`solve_apm`]).
-    ///
-    /// With [`SolveRequest::work_budget`] set the exact solves are
-    /// *anytime*: a tripped budget yields [`SolveOutcome::Degraded`] with
-    /// the incumbent or a [`greedy_constrained`] / [`greedy_budget`]
-    /// fallback on the same constrained state.
-    pub fn solve(&mut self, req: &SolveRequest) -> Result<SolveOutcome, PlacementError> {
-        req.validate()?;
-        let Objective::Ppm { k } = req.objective else {
-            return Err(PlacementError::new(
-                "objective",
-                "APM solves need a router graph; use solve_apm".to_string(),
-            ));
-        };
-        if let Some(budget) = req.device_budget {
-            let attempt = self.solve_budget_core(budget, &req.exact_options(), req.work_budget);
-            return Ok(budget_outcome(attempt, || {
-                greedy_budget(self.instance(), budget, self.installed(), self.disabled())
-            }));
-        }
-        let attempt = match req.method {
-            SolveMethod::Exact => self.solve_exact_core(k, &req.exact_options(), req.work_budget),
-            SolveMethod::Greedy => Anytime::Done(greedy_constrained(
-                self.instance(),
-                self.installed(),
-                self.disabled(),
-                k,
-            )),
-        };
-        Ok(ppm_outcome(attempt, || {
-            greedy_constrained(self.instance(), self.installed(), self.disabled(), k)
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaInstance;
     use crate::passive::{solve_budget, solve_ppm_exact};
 
     fn figure3() -> PpmInstance {
@@ -675,6 +674,44 @@ mod tests {
         let chained = DeltaInstance::from_instance(&inst).solve(&req).unwrap();
         for out in [one_shot, chained] {
             assert_eq!(out, SolveOutcome::Budget(want.clone()));
+        }
+    }
+
+    #[test]
+    fn budgeted_one_shot_and_chained_solves_keep_their_search_bits() {
+        use popgen::{PopSpec, TrafficSpec};
+
+        // One request, both MIP configurations: the one-shot solve searches
+        // EXACT_NODE_BATCH nodes per round, the chain one. Recorded before
+        // the two paths shared a kernel; a silent switch of either moves
+        // the work spent.
+        let pop = PopSpec::paper_15().build();
+        let ts = TrafficSpec::default().generate(&pop, 1);
+        let inst = PpmInstance::from_traffic(&pop.graph, &ts);
+        let req = SolveRequest::ppm(0.95).with_work_budget(4_000);
+        let edges = vec![
+            0, 4, 5, 8, 10, 12, 14, 15, 16, 18, 20, 22, 24, 25, 29, 38, 56, 67, 68, 69, 70,
+        ];
+        let one_shot = solve_instance(&inst, &req).unwrap();
+        let chained = DeltaInstance::from_instance(&inst).solve(&req).unwrap();
+        for (what, out, work) in [("one-shot", one_shot, 6_347), ("chained", chained, 4_570)] {
+            let SolveOutcome::Degraded {
+                partial,
+                reason,
+                work_spent,
+                bound,
+            } = out
+            else {
+                panic!("{what}: the budget must trip, got {out:?}");
+            };
+            assert_eq!(reason, DegradeReason::PartialExact, "{what}");
+            assert_eq!(work_spent, work, "{what}: work spent");
+            assert_eq!(bound.to_bits(), 14.0f64.to_bits(), "{what}: bound");
+            let SolveOutcome::Ppm(sol) = *partial else {
+                panic!("{what}: expected a partial placement, got {partial:?}");
+            };
+            assert_eq!(sol.edges, edges, "{what}: partial edges");
+            assert!(!sol.proven_optimal, "{what}");
         }
     }
 

@@ -9,12 +9,17 @@
 //! loop it replaced (kept below as a reference): same picks, same
 //! coverage and total-volume bits, same `None` verdicts — unconstrained,
 //! and under installed and failed links.
+//!
+//! And it checks the constrained exact kernels — the warm chain's exact
+//! and budget solves, [`solve_incremental`] and [`solve_budget`] —
+//! against subset enumeration over the free links, an oracle that shares
+//! no code with `milp`.
 
 use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
 use placement::passive::{
-    brute_force_ppm, greedy_adaptive, greedy_static, solve_ppm_exact, solve_ppm_mecf_bb,
-    ExactOptions, PpmSolution,
+    brute_force_ppm, greedy_adaptive, greedy_static, solve_budget, solve_incremental,
+    solve_ppm_exact, solve_ppm_mecf_bb, BudgetSolution, ExactOptions, PpmSolution,
 };
 use placement::setcover::slavik_bound;
 use placement::solve::{greedy_constrained, SolveOutcome, SolveRequest};
@@ -380,6 +385,208 @@ proptest! {
                 "solver feasibility disagreement: lp2 {:?} mecf {:?} brute {:?}",
                 a.map(|s| s.edges), b.map(|s| s.edges), c.map(|s| s.edges)
             ),
+        }
+    }
+}
+
+/// Strategy: an instance with at most 10 links and integral volumes (0–5,
+/// so every coverage is an integer and no grid target sits within float
+/// noise of a reachable one), empty supports included.
+fn oracle_instances() -> impl Strategy<Value = PpmInstance> {
+    (1usize..=10).prop_flat_map(|ne| {
+        let traffic = (
+            (0u32..=5).prop_map(f64::from),
+            proptest::collection::vec(0..ne, 0..=3),
+        );
+        proptest::collection::vec(traffic, 0..=8).prop_map(move |ts| PpmInstance::new(ne, ts))
+    })
+}
+
+/// Subset enumeration over the free links (neither installed nor
+/// failed): for every subset, its size and the volume covered by the live
+/// installed links plus the subset. Plain Rust throughout.
+struct SubsetOracle {
+    live: Vec<usize>,
+    subsets: Vec<(usize, f64)>,
+    total: f64,
+}
+
+impl SubsetOracle {
+    fn new(inst: &PpmInstance, installed: &[usize], disabled: &[usize]) -> Self {
+        let live: Vec<usize> = installed
+            .iter()
+            .copied()
+            .filter(|e| !disabled.contains(e))
+            .collect();
+        let free: Vec<usize> = (0..inst.num_edges)
+            .filter(|e| !installed.contains(e) && !disabled.contains(e))
+            .collect();
+        let subsets = (0u32..1 << free.len())
+            .map(|bits| {
+                let mut on = vec![false; inst.num_edges];
+                for &e in &live {
+                    on[e] = true;
+                }
+                for (i, &e) in free.iter().enumerate() {
+                    on[e] |= bits >> i & 1 == 1;
+                }
+                let covered = inst
+                    .traffics
+                    .iter()
+                    .filter(|(_, s)| s.iter().any(|&e| on[e]))
+                    .map(|(v, _)| v)
+                    .sum();
+                (bits.count_ones() as usize, covered)
+            })
+            .collect();
+        let total = inst.traffics.iter().map(|(v, _)| v).sum();
+        SubsetOracle {
+            live,
+            subsets,
+            total,
+        }
+    }
+
+    /// The fewest free links reaching `k` of the total volume, if any.
+    fn min_devices(&self, k: f64) -> Option<usize> {
+        let target = k * self.total;
+        self.subsets
+            .iter()
+            .filter(|&&(_, c)| c + 1e-6 >= target)
+            .map(|&(n, _)| n)
+            .min()
+    }
+
+    /// The most volume at most `budget` free links can add to the live
+    /// installed ones.
+    fn max_coverage(&self, budget: usize) -> f64 {
+        self.subsets
+            .iter()
+            .filter(|&&(n, _)| n <= budget)
+            .map(|&(_, c)| c)
+            .fold(0.0, f64::max)
+    }
+
+    /// Checks a minimum-device answer: the live installed links plus
+    /// exactly the oracle's count of free ones, nothing failed, proven.
+    fn check_min_devices(&self, got: Option<PpmSolution>, k: f64, disabled: &[usize], what: &str) {
+        match (got, self.min_devices(k)) {
+            (Some(sol), Some(m)) => {
+                assert!(sol.proven_optimal, "{what}: unproven");
+                assert!(
+                    self.live.iter().all(|e| sol.edges.contains(e)),
+                    "{what}: {:?} drops a live installed link of {:?}",
+                    sol.edges,
+                    self.live
+                );
+                assert!(
+                    sol.edges.iter().all(|e| !disabled.contains(e)),
+                    "{what}: {:?} uses a failed link",
+                    sol.edges
+                );
+                assert_eq!(
+                    sol.device_count(),
+                    self.live.len() + m,
+                    "{what}: {:?}",
+                    sol.edges
+                );
+                assert!(sol.coverage + 1e-6 >= k * self.total, "{what}: infeasible");
+            }
+            (None, None) => {}
+            (got, want) => panic!("{what}: solver {got:?} vs oracle {want:?} new links"),
+        }
+    }
+
+    /// Checks a budget answer: the live installed links plus at most
+    /// `budget` free ones, nothing failed, the oracle's coverage, proven.
+    fn check_max_coverage(
+        &self,
+        sol: &BudgetSolution,
+        budget: usize,
+        disabled: &[usize],
+        what: &str,
+    ) {
+        assert!(sol.proven_optimal, "{what}: unproven");
+        assert!(
+            self.live.iter().all(|e| sol.edges.contains(e)),
+            "{what}: {:?} drops a live installed link of {:?}",
+            sol.edges,
+            self.live
+        );
+        assert!(
+            sol.edges.iter().all(|e| !disabled.contains(e)),
+            "{what}: {:?} uses a failed link",
+            sol.edges
+        );
+        assert!(
+            sol.edges.len() <= self.live.len() + budget,
+            "{what}: {:?}",
+            sol.edges
+        );
+        assert!(
+            (sol.coverage - self.max_coverage(budget)).abs() < 1e-6,
+            "{what}: coverage {} vs oracle {}",
+            sol.coverage,
+            self.max_coverage(budget)
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The constrained exact kernels against subset enumeration: one warm
+    /// chain — solved once plain, then a demand doubled, the installed
+    /// set and the failed links applied as in-place repairs — alternating
+    /// exact solves over a `k` grid with budget solves 0–3, and the
+    /// one-shot [`solve_incremental`] / [`solve_budget`] on the installed
+    /// set alone.
+    #[test]
+    fn constrained_exact_kernels_match_subset_oracle(
+        inst in oracle_instances(),
+        installed in link_sets(),
+        disabled in link_sets(),
+    ) {
+        let n = inst.num_edges;
+        let installed: Vec<usize> = installed.into_iter().filter(|&e| e < n).collect();
+        let disabled: Vec<usize> = disabled.into_iter().filter(|&e| e < n).collect();
+        let opts = ExactOptions::default();
+        let grid = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0];
+
+        let mut delta = DeltaInstance::from_instance(&inst);
+        delta.solve(&SolveRequest::ppm(0.5)).unwrap();
+        if !inst.traffics.is_empty() {
+            delta.try_scale_demand(0, 2.0).unwrap();
+        }
+        delta.try_set_installed(&installed).unwrap();
+        for &e in &disabled {
+            delta.try_fail_link(e).unwrap();
+        }
+        let inst = delta.instance().clone();
+        let oracle = SubsetOracle::new(&inst, &installed, &disabled);
+        for (i, &k) in grid.iter().enumerate() {
+            let what = format!("chain exact, k = {k}, installed {installed:?}, disabled {disabled:?}");
+            let got = match delta.solve(&SolveRequest::ppm(k)).unwrap() {
+                SolveOutcome::Ppm(sol) => Some(sol),
+                SolveOutcome::Unreachable => None,
+                other => panic!("{what}: unexpected outcome {other:?}"),
+            };
+            oracle.check_min_devices(got, k, &disabled, &what);
+            let budget = i % 4;
+            let what = format!("chain budget {budget}, installed {installed:?}, disabled {disabled:?}");
+            let sol = delta.solve(&SolveRequest::budget(budget)).unwrap().into_budget();
+            oracle.check_max_coverage(&sol.expect("budget outcome"), budget, &disabled, &what);
+        }
+
+        let oracle = SubsetOracle::new(&inst, &installed, &[]);
+        for &k in &grid {
+            let what = format!("solve_incremental, k = {k}, installed {installed:?}");
+            oracle.check_min_devices(solve_incremental(&inst, k, &installed, &opts), k, &[], &what);
+        }
+        for budget in 0..=3 {
+            let what = format!("solve_budget {budget}, installed {installed:?}");
+            let sol = solve_budget(&inst, budget, &installed, &opts);
+            oracle.check_max_coverage(&sol, budget, &[], &what);
         }
     }
 }
