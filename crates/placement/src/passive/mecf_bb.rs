@@ -11,13 +11,17 @@
 //!
 //! `bound(node) = |installed| + ⌈mincostflow(k·V)⌉` is a valid lower bound
 //! (any feasible completion routes each covered traffic through one of its
-//! selected edges, paying at most one per device), and it is computed in
-//! milliseconds by successive shortest paths — three orders of magnitude
-//! faster than the simplex on the 15-router / 1980-traffic instance of
-//! Figure 8. Every node also yields a feasible incumbent for free: the
-//! installed edges plus the free edges carrying flow form a cover.
-
-use mcmf::mecf::MonitoringInstance;
+//! selected edges, paying at most one per device). Every arc out of `S`
+//! and into a traffic node is uncapacitated, so the flow is computed
+//! analytically — each traffic's cheapest allowed edge, then a fractional
+//! knapsack up to `k·V` (see [`FlowBound`]) — instead of by a flow or
+//! simplex solve. Every node also yields a feasible incumbent for free:
+//! the installed edges plus the free edges carrying flow form a cover.
+//!
+//! The search is incremental: a depth-first child differs from its parent
+//! in one edge, so the per-traffic cheapest-edge choices are cached for
+//! the whole search and only the traffics crossing an edge whose state
+//! changed are re-scanned at the next node.
 
 use crate::instance::PpmInstance;
 use crate::passive::{greedy_adaptive, greedy_static, ExactOptions, PpmSolution};
@@ -46,18 +50,8 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
         return None;
     }
     let merged = inst.merged();
-    let mon = merged.to_monitoring();
-    let loads = mon.edge_loads();
     let ne = merged.num_edges;
-
-    // Edge → traffics index, built once: the incremental redundancy prune
-    // walks it at every incumbent instead of recomputing coverage.
-    let mut edge_traffics: Vec<Vec<u32>> = vec![Vec::new(); ne];
-    for (t, (_, support)) in merged.traffics.iter().enumerate() {
-        for &e in support {
-            edge_traffics[e].push(t as u32);
-        }
-    }
+    let mut fb = FlowBound::new(&merged);
 
     // Initial incumbent from the greedy pair.
     let mut incumbent: Option<Vec<usize>> = match (greedy_static(inst, k), greedy_adaptive(inst, k))
@@ -70,24 +64,24 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
         (a, b) => a.or(b).map(|s| s.edges),
     };
 
-    // DFS over edge fixings. Each node re-evaluates the flow bound.
+    // DFS over edge fixings. A frame is its parent's fixings (the first
+    // `depth` entries of the bound's trail when it is popped) plus one
+    // more, so frames carry that one decision rather than a state copy.
     struct Frame {
-        state: Vec<EdgeState>,
+        depth: usize,
+        fix: Option<(usize, EdgeState)>,
         installed: usize,
     }
     let mut stack = vec![Frame {
-        state: vec![EdgeState::Free; ne],
+        depth: 0,
+        fix: None,
         installed: 0,
     }];
     let mut nodes = 0usize;
     let mut proven = true;
     let start = std::time::Instant::now();
-
-    // Scratch buffers reused across every node's flow bound: the bound is
-    // called once per node, and per-node allocation of the item list and
-    // the per-edge flow table dominated small-instance profiles.
-    let mut items: Vec<(f64, f64, usize)> = Vec::with_capacity(merged.traffics.len());
-    let mut with_flow: Vec<(bool, f64)> = vec![(false, 0.0); ne];
+    let mut cover: Vec<usize> = Vec::new();
+    let mut prune = Prune::default();
 
     while let Some(frame) = stack.pop() {
         if nodes >= opts.max_nodes || opts.time_limit.is_some_and(|l| start.elapsed() >= l) {
@@ -102,17 +96,11 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
         }
 
         // Flow bound for this node.
-        let Some((bound_frac, routed)) = flow_bound(
-            &mon,
-            &loads,
-            &frame.state,
-            target,
-            &mut items,
-            &mut with_flow,
-        ) else {
+        fb.goto(frame.depth, frame.fix);
+        let Some((bound_frac, routed)) = fb.evaluate(target) else {
             continue; // target unreachable under these fixings
         };
-        let flow_edges = &with_flow;
+        let (state, flow_edges, loads) = (&fb.state, &fb.with_flow, &fb.loads);
         let bound = frame.installed + (bound_frac - 1e-9).ceil().max(0.0) as usize;
         if bound >= best {
             continue;
@@ -121,12 +109,11 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
         // Free incumbent: installed ∪ free-with-flow edges cover the target
         // (the flow routed `target` units through exactly those arcs).
         if routed + 1e-6 >= target {
-            let mut cover: Vec<usize> = (0..ne)
-                .filter(|&e| frame.state[e] == EdgeState::Installed || flow_edges[e].0)
-                .collect();
-            prune_redundant(&merged, &loads, &edge_traffics, &mut cover, target);
+            cover.clear();
+            cover.extend((0..ne).filter(|&e| state[e] == EdgeState::Installed || flow_edges[e].0));
+            prune.run(&fb.volumes, loads, &fb.edge_traffics, &mut cover, target);
             if cover.len() < best {
-                incumbent = Some(cover);
+                incumbent = Some(cover.clone());
             }
         }
         let best = incumbent.as_ref().map(|e| e.len()).unwrap_or(usize::MAX);
@@ -139,7 +126,7 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
         // load): saturated or unused edges are already integral there, so
         // splitting on them wastes a level.
         let branch_edge = (0..ne)
-            .filter(|&e| frame.state[e] == EdgeState::Free && flow_edges[e].1 > 1e-9)
+            .filter(|&e| state[e] == EdgeState::Free && flow_edges[e].1 > 1e-9)
             .max_by(|&a, &b| {
                 let score = |e: usize| {
                     let frac = (flow_edges[e].1 / loads[e]).clamp(0.0, 1.0);
@@ -159,16 +146,15 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
 
         // Down child (forbid e) pushed first so the up child (install e,
         // plunging toward covers) is explored first.
-        let mut down = frame.state.clone();
-        down[e] = EdgeState::Forbidden;
+        let depth = fb.trail.len();
         stack.push(Frame {
-            state: down,
+            depth,
+            fix: Some((e, EdgeState::Forbidden)),
             installed: frame.installed,
         });
-        let mut up = frame.state;
-        up[e] = EdgeState::Installed;
         stack.push(Frame {
-            state: up,
+            depth,
+            fix: Some((e, EdgeState::Installed)),
             installed: frame.installed + 1,
         });
     }
@@ -176,7 +162,8 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
     incumbent.map(|edges| PpmSolution::from_edges(inst, edges, proven))
 }
 
-/// Computes the min-cost-flow bound for a node analytically.
+/// The min-cost-flow bound of the search's current node, kept
+/// incrementally across nodes.
 ///
 /// Because every `(S, w_e)` and `(w_e, w_t)` arc of the auxiliary graph is
 /// *uncapacitated*, the min-cost flow decomposes per traffic: a unit of
@@ -184,145 +171,318 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
 /// with `cost = 0` on installed edges and `1/load(e)` on free ones; the
 /// optimal flow is then the fractional knapsack "monitor the cheapest
 /// traffics first until `k·V`". This gives the exact same value as running
-/// successive shortest paths, in `O(Σ|p_t| + T log T)` — microseconds per
-/// node instead of a full flow solve. (The equivalence is unit-tested
-/// against [`mcmf::mincost::min_cost_flow`] below.)
+/// successive shortest paths. (The equivalence is unit-tested against
+/// [`mcmf::mincost::min_cost_flow`] below, under random fixings.)
 ///
-/// Returns the fractional device bound over free edges and the routed
-/// volume, filling `with_flow` with a `(carries flow, flow amount)` pair
-/// per edge; `None` when the target cannot be routed. `items` and
-/// `with_flow` are caller-owned scratch buffers reused across nodes.
-fn flow_bound(
-    mon: &MonitoringInstance,
-    loads: &[f64],
-    state: &[EdgeState],
-    target: f64,
-    items: &mut Vec<(f64, f64, usize)>,
-    with_flow: &mut Vec<(bool, f64)>,
-) -> Option<(f64, f64)> {
-    let ne = mon.num_edges;
-    with_flow.clear();
-    with_flow.resize(ne, (false, 0.0));
-    if target <= 1e-12 {
-        return Some((0.0, 0.0));
-    }
-
-    // Cheapest allowed edge per traffic; ties prefer the heavier load so
-    // flow consolidates onto fewer edges (better incumbents).
-    items.clear();
-    for (v, support) in &mon.traffics {
-        let mut best: Option<(f64, usize)> = None;
-        for &e in support {
-            let cost = match state[e] {
-                EdgeState::Forbidden => continue,
-                EdgeState::Installed => 0.0,
-                EdgeState::Free => {
-                    if loads[e] > 1e-12 {
-                        1.0 / loads[e]
-                    } else {
-                        continue;
-                    }
-                }
-            };
-            let better = match best {
-                None => true,
-                Some((bc, be)) => {
-                    cost < bc - 1e-15 || ((cost - bc).abs() <= 1e-15 && loads[e] > loads[be])
-                }
-            };
-            if better {
-                best = Some((cost, e));
-            }
-        }
-        if let Some((c, e)) = best {
-            items.push((c, *v, e));
-        }
-    }
-
-    let coverable: f64 = items.iter().map(|&(_, v, _)| v).sum();
-    if coverable + 1e-6 < target {
-        return None;
-    }
-
-    // Fractional knapsack: cheapest unit costs first.
-    items.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"));
-    let mut routed = 0.0f64;
-    let mut cost = 0.0f64;
-    for &(c, v, e) in items.iter() {
-        if routed + 1e-12 >= target {
-            break;
-        }
-        let take = v.min(target - routed);
-        routed += take;
-        cost += c * take;
-        if state[e] == EdgeState::Free {
-            with_flow[e].0 = true;
-            with_flow[e].1 += take;
-        }
-    }
-    Some((cost, routed))
+/// Per node, [`FlowBound::evaluate`] re-scans only the traffics crossing
+/// an edge whose state changed since the previous evaluation —
+/// `O(Σ_{e changed} Σ_{t ∋ e} |p_t|)` — and lays the knapsack items out by
+/// a counting sort over precomputed cost ranks, `O(T + E)`.
+struct FlowBound<'a> {
+    traffics: &'a [(f64, Vec<usize>)],
+    /// Traffic volumes, and their sum in traffic order.
+    volumes: Vec<f64>,
+    total: f64,
+    loads: Vec<f64>,
+    /// Edge → traffics crossing it; also walked by the redundancy prune.
+    edge_traffics: Vec<Vec<u32>>,
+    /// Knapsack sort key of a free edge: the rank of its cost `1/load`
+    /// among all distinct costs and the installed cost `0`, which has
+    /// rank 0. Equal costs share a rank, so a stable counting sort by rank
+    /// orders the items exactly as a stable comparison sort by cost would.
+    rank: Vec<u32>,
+    state: Vec<EdgeState>,
+    /// The edges fixed on the path to the current node, in branching
+    /// order.
+    trail: Vec<usize>,
+    /// Edges whose state changed since the last evaluation (may repeat).
+    dirty: Vec<usize>,
+    /// Each traffic's cheapest allowed edge `(cost, edge)` under `state`
+    /// (as of the last evaluation), `None` when none is allowed; its sort
+    /// key ([`BLOCKED`] for `None`); the traffics per key; and how many
+    /// traffics have no allowed edge.
+    cheapest: Vec<Option<(f64, usize)>>,
+    key: Vec<u32>,
+    per_key: Vec<u32>,
+    blocked: usize,
+    /// Per-traffic stamp de-duplicating re-scans within one evaluation.
+    scanned: Vec<u64>,
+    epoch: u64,
+    /// Counting-sort scratch: per-key slots, and the knapsack items
+    /// `(cost, volume, edge)` in cost order.
+    slot: Vec<u32>,
+    items: Vec<(f64, f64, usize)>,
+    /// Per edge: whether it carries flow, and how much.
+    with_flow: Vec<(bool, f64)>,
 }
 
-/// Drops redundant edges from a cover, greedily, preferring to drop
-/// low-load edges first; keeps the cover feasible for `target`.
-///
-/// Incremental: per-traffic cover counts plus the `edge_traffics` index
-/// turn each trial drop into a walk over that edge's own traffics instead
-/// of a full coverage recomputation — `O(Σ_{e∈cover} |traffics(e)|)` per
-/// incumbent instead of `O(|cover| · Σ_t |p_t|)`, and this runs at nearly
-/// every node of the search.
-fn prune_redundant(
-    inst: &PpmInstance,
-    loads: &[f64],
-    edge_traffics: &[Vec<u32>],
-    cover: &mut Vec<usize>,
-    target: f64,
-) {
-    // How many cover edges each traffic currently routes through, and the
-    // total volume covered (traffics with count ≥ 1).
-    let mut cnt = vec![0u32; inst.traffics.len()];
-    for &e in cover.iter() {
-        for &t in &edge_traffics[e] {
-            cnt[t as usize] += 1;
-        }
-    }
-    let mut covered: f64 = inst
-        .traffics
-        .iter()
-        .zip(&cnt)
-        .filter(|&(_, &c)| c > 0)
-        .map(|((v, _), _)| *v)
-        .sum();
+/// Sort key of a traffic without an allowed edge.
+const BLOCKED: u32 = u32::MAX;
 
-    let mut order: Vec<usize> = (0..cover.len()).collect();
-    order.sort_by(|&i, &j| {
-        loads[cover[i]]
-            .partial_cmp(&loads[cover[j]])
-            .expect("finite")
-    });
-    let mut keep: Vec<bool> = vec![true; cover.len()];
-    for &i in &order {
-        let e = cover[i];
-        // Volume lost if e is dropped: traffics covered only by e.
-        let loss: f64 = edge_traffics[e]
-            .iter()
-            .filter(|&&t| cnt[t as usize] == 1)
-            .map(|&t| inst.traffics[t as usize].0)
-            .sum();
-        if covered - loss + 1e-9 >= target {
-            keep[i] = false;
-            covered -= loss;
-            for &t in &edge_traffics[e] {
-                cnt[t as usize] -= 1;
+impl<'a> FlowBound<'a> {
+    /// The bound at the root: every edge free.
+    fn new(inst: &'a PpmInstance) -> Self {
+        let ne = inst.num_edges;
+        let nt = inst.traffics.len();
+        let loads = inst.edge_loads();
+        let mut edge_traffics: Vec<Vec<u32>> = vec![Vec::new(); ne];
+        for (t, (_, support)) in inst.traffics.iter().enumerate() {
+            for &e in support {
+                edge_traffics[e].push(t as u32);
             }
         }
+        let cost = |e: usize| (loads[e] > 1e-12).then(|| 1.0 / loads[e]);
+        let mut costs: Vec<f64> = (0..ne).filter_map(cost).collect();
+        costs.push(0.0);
+        costs.sort_by(|a, b| a.partial_cmp(b).expect("finite costs"));
+        costs.dedup();
+        let rank = (0..ne)
+            .map(|e| cost(e).map_or(0, |c| costs.partition_point(|&x| x < c) as u32))
+            .collect();
+        let volumes: Vec<f64> = inst.traffics.iter().map(|&(v, _)| v).collect();
+        let mut fb = Self {
+            traffics: &inst.traffics,
+            total: volumes.iter().sum(),
+            volumes,
+            loads,
+            edge_traffics,
+            rank,
+            state: vec![EdgeState::Free; ne],
+            trail: Vec::new(),
+            dirty: Vec::new(),
+            cheapest: vec![None; nt],
+            key: vec![BLOCKED; nt],
+            per_key: vec![0; costs.len()],
+            blocked: nt,
+            scanned: vec![0; nt],
+            epoch: 0,
+            slot: vec![0; costs.len()],
+            items: Vec::with_capacity(nt),
+            with_flow: vec![(false, 0.0); ne],
+        };
+        for t in 0..nt {
+            fb.rescan(t);
+        }
+        fb
     }
-    *cover = cover
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| keep[j])
-        .map(|(_, &e)| e)
-        .collect();
+
+    /// Moves to the node whose fixings are the first `depth` of the
+    /// current trail plus `fix`.
+    fn goto(&mut self, depth: usize, fix: Option<(usize, EdgeState)>) {
+        while self.trail.len() > depth {
+            let e = self.trail.pop().expect("non-empty trail");
+            self.state[e] = EdgeState::Free;
+            self.dirty.push(e);
+        }
+        if let Some((e, s)) = fix {
+            self.state[e] = s;
+            self.trail.push(e);
+            self.dirty.push(e);
+        }
+    }
+
+    /// Re-scans traffic `t`'s support under the current state, moving it
+    /// to its new sort key.
+    fn rescan(&mut self, t: usize) {
+        let best = cheapest_edge(&self.traffics[t].1, &self.state, &self.loads);
+        let key = match best {
+            None => BLOCKED,
+            Some((_, e)) if self.state[e] == EdgeState::Installed => 0,
+            Some((_, e)) => self.rank[e],
+        };
+        match self.key[t] {
+            BLOCKED => self.blocked -= 1,
+            k => self.per_key[k as usize] -= 1,
+        }
+        match key {
+            BLOCKED => self.blocked += 1,
+            k => self.per_key[k as usize] += 1,
+        }
+        self.cheapest[t] = best;
+        self.key[t] = key;
+    }
+
+    /// Computes the bound at the current node: the fractional device
+    /// bound over free edges and the routed volume, filling `with_flow`;
+    /// `None` when the target cannot be routed.
+    fn evaluate(&mut self, target: f64) -> Option<(f64, f64)> {
+        self.with_flow.fill((false, 0.0));
+        if target <= 1e-12 {
+            return Some((0.0, 0.0));
+        }
+
+        // Re-scan the traffics that cross a changed edge.
+        self.epoch += 1;
+        while let Some(e) = self.dirty.pop() {
+            for i in 0..self.edge_traffics[e].len() {
+                let t = self.edge_traffics[e][i] as usize;
+                if self.scanned[t] != self.epoch {
+                    self.scanned[t] = self.epoch;
+                    self.rescan(t);
+                }
+            }
+        }
+
+        let Self {
+            volumes,
+            state,
+            cheapest,
+            key,
+            per_key,
+            slot,
+            items,
+            with_flow,
+            ..
+        } = self;
+        let coverable: f64 = if self.blocked == 0 {
+            self.total
+        } else {
+            volumes
+                .iter()
+                .zip(cheapest.iter())
+                .filter_map(|(&v, c)| c.map(|_| v))
+                .sum()
+        };
+        if coverable + 1e-6 < target {
+            return None;
+        }
+
+        // Fractional knapsack: cheapest unit costs first, ties in traffic
+        // order (a stable counting sort by cost rank).
+        let mut sum = 0;
+        for (s, &n) in slot.iter_mut().zip(per_key.iter()) {
+            (*s, sum) = (sum, sum + n);
+        }
+        items.resize(sum as usize, (0.0, 0.0, 0));
+        for (t, &k) in key.iter().enumerate() {
+            if let Some((c, e)) = cheapest[t] {
+                let s = &mut slot[k as usize];
+                items[*s as usize] = (c, volumes[t], e);
+                *s += 1;
+            }
+        }
+        let mut routed = 0.0f64;
+        let mut cost = 0.0f64;
+        for &(c, v, e) in items.iter() {
+            if routed + 1e-12 >= target {
+                break;
+            }
+            let take = v.min(target - routed);
+            routed += take;
+            cost += c * take;
+            if state[e] == EdgeState::Free {
+                with_flow[e].0 = true;
+                with_flow[e].1 += take;
+            }
+        }
+        Some((cost, routed))
+    }
+}
+
+/// The cheapest allowed edge of one traffic's support: cost 0 when
+/// installed, `1/load` when free (edges without load are skipped), and
+/// forbidden edges skipped. Ties prefer the heavier load so flow
+/// consolidates onto fewer edges (better incumbents).
+fn cheapest_edge(support: &[usize], state: &[EdgeState], loads: &[f64]) -> Option<(f64, usize)> {
+    let mut best: Option<(f64, usize)> = None;
+    for &e in support {
+        let cost = match state[e] {
+            EdgeState::Forbidden => continue,
+            EdgeState::Installed => 0.0,
+            EdgeState::Free => {
+                if loads[e] > 1e-12 {
+                    1.0 / loads[e]
+                } else {
+                    continue;
+                }
+            }
+        };
+        let better = match best {
+            None => true,
+            Some((bc, be)) => {
+                cost < bc - 1e-15 || ((cost - bc).abs() <= 1e-15 && loads[e] > loads[be])
+            }
+        };
+        if better {
+            best = Some((cost, e));
+        }
+    }
+    best
+}
+
+/// Scratch buffers of the redundancy prune, reused across incumbents.
+#[derive(Default)]
+struct Prune {
+    cnt: Vec<u32>,
+    order: Vec<usize>,
+    keep: Vec<bool>,
+}
+
+impl Prune {
+    /// Drops redundant edges from a cover, greedily, preferring to drop
+    /// low-load edges first; keeps the cover feasible for `target`.
+    ///
+    /// Incremental: per-traffic cover counts plus the `edge_traffics`
+    /// index turn each trial drop into a walk over that edge's own
+    /// traffics instead of a full coverage recomputation —
+    /// `O(Σ_{e∈cover} |traffics(e)|)` per incumbent instead of
+    /// `O(|cover| · Σ_t |p_t|)`, and this runs at nearly every node of the
+    /// search.
+    fn run(
+        &mut self,
+        volumes: &[f64],
+        loads: &[f64],
+        edge_traffics: &[Vec<u32>],
+        cover: &mut Vec<usize>,
+        target: f64,
+    ) {
+        let Self { cnt, order, keep } = self;
+        // How many cover edges each traffic currently routes through, and
+        // the total volume covered (traffics with count ≥ 1).
+        cnt.clear();
+        cnt.resize(volumes.len(), 0);
+        for &e in cover.iter() {
+            for &t in &edge_traffics[e] {
+                cnt[t as usize] += 1;
+            }
+        }
+        let mut covered: f64 = volumes
+            .iter()
+            .zip(cnt.iter())
+            .filter(|&(_, &c)| c > 0)
+            .map(|(v, _)| *v)
+            .sum();
+
+        // Ascending load, ties in cover order (what a stable sort gives).
+        order.clear();
+        order.extend(0..cover.len());
+        order.sort_unstable_by(|&i, &j| {
+            loads[cover[i]]
+                .partial_cmp(&loads[cover[j]])
+                .expect("finite")
+                .then(i.cmp(&j))
+        });
+        keep.clear();
+        keep.resize(cover.len(), true);
+        for &i in order.iter() {
+            let e = cover[i];
+            // Volume lost if e is dropped: traffics covered only by e.
+            let loss: f64 = edge_traffics[e]
+                .iter()
+                .filter(|&&t| cnt[t as usize] == 1)
+                .map(|&t| volumes[t as usize])
+                .sum();
+            if covered - loss + 1e-9 >= target {
+                keep[i] = false;
+                covered -= loss;
+                for &t in &edge_traffics[e] {
+                    cnt[t as usize] -= 1;
+                }
+            }
+        }
+        let mut kept = keep.iter();
+        cover.retain(|_| *kept.next().expect("one flag per edge"));
+    }
 }
 
 #[cfg(test)]
@@ -382,37 +542,103 @@ mod tests {
         assert!(solve_ppm_mecf_bb(&inst, 0.5, &ExactOptions::default()).is_some());
     }
 
+    /// The min-cost flow of the node's auxiliary graph, solved by
+    /// successive shortest paths: installed arcs cost nothing, forbidden
+    /// arcs (and free arcs of load-less edges, which the bound skips) are
+    /// removed, free arcs cost `1/load`. `None` when `target` cannot be
+    /// routed.
+    fn ssp_bound(inst: &PpmInstance, state: &[EdgeState], target: f64) -> Option<f64> {
+        let loads = inst.edge_loads();
+        let allowed = |e: usize| match state[e] {
+            EdgeState::Installed => true,
+            EdgeState::Forbidden => false,
+            EdgeState::Free => loads[e] > 1e-12,
+        };
+        let mut mon = inst.to_monitoring();
+        for (_, support) in &mut mon.traffics {
+            support.retain(|&e| allowed(e));
+        }
+        let costs: Vec<f64> = (0..inst.num_edges)
+            .map(|e| match state[e] {
+                EdgeState::Free if allowed(e) => 1.0 / loads[e],
+                _ => 0.0,
+            })
+            .collect();
+        let mut g = mcmf::mecf::build_mecf(&mon, &costs);
+        let r = mcmf::mincost::min_cost_flow(&mut g.net, g.source, g.sink, target);
+        (r.flow + 1e-6 >= target).then_some(r.cost)
+    }
+
     #[test]
     fn analytic_bound_matches_real_min_cost_flow() {
         // The knapsack decomposition must equal the SSP min-cost flow on
-        // the same auxiliary graph (uncapacitated (S, w_e) arcs).
-        let pop = popgen::PopSpec::paper_10().build();
-        let ts = popgen::TrafficSpec::default().generate(&pop, 4);
-        let inst = crate::instance::PpmInstance::from_traffic(&pop.graph, &ts);
-        let mon = inst.to_monitoring();
-        let loads = mon.edge_loads();
-        let state = vec![EdgeState::Free; mon.num_edges];
-        let mut items = Vec::new();
-        let mut with_flow = Vec::new();
-        for k in [0.3, 0.6, 0.9] {
-            let target = k * inst.total_volume();
-            let (analytic, routed) =
-                flow_bound(&mon, &loads, &state, target, &mut items, &mut with_flow)
-                    .expect("coverable");
-            assert!((routed - target).abs() < 1e-6);
-            // Real min-cost flow with 1/load costs.
-            let costs: Vec<f64> = loads
-                .iter()
-                .map(|&l| if l > 1e-12 { 1.0 / l } else { 1e12 })
-                .collect();
-            let mut g = mcmf::mecf::build_mecf(&mon, &costs);
-            let r = mcmf::mincost::min_cost_flow(&mut g.net, g.source, g.sink, target);
-            assert!(
-                (analytic - r.cost).abs() < 1e-6,
-                "k = {k}: analytic {analytic} vs flow {}",
-                r.cost
-            );
+        // the same auxiliary graph (uncapacitated (S, w_e) arcs), at the
+        // root and at every node of random walks over the fixings — which
+        // also checks that the incrementally re-scanned cheapest-edge
+        // cache matches the walk's current state.
+        let paper = popgen::PopSpec::paper_10().build();
+        let family = popgen::FamilySpec::waxman(30, 10)
+            .build(3)
+            .expect("valid spec");
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let (mut checked, mut unreachable) = (0, 0);
+        for (pop, seed) in [(&paper, 4), (&family, 5)] {
+            let ts = popgen::TrafficSpec::default().generate(pop, seed);
+            let inst = PpmInstance::from_traffic(&pop.graph, &ts).merged();
+            let mut fb = FlowBound::new(&inst);
+            for k in [0.3, 0.6, 0.9] {
+                let target = k * inst.total_volume();
+                let (analytic, routed) = fb.evaluate(target).expect("coverable");
+                assert!((routed - target).abs() < 1e-6);
+                let ssp = ssp_bound(&inst, &fb.state, target).expect("routable");
+                assert!(
+                    (analytic - ssp).abs() < 1e-6,
+                    "k = {k}: analytic {analytic} vs flow {ssp}"
+                );
+            }
+            for _ in 0..300 {
+                // Mostly plunge, sometimes back up to a random depth of
+                // the trail; then fix one more edge, as the search does.
+                let len = fb.trail.len();
+                let depth = match next(10) {
+                    _ if len == inst.num_edges => next(len),
+                    0 => next(len + 1),
+                    _ => len,
+                };
+                let free: Vec<usize> = (0..inst.num_edges)
+                    .filter(|e| !fb.trail[..depth].contains(e))
+                    .collect();
+                let e = free[next(free.len())];
+                let s = if next(4) == 0 {
+                    EdgeState::Installed
+                } else {
+                    EdgeState::Forbidden
+                };
+                fb.goto(depth, Some((e, s)));
+                let target = [0.3, 0.6, 0.9, 1.0][next(4)] * inst.total_volume();
+                let analytic = fb.evaluate(target);
+                let ssp = ssp_bound(&inst, &fb.state, target);
+                match (analytic, ssp) {
+                    (Some((a, routed)), Some(f)) => {
+                        assert!((routed - target).abs() < 1e-6);
+                        assert!((a - f).abs() < 1e-6, "analytic {a} vs flow {f}");
+                        checked += 1;
+                    }
+                    (None, None) => unreachable += 1,
+                    (a, f) => panic!("analytic {a:?} vs flow {f:?} at {:?}", fb.trail),
+                }
+            }
         }
+        assert!(
+            checked > 100 && unreachable > 10,
+            "{checked} / {unreachable}"
+        );
     }
 
     #[test]
