@@ -11,9 +11,8 @@
 //!
 //! The sweep runs through the scenario engine: k × seed cases fan out
 //! across `POPMON_THREADS` workers (all cores by default), the per-seed
-//! instance is memoized across k-points, and every column except the
-//! trailing `ilp_time_s` wall-clock is byte-identical to a serial run
-//! (`tests/engine_parity.rs`).
+//! instance is memoized across k-points, and the CSV is byte-identical to
+//! a serial run (`tests/engine_parity.rs`).
 
 use popgen::PopSpec;
 

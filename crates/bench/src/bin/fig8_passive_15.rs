@@ -16,8 +16,7 @@
 //! greedy/exact gap is smaller than on the 10-router POP.
 //!
 //! The sweep runs through the scenario engine (`POPMON_THREADS` workers,
-//! all cores by default); every column except the trailing `exact_time_s`
-//! wall-clock is byte-identical to a serial run.
+//! all cores by default); the CSV is byte-identical to a serial run.
 
 use placement::passive::ExactOptions;
 use popgen::PopSpec;

@@ -11,9 +11,9 @@
 //! fan out across the scenario engine's worker pool and traces are printed
 //! seed-major. Output: one row per step — seed, coverage before/after,
 //! whether the controller acted, and the exploitation cost of the rates in
-//! force. A summary line on stderr reports the re-optimization count and
-//! wall time (the paper's point: adapting rates is cheap; moving devices
-//! is not).
+//! force. A summary line per seed on stderr reports the re-optimization
+//! count (the paper's point: adapting rates is cheap; moving devices is
+//! not).
 
 use popgen::PopSpec;
 
@@ -22,14 +22,12 @@ fn main() {
     let steps = (60.0 * args.scale) as usize;
     let pop = PopSpec::paper_10().build();
 
-    let ((report, outcomes), secs) = popmon_bench::timed(|| {
-        popmon_bench::scenarios::dynamic_traffic_report(
-            &engine::Engine::from_env(),
-            &pop,
-            args.seeds,
-            steps,
-        )
-    });
+    let (report, outcomes) = popmon_bench::scenarios::dynamic_traffic_report(
+        &engine::Engine::from_env(),
+        &pop,
+        args.seeds,
+        steps,
+    );
     popmon_bench::emit_reports(&[&report], args.out.as_deref());
     for (seed, o) in outcomes.iter().enumerate() {
         eprintln!(
@@ -37,9 +35,4 @@ fn main() {
             o.devices, o.reoptimizations, o.steps
         );
     }
-    let total_steps: usize = outcomes.iter().map(|o| o.steps).sum();
-    eprintln!(
-        "# wall time: {secs:.2}s ({:.1} ms/step)",
-        1000.0 * secs / total_steps.max(1) as f64
-    );
 }

@@ -2,9 +2,9 @@
 //! larger POPs, with at least 150 routers."
 //!
 //! Runs the whole pipeline once on the 150-router preset and reports the
-//! sizes and wall-clock costs: passive placement (greedy + MECF
-//! branch-and-bound at k = 0.9) and active monitoring (probes + all three
-//! placements with the full router set as candidates).
+//! sizes: passive placement (greedy + MECF branch-and-bound at k = 0.9)
+//! and active monitoring (probes + all three placements with the full
+//! router set as candidates).
 //!
 //! The solver stages are independent, so they fan out across the scenario
 //! engine's worker pool (`POPMON_THREADS` workers, all cores by default):
@@ -20,12 +20,12 @@ fn main() {
     let spec = PopSpec::large_150();
     let pop = spec.build();
     let mut out = String::new();
-    out.push_str("metric,value,seconds\n");
-    out.push_str(&format!("routers,{},0\n", pop.router_count()));
-    out.push_str(&format!("links,{},0\n", pop.graph.edge_count()));
+    out.push_str("metric,value\n");
+    out.push_str(&format!("routers,{}\n", pop.router_count()));
+    out.push_str(&format!("links,{}\n", pop.graph.edge_count()));
 
-    let (ts, t_gen) = popmon_bench::timed(|| TrafficSpec::default().generate(&pop, 0));
-    out.push_str(&format!("traffics,{},{t_gen:.2}\n", ts.len()));
+    let ts = TrafficSpec::default().generate(&pop, 0);
+    out.push_str(&format!("traffics,{}\n", ts.len()));
 
     let opts = ExactOptions {
         max_nodes: 2_000_000,

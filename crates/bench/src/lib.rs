@@ -10,8 +10,6 @@
 //! * `--out PATH` — write the CSV to a file instead of stdout (an
 //!   unwritable path is a one-line error and exit code 1, not a panic).
 
-use std::time::Instant;
-
 pub mod scenarios;
 
 /// Parsed command-line arguments common to all experiment binaries.
@@ -153,29 +151,6 @@ pub fn stddev(xs: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Runs `f` and returns `(result, seconds)` — used to report solve times.
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
-}
-
-/// Drops the trailing CSV column of every line — the wall-clock column of
-/// the timed reports (`fig7`/`fig8`/`xp_scale_150`), which is the one
-/// column excluded from the byte-identity and golden contracts. Golden
-/// and parity tests share this so the exclusion rule has a single home.
-/// A line without a comma is kept whole, so malformed rows still surface
-/// as differences instead of collapsing to empty strings.
-pub fn strip_last_column<'a>(lines: impl IntoIterator<Item = &'a str>) -> Vec<String> {
-    lines
-        .into_iter()
-        .map(|l| {
-            l.rsplit_once(',')
-                .map_or_else(|| l.to_string(), |(head, _)| head.to_string())
-        })
-        .collect()
-}
-
 /// Shared driver for the active-monitoring figures (9, 10, 11): for every
 /// candidate-set size `|V_B|` from 2 to the router count, draw seeded
 /// random router subsets, compute Φ, and place beacons with all three
@@ -200,13 +175,6 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(stddev(&[1.0]), 0.0);
         assert!((stddev(&[2.0, 4.0]) - (2.0f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn timed_returns_result() {
-        let (v, secs) = timed(|| 42);
-        assert_eq!(v, 42);
-        assert!(secs >= 0.0);
     }
 
     #[test]

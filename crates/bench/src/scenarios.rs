@@ -35,7 +35,7 @@ use popgen::{
     FailureModel, FailureSpec, FamilySpec, GravitySpec, MultiTraffic, Pop, TrafficSet, TrafficSpec,
 };
 
-use crate::{mean, stddev, timed};
+use crate::{mean, stddev};
 
 /// The seed-keyed `PPM` instance every passive sweep starts from: the
 /// seeded traffic matrix run through [`PpmInstance::from_traffic`]. The
@@ -68,23 +68,19 @@ fn chain_ppm(chain: &mut DeltaInstance, k: f64) -> Option<PpmSolution> {
 
 /// The figure-7 sweep: for each coverage target `k` (percent), the
 /// decreasing-load greedy and the exact ILP device counts averaged over
-/// seeds, plus the mean exact solve time. The per-seed instance is built
-/// once and shared by every k-point through the memo.
+/// seeds. The per-seed instance is built once and shared by every k-point
+/// through the memo.
 ///
 /// Runs as per-seed **warm-start chains**: one [`DeltaInstance`] walks
 /// the k grid, each exact solve re-targeting the coverage row and reusing
 /// the previous point's LP basis. Chains live inside one worker and are
 /// keyed by seed, so the CSV stays byte-identical at any thread count
 /// (proven counts are unique — the chain reuses bases, not answers).
-///
-/// The trailing `ilp_time_s` column is a wall-clock measurement and is
-/// the one column that legitimately varies run to run; parity tests
-/// compare everything before it.
 pub fn fig7_report(engine: &Engine, pop: &Pop, k_percents: &[u32], seeds: u64) -> ScenarioReport {
     let spec = ScenarioSpec::new("fig7_passive_10", k_percents.to_vec()).with_seeds(seeds);
     engine.run_chain_report(
         &spec,
-        "k_percent,greedy_devices,ilp_devices,greedy_stddev,ilp_stddev,ilp_time_s",
+        "k_percent,greedy_devices,ilp_devices,greedy_stddev,ilp_stddev",
         |c: ChainCase<'_, u32>| {
             let inst = ppm_instance_of(c.memo, "fig7_inst", pop, c.seed);
             let mut chain = DeltaInstance::from_instance(&inst);
@@ -93,23 +89,21 @@ pub fn fig7_report(engine: &Engine, pop: &Pop, k_percents: &[u32], seeds: u64) -
                 .map(|&k_pct| {
                     let k = k_pct as f64 / 100.0;
                     let g = greedy_static(&inst, k).expect("all traffic coverable on this POP");
-                    let (ilp, secs) = timed(|| chain_ppm(&mut chain, k).expect("feasible"));
+                    let ilp = chain_ppm(&mut chain, k).expect("feasible");
                     assert!(inst.is_feasible(&ilp.edges, k));
-                    (g.device_count() as f64, ilp.device_count() as f64, secs)
+                    (g.device_count() as f64, ilp.device_count() as f64)
                 })
                 .collect()
         },
         |k_pct, rs| {
             let greedy: Vec<f64> = rs.iter().map(|r| r.0).collect();
             let ilp: Vec<f64> = rs.iter().map(|r| r.1).collect();
-            let times: Vec<f64> = rs.iter().map(|r| r.2).collect();
             format!(
-                "{k_pct},{:.2},{:.2},{:.2},{:.2},{:.3}",
+                "{k_pct},{:.2},{:.2},{:.2},{:.2}",
                 mean(&greedy),
                 mean(&ilp),
                 stddev(&greedy),
                 stddev(&ilp),
-                mean(&times),
             )
         },
     )
@@ -123,9 +117,6 @@ pub fn fig7_report(engine: &Engine, pop: &Pop, k_percents: &[u32], seeds: u64) -
 /// 15-router POP, averaged over seeds, with the fraction of seeded solves
 /// that closed the search. `opts` bounds each exact solve (the binary
 /// passes the paper protocol's two-minute budget).
-///
-/// As in [`fig7_report`], the trailing `exact_time_s` column is
-/// wall-clock; parity tests strip it.
 pub fn fig8_report(
     engine: &Engine,
     pop: &Pop,
@@ -136,31 +127,28 @@ pub fn fig8_report(
     let spec = ScenarioSpec::new("fig8_passive_15", k_percents.to_vec()).with_seeds(seeds);
     engine.run_report(
         &spec,
-        "k_percent,greedy_devices,exact_devices,proven_fraction,exact_time_s",
+        "k_percent,greedy_devices,exact_devices,proven_fraction",
         |c: Case<'_, u32>| {
             let inst = ppm_instance_of(c.memo, "fig8_inst", pop, c.seed);
             let k = *c.point as f64 / 100.0;
             let g = greedy_static(&inst, k).expect("all traffic coverable on this POP");
-            let (s, secs) = timed(|| solve_ppm_mecf_bb(&inst, k, opts).expect("feasible"));
+            let s = solve_ppm_mecf_bb(&inst, k, opts).expect("feasible");
             assert!(inst.is_feasible(&s.edges, k));
             (
                 g.device_count() as f64,
                 s.device_count() as f64,
                 s.proven_optimal,
-                secs,
             )
         },
         |k_pct, rs| {
             let greedy: Vec<f64> = rs.iter().map(|r| r.0).collect();
             let exact: Vec<f64> = rs.iter().map(|r| r.1).collect();
             let proven = rs.iter().filter(|r| r.2).count();
-            let times: Vec<f64> = rs.iter().map(|r| r.3).collect();
             format!(
-                "{k_pct},{:.2},{:.2},{:.2},{:.1}",
+                "{k_pct},{:.2},{:.2},{:.2}",
                 mean(&greedy),
                 mean(&exact),
                 proven as f64 / rs.len().max(1) as f64,
-                mean(&times),
             )
         },
     )
@@ -644,13 +632,8 @@ pub enum PipelineStage {
 }
 
 /// Runs the passive + active solver stages of the scale experiment and
-/// returns `metric,value,seconds` rows in stage order. `k` is the passive
+/// returns `metric,value` rows in stage order. `k` is the passive
 /// coverage target; `opts` bounds the exact branch-and-bound.
-///
-/// Each `seconds` column times that stage's own computation, but stages
-/// execute concurrently on shared cores, so per-stage wall-clock is an
-/// upper bound on isolated cost and varies with the thread count; only
-/// the `metric,value` columns are deterministic (and parity-tested).
 pub fn pipeline_stage_report(
     engine: &Engine,
     pop: &Pop,
@@ -687,57 +670,37 @@ pub fn pipeline_stage_report(
     );
     engine.run_report(
         &spec,
-        "metric,value,seconds",
+        "metric,value",
         |c: Case<'_, PipelineStage>| match *c.point {
             PassiveGreedy => {
-                let (g, t) = timed(|| greedy_static(&inst, k).expect("feasible"));
-                format!("passive_greedy_devices,{},{t:.2}", g.device_count())
+                let g = greedy_static(&inst, k).expect("feasible");
+                format!("passive_greedy_devices,{}", g.device_count())
             }
             PassiveExact => {
-                let (s, t) = timed(|| solve_ppm_mecf_bb(&inst, k, opts).expect("feasible"));
+                let s = solve_ppm_mecf_bb(&inst, k, opts).expect("feasible");
                 assert!(inst.is_feasible(&s.edges, k));
                 format!(
-                    "passive_exact_devices,{} (proven {}),{t:.2}",
+                    "passive_exact_devices,{} (proven {})",
                     s.device_count(),
                     s.proven_optimal
                 )
             }
-            Probes => {
-                // Time the computation itself (not a memo lookup a racing
-                // dependent stage may already have satisfied), then
-                // publish the result for the beacon stages.
-                let (p, t) = timed(|| compute_probes(&rgraph, &candidates));
-                let p = c.memo.get_or_compute("probes", 0, || p);
-                format!("probes,{},{t:.2}", p.len())
-            }
+            Probes => format!("probes,{}", probes_of(&c).len()),
             BeaconsThiran => {
-                let probes = probes_of(&c);
-                let (b, t) = timed(|| place_beacons_thiran(&probes, &candidates));
-                format!("beacons_thiran,{},{t:.2}", b.len())
+                let b = place_beacons_thiran(&probes_of(&c), &candidates);
+                format!("beacons_thiran,{}", b.len())
             }
             BeaconsGreedy => {
-                let probes = probes_of(&c);
-                let (b, t) = timed(|| place_beacons_greedy(&probes, &candidates));
-                format!("beacons_greedy,{},{t:.2}", b.len())
+                let b = place_beacons_greedy(&probes_of(&c), &candidates);
+                format!("beacons_greedy,{}", b.len())
             }
             BeaconsIlp => {
-                let probes = probes_of(&c);
-                let (ilp, t) = timed(|| {
-                    c.memo.get_or_compute("beacons_ilp", 0, || {
-                        place_beacons_ilp(&rgraph, &probes, &candidates)
-                    })
-                });
-                format!(
-                    "beacons_ilp,{} (proven {}),{t:.2}",
-                    ilp.len(),
-                    ilp.proven_optimal
-                )
+                let ilp = ilp_of(&c);
+                format!("beacons_ilp,{} (proven {})", ilp.len(), ilp.proven_optimal)
             }
             ProbeMakespan => {
-                let probes = probes_of(&c);
-                let ilp = ilp_of(&c);
-                let (assign, t) = timed(|| assign_probes_ilp(&probes, &ilp));
-                format!("probe_makespan,{},{t:.2}", assign.max_load)
+                let assign = assign_probes_ilp(&probes_of(&c), &ilp_of(&c));
+                format!("probe_makespan,{}", assign.max_load)
             }
         },
         |_, rs| rs[0].clone(),

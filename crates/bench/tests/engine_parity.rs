@@ -50,20 +50,15 @@ fn active_sweep_parallel_matches_serial() {
     );
 }
 
-/// Strips the wall-clock column (see `popmon_bench::strip_last_column`).
-fn strip_last_column(csv: String) -> Vec<String> {
-    popmon_bench::strip_last_column(csv.lines())
-}
-
 #[test]
 fn fig7_sweep_parallel_matches_serial() {
     let pop = PopSpec::paper_10().build();
     let serial = scenarios::fig7_report(&Engine::serial(), &pop, &[80, 90], 2);
     let parallel = scenarios::fig7_report(&Engine::with_threads(4), &pop, &[80, 90], 2);
     assert_eq!(
-        strip_last_column(serial.to_csv()),
-        strip_last_column(parallel.to_csv()),
-        "fig7 must be thread-count invariant (modulo the wall-clock column)"
+        serial.to_csv(),
+        parallel.to_csv(),
+        "fig7 must be thread-count invariant"
     );
     assert_eq!(serial.rows.len(), 2);
 }
@@ -81,9 +76,9 @@ fn fig8_sweep_parallel_matches_serial() {
     let serial = scenarios::fig8_report(&Engine::serial(), &pop, &[75], 1, &opts);
     let parallel = scenarios::fig8_report(&Engine::with_threads(4), &pop, &[75], 1, &opts);
     assert_eq!(
-        strip_last_column(serial.to_csv()),
-        strip_last_column(parallel.to_csv()),
-        "fig8 must be thread-count invariant (modulo the wall-clock column)"
+        serial.to_csv(),
+        parallel.to_csv(),
+        "fig8 must be thread-count invariant"
     );
 }
 
@@ -237,7 +232,5 @@ fn pipeline_stages_parallel_match_serial_values() {
         scenarios::pipeline_stage_report(&Engine::serial(), &pop, &ts, 0.9, &opts).to_csv();
     let parallel =
         scenarios::pipeline_stage_report(&Engine::with_threads(4), &pop, &ts, 0.9, &opts).to_csv();
-    // Timing columns legitimately differ run to run; compare the
-    // metric/value columns only.
-    assert_eq!(strip_last_column(serial), strip_last_column(parallel));
+    assert_eq!(serial, parallel);
 }

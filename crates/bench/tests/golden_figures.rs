@@ -18,11 +18,6 @@ use placement::passive::{greedy_static, solve_ppm_exact, solve_ppm_mecf_bb, Exac
 use popgen::{PopSpec, TrafficSpec};
 use popmon_bench::scenarios;
 
-/// Strips the wall-clock column (see `popmon_bench::strip_last_column`).
-fn strip_last_column(rows: &[String]) -> Vec<String> {
-    popmon_bench::strip_last_column(rows.iter().map(|r| r.as_str()))
-}
-
 /// Figure 7 (10-router POP, 27 links, 132 traffics), seed 0: greedy and
 /// exact ILP device counts over the paper's k sweep.
 #[test]
@@ -107,14 +102,14 @@ fn fig8_passive_15_golden_seed0() {
 }
 
 /// Figure 7 at the report level: the full engine-backed sweep, seed 0,
-/// every column except the trailing wall-clock. Complements the
+/// every column. Complements the
 /// solver-level pins above by also freezing the CSV rendering.
 #[test]
 fn fig7_report_golden_seed0() {
     let pop = PopSpec::paper_10().build();
     let r = scenarios::fig7_report(&Engine::serial(), &pop, &[75, 80, 85, 90, 95, 100], 1);
     assert_eq!(
-        strip_last_column(&r.rows),
+        r.rows,
         [
             "75,8.00,4.00,0.00,0.00",
             "80,8.00,5.00,0.00,0.00",
@@ -140,7 +135,7 @@ fn fig8_report_golden_seed0() {
     };
     let r = scenarios::fig8_report(&Engine::serial(), &pop, &[75, 80], 1, &opts);
     assert_eq!(
-        strip_last_column(&r.rows),
+        r.rows,
         ["75,13.00,9.00,1.00", "80,14.00,10.00,1.00"],
         "fig8 seed-0 report rows moved"
     );

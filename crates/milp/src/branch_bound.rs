@@ -1,15 +1,13 @@
 //! Branch-and-bound driver on top of the simplex, enforcing integrality.
 //!
-//! The search is best-first over a **batch-synchronous node pool**: up to
-//! [`MipOptions::node_batch`] open nodes are popped per round, their LP
-//! relaxations solved (in parallel over [`MipOptions::threads`] workers
-//! pulling from an atomic cursor), and the results merged *sequentially in
-//! pop order* — incumbent updates, pseudocost observations, cut rows, and
-//! child insertion all happen in the merge, so the search tree is a pure
-//! function of the options and never of the thread count. Determinism is
-//! keyed to `node_batch` alone: any `threads` value (including 0 = auto)
-//! replays the identical node sequence, incumbent trajectory, and final
-//! solution bit-for-bit.
+//! The search is one serial **best-first** loop: each step pops the open
+//! node with the least bound (deeper and fresher first on ties, so the
+//! search plunges), solves its LP relaxation, and merges the result —
+//! incumbent update, pseudocost observations, cut rows and child
+//! insertion — before the next pop. The search tree is a pure function of
+//! the model and the options: no thread runs below the caller, so the
+//! node sequence, incumbent trajectory and final solution replay
+//! bit-for-bit.
 //!
 //! The model is always presolved first, and the bound is rounded up
 //! (`ceil`) whenever the objective is integral over integer solutions —
@@ -30,7 +28,6 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,25 +67,18 @@ pub struct MipOptions {
     /// stopped within a gap looser than the default proves nothing: it
     /// reports [`SolveStatus::Feasible`] with its gap.
     pub rel_gap: f64,
-    /// Worker threads for the batch LP solves. 0 resolves `POPMON_THREADS`
-    /// and falls back to the machine's parallelism. The value never
-    /// affects results — only wall-clock.
-    pub threads: usize,
-    /// Nodes popped and LP-solved per batch. Results merge sequentially in
-    /// pop order, so the search is a function of this value alone and is
-    /// byte-identical at any thread count. 1 reproduces the classic
-    /// one-node-at-a-time search.
-    pub node_batch: usize,
     /// Cooperative **work budget** in deterministic work units (simplex
     /// iterations + basis refactorizations + branch-and-bound nodes).
     /// Unlike [`MipOptions::time_limit`], exhaustion is a pure function of
     /// the search trajectory — identical budgets produce bitwise-identical
-    /// results at any thread count — and [`Model::solve_mip`] returns the
-    /// best incumbent and dual bound found as [`MipOutcome::Interrupted`]
+    /// results on any host — and [`Model::solve_mip`] returns the best
+    /// incumbent and dual bound found as [`MipOutcome::Interrupted`]
     /// instead of an error. `None` (the default) disables the budget
-    /// entirely. The budget can be overshot by a
-    /// bounded, deterministic amount (the simplex checks every 64th
-    /// iteration, and in-flight batch members run to completion).
+    /// entirely. The search checks the budget before each node, and every
+    /// LP of that node — its relaxation, cut re-solves and strong-branch
+    /// probes — runs under the work that remained when the node began,
+    /// checked every 64th simplex iteration. So the budget can be
+    /// overshot, by a bounded amount that depends only on the search.
     pub work_budget: Option<u64>,
 }
 
@@ -98,8 +88,6 @@ impl Default for MipOptions {
             max_nodes: 200_000,
             time_limit: None,
             rel_gap: 1e-9,
-            threads: 1,
-            node_batch: 1,
             work_budget: None,
         }
     }
@@ -167,20 +155,6 @@ impl MipOutcome {
     }
 }
 
-/// Resolves the worker count: an explicit request wins; 0 consults
-/// `POPMON_THREADS` (the workspace-wide thread knob) and falls back to the
-/// machine's available parallelism.
-fn resolve_threads(requested: usize) -> usize {
-    if requested != 0 {
-        return requested;
-    }
-    std::env::var("POPMON_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// Cross-solve warm-start state returned by [`Model::solve_mip`]: the
 /// optimal basis of the root relaxation (over the *presolved* model),
 /// reusable as the root start of the next solve in a perturbation chain.
@@ -196,7 +170,7 @@ pub struct MipWarmStart {
 }
 
 /// Simplex counters of the search, summed over every node LP, cut
-/// re-solve and strong-branch probe in merge order.
+/// re-solve and strong-branch probe.
 #[derive(Debug, Clone, Copy, Default)]
 struct LpCounts {
     iterations: usize,
@@ -213,7 +187,7 @@ impl LpCounts {
 }
 
 /// One open node: a set of bound changes relative to the root model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Node {
     /// Lower bound (minimization) inherited from the parent LP.
     bound: f64,
@@ -401,53 +375,6 @@ fn append_cuts(
     added
 }
 
-/// A node's solved relaxation: the LP solution plus its basis snapshot
-/// (`None` when the final basis still holds an artificial column).
-struct NodeLp {
-    sol: Solution,
-    basis: Option<LpWarmStart>,
-}
-
-/// `Ok(None)` = LP infeasible (node closed); `Err` = numerical failure.
-/// The `u64` is the work the LP call performed **whatever** the outcome —
-/// infeasible and failed relaxations burn real pivots too, and the
-/// anytime ledger must count them or a budget equal to a solve's own
-/// reported [`Solution::work`] could trip inside work the report never
-/// showed, breaking the reproduction guarantee.
-type LpOutcome = (Result<Option<NodeLp>>, u64);
-
-/// Solves one node's relaxation on `model` (a row-identical copy of
-/// `root`), applying and then restoring the node's bound overrides. Pure
-/// in (model rows, node, lp_budget) — workers call it on private clones,
-/// the serial path on the shared node model, with identical results.
-///
-/// `lp_budget` is the work budget remaining at the owning batch's start —
-/// identical for every node in the batch regardless of scheduling, which
-/// is what keeps a budget trip deterministic across thread counts. A trip
-/// surfaces as `Err(Interrupted)` and is handled by the merge.
-fn solve_node_lp(
-    model: &mut Model,
-    root: &Model,
-    node: &Node,
-    lp_budget: Option<u64>,
-) -> LpOutcome {
-    for &(j, lo, hi) in &node.changes {
-        model.vars[j].lo = lo;
-        model.vars[j].hi = hi;
-    }
-    // The root's basis seeds the next chain link; every node's seeds its
-    // children, cut re-solves and strong-branch probes.
-    let mut work = 0u64;
-    let lp = simplex::solve(model, node.basis.as_deref(), lp_budget, &mut work);
-    restore(model, root, &node.changes);
-    let outcome = match lp {
-        Ok((sol, basis)) => Ok(Some(NodeLp { sol, basis })),
-        Err(SolverError::Infeasible) => Ok(None),
-        Err(e) => Err(e),
-    };
-    (outcome, work)
-}
-
 /// The branch-and-bound search behind [`Model::solve_mip`]. See
 /// [`MipOutcome`] for the anytime contract; with
 /// [`MipOptions::work_budget`] unset this never returns
@@ -525,12 +452,12 @@ pub(crate) fn solve(
     let deadline = opts.time_limit.and_then(|l| Instant::now().checked_add(l));
     let mut counts = LpCounts::default();
     let mut nodes_explored = 0usize;
-    // Deterministic work-unit ledger: every node charged at batch accept,
-    // every LP call's true cost — successful, infeasible, tripped, or
-    // failed — charged in merge order. A pure function of the search
-    // trajectory, so budget trips replay bitwise at any thread count; and
-    // complete (no outcome uncounted), so feeding a finished solve's own
-    // `Solution::work` back as the budget reproduces it without a trip.
+    // Deterministic work-unit ledger: one unit per node popped for
+    // solving, plus every LP call's true cost — successful, infeasible,
+    // tripped, or failed. A pure function of the search trajectory, so
+    // budget trips replay bitwise; and complete (no outcome uncounted), so
+    // feeding a finished solve's own `Solution::work` back as the budget
+    // reproduces it without a trip.
     let mut work_spent = 0u64;
     let mut interrupted = false;
     let mut open = BinaryHeap::new();
@@ -562,399 +489,314 @@ pub(crate) fn solve(
     let mut gap_closed = f64::INFINITY;
     let mut root_basis_out: Option<MipWarmStart> = None;
     let mut seen_cuts: HashSet<u64> = HashSet::new();
-    let nthreads = resolve_threads(opts.threads).max(1);
-    let node_batch = opts.node_batch.max(1);
 
-    loop {
-        // Collect the next batch (pruning against the incumbent at pop
-        // time; the merge re-checks after within-batch improvements).
-        let mut batch: Vec<Node> = Vec::new();
-        while batch.len() < node_batch {
-            let Some(node) = open.pop() else { break };
-            if holds_factors(&node) {
-                factored_open -= 1;
-            }
-            if close(&incumbent, node.bound, opts.rel_gap, &mut gap_closed) {
-                continue;
-            }
-            batch.push(node);
+    while let Some(node) = open.pop() {
+        if holds_factors(&node) {
+            factored_open -= 1;
         }
-        if batch.is_empty() {
-            break;
+        if close(&incumbent, node.bound, opts.rel_gap, &mut gap_closed) {
+            continue;
         }
         let work_tripped = opts.work_budget.is_some_and(|b| work_spent >= b);
         if work_tripped
-            || nodes_explored + batch.len() > opts.max_nodes
+            || nodes_explored >= opts.max_nodes
             || deadline.is_some_and(|d| Instant::now() >= d)
         {
-            // Return the collected nodes so the final gap sees their bounds.
-            for node in batch {
-                open.push(node);
-            }
+            // Return the node so the final gap sees its bound.
+            open.push(node);
             proven = false;
-            interrupted |= work_tripped;
+            interrupted = work_tripped;
             break;
         }
-        nodes_explored += batch.len();
-        work_spent += batch.len() as u64;
-        // Per-node LP budget: the work remaining *at batch start*. Fixed
-        // for the whole batch so every member sees the same number no
-        // matter which worker picks it up — the thread-count invariance
-        // of a trip hinges on exactly this.
+        nodes_explored += 1;
+        work_spent += 1;
+        // The node's LP budget: the work remaining once the node is
+        // charged, shared by its relaxation, its cut re-solves and its
+        // strong-branch probes. A trip surfaces as `Err(Interrupted)`.
         let lp_budget = opts.work_budget.map(|b| b.saturating_sub(work_spent));
 
-        // Solve the batch relaxations — in parallel when both the batch
-        // and the worker pool are larger than one. Workers pull node
-        // indices from an atomic cursor and run on private model clones;
-        // results are reassembled in batch order, so the merge below is
-        // oblivious to how the work was scheduled.
-        let lps: Vec<LpOutcome> = if nthreads > 1 && batch.len() > 1 {
-            let cursor = AtomicUsize::new(0);
-            let mut slots: Vec<Option<LpOutcome>> = (0..batch.len()).map(|_| None).collect();
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..nthreads.min(batch.len()))
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let batch = &batch;
-                        let root = &root_model;
-                        s.spawn(move || {
-                            let mut local = root.clone();
-                            let mut out: Vec<(usize, LpOutcome)> = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                                if i >= batch.len() {
-                                    break;
-                                }
-                                out.push((
-                                    i,
-                                    solve_node_lp(&mut local, root, &batch[i], lp_budget),
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (i, r) in h.join().expect("node LP worker panicked") {
-                        slots[i] = Some(r);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every batch slot solved"))
-                .collect()
-        } else {
-            let mut v = Vec::with_capacity(batch.len());
-            for node in &batch {
-                v.push(solve_node_lp(&mut node_model, &root_model, node, lp_budget));
+        // The root's basis seeds the next chain link; every node's seeds
+        // its children, cut re-solves and strong-branch probes.
+        apply(&mut node_model, &node.changes);
+        let mut lp_work = 0u64;
+        let lp = simplex::solve(&node_model, node.basis.as_deref(), lp_budget, &mut lp_work);
+        restore(&mut node_model, &root_model, &node.changes);
+        // Charge the LP's true cost first, whatever its outcome — an
+        // infeasible node's closing certificate burns pivots that the
+        // ledger must see, or a rerun with this solve's own reported work
+        // as its budget would trip inside the uncounted work.
+        work_spent += lp_work;
+        let (mut sol, mut basis) = match lp {
+            Ok(lp) => lp,
+            Err(SolverError::Infeasible) => continue, // node closed
+            // A node LP that tripped the budget goes back on the queue
+            // (its bound must count in the final dual bound), and the
+            // search ends here.
+            Err(SolverError::Interrupted { .. }) => {
+                open.push(node);
+                interrupted = true;
+                break;
             }
-            v
+            Err(e) => return Err(e),
         };
+        counts.add(&sol);
 
-        // Sequential merge in pop order: everything order-sensitive
-        // (incumbent, pseudocosts, cuts, child insertion) happens here.
-        for (node, (lp, lp_work)) in batch.iter().zip(lps) {
-            // Charge the LP's true cost first, whatever its outcome — an
-            // infeasible node's closing certificate burns pivots that the
-            // ledger must see, or a rerun with this solve's own reported
-            // work as its budget would trip inside the uncounted work.
-            work_spent += lp_work;
-            // A node LP that tripped the batch's budget goes back on the
-            // queue (its bound must count in the final dual bound); the
-            // rest of the batch still merges — their LPs are solved,
-            // discarding them would waste the work — and the search stops
-            // at the end of this merge.
-            let lp = match lp {
-                Err(SolverError::Interrupted { .. }) => {
-                    interrupted = true;
-                    open.push(node.clone());
-                    continue;
-                }
-                other => other,
-            };
-            let Some(NodeLp { mut sol, mut basis }) = lp? else {
-                continue; // node LP infeasible: closed
-            };
-            counts.add(&sol);
-
-            // Pseudocost update: how much did branching this variable in
-            // this direction degrade the relaxation, per unit of
-            // fractional distance? (Deterministic: the merge runs in a
-            // total order, so the observation sequence is reproducible.)
-            if let Some((bj, up, delta)) = node.branched {
-                if delta > tol::int_eps(delta) && node.parent_obj.is_finite() {
-                    let per_unit = ((sol.objective - node.parent_obj) / delta).max(0.0);
-                    pseudo[bj].observe(up, per_unit);
-                }
+        // Pseudocost update: how much did branching this variable in
+        // this direction degrade the relaxation, per unit of
+        // fractional distance?
+        if let Some((bj, up, delta)) = node.branched {
+            if delta > tol::int_eps(delta) && node.parent_obj.is_finite() {
+                let per_unit = ((sol.objective - node.parent_obj) / delta).max(0.0);
+                pseudo[bj].observe(up, per_unit);
             }
+        }
 
-            // Root: capture the chain warm-start first (pre-cut, so the
-            // next chain link's un-cut model accepts it), then tighten
-            // the relaxation with rounds of cutting planes, re-solving
-            // from the previous basis via the row-extension warm path.
-            if node.depth == 0 {
-                root_basis_out = basis.clone().map(|root| MipWarmStart { root });
-                let mut infeasible_by_cuts = false;
-                let mut tripped_in_cuts = false;
-                for _ in 0..CUT_ROUNDS {
-                    let found = cuts::separate(&root_model, &sol.values, CUTS_PER_ROUND);
-                    if append_cuts(&mut root_model, &mut node_model, &found, &mut seen_cuts) == 0 {
+        // Root: capture the chain warm-start first (pre-cut, so the
+        // next chain link's un-cut model accepts it), then tighten
+        // the relaxation with rounds of cutting planes, re-solving
+        // from the previous basis via the row-extension warm path.
+        if node.depth == 0 {
+            root_basis_out = basis.clone().map(|root| MipWarmStart { root });
+            let mut infeasible_by_cuts = false;
+            let mut tripped_in_cuts = false;
+            for _ in 0..CUT_ROUNDS {
+                let found = cuts::separate(&root_model, &sol.values, CUTS_PER_ROUND);
+                if append_cuts(&mut root_model, &mut node_model, &found, &mut seen_cuts) == 0 {
+                    break;
+                }
+                let mut cut_work = 0u64;
+                let lp2 = simplex::solve(&node_model, basis.as_ref(), lp_budget, &mut cut_work);
+                work_spent += cut_work;
+                match lp2 {
+                    Ok((s2, b2)) => {
+                        counts.add(&s2);
+                        sol = s2;
+                        basis = b2;
+                    }
+                    // Valid cuts only exclude integer-infeasible
+                    // regions: an infeasible cut relaxation proves
+                    // the MIP itself has no integer point.
+                    Err(SolverError::Infeasible) => {
+                        infeasible_by_cuts = true;
                         break;
                     }
-                    let mut cut_work = 0u64;
-                    let lp2 = simplex::solve(&node_model, basis.as_ref(), lp_budget, &mut cut_work);
-                    work_spent += cut_work;
-                    match lp2 {
-                        Ok((s2, b2)) => {
-                            counts.add(&s2);
-                            sol = s2;
-                            basis = b2;
-                        }
-                        // Valid cuts only exclude integer-infeasible
-                        // regions: an infeasible cut relaxation proves
-                        // the MIP itself has no integer point.
-                        Err(SolverError::Infeasible) => {
-                            infeasible_by_cuts = true;
-                            break;
-                        }
-                        // Budget tripped inside a separation re-solve.
-                        Err(SolverError::Interrupted { .. }) => {
-                            tripped_in_cuts = true;
-                            break;
-                        }
-                        Err(e) => return Err(e),
+                    // Budget tripped inside a separation re-solve.
+                    Err(SolverError::Interrupted { .. }) => {
+                        tripped_in_cuts = true;
+                        break;
                     }
-                }
-                if infeasible_by_cuts {
-                    continue;
-                }
-                if tripped_in_cuts {
-                    // Terminal by design: expanding this node from a
-                    // partially tightened relaxation would put the search
-                    // on a different trajectory than a larger budget —
-                    // the anytime monotonicity guarantee (bigger budgets
-                    // never worsen the incumbent) requires every trip to
-                    // stop the search at a shared-prefix point. The last
-                    // fully solved relaxation is still a valid bound.
-                    let mut back = node.clone();
-                    back.bound = strengthen(sol.objective);
-                    open.push(back);
-                    interrupted = true;
-                    continue;
+                    Err(e) => return Err(e),
                 }
             }
-
-            let bound = strengthen(sol.objective);
-            if close(&incumbent, bound, opts.rel_gap, &mut gap_closed) {
+            if infeasible_by_cuts {
                 continue;
             }
-
-            // ---- expansion, under this node's bounds ----
-            for &(j, lo, hi) in &node.changes {
-                node_model.vars[j].lo = lo;
-                node_model.vars[j].hi = hi;
-            }
-
-            // Fractional branching candidates with floor/ceil distances.
-            let mut cands: Vec<(usize, f64, f64)> = Vec::new();
-            for &j in &int_vars {
-                let x = sol.values[j];
-                if !tol::is_int(x) {
-                    cands.push((j, x - x.floor(), x.ceil() - x));
-                }
-            }
-
-            let lp_arc = basis.map(Arc::new);
-
-            // Reliability branching: strong-branch the top-ranked
-            // candidates whose pseudocosts are not yet trusted, feeding
-            // the measured degradations back into the estimates. An
-            // infeasible probe direction makes its variable the forced
-            // choice — branching there closes one child instantly.
-            let mut forced: Option<usize> = None;
-            let mut probe_tripped = false;
-            if !cands.is_empty() {
-                let mut order: Vec<usize> = (0..cands.len()).collect();
-                order.sort_by(|&a, &b| cand_cmp(&pseudo, &cands[a], &cands[b]));
-                'probing: for &ci in order.iter().take(STRONG_CANDS) {
-                    let (j, dd, ud) = cands[ci];
-                    for up in [false, true] {
-                        let (obs, dist) = if up {
-                            (pseudo[j].up_n, ud)
-                        } else {
-                            (pseudo[j].down_n, dd)
-                        };
-                        if obs >= RELIABILITY {
-                            continue;
-                        }
-                        let x = sol.values[j];
-                        let (plo, phi) = (node_model.vars[j].lo, node_model.vars[j].hi);
-                        if up {
-                            node_model.vars[j].lo = x.ceil();
-                        } else {
-                            node_model.vars[j].hi = x.floor();
-                        }
-                        let mut probe_work = 0u64;
-                        let probe = simplex::solve(
-                            &node_model,
-                            lp_arc.as_deref(),
-                            lp_budget,
-                            &mut probe_work,
-                        )
-                        .map(|(s, _)| s);
-                        node_model.vars[j].lo = plo;
-                        node_model.vars[j].hi = phi;
-                        work_spent += probe_work;
-                        match probe {
-                            Ok(ps) => {
-                                counts.add(&ps);
-                                pseudo[j]
-                                    .observe(up, ((ps.objective - sol.objective) / dist).max(0.0));
-                            }
-                            Err(SolverError::Infeasible) => {
-                                forced = Some(j);
-                                break 'probing;
-                            }
-                            // Budget trip inside a probe: end the search
-                            // at this shared-prefix point (see the
-                            // root-cut trip) — branching from half-made
-                            // pseudocost observations would diverge from
-                            // the larger-budget trajectory.
-                            Err(SolverError::Interrupted { .. }) => {
-                                probe_tripped = true;
-                                break 'probing;
-                            }
-                            // Numerical trouble in a probe is advisory
-                            // only — skip the observation (its work is
-                            // still on the ledger).
-                            Err(_) => {}
-                        }
-                    }
-                }
-            }
-            if probe_tripped {
-                restore(&mut node_model, &root_model, &node.changes);
-                let mut back = node.clone();
-                back.bound = bound;
-                open.push(back);
+            if tripped_in_cuts {
+                // Terminal by design: expanding this node from a
+                // partially tightened relaxation would put the search
+                // on a different trajectory than a larger budget —
+                // the anytime monotonicity guarantee (bigger budgets
+                // never worsen the incumbent) requires every trip to
+                // stop the search at a shared-prefix point. The last
+                // fully solved relaxation is still a valid bound.
+                let bound = strengthen(sol.objective);
+                open.push(Node { bound, ..node });
                 interrupted = true;
-                continue;
+                break;
             }
-
-            let mut branch_var: Option<usize> = forced;
-            if branch_var.is_none() && !cands.is_empty() {
-                let mut best = 0usize;
-                for ci in 1..cands.len() {
-                    if cand_cmp(&pseudo, &cands[ci], &cands[best]) == Ordering::Less {
-                        best = ci;
-                    }
-                }
-                branch_var = Some(cands[best].0);
-            }
-
-            // Tolerance-integral LP optimum: snap the integer variables to
-            // exact integers and re-verify against the node's true
-            // (unscaled) bounds and rows before accepting. A value
-            // integral only to within the scale-relative tolerance can
-            // round onto an infeasible point; such a candidate must not
-            // become the incumbent.
-            let mut integral_candidate: Option<Vec<f64>> = None;
-            if branch_var.is_none() {
-                let mut snapped = sol.values.clone();
-                for &j in &int_vars {
-                    let v = &node_model.vars[j];
-                    snapped[j] = snapped[j].round().clamp(v.lo, v.hi);
-                }
-                if node_model.check_feasible(&snapped, crate::FEAS_TOL).is_ok() {
-                    integral_candidate = Some(snapped);
-                } else if let Some(&j) = int_vars.iter().max_by(|&&a, &&b| {
-                    let fa = (sol.values[a] - sol.values[a].round()).abs();
-                    let fb = (sol.values[b] - sol.values[b].round()).abs();
-                    fa.partial_cmp(&fb).unwrap_or(Ordering::Equal)
-                }) {
-                    let x = sol.values[j];
-                    if (x - x.round()).abs() > tol::FIX_REL {
-                        // Rounding broke feasibility but there is real
-                        // fractionality left: branch on it instead.
-                        branch_var = Some(j);
-                    } else {
-                        // Exactly integral yet infeasible on re-check —
-                        // drop the node, and stop claiming a proven
-                        // optimum since its subtree goes unexplored.
-                        proven = false;
-                    }
-                }
-            }
-
-            match branch_var {
-                None => {
-                    if let Some(snapped) = integral_candidate {
-                        let obj = node_model.objective_value(&snapped);
-                        if incumbent
-                            .as_ref()
-                            .is_none_or(|(best, _)| obj < *best - tol::obj_eps(*best))
-                        {
-                            incumbent = Some((obj, snapped));
-                        }
-                    }
-                }
-                Some(j) => {
-                    // Try a cheap rounding heuristic for an incumbent.
-                    if let Some(rounded) = round_heuristic(&node_model, &sol.values, &int_vars) {
-                        let obj = node_model.objective_value(&rounded);
-                        if incumbent
-                            .as_ref()
-                            .is_none_or(|(best, _)| obj < *best - tol::obj_eps(*best))
-                        {
-                            incumbent = Some((obj, rounded));
-                        }
-                    }
-                    let x = sol.values[j];
-                    let (lo, hi) = (node_model.vars[j].lo, node_model.vars[j].hi);
-                    let mut down = node.changes.clone();
-                    down.push((j, lo, x.floor()));
-                    let mut up = node.changes.clone();
-                    up.push((j, x.ceil(), hi));
-                    if lp_arc.is_some() {
-                        if factored_open + 2 > SNAPSHOT_CAP {
-                            factored_open = strip_factors(&mut open, SNAPSHOT_CAP / 2);
-                        }
-                        factored_open += 2;
-                    }
-                    seq += 1;
-                    open.push(Node {
-                        bound,
-                        depth: node.depth + 1,
-                        seq,
-                        changes: down,
-                        basis: lp_arc.clone(),
-                        branched: Some((j, false, x - x.floor())),
-                        parent_obj: sol.objective,
-                    });
-                    seq += 1;
-                    open.push(Node {
-                        bound,
-                        depth: node.depth + 1,
-                        seq,
-                        changes: up,
-                        basis: lp_arc,
-                        branched: Some((j, true, x.ceil() - x)),
-                        parent_obj: sol.objective,
-                    });
-                }
-            }
-
-            restore(&mut node_model, &root_model, &node.changes);
         }
 
-        if interrupted {
-            // A node LP tripped the budget mid-batch: its node is back on
-            // the queue (so the dual bound below sees it) and the search
-            // ends here deterministically.
-            proven = false;
+        let bound = strengthen(sol.objective);
+        if close(&incumbent, bound, opts.rel_gap, &mut gap_closed) {
+            continue;
+        }
+
+        // ---- expansion, under this node's bounds ----
+        apply(&mut node_model, &node.changes);
+
+        // Fractional branching candidates with floor/ceil distances.
+        let mut cands: Vec<(usize, f64, f64)> = Vec::new();
+        for &j in &int_vars {
+            let x = sol.values[j];
+            if !tol::is_int(x) {
+                cands.push((j, x - x.floor(), x.ceil() - x));
+            }
+        }
+
+        let lp_arc = basis.map(Arc::new);
+
+        // Reliability branching: strong-branch the top-ranked
+        // candidates whose pseudocosts are not yet trusted, feeding
+        // the measured degradations back into the estimates. An
+        // infeasible probe direction makes its variable the forced
+        // choice — branching there closes one child instantly.
+        let mut forced: Option<usize> = None;
+        let mut probe_tripped = false;
+        if !cands.is_empty() {
+            let mut order: Vec<usize> = (0..cands.len()).collect();
+            order.sort_by(|&a, &b| cand_cmp(&pseudo, &cands[a], &cands[b]));
+            'probing: for &ci in order.iter().take(STRONG_CANDS) {
+                let (j, dd, ud) = cands[ci];
+                for up in [false, true] {
+                    let (obs, dist) = if up {
+                        (pseudo[j].up_n, ud)
+                    } else {
+                        (pseudo[j].down_n, dd)
+                    };
+                    if obs >= RELIABILITY {
+                        continue;
+                    }
+                    let x = sol.values[j];
+                    let (plo, phi) = (node_model.vars[j].lo, node_model.vars[j].hi);
+                    if up {
+                        node_model.vars[j].lo = x.ceil();
+                    } else {
+                        node_model.vars[j].hi = x.floor();
+                    }
+                    let mut probe_work = 0u64;
+                    let probe =
+                        simplex::solve(&node_model, lp_arc.as_deref(), lp_budget, &mut probe_work)
+                            .map(|(s, _)| s);
+                    node_model.vars[j].lo = plo;
+                    node_model.vars[j].hi = phi;
+                    work_spent += probe_work;
+                    match probe {
+                        Ok(ps) => {
+                            counts.add(&ps);
+                            pseudo[j].observe(up, ((ps.objective - sol.objective) / dist).max(0.0));
+                        }
+                        Err(SolverError::Infeasible) => {
+                            forced = Some(j);
+                            break 'probing;
+                        }
+                        // Budget trip inside a probe: end the search
+                        // at this shared-prefix point (see the
+                        // root-cut trip) — branching from half-made
+                        // pseudocost observations would diverge from
+                        // the larger-budget trajectory.
+                        Err(SolverError::Interrupted { .. }) => {
+                            probe_tripped = true;
+                            break 'probing;
+                        }
+                        // Numerical trouble in a probe is advisory
+                        // only — skip the observation (its work is
+                        // still on the ledger).
+                        Err(_) => {}
+                    }
+                }
+            }
+        }
+        if probe_tripped {
+            restore(&mut node_model, &root_model, &node.changes);
+            open.push(Node { bound, ..node });
+            interrupted = true;
             break;
         }
+
+        let mut branch_var: Option<usize> = forced;
+        if branch_var.is_none() && !cands.is_empty() {
+            let mut best = 0usize;
+            for ci in 1..cands.len() {
+                if cand_cmp(&pseudo, &cands[ci], &cands[best]) == Ordering::Less {
+                    best = ci;
+                }
+            }
+            branch_var = Some(cands[best].0);
+        }
+
+        // Tolerance-integral LP optimum: snap the integer variables to
+        // exact integers and re-verify against the node's true
+        // (unscaled) bounds and rows before accepting. A value
+        // integral only to within the scale-relative tolerance can
+        // round onto an infeasible point; such a candidate must not
+        // become the incumbent.
+        let mut integral_candidate: Option<Vec<f64>> = None;
+        if branch_var.is_none() {
+            let mut snapped = sol.values.clone();
+            for &j in &int_vars {
+                let v = &node_model.vars[j];
+                snapped[j] = snapped[j].round().clamp(v.lo, v.hi);
+            }
+            if node_model.check_feasible(&snapped, crate::FEAS_TOL).is_ok() {
+                integral_candidate = Some(snapped);
+            } else if let Some(&j) = int_vars.iter().max_by(|&&a, &&b| {
+                let fa = (sol.values[a] - sol.values[a].round()).abs();
+                let fb = (sol.values[b] - sol.values[b].round()).abs();
+                fa.partial_cmp(&fb).unwrap_or(Ordering::Equal)
+            }) {
+                let x = sol.values[j];
+                if (x - x.round()).abs() > tol::FIX_REL {
+                    // Rounding broke feasibility but there is real
+                    // fractionality left: branch on it instead.
+                    branch_var = Some(j);
+                } else {
+                    // Exactly integral yet infeasible on re-check —
+                    // drop the node, and stop claiming a proven
+                    // optimum since its subtree goes unexplored.
+                    proven = false;
+                }
+            }
+        }
+
+        match branch_var {
+            None => {
+                if let Some(snapped) = integral_candidate {
+                    let obj = node_model.objective_value(&snapped);
+                    if incumbent
+                        .as_ref()
+                        .is_none_or(|(best, _)| obj < *best - tol::obj_eps(*best))
+                    {
+                        incumbent = Some((obj, snapped));
+                    }
+                }
+            }
+            Some(j) => {
+                // Try a cheap rounding heuristic for an incumbent.
+                if let Some(rounded) = round_heuristic(&node_model, &sol.values, &int_vars) {
+                    let obj = node_model.objective_value(&rounded);
+                    if incumbent
+                        .as_ref()
+                        .is_none_or(|(best, _)| obj < *best - tol::obj_eps(*best))
+                    {
+                        incumbent = Some((obj, rounded));
+                    }
+                }
+                let x = sol.values[j];
+                let (lo, hi) = (node_model.vars[j].lo, node_model.vars[j].hi);
+                let mut down = node.changes.clone();
+                down.push((j, lo, x.floor()));
+                let mut up = node.changes.clone();
+                up.push((j, x.ceil(), hi));
+                if lp_arc.is_some() {
+                    if factored_open + 2 > SNAPSHOT_CAP {
+                        factored_open = strip_factors(&mut open, SNAPSHOT_CAP / 2);
+                    }
+                    factored_open += 2;
+                }
+                seq += 1;
+                open.push(Node {
+                    bound,
+                    depth: node.depth + 1,
+                    seq,
+                    changes: down,
+                    basis: lp_arc.clone(),
+                    branched: Some((j, false, x - x.floor())),
+                    parent_obj: sol.objective,
+                });
+                seq += 1;
+                open.push(Node {
+                    bound,
+                    depth: node.depth + 1,
+                    seq,
+                    changes: up,
+                    basis: lp_arc,
+                    branched: Some((j, true, x.ceil() - x)),
+                    parent_obj: sol.objective,
+                });
+            }
+        }
+
+        restore(&mut node_model, &root_model, &node.changes);
     }
 
     let best_open_bound = open
@@ -1080,6 +922,15 @@ fn cand_cmp(pseudo: &[PseudoCost], a: &(usize, f64, f64), b: &(usize, f64, f64))
         .then_with(|| a.0.cmp(&b.0))
 }
 
+/// Applies a node's `(var, lo, hi)` overrides to `node_model`.
+fn apply(node_model: &mut Model, changes: &[(usize, f64, f64)]) {
+    for &(j, lo, hi) in changes {
+        node_model.vars[j].lo = lo;
+        node_model.vars[j].hi = hi;
+    }
+}
+
+/// Resets the variables a node overrode to the root model's bounds.
 fn restore(node_model: &mut Model, root: &Model, changes: &[(usize, f64, f64)]) {
     for &(j, _, _) in changes {
         node_model.vars[j].lo = root.vars[j].lo;
@@ -1116,16 +967,6 @@ mod tests {
     fn mip(m: &Model, opts: &MipOptions) -> Result<Solution> {
         m.solve_mip(opts, None)
             .and_then(|(out, _)| out.into_solution())
-    }
-
-    /// The engine `placement` ships for its exact solves: 8-node batches,
-    /// here across two workers.
-    fn shipped() -> MipOptions {
-        MipOptions {
-            threads: 2,
-            node_batch: 8,
-            ..Default::default()
-        }
     }
 
     #[test]
@@ -1367,21 +1208,17 @@ mod tests {
         }
     }
 
-    /// The search at one and at eight nodes per batch proves the oracle's
-    /// optimum on `cover`.
+    /// The search proves the oracle's optimum on `cover`.
     fn assert_matches_subset_oracle(cover: &Cover) {
         let want = cover.brute_force();
-        let m = cover.model();
-        for opts in [MipOptions::default(), shipped()] {
-            let got = mip(&m, &opts).unwrap();
-            assert_eq!(got.status, SolveStatus::Optimal);
-            assert!(
-                (got.objective - want).abs() < 1e-6,
-                "n={}: solver {} vs subsets {want}",
-                cover.costs.len(),
-                got.objective
-            );
-        }
+        let got = mip(&cover.model(), &MipOptions::default()).unwrap();
+        assert_eq!(got.status, SolveStatus::Optimal);
+        assert!(
+            (got.objective - want).abs() < 1e-6,
+            "n={}: solver {} vs subsets {want}",
+            cover.costs.len(),
+            got.objective
+        );
     }
 
     #[test]
@@ -1395,8 +1232,8 @@ mod tests {
 
     #[test]
     fn shipped_engine_matches_subset_oracle() {
-        // Cuts, reliability branching and batching must not change proven
-        // optima — only how fast the proof goes.
+        // Cuts and reliability branching must not change proven optima —
+        // only how fast the proof goes.
         for (n, stride) in [(8, 2), (11, 3), (13, 4)] {
             assert_matches_subset_oracle(&cover_instance(n, stride));
         }
@@ -1408,29 +1245,6 @@ mod tests {
                 rows: (0..n).map(|i| vec![i, (i + 1) % n]).collect(),
             });
         }
-    }
-
-    #[test]
-    fn parallel_pool_is_deterministic_across_thread_counts() {
-        // Same node_batch, different thread counts: identical node count,
-        // objective, and values — the pool's determinism contract.
-        let m = cover_instance(13, 4).model();
-        let solve_with_threads = |threads: usize| {
-            mip(
-                &m,
-                &MipOptions {
-                    threads,
-                    ..shipped()
-                },
-            )
-            .unwrap()
-        };
-        let one = solve_with_threads(1);
-        let four = solve_with_threads(4);
-        assert_eq!(one.nodes, four.nodes);
-        assert_eq!(one.iterations, four.iterations);
-        assert!((one.objective - four.objective).abs() == 0.0);
-        assert_eq!(one.values, four.values);
     }
 
     #[test]

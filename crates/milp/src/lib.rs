@@ -17,13 +17,12 @@
 //! * a **branch-and-bound** driver for the integer variables with root
 //!   cutting planes, reliability branching (pseudocost scores seeded by
 //!   strong-branch probes, most-fractional tie-breaking), best-bound node
-//!   selection with depth-first plunging over a deterministic batch-parallel
-//!   node pool, bound rounding whenever the objective is integral, a
-//!   rounding incumbent heuristic, and node, work and time limits
-//!   ([`Model::solve_mip`]); every node LP, cut re-solve and strong-branch
-//!   probe starts from its parent's basis, the tuning is fixed, and
-//!   [`MipOptions`] holds only the limits, the gap, and the batch and
-//!   thread counts;
+//!   selection with depth-first plunging in one serial search, bound
+//!   rounding whenever the objective is integral, a rounding incumbent
+//!   heuristic, and node, work and time limits ([`Model::solve_mip`]);
+//!   every node LP, cut re-solve and strong-branch probe starts from its
+//!   parent's basis, the tuning is fixed, and [`MipOptions`] holds only
+//!   the limits and the gap;
 //! * a light **presolve** (fixed-variable substitution, empty/redundant row
 //!   elimination), always applied inside [`Model::solve_mip`].
 //!

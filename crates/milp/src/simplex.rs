@@ -134,7 +134,7 @@ const DEVEX_RESET: f64 = 1e7;
 /// per iteration on the hot path instead of a guaranteed compare — the
 /// budget can be overshot by at most 63 iterations, which is inside the
 /// deterministic contract (the overshoot depends only on the iteration
-/// count, never on wall clock or thread count).
+/// count, never on wall clock).
 const WORK_CHECK_MASK: usize = 63;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

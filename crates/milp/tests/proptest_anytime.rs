@@ -3,11 +3,9 @@
 //! Instances are the same random LP2-shaped covering programs as
 //! `proptest_mip_search` (binary `x_e` with unit cost, VUB rows, one
 //! coverage row). The engine is the one `placement` ships (default cuts
-//! and reliability branching) at both of its batch sizes: 1, what
-//! `DeltaInstance` chains run under the serve path's work budgets, and 8,
-//! what the one-shot exact solver runs. For every instance
-//! and batch size the uninterrupted optimum is solved once, then the
-//! budgeted search must uphold three properties at 1 and 4 workers:
+//! and reliability branching), the search every exact PPM solve runs,
+//! one-shot or chained. For every instance the uninterrupted optimum is
+//! solved once, then the budgeted search must uphold three properties:
 //!
 //! * **Sandwich**: any budget yields an outcome with
 //!   `bound ≤ optimal ≤ incumbent.objective` (minimization) — an
@@ -15,8 +13,7 @@
 //! * **Monotone**: growing the budget never worsens the incumbent.
 //! * **Reproduction**: a budget at least the one-shot solve's own
 //!   [`Solution::work`] reproduces that solve **bitwise** — budgeting is
-//!   a wrapper, never a perturbation — and the whole trajectory is
-//!   byte-identical across worker counts (1 vs 4) at every budget.
+//!   a wrapper, never a perturbation.
 
 use milp::{Cmp, MipOptions, MipOutcome, Model, Sense, Solution, VarKind};
 use proptest::prelude::*;
@@ -68,16 +65,9 @@ fn build(inst: &Instance) -> Model {
     m
 }
 
-/// The shipped engine's batch sizes: `DeltaInstance` chains and the
-/// one-shot exact solver.
-const SHIPPED_BATCHES: [usize; 2] = [1, 8];
-
-/// The shipped engine at `node_batch` nodes per round and `threads`
-/// workers, with an optional work budget.
-fn engine(node_batch: usize, threads: usize, work_budget: Option<u64>) -> MipOptions {
+/// The shipped engine with an optional work budget.
+fn engine(work_budget: Option<u64>) -> MipOptions {
     MipOptions {
-        threads,
-        node_batch,
         work_budget,
         ..Default::default()
     }
@@ -94,47 +84,16 @@ fn assert_solutions_bitwise(a: &Solution, b: &Solution) {
     }
 }
 
-/// The outcomes of the same budgeted solve at two worker counts must be
-/// byte-identical: same variant, same incumbent (bit for bit), same
-/// bound bits, same work accounting.
-fn assert_outcomes_bitwise(a: &MipOutcome, b: &MipOutcome) {
-    match (a, b) {
-        (MipOutcome::Complete(x), MipOutcome::Complete(y)) => assert_solutions_bitwise(x, y),
-        (
-            MipOutcome::Interrupted {
-                incumbent: ia,
-                bound: ba,
-                work_spent: wa,
-            },
-            MipOutcome::Interrupted {
-                incumbent: ib,
-                bound: bb,
-                work_spent: wb,
-            },
-        ) => {
-            prop_assert_eq!(ba.to_bits(), bb.to_bits());
-            prop_assert_eq!(wa, wb);
-            match (ia, ib) {
-                (None, None) => {}
-                (Some(x), Some(y)) => assert_solutions_bitwise(x, y),
-                _ => panic!("incumbent presence differs across worker counts"),
-            }
-        }
-        _ => panic!("outcome variant differs across worker counts"),
-    }
-}
-
 /// Incumbent objective for monotonicity checks; no incumbent counts as
 /// `+inf` (minimization: any later incumbent is an improvement).
 fn incumbent_objective(o: &MipOutcome) -> f64 {
     o.solution().map_or(f64::INFINITY, |s| s.objective)
 }
 
-/// The three anytime properties of one instance at one batch size.
-fn check_anytime(model: &Model, node_batch: usize) {
-    let engine = |threads, budget| engine(node_batch, threads, budget);
+/// The three anytime properties of one instance.
+fn check_anytime(model: &Model) {
     let opt = model
-        .solve_mip(&engine(1, None), None)
+        .solve_mip(&engine(None), None)
         .and_then(|(out, _)| out.into_solution())
         .expect("covering instance is feasible");
     let tol = 1e-6 * (1.0 + opt.objective.abs());
@@ -145,23 +104,16 @@ fn check_anytime(model: &Model, node_batch: usize) {
 
     let mut last_incumbent = f64::INFINITY;
     for &budget in &ladder {
-        let (one, _) = model
-            .solve_mip(&engine(1, Some(budget)), None)
+        let (out, _) = model
+            .solve_mip(&engine(Some(budget)), None)
             .expect("budgeted solve never errors on a feasible instance");
-        let (four, _) = model
-            .solve_mip(&engine(4, Some(budget)), None)
-            .expect("budgeted solve never errors on a feasible instance");
-
-        // (c) worker-count independence at every budget.
-        assert_outcomes_bitwise(&one, &four);
 
         // (a) the sandwich: bound ≤ optimal ≤ incumbent.
-        match &one {
+        match &out {
             MipOutcome::Complete(s) => {
                 prop_assert!(
                     (s.objective - opt.objective).abs() <= tol,
-                    "batch {}: complete-under-budget disagrees with optimum: {} vs {}",
-                    node_batch,
+                    "complete-under-budget disagrees with optimum: {} vs {}",
                     s.objective,
                     opt.objective
                 );
@@ -174,16 +126,14 @@ fn check_anytime(model: &Model, node_batch: usize) {
                 prop_assert!(*work_spent >= 1, "interruption must charge work");
                 prop_assert!(
                     *bound <= opt.objective + tol,
-                    "batch {}: dual bound {} exceeds the optimum {}",
-                    node_batch,
+                    "dual bound {} exceeds the optimum {}",
                     bound,
                     opt.objective
                 );
                 if let Some(s) = incumbent {
                     prop_assert!(
                         s.objective >= opt.objective - tol,
-                        "batch {}: incumbent {} beats the proven optimum {}",
-                        node_batch,
+                        "incumbent {} beats the proven optimum {}",
                         s.objective,
                         opt.objective
                     );
@@ -192,11 +142,10 @@ fn check_anytime(model: &Model, node_batch: usize) {
         }
 
         // (b) monotone: a larger budget never worsens the incumbent.
-        let cur = incumbent_objective(&one);
+        let cur = incumbent_objective(&out);
         prop_assert!(
             cur <= last_incumbent + tol,
-            "batch {}: incumbent worsened as the budget grew: {} -> {}",
-            node_batch,
+            "incumbent worsened as the budget grew: {} -> {}",
             last_incumbent,
             cur
         );
@@ -204,23 +153,18 @@ fn check_anytime(model: &Model, node_batch: usize) {
     }
 
     // (c) reproduction: budget == one-shot work yields Complete and
-    // reproduces the unbudgeted solve bitwise, at 1 and 4 workers.
-    for threads in [1usize, 4] {
-        let (full, _) = model
-            .solve_mip(&engine(threads, Some(opt.work)), None)
-            .expect("feasible");
-        match full {
-            MipOutcome::Complete(s) => assert_solutions_bitwise(&s, &opt),
-            MipOutcome::Interrupted { work_spent, .. } => prop_assert!(
-                false,
-                "batch {}: budget equal to the one-shot work ({}) still tripped at {} \
-                 ({} workers)",
-                node_batch,
-                opt.work,
-                work_spent,
-                threads
-            ),
-        }
+    // reproduces the unbudgeted solve bitwise.
+    let (full, _) = model
+        .solve_mip(&engine(Some(opt.work)), None)
+        .expect("feasible");
+    match full {
+        MipOutcome::Complete(s) => assert_solutions_bitwise(&s, &opt),
+        MipOutcome::Interrupted { work_spent, .. } => prop_assert!(
+            false,
+            "budget equal to the one-shot work ({}) still tripped at {}",
+            opt.work,
+            work_spent
+        ),
     }
 }
 
@@ -229,9 +173,6 @@ proptest! {
 
     #[test]
     fn budgets_are_anytime_monotone_and_reproducing(inst in instances()) {
-        let model = build(&inst);
-        for node_batch in SHIPPED_BATCHES {
-            check_anytime(&model, node_batch);
-        }
+        check_anytime(&build(&inst));
     }
 }

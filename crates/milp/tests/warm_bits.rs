@@ -7,8 +7,7 @@
 //! whose dual walk outruns the dual phase's iteration guard pins the
 //! cold fallback. Budgeted `solve_mip` runs of the shipped engine over
 //! LP2-shaped covering programs (node warm starts, cuts, strong-branch
-//! probes), six of them branching past the root, follow at 1 and 4
-//! workers.
+//! probes), six of them branching past the root, follow.
 //! Every objective and value bit, every iteration, work and node count,
 //! and every outcome kind is folded into one FNV-1a digest.
 //!
@@ -21,13 +20,14 @@ use milp::{
     Cmp, LpWarmStart, MipOptions, MipOutcome, Model, Sense, Solution, SolverError, VarKind,
 };
 
-/// The digest of everything below, pinned when the long-step dual ratio
-/// test replaced the one-flip-per-iteration test. The six small covering
+/// The digest of everything below, pinned when the anytime solves moved
+/// to the one serial search (recorded on the code before that change).
+/// The six small covering
 /// programs close in at most five nodes and pin the root (cuts, first
 /// probes, rounding); the six deep ones take 7–15 nodes each and pin the
 /// search below it, including open nodes past the snapshot cap that
 /// refactorize a stripped basis when popped.
-const WARM_BITS_DIGEST: u64 = 0x1d48_f08a_383d_57f1;
+const WARM_BITS_DIGEST: u64 = 0x21fd_481d_1492_2a2a;
 
 /// SplitMix64: a tiny seeded generator, so the instances cannot drift
 /// with any generator crate.
@@ -278,12 +278,10 @@ fn covering(seed: u64, edges: usize, traffics: usize, k: f64) -> Model {
     model
 }
 
-/// The engine `placement::passive::exact` ships: 8-node batches, at
-/// `threads` workers and an optional work budget.
-fn engine(threads: usize, work_budget: Option<u64>) -> MipOptions {
+/// The engine `placement::passive::exact` ships, with an optional work
+/// budget.
+fn engine(work_budget: Option<u64>) -> MipOptions {
     MipOptions {
-        threads,
-        node_batch: 8,
         work_budget,
         ..Default::default()
     }
@@ -370,20 +368,14 @@ fn warm_chains_and_anytime_solves_keep_their_bits() {
     ]
     .map(|(seed, edges, traffics)| covering(seed, edges, traffics, 0.85));
     for (case, model) in small.chain(deep).enumerate() {
-        let full = match model.solve_mip(&engine(1, None), None) {
+        let full = match model.solve_mip(&engine(None), None) {
             Ok((MipOutcome::Complete(s), _)) => s.work,
             other => panic!("case {case}: unbudgeted solve did not complete: {other:?}"),
         };
         for budget in [full / 5, full / 2, full] {
-            let mut at = [Digest::new(), Digest::new()];
-            for (slot, threads) in [1usize, 4].into_iter().enumerate() {
-                mip_flips += anytime(&model, &engine(threads, Some(budget)), &mut at[slot]);
-            }
-            assert_eq!(
-                at[0].0, at[1].0,
-                "case {case} budget {budget}: 1 vs 4 workers"
-            );
-            digest.word(at[0].0);
+            let mut at = Digest::new();
+            mip_flips += anytime(&model, &engine(Some(budget)), &mut at);
+            digest.word(at.0);
         }
     }
     assert!(mip_flips > 0, "the anytime solves never flipped a bound");
@@ -406,7 +398,7 @@ fn deep_covering_searches_stay_warm() {
     let (mut fallbacks, mut work, mut iterations) = (0, 0, 0);
     for seed in 0..6u64 {
         let model = covering(5000 + seed, 40, 90, 0.85);
-        match model.solve_mip(&engine(1, None), None) {
+        match model.solve_mip(&engine(None), None) {
             Ok((MipOutcome::Complete(s), _)) => {
                 fallbacks += s.warm_fallbacks;
                 work += s.work;

@@ -43,7 +43,7 @@ use netgraph::{EdgeId, Graph, NodeId};
 use popgen::TrafficSet;
 
 use crate::instance::PpmInstance;
-use crate::passive::{Deployment, ExactModel, ExactOptions};
+use crate::passive::{Deployment, ExactModel};
 use crate::solve::{solve_ppm_request, PlacementError, SolveOutcome, SolveRequest};
 
 /// Routed backing for link toggles: the graph and the delta-aware route
@@ -419,13 +419,7 @@ impl DeltaInstance {
             installed: &self.installed,
             disabled: &self.disabled,
         };
-        solve_ppm_request(
-            req,
-            at,
-            &mut self.exact_cache,
-            &mut self.budget_cache,
-            ExactOptions::mip,
-        )
+        solve_ppm_request(req, at, &mut self.exact_cache, &mut self.budget_cache)
     }
 }
 
@@ -458,7 +452,7 @@ mod tests {
     use super::*;
     use crate::instance::fixture_figure3;
     use crate::passive::{
-        solve_budget, solve_incremental, solve_ppm_exact, BudgetSolution, PpmSolution,
+        solve_budget, solve_incremental, solve_ppm_exact, BudgetSolution, ExactOptions, PpmSolution,
     };
 
     /// An exact `PPM(k)` solve on the chain with default knobs.

@@ -26,7 +26,9 @@ use crate::instance::PpmInstance;
 use crate::passive::{greedy_adaptive, greedy_static, selected_edges, BudgetSolution, PpmSolution};
 use crate::solve::{greedy_budget, Anytime};
 
-/// Options for the exact batch solvers. A deterministic work budget is a
+/// Options for the exact batch solvers: node limit, clock and gap. The
+/// MIP-based ones, one-shot or chained, all run them through one serial
+/// `milp` search configuration. A deterministic work budget is a
 /// [`crate::solve::SolveRequest`] knob, not one of these: the request path
 /// reports a tripped budget as [`crate::solve::SolveOutcome::Degraded`].
 #[derive(Debug, Clone)]
@@ -170,13 +172,8 @@ pub fn build_lp1_target(inst: &PpmInstance, target_volume: f64) -> (Model, Vec<V
 /// exceeds `1 - k`).
 pub fn solve_ppm_exact(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
     assert_fraction(k);
-    ExactModel::solve_min_devices(
-        &mut None,
-        Deployment::fresh(inst),
-        k,
-        &opts.mip_batched(None),
-    )
-    .unbudgeted()
+    ExactModel::solve_min_devices(&mut None, Deployment::fresh(inst), k, &opts.mip(None))
+        .unbudgeted()
 }
 
 /// Solves `PPM(k)` exactly through the arc-path Linear Program 1 (slower;
@@ -186,7 +183,7 @@ pub fn solve_ppm_mecf(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option
     let target = coverage_target(inst, k)?;
     let (model, xs) = build_lp1_target(&inst.merged(), target);
     let sol = match model
-        .solve_mip(&opts.mip_batched(None), None)
+        .solve_mip(&opts.mip(None), None)
         .and_then(|(out, _)| out.into_solution())
     {
         Ok(sol) => sol,
@@ -219,39 +216,15 @@ fn coverage_target(inst: &PpmInstance, k: f64) -> Option<f64> {
     (target <= inst.max_coverage_fraction() * inst.total_volume() + 1e-9).then_some(target)
 }
 
-/// Nodes evaluated per batch-synchronous round of the one-shot
-/// minimum-device search. A fixed constant (not a function of the worker
-/// count) so the branch-and-bound trajectory — and therefore every
-/// solution and CSV derived from it — is identical whether the node LPs
-/// run on 1 thread or 16.
-const EXACT_NODE_BATCH: usize = 8;
-
 impl ExactOptions {
-    /// The serial search of the warm chains, [`solve_incremental`] and
-    /// [`solve_budget`]: these limits and gap under `work_budget`, one
-    /// worker, one node per round.
-    ///
-    /// [`solve_incremental`]: crate::passive::solve_incremental
-    /// [`solve_budget`]: crate::passive::solve_budget
+    /// The MIP search of every exact PPM solve, one-shot or chained: these
+    /// limits and gap under `work_budget`.
     pub(crate) fn mip(&self, work_budget: Option<u64>) -> MipOptions {
         MipOptions {
             max_nodes: self.max_nodes,
             time_limit: self.time_limit,
             rel_gap: self.rel_gap,
             work_budget,
-            ..MipOptions::default()
-        }
-    }
-
-    /// The one-shot minimum-device search: [`ExactOptions::mip`] with the
-    /// node LPs solved in parallel (`POPMON_THREADS`-aware) in rounds of
-    /// [`EXACT_NODE_BATCH`] — never derived from the thread count, so the
-    /// answers are byte-identical at any `threads` setting.
-    pub(crate) fn mip_batched(&self, work_budget: Option<u64>) -> MipOptions {
-        MipOptions {
-            threads: 0,
-            node_batch: EXACT_NODE_BATCH,
-            ..self.mip(work_budget)
         }
     }
 }

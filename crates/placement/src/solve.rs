@@ -19,7 +19,7 @@
 
 use std::fmt;
 
-use milp::{MipOptions, MipOutcome, Solution, SolveStatus};
+use milp::{MipOutcome, Solution, SolveStatus};
 use netgraph::{Graph, NodeId};
 
 use crate::active::{compute_probes, place_beacons_greedy, place_beacons_ilp};
@@ -426,13 +426,7 @@ pub fn solve_instance(
     inst: &PpmInstance,
     req: &SolveRequest,
 ) -> Result<SolveOutcome, PlacementError> {
-    solve_ppm_request(
-        req,
-        Deployment::fresh(inst),
-        &mut None,
-        &mut None,
-        ExactOptions::mip_batched,
-    )
+    solve_ppm_request(req, Deployment::fresh(inst), &mut None, &mut None)
 }
 
 /// The one PPM request dispatch behind [`solve_instance`] and
@@ -440,9 +434,8 @@ pub fn solve_instance(
 /// `at`, then the outcome mapping with the paper's greedy on the same
 /// constrained state as the degradation fallback. `exact` and `budget`
 /// are the caller's minimum-device and budget [`ExactModel`] slots (empty
-/// ones for one-shot solves); `min_devices_search` is the caller's
-/// minimum-device MIP configuration (budget solves always search
-/// serially).
+/// ones for one-shot solves). Both kinds run the one
+/// [`ExactOptions::mip`] search.
 ///
 /// [`DeltaInstance::solve`]: crate::delta::DeltaInstance::solve
 pub(crate) fn solve_ppm_request(
@@ -450,7 +443,6 @@ pub(crate) fn solve_ppm_request(
     at: Deployment<'_>,
     exact: &mut Option<ExactModel>,
     budget: &mut Option<ExactModel>,
-    min_devices_search: fn(&ExactOptions, Option<u64>) -> MipOptions,
 ) -> Result<SolveOutcome, PlacementError> {
     req.validate()?;
     let Objective::Ppm { k } = req.objective else {
@@ -459,20 +451,16 @@ pub(crate) fn solve_ppm_request(
             "APM solves need a router graph; use solve_apm".to_string(),
         ));
     };
-    let opts = req.exact_options();
+    let search = req.exact_options().mip(req.work_budget);
     let (inst, installed, disabled) = (at.inst, at.installed, at.disabled);
     if let Some(devices) = req.device_budget {
-        let search = opts.mip(req.work_budget);
         let attempt = ExactModel::solve_max_coverage(budget, at, devices, &search);
         return Ok(budget_outcome(attempt, || {
             greedy_budget(inst, devices, installed, disabled)
         }));
     }
     let attempt = match req.method {
-        SolveMethod::Exact => {
-            let search = min_devices_search(&opts, req.work_budget);
-            ExactModel::solve_min_devices(exact, at, k, &search)
-        }
+        SolveMethod::Exact => ExactModel::solve_min_devices(exact, at, k, &search),
         SolveMethod::Greedy => Anytime::Done(greedy_constrained(inst, installed, disabled, k)),
     };
     Ok(ppm_outcome(attempt, || {
@@ -677,41 +665,67 @@ mod tests {
         }
     }
 
+    /// The search-dependent bits of a PPM outcome: work spent and bound
+    /// bits (degraded answers only), the placement's edges, and whether it
+    /// is proven optimal.
+    fn search_bits(out: &SolveOutcome) -> (Option<u64>, Option<u64>, Vec<usize>, bool) {
+        match out {
+            SolveOutcome::Ppm(sol) => (None, None, sol.edges.clone(), sol.proven_optimal),
+            SolveOutcome::Degraded {
+                partial,
+                work_spent,
+                bound,
+                ..
+            } => {
+                let SolveOutcome::Ppm(sol) = partial.as_ref() else {
+                    panic!("expected a partial placement, got {partial:?}");
+                };
+                let bound = Some(bound.to_bits());
+                (
+                    Some(*work_spent),
+                    bound,
+                    sol.edges.clone(),
+                    sol.proven_optimal,
+                )
+            }
+            other => panic!("expected a PPM outcome, got {other:?}"),
+        }
+    }
+
     #[test]
     fn budgeted_one_shot_and_chained_solves_keep_their_search_bits() {
         use popgen::{PopSpec, TrafficSpec};
 
-        // One request, both MIP configurations: the one-shot solve searches
-        // EXACT_NODE_BATCH nodes per round, the chain one. Recorded before
-        // the two paths shared a kernel; a silent switch of either moves
-        // the work spent.
-        let pop = PopSpec::paper_15().build();
-        let ts = TrafficSpec::default().generate(&pop, 1);
-        let inst = PpmInstance::from_traffic(&pop.graph, &ts);
-        let req = SolveRequest::ppm(0.95).with_work_budget(4_000);
-        let edges = vec![
-            0, 4, 5, 8, 10, 12, 14, 15, 16, 18, 20, 22, 24, 25, 29, 38, 56, 67, 68, 69, 70,
-        ];
-        let one_shot = solve_instance(&inst, &req).unwrap();
-        let chained = DeltaInstance::from_instance(&inst).solve(&req).unwrap();
-        for (what, out, work) in [("one-shot", one_shot, 6_347), ("chained", chained, 4_570)] {
-            let SolveOutcome::Degraded {
-                partial,
-                reason,
-                work_spent,
-                bound,
-            } = out
-            else {
-                panic!("{what}: the budget must trip, got {out:?}");
-            };
-            assert_eq!(reason, DegradeReason::PartialExact, "{what}");
-            assert_eq!(work_spent, work, "{what}: work spent");
-            assert_eq!(bound.to_bits(), 14.0f64.to_bits(), "{what}: bound");
-            let SolveOutcome::Ppm(sol) = *partial else {
-                panic!("{what}: expected a partial placement, got {partial:?}");
-            };
-            assert_eq!(sol.edges, edges, "{what}: partial edges");
-            assert!(!sol.proven_optimal, "{what}");
+        // One request, one MIP search: a one-shot solve and a chain's first
+        // link return the same outcome at every budget. The 4,000-unit row
+        // pins the work and edges the chain recorded before the two paths
+        // shared one search. The unbudgeted row runs on paper_10: an
+        // unbudgeted paper_15 solve at this k takes seconds even in a
+        // release build.
+        let inst_of = |spec: PopSpec| {
+            let pop = spec.build();
+            PpmInstance::from_traffic(&pop.graph, &TrafficSpec::default().generate(&pop, 1))
+        };
+        let paper_15 = inst_of(PopSpec::paper_15());
+        let paper_10 = inst_of(PopSpec::paper_10());
+        for (inst, budget) in [
+            (&paper_15, Some(2_000)),
+            (&paper_15, Some(4_000)),
+            (&paper_10, None),
+        ] {
+            let mut req = SolveRequest::ppm(0.95);
+            req.work_budget = budget;
+            let one_shot = solve_instance(inst, &req).unwrap();
+            let chained = DeltaInstance::from_instance(inst).solve(&req).unwrap();
+            let bits = search_bits(&one_shot);
+            assert_eq!(bits, search_bits(&chained), "budget {budget:?}");
+            assert_eq!(one_shot, chained, "budget {budget:?}");
+            if budget == Some(4_000) {
+                let edges = vec![
+                    0, 4, 5, 8, 10, 12, 14, 15, 16, 18, 20, 22, 24, 25, 29, 38, 56, 67, 68, 69, 70,
+                ];
+                assert_eq!(bits, (Some(4_570), Some(14.0f64.to_bits()), edges, false));
+            }
         }
     }
 

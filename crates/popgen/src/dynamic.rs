@@ -14,7 +14,7 @@ use std::str::FromStr;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::families::{check_min, check_range, SpecError};
+use crate::families::{check_min, check_range, spec_line, SpecError};
 use crate::traffic::TrafficSet;
 
 /// Parameters of the traffic evolution process, serialized to/from the
@@ -88,10 +88,7 @@ impl FromStr for DynamicSpec {
     /// rejected with a typed error, and the result is
     /// [`DynamicSpec::validate`]d before it is returned.
     fn from_str(s: &str) -> Result<Self, SpecError> {
-        let mut tokens = s.split_whitespace();
-        let model = tokens
-            .next()
-            .ok_or_else(|| SpecError::new("dynamic", "empty spec".to_string()))?;
+        let (model, fields) = spec_line(s, "dynamic")?;
         if model != "dynamic" {
             return Err(SpecError::new(
                 "dynamic",
@@ -99,24 +96,15 @@ impl FromStr for DynamicSpec {
             ));
         }
         let mut spec = DynamicSpec::default();
-        let mut seen: Vec<String> = Vec::new();
-        for tok in tokens {
-            let (key, raw) = tok.split_once('=').ok_or_else(|| {
-                SpecError::new("spec", format!("expected key=value, got {tok:?}"))
-            })?;
-            if seen.iter().any(|k| k == key) {
-                return Err(SpecError::new("spec", format!("duplicate key {key:?}")));
-            }
-            seen.push(key.to_string());
-            let f64_of = |field: &'static str| -> Result<f64, SpecError> {
-                raw.parse::<f64>()
-                    .map_err(|_| SpecError::new(field, format!("bad number {raw:?}")))
-            };
+        for field in fields {
+            let (key, value) = field?;
             match key {
-                "jitter" => spec.jitter = f64_of("jitter")?,
-                "shift_probability" => spec.shift_probability = f64_of("shift_probability")?,
-                "shift_boost" => spec.shift_boost = f64_of("shift_boost")?,
-                "floor" => spec.floor = f64_of("floor")?,
+                "jitter" => spec.jitter = value.number("jitter")?,
+                "shift_probability" => {
+                    spec.shift_probability = value.number("shift_probability")?
+                }
+                "shift_boost" => spec.shift_boost = value.number("shift_boost")?,
+                "floor" => spec.floor = value.number("floor")?,
                 _ => {
                     return Err(SpecError::new(
                         "spec",

@@ -40,7 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::dynamic::DynamicSpec;
-use crate::families::{check_range, SpecError};
+use crate::families::{check_range, spec_line, SpecError};
 use crate::topology::Pop;
 
 /// Parameters of the scenario sampler: SRLG bucket count, the three
@@ -106,10 +106,7 @@ impl FromStr for FailureSpec {
     /// with a typed error, and the result is [`FailureSpec::validate`]d
     /// before it is returned.
     fn from_str(s: &str) -> Result<Self, SpecError> {
-        let mut tokens = s.split_whitespace();
-        let model = tokens
-            .next()
-            .ok_or_else(|| SpecError::new("failure", "empty spec".to_string()))?;
+        let (model, fields) = spec_line(s, "failure")?;
         if model != "srlg" {
             return Err(SpecError::new(
                 "failure",
@@ -117,28 +114,13 @@ impl FromStr for FailureSpec {
             ));
         }
         let mut spec = FailureSpec::default();
-        let mut seen: Vec<String> = Vec::new();
-        for tok in tokens {
-            let (key, raw) = tok.split_once('=').ok_or_else(|| {
-                SpecError::new("spec", format!("expected key=value, got {tok:?}"))
-            })?;
-            if seen.iter().any(|k| k == key) {
-                return Err(SpecError::new("spec", format!("duplicate key {key:?}")));
-            }
-            seen.push(key.to_string());
-            let f64_of = |field: &'static str| -> Result<f64, SpecError> {
-                raw.parse::<f64>()
-                    .map_err(|_| SpecError::new(field, format!("bad number {raw:?}")))
-            };
+        for field in fields {
+            let (key, value) = field?;
             match key {
-                "groups" => {
-                    spec.groups = raw
-                        .parse::<usize>()
-                        .map_err(|_| SpecError::new("groups", format!("bad count {raw:?}")))?
-                }
-                "group_rate" => spec.group_rate = f64_of("group_rate")?,
-                "link_rate" => spec.link_rate = f64_of("link_rate")?,
-                "churn" => spec.churn = f64_of("churn")?,
+                "groups" => spec.groups = value.count("groups")?,
+                "group_rate" => spec.group_rate = value.number("group_rate")?,
+                "link_rate" => spec.link_rate = value.number("link_rate")?,
+                "churn" => spec.churn = value.number("churn")?,
                 _ => {
                     return Err(SpecError::new(
                         "spec",

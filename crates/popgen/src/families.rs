@@ -68,6 +68,55 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// Splits a one-line spec (`head key=value key=value …`) into its head
+/// word and its `key=value` fields. An empty line is an error on
+/// `head_field`; a token without `=` and a repeated key are errors too.
+/// The fields come out lazily, in order, so the first bad token is the
+/// one reported.
+pub(crate) fn spec_line<'a>(
+    s: &'a str,
+    head_field: &'static str,
+) -> Result<(&'a str, impl Iterator<Item = SpecField<'a>>), SpecError> {
+    let mut tokens = s.split_whitespace();
+    let head = tokens
+        .next()
+        .ok_or_else(|| SpecError::new(head_field, "empty spec".to_string()))?;
+    let mut seen: Vec<&str> = Vec::new();
+    let fields = tokens.map(move |tok| {
+        let (key, raw) = tok
+            .split_once('=')
+            .ok_or_else(|| SpecError::new("spec", format!("expected key=value, got {tok:?}")))?;
+        if seen.contains(&key) {
+            return Err(SpecError::new("spec", format!("duplicate key {key:?}")));
+        }
+        seen.push(key);
+        Ok((key, SpecValue(raw)))
+    });
+    Ok((head, fields))
+}
+
+/// One `key=value` field of a spec line, or the error for its token.
+pub(crate) type SpecField<'a> = Result<(&'a str, SpecValue<'a>), SpecError>;
+
+/// The raw value of one spec field, parsed on demand.
+pub(crate) struct SpecValue<'a>(&'a str);
+
+impl SpecValue<'_> {
+    /// The value as a number; a malformed one is an error on `field`.
+    pub(crate) fn number(&self, field: &'static str) -> Result<f64, SpecError> {
+        let raw = self.0;
+        raw.parse()
+            .map_err(|_| SpecError::new(field, format!("bad number {raw:?}")))
+    }
+
+    /// The value as a count; a malformed one is an error on `field`.
+    pub(crate) fn count(&self, field: &'static str) -> Result<usize, SpecError> {
+        let raw = self.0;
+        raw.parse()
+            .map_err(|_| SpecError::new(field, format!("bad count {raw:?}")))
+    }
+}
+
 /// Checks that `v` is finite and inside `[lo, hi]` (both bounds are
 /// rendered in the message, so callers pass human-readable bounds —
 /// use [`check_positive`] / [`check_min`] for open or unbounded ranges).
@@ -628,53 +677,37 @@ impl FromStr for FamilySpec {
     /// malformed values are rejected with a typed error, and the result is
     /// [`FamilySpec::validate`]d before it is returned.
     fn from_str(s: &str) -> Result<Self, SpecError> {
-        let mut tokens = s.split_whitespace();
-        let family = tokens
-            .next()
-            .ok_or_else(|| SpecError::new("family", "empty spec".to_string()))?;
+        let (family, fields) = spec_line(s, "family")?;
         let mut spec = FamilySpec::canonical(family, 10, 6).ok_or_else(|| {
             SpecError::new(
                 "family",
                 format!("unknown family {family:?} (waxman|ba|hier)"),
             )
         })?;
-        let mut seen: Vec<String> = Vec::new();
-        for tok in tokens {
-            let (key, raw) = tok.split_once('=').ok_or_else(|| {
-                SpecError::new("spec", format!("expected key=value, got {tok:?}"))
-            })?;
-            if seen.iter().any(|k| k == key) {
-                return Err(SpecError::new("spec", format!("duplicate key {key:?}")));
-            }
-            seen.push(key.to_string());
-            let f64_of = |field: &'static str| -> Result<f64, SpecError> {
-                raw.parse::<f64>()
-                    .map_err(|_| SpecError::new(field, format!("bad number {raw:?}")))
-            };
-            let usize_of = |field: &'static str| -> Result<usize, SpecError> {
-                raw.parse::<usize>()
-                    .map_err(|_| SpecError::new(field, format!("bad count {raw:?}")))
-            };
+        for field in fields {
+            let (key, value) = field?;
             match (key, &mut spec.kind) {
-                ("routers", _) => spec.routers = usize_of("routers")?,
-                ("endpoints", _) => spec.endpoints = usize_of("endpoints")?,
-                ("density", _) => spec.density = f64_of("density")?,
-                ("alpha", FamilyKind::Waxman { alpha, .. }) => *alpha = f64_of("alpha")?,
-                ("beta", FamilyKind::Waxman { beta, .. }) => *beta = f64_of("beta")?,
-                ("attach", FamilyKind::BarabasiAlbert { attach }) => *attach = usize_of("attach")?,
+                ("routers", _) => spec.routers = value.count("routers")?,
+                ("endpoints", _) => spec.endpoints = value.count("endpoints")?,
+                ("density", _) => spec.density = value.number("density")?,
+                ("alpha", FamilyKind::Waxman { alpha, .. }) => *alpha = value.number("alpha")?,
+                ("beta", FamilyKind::Waxman { beta, .. }) => *beta = value.number("beta")?,
+                ("attach", FamilyKind::BarabasiAlbert { attach }) => {
+                    *attach = value.count("attach")?
+                }
                 (
                     "backbone",
                     FamilyKind::HierIsp {
                         backbone_fraction, ..
                     },
-                ) => *backbone_fraction = f64_of("backbone")?,
+                ) => *backbone_fraction = value.number("backbone")?,
                 (
                     "dualhome",
                     FamilyKind::HierIsp {
                         dual_home_probability,
                         ..
                     },
-                ) => *dual_home_probability = f64_of("dualhome")?,
+                ) => *dual_home_probability = value.number("dualhome")?,
                 _ => {
                     return Err(SpecError::new(
                         "spec",
