@@ -6,7 +6,7 @@
 //! scale the exact solver is the MECF branch-and-bound (min-cost-flow
 //! bounds — the "branching algorithm" of the paper's Section 4.3); the
 //! generic LP 2 MIP would sit on ~1000-row simplex solves per node. Each
-//! solve gets a two-minute budget; the `proven_fraction` column reports how
+//! solve gets a 50,000-node budget; the `proven_fraction` column reports how
 //! many seeded runs closed the search (unproven rows are upper bounds from
 //! the best incumbent). The paper averages 20 seeds; default here is 3 —
 //! pass `--seeds 20` to match.
@@ -26,7 +26,6 @@ fn main() {
     let pop = PopSpec::paper_15().build();
     let opts = ExactOptions {
         max_nodes: 50_000,
-        time_limit: Some(std::time::Duration::from_secs(120)),
         ..Default::default()
     };
     let r = popmon_bench::scenarios::fig8_report(

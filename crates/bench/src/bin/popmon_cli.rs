@@ -164,7 +164,6 @@ fn passive(pop: &Pop, ts: &TrafficSet, k: f64) -> ExitCode {
     };
     let opts = ExactOptions {
         max_nodes: 1_000_000,
-        time_limit: Some(std::time::Duration::from_secs(60)),
         ..Default::default()
     };
     let exact = solve_ppm_mecf_bb(&inst, k, &opts).expect("greedy succeeded, so must B&B");
@@ -192,8 +191,8 @@ fn sampling(pop: &Pop, ts: &TrafficSet, k: f64, h: f64) -> ExitCode {
     let prob = SamplingProblem::from_traffic_set(&pop.graph, ts, h, k, ci, ce);
     let opts = ExactOptions {
         max_nodes: 200_000,
-        time_limit: Some(std::time::Duration::from_secs(60)),
         rel_gap: 0.02,
+        ..Default::default()
     };
     let Some(sol) = solve_ppme(&prob, &opts) else {
         eprintln!("error: PPME(h = {h}, k = {k}) is infeasible on this input");

@@ -30,7 +30,6 @@ fn main() {
     }
     let opts = ExactOptions {
         rel_gap: 0.02,
-        time_limit: Some(std::time::Duration::from_secs(60)),
         ..Default::default()
     };
     let r = popmon_bench::scenarios::sampling_cost_report(

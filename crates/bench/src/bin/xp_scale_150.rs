@@ -29,7 +29,6 @@ fn main() {
 
     let opts = ExactOptions {
         max_nodes: 2_000_000,
-        time_limit: Some(std::time::Duration::from_secs(120)),
         ..Default::default()
     };
     let report = popmon_bench::scenarios::pipeline_stage_report(

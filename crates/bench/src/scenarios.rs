@@ -116,7 +116,7 @@ pub fn fig7_report(engine: &Engine, pop: &Pop, k_percents: &[u32], seeds: u64) -
 /// The figure-8 sweep: greedy vs. the MECF branch-and-bound on the
 /// 15-router POP, averaged over seeds, with the fraction of seeded solves
 /// that closed the search. `opts` bounds each exact solve (the binary
-/// passes the paper protocol's two-minute budget).
+/// passes a 50,000-node budget).
 pub fn fig8_report(
     engine: &Engine,
     pop: &Pop,
@@ -736,13 +736,12 @@ fn family_spec(point: &FamilyPoint) -> FamilySpec {
 }
 
 /// The exact-solver budget every topology-family consumer shares (the
-/// sweep binary and the golden/parity tests): node-bounded
-/// and never wall-clock-bounded, so family reports stay deterministic and
-/// the regression tests can never drift from the shipped sweep's options.
+/// sweep binary and the golden/parity tests): node-bounded, so family
+/// reports stay deterministic and the regression tests can never drift
+/// from the shipped sweep's options.
 pub fn family_exact_options() -> ExactOptions {
     ExactOptions {
         max_nodes: 20_000,
-        time_limit: None,
         ..Default::default()
     }
 }
@@ -752,9 +751,8 @@ pub fn family_exact_options() -> ExactOptions {
 /// greedy, the exact MECF branch-and-bound, and the active greedy beacon
 /// placement; links, device counts, and beacon counts averaged over seeds.
 ///
-/// Fully deterministic (the exact solver must be bounded by `max_nodes`,
-/// not wall-clock — callers pass `time_limit: None` so reports stay
-/// byte-identical across runs and thread counts).
+/// Fully deterministic: the exact solver is bounded by `max_nodes`, so
+/// reports stay byte-identical across runs and thread counts.
 pub fn topology_families_report(
     engine: &Engine,
     points: &[FamilyPoint],
@@ -762,10 +760,6 @@ pub fn topology_families_report(
     k: f64,
     opts: &ExactOptions,
 ) -> ScenarioReport {
-    assert!(
-        opts.time_limit.is_none(),
-        "wall-clock bounds would break report determinism"
-    );
     let spec = ScenarioSpec::new("xp_topology_families", points.to_vec()).with_seeds(seeds);
     engine.run_report(
         &spec,

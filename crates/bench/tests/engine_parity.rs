@@ -70,7 +70,6 @@ fn fig8_sweep_parallel_matches_serial() {
     // the binary.
     let opts = placement::passive::ExactOptions {
         max_nodes: 50_000,
-        time_limit: None,
         ..Default::default()
     };
     let serial = scenarios::fig8_report(&Engine::serial(), &pop, &[75], 1, &opts);
@@ -104,7 +103,6 @@ fn sampling_cost_parallel_matches_serial() {
     let points = [(0u32, 50u32), (20, 60)];
     let opts = placement::passive::ExactOptions {
         rel_gap: 0.02,
-        time_limit: None,
         ..Default::default()
     };
     let serial = scenarios::sampling_cost_report(&Engine::serial(), &pop, &points, 2, &opts);

@@ -85,7 +85,6 @@ fn fig8_passive_15_golden_seed0() {
 
     let opts = ExactOptions {
         max_nodes: 50_000,
-        time_limit: None,
         ..Default::default()
     };
     let s = solve_ppm_mecf_bb(&inst, 0.75, &opts).expect("feasible");
@@ -130,7 +129,6 @@ fn fig8_report_golden_seed0() {
     let pop = PopSpec::paper_15().build();
     let opts = ExactOptions {
         max_nodes: 50_000,
-        time_limit: None,
         ..Default::default()
     };
     let r = scenarios::fig8_report(&Engine::serial(), &pop, &[75, 80], 1, &opts);
@@ -257,7 +255,6 @@ fn sampling_cost_golden_seed0() {
         [(0u32, 40u32), (0, 60), (0, 80), (0, 95), (20, 40), (20, 80)].to_vec();
     let opts = ExactOptions {
         rel_gap: 0.02,
-        time_limit: None,
         ..Default::default()
     };
     let r = scenarios::sampling_cost_report(&Engine::serial(), &pop, &points, 1, &opts);

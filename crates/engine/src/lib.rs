@@ -166,36 +166,10 @@ impl Engine {
             })
         };
 
-        let mut slots: Vec<Option<R>> = if self.threads <= 1 || total <= 1 {
-            (0..total).map(|i| Some(run_one(i))).collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let results = Mutex::new((0..total).map(|_| None).collect::<Vec<Option<R>>>());
-            let workers = self.threads.min(total);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
-                            break;
-                        }
-                        let r = run_one(i);
-                        results.lock().expect("result store poisoned")[i] = Some(r);
-                    });
-                }
-            });
-            results.into_inner().expect("result store poisoned")
-        };
-
-        let mut grouped = Vec::with_capacity(spec.points.len());
-        for p in 0..spec.points.len() {
-            let row: Vec<R> = slots[p * seeds as usize..(p + 1) * seeds as usize]
-                .iter_mut()
-                .map(|s| s.take().expect("worker pool left a case unfilled"))
-                .collect();
-            grouped.push(row);
-        }
-        grouped
+        let mut results = run_pool(self.threads, total, run_one).into_iter();
+        (0..spec.points.len())
+            .map(|_| results.by_ref().take(seeds as usize).collect())
+            .collect()
     }
 
     /// Runs the grid as per-seed *chains*: one work unit per seed, whose
@@ -236,46 +210,19 @@ impl Engine {
             out
         };
 
-        let mut per_seed: Vec<Option<Vec<R>>> = if self.threads <= 1 || seeds <= 1 {
-            (0..seeds).map(|s| Some(run_one(s))).collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let results = Mutex::new((0..seeds).map(|_| None).collect::<Vec<Option<Vec<R>>>>());
-            let workers = self.threads.min(seeds);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let s = cursor.fetch_add(1, Ordering::Relaxed);
-                        if s >= seeds {
-                            break;
-                        }
-                        let r = run_one(s);
-                        results.lock().expect("result store poisoned")[s] = Some(r);
-                    });
-                }
-            });
-            results.into_inner().expect("result store poisoned")
-        };
-
         // Transpose seed-major chains into the point-major grouping.
-        let mut chains: Vec<std::vec::IntoIter<R>> = per_seed
-            .iter_mut()
-            .map(|s| {
-                s.take()
-                    .expect("worker pool left a chain unfilled")
-                    .into_iter()
-            })
+        let mut chains: Vec<std::vec::IntoIter<R>> = run_pool(self.threads, seeds, run_one)
+            .into_iter()
+            .map(Vec::into_iter)
             .collect();
-        let mut grouped = Vec::with_capacity(spec.points.len());
-        for _ in 0..spec.points.len() {
-            grouped.push(
+        (0..spec.points.len())
+            .map(|_| {
                 chains
                     .iter_mut()
                     .map(|it| it.next().expect("length checked above"))
-                    .collect(),
-            );
-        }
-        grouped
+                    .collect()
+            })
+            .collect()
     }
 
     /// [`Engine::run_seed_chains`] + per-point CSV rendering: the chained
@@ -294,18 +241,7 @@ impl Engine {
         F: Fn(ChainCase<'_, P>) -> Vec<R> + Sync,
         G: Fn(&P, &[R]) -> String,
     {
-        let grouped = self.run_seed_chains(spec, chain);
-        let rows = spec
-            .points
-            .iter()
-            .zip(&grouped)
-            .map(|(p, results)| row(p, results))
-            .collect();
-        ScenarioReport {
-            name: spec.name.clone(),
-            header: header.into(),
-            rows,
-        }
+        render(spec, header.into(), &self.run_seed_chains(spec, chain), row)
     }
 
     /// Runs the grid and renders one CSV row per point via `row`.
@@ -325,18 +261,61 @@ impl Engine {
         F: Fn(Case<'_, P>) -> R + Sync,
         G: Fn(&P, &[R]) -> String,
     {
-        let grouped = self.run_cases(spec, case);
-        let rows = spec
+        render(spec, header.into(), &self.run_cases(spec, case), row)
+    }
+}
+
+/// Runs `job(i)` for every `i` in `0..n` on up to `threads` scoped
+/// workers that pull indices off one atomic cursor, and returns the
+/// results in index order whatever order they finished in. With one
+/// thread, or one job, the jobs run inline.
+fn run_pool<R, J>(threads: usize, n: usize, job: J) -> Vec<R>
+where
+    R: Send,
+    J: Fn(usize) -> R + Sync,
+{
+    if threads <= 1 || n <= 1 {
+        return (0..n).map(job).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let results = Mutex::new((0..n).map(|_| None).collect::<Vec<Option<R>>>());
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(n) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let r = job(i);
+                results.lock().expect("result store poisoned")[i] = Some(r);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("result store poisoned")
+        .into_iter()
+        .map(|r| r.expect("worker pool left a job unfilled"))
+        .collect()
+}
+
+/// One CSV row per point: `row` gets the point and its seed-ordered
+/// results.
+fn render<P, R>(
+    spec: &ScenarioSpec<P>,
+    header: String,
+    grouped: &[Vec<R>],
+    row: impl Fn(&P, &[R]) -> String,
+) -> ScenarioReport {
+    ScenarioReport {
+        name: spec.name.clone(),
+        header,
+        rows: spec
             .points
             .iter()
-            .zip(&grouped)
+            .zip(grouped)
             .map(|(p, results)| row(p, results))
-            .collect();
-        ScenarioReport {
-            name: spec.name.clone(),
-            header: header.into(),
-            rows,
-        }
+            .collect(),
     }
 }
 

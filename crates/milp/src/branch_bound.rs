@@ -29,7 +29,6 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::model::{fnv_step, Cmp, Model, Sense, FNV_OFFSET};
 use crate::simplex::{self, LpWarmStart};
@@ -59,26 +58,22 @@ const SNAPSHOT_CAP: usize = 4;
 pub struct MipOptions {
     /// Maximum number of branch-and-bound nodes to explore.
     pub max_nodes: usize,
-    /// Optional wall-clock limit. Its expiry depends on the host, so
-    /// reproducible callers leave it `None` and bound the search by
-    /// `max_nodes` or `work_budget`.
-    pub time_limit: Option<Duration>,
     /// Relative optimality gap at which the search stops early. A search
     /// stopped within a gap looser than the default proves nothing: it
     /// reports [`SolveStatus::Feasible`] with its gap.
     pub rel_gap: f64,
     /// Cooperative **work budget** in deterministic work units (simplex
     /// iterations + basis refactorizations + branch-and-bound nodes).
-    /// Unlike [`MipOptions::time_limit`], exhaustion is a pure function of
-    /// the search trajectory — identical budgets produce bitwise-identical
-    /// results on any host — and [`Model::solve_mip`] returns the best
-    /// incumbent and dual bound found as [`MipOutcome::Interrupted`]
-    /// instead of an error. `None` (the default) disables the budget
-    /// entirely. The search checks the budget before each node, and every
-    /// LP of that node — its relaxation, cut re-solves and strong-branch
-    /// probes — runs under the work that remained when the node began,
-    /// checked every 64th simplex iteration. So the budget can be
-    /// overshot, by a bounded amount that depends only on the search.
+    /// Exhaustion is a pure function of the search trajectory — identical
+    /// budgets produce bitwise-identical results on any host — and
+    /// [`Model::solve_mip`] returns the best incumbent and dual bound
+    /// found as [`MipOutcome::Interrupted`] instead of an error. `None`
+    /// (the default) disables the budget entirely. The search checks the
+    /// budget before each node, and every LP of that node — its
+    /// relaxation, cut re-solves and strong-branch probes — runs under the
+    /// work that remained when the node began, checked every 64th simplex
+    /// iteration. So the budget can be overshot, by a bounded amount that
+    /// depends only on the search.
     pub work_budget: Option<u64>,
 }
 
@@ -86,7 +81,6 @@ impl Default for MipOptions {
     fn default() -> Self {
         Self {
             max_nodes: 200_000,
-            time_limit: None,
             rel_gap: 1e-9,
             work_budget: None,
         }
@@ -104,8 +98,8 @@ impl Default for MipOptions {
 #[derive(Debug, Clone)]
 pub enum MipOutcome {
     /// The search ran to its natural end under the budget: a proven
-    /// optimum, or a feasible solution stopped by `max_nodes`,
-    /// `time_limit` or `rel_gap` ([`SolveStatus::Feasible`], with its gap).
+    /// optimum, or a feasible solution stopped by `max_nodes` or `rel_gap`
+    /// ([`SolveStatus::Feasible`], with its gap).
     Complete(Solution),
     /// The work budget tripped mid-search. The best incumbent found so
     /// far (if any) and the sharpest dual bound proven are preserved —
@@ -448,8 +442,6 @@ pub(crate) fn solve(
         }
     }
 
-    // The wall clock is read only when a time limit is set.
-    let deadline = opts.time_limit.and_then(|l| Instant::now().checked_add(l));
     let mut counts = LpCounts::default();
     let mut nodes_explored = 0usize;
     // Deterministic work-unit ledger: one unit per node popped for
@@ -498,10 +490,7 @@ pub(crate) fn solve(
             continue;
         }
         let work_tripped = opts.work_budget.is_some_and(|b| work_spent >= b);
-        if work_tripped
-            || nodes_explored >= opts.max_nodes
-            || deadline.is_some_and(|d| Instant::now() >= d)
-        {
+        if work_tripped || nodes_explored >= opts.max_nodes {
             // Return the node so the final gap sees its bound.
             open.push(node);
             proven = false;

@@ -19,7 +19,7 @@
 //!   strong-branch probes, most-fractional tie-breaking), best-bound node
 //!   selection with depth-first plunging in one serial search, bound
 //!   rounding whenever the objective is integral, a rounding incumbent
-//!   heuristic, and node, work and time limits ([`Model::solve_mip`]);
+//!   heuristic, and node and work limits ([`Model::solve_mip`]);
 //!   every node LP, cut re-solve and strong-branch probe starts from its
 //!   parent's basis, the tuning is fixed, and [`MipOptions`] holds only
 //!   the limits and the gap;

@@ -459,6 +459,15 @@ impl SparseLu {
 /// amortize once `m` clears a couple of hundred rows (measured break-even
 /// on the paper's LP2 family: the 10-router / 133-row instances run ~2×
 /// faster dense, the 999-row Figure 8 relaxation ~60× faster sparse).
+///
+/// Every LP the benchmark's `serve_whatif` and `batch_sweep` workloads
+/// solve is at or below this size. A build that sent every basis to the
+/// sparse LU instead (traced, seed 1, one run each on a 2-core VM) was
+/// slower on both: `serve_whatif` root LP 9.37 → 10.41 µs/iter and
+/// `placement.delta.solve_ms.p99` 18.66 → 25.58, `batch_sweep`
+/// `placement.solve.lp2_ms` 8.96 → 22.11. It also moved budgeted
+/// answers (`placement.devices` 582 → 585 and 471 → 470), since a budget
+/// trip follows the pivot path. So both backends stay.
 pub const DENSE_MAX: usize = 200;
 
 /// Dense explicit inverse backend for small bases: column-major `m × m`

@@ -1482,17 +1482,26 @@ impl<'a> Tableau<'a> {
     }
 }
 
-/// Builds the standard form for `model` in `prep`'s scaled space,
-/// choosing initial nonbasic values and installing artificials where
-/// needed; returns the tableau plus the set of artificial columns.
+/// The standard form of a model in `prep`'s scaled space, which both
+/// tableau builders start from.
 ///
 /// Under scaling the substitution is `x_j = c_j · y_j` with row `i`
 /// multiplied by `r_i`: bounds divide by `c_j`, costs multiply by `c_j`,
 /// right-hand sides multiply by `r_i` — all exact powers of two. Slack
 /// bounds (`[0,∞)`, `(−∞,0]`, `[0,0]`) are invariant under positive
 /// scaling, so slack columns keep coefficient 1 in scaled space too.
-fn build<'a>(model: &'a Model, prep: &'a Prep) -> Result<(Tableau<'a>, Vec<usize>)> {
-    let n = model.vars.len();
+struct StandardForm {
+    /// Bounds of the `n` structural columns, then of the `m` slacks.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// Scaled right-hand sides.
+    rhs: Vec<f64>,
+    /// One slack column per row (coefficient 1); its bounds carry the
+    /// row's sense.
+    extra_cols: Vec<(u32, f64)>,
+}
+
+fn standard_form(model: &Model, prep: &Prep) -> StandardForm {
     let m = model.constrs.len();
     let mut lo: Vec<f64> = model
         .vars
@@ -1510,9 +1519,6 @@ fn build<'a>(model: &'a Model, prep: &'a Prep) -> Result<(Tableau<'a>, Vec<usize
     for (r, c) in model.constrs.iter().enumerate() {
         rhs[r] = c.rhs * prep.row_factor(r);
     }
-    let struct_cols = prep.cols(model);
-
-    // Slacks.
     let mut extra_cols: Vec<(u32, f64)> = Vec::with_capacity(m);
     for (r, c) in model.constrs.iter().enumerate() {
         extra_cols.push((r as u32, 1.0));
@@ -1531,6 +1537,27 @@ fn build<'a>(model: &'a Model, prep: &'a Prep) -> Result<(Tableau<'a>, Vec<usize
             }
         }
     }
+    StandardForm {
+        lo,
+        hi,
+        rhs,
+        extra_cols,
+    }
+}
+
+/// Builds a cold tableau on `model`'s [`StandardForm`], choosing initial
+/// nonbasic values and installing artificials where needed; returns the
+/// tableau plus the set of artificial columns.
+fn build<'a>(model: &'a Model, prep: &'a Prep) -> Result<(Tableau<'a>, Vec<usize>)> {
+    let n = model.vars.len();
+    let m = model.constrs.len();
+    let StandardForm {
+        mut lo,
+        mut hi,
+        rhs,
+        mut extra_cols,
+    } = standard_form(model, prep);
+    let struct_cols = prep.cols(model);
 
     // Initial nonbasic states for structurals: rest at the finite bound
     // closest to zero, or free-at-zero.
@@ -1699,40 +1726,12 @@ fn build_from_warm<'a>(model: &'a Model, w: &LpWarmStart, prep: &'a Prep) -> Opt
             return None;
         }
     }
-    let mut lo: Vec<f64> = model
-        .vars
-        .iter()
-        .enumerate()
-        .map(|(j, v)| v.lo / prep.col_factor(j))
-        .collect();
-    let mut hi: Vec<f64> = model
-        .vars
-        .iter()
-        .enumerate()
-        .map(|(j, v)| v.hi / prep.col_factor(j))
-        .collect();
-    let mut rhs = vec![0.0; m];
-    for (r, c) in model.constrs.iter().enumerate() {
-        rhs[r] = c.rhs * prep.row_factor(r);
-    }
-    let mut extra_cols: Vec<(u32, f64)> = Vec::with_capacity(m);
-    for (r, c) in model.constrs.iter().enumerate() {
-        extra_cols.push((r as u32, 1.0));
-        match c.cmp {
-            Cmp::Le => {
-                lo.push(0.0);
-                hi.push(f64::INFINITY);
-            }
-            Cmp::Ge => {
-                lo.push(f64::NEG_INFINITY);
-                hi.push(0.0);
-            }
-            Cmp::Eq => {
-                lo.push(0.0);
-                hi.push(0.0);
-            }
-        }
-    }
+    let StandardForm {
+        lo,
+        hi,
+        rhs,
+        extra_cols,
+    } = standard_form(model, prep);
 
     // Repair nonbasic resting states against the (possibly moved) bounds:
     // a variable parked at a bound that no longer exists must rest

@@ -5,8 +5,9 @@ use crate::VarId;
 pub enum SolveStatus {
     /// Proven optimal (within tolerances).
     Optimal,
-    /// Feasible but optimality was not proven (a node/time limit was hit);
-    /// the associated bound gap is stored in [`Solution::gap`].
+    /// Feasible but optimality was not proven (a node limit or a loose
+    /// `rel_gap` stopped the search); the associated bound gap is stored
+    /// in [`Solution::gap`].
     Feasible,
 }
 

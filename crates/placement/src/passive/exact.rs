@@ -26,7 +26,7 @@ use crate::instance::PpmInstance;
 use crate::passive::{greedy_adaptive, greedy_static, selected_edges, BudgetSolution, PpmSolution};
 use crate::solve::{greedy_budget, Anytime};
 
-/// Options for the exact batch solvers: node limit, clock and gap. The
+/// Options for the exact batch solvers: node limit and gap. The
 /// MIP-based ones, one-shot or chained, all run them through one serial
 /// `milp` search configuration. A deterministic work budget is a
 /// [`crate::solve::SolveRequest`] knob, not one of these: the request path
@@ -35,9 +35,10 @@ use crate::solve::{greedy_budget, Anytime};
 pub struct ExactOptions {
     /// Node limit handed to branch-and-bound.
     pub max_nodes: usize,
-    /// Optional wall-clock limit (host-dependent; reproducible callers
-    /// leave it `None`).
-    pub time_limit: Option<std::time::Duration>,
+    /// Always `None`: no exact search reads a clock. The type has no
+    /// other value; the field stays only so that struct literals which
+    /// still write `time_limit: None` compile, and goes with them.
+    pub time_limit: Option<std::convert::Infallible>,
     /// Relative optimality gap at which the search may stop early
     /// (default: prove optimality). Useful for the fixed-charge `PPME`
     /// MILP whose LP bound is loose. An answer that a looser gap than the
@@ -222,7 +223,6 @@ impl ExactOptions {
     pub(crate) fn mip(&self, work_budget: Option<u64>) -> MipOptions {
         MipOptions {
             max_nodes: self.max_nodes,
-            time_limit: self.time_limit,
             rel_gap: self.rel_gap,
             work_budget,
         }

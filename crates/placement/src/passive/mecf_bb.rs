@@ -79,12 +79,11 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
     }];
     let mut nodes = 0usize;
     let mut proven = true;
-    let start = std::time::Instant::now();
     let mut cover: Vec<usize> = Vec::new();
     let mut prune = Prune::default();
 
     while let Some(frame) = stack.pop() {
-        if nodes >= opts.max_nodes || opts.time_limit.is_some_and(|l| start.elapsed() >= l) {
+        if nodes >= opts.max_nodes {
             proven = false;
             break;
         }

@@ -22,7 +22,7 @@
 //! accumulate their rates additively (the packet-marking reading discussed
 //! in Section 5.2).
 
-use milp::{Cmp, MipOptions, Model, Sense, SolveStatus, VarId, VarKind};
+use milp::{Cmp, Model, Sense, SolveStatus, VarId, VarKind};
 use netgraph::Graph;
 use popgen::{MultiTraffic, TrafficSet};
 
@@ -323,7 +323,7 @@ pub fn build_lp3(prob: &SamplingProblem) -> (Model, Vec<VarId>, Vec<VarId>, Vec<
     (m, xs, rs, ds)
 }
 
-/// Solves `PPME(h, k)` to optimality (subject to node/time limits and the
+/// Solves `PPME(h, k)` to optimality (subject to the node limit and the
 /// optional relative gap of [`ExactOptions`]).
 ///
 /// Returns `None` when the instance is infeasible (some traffic cannot meet
@@ -342,14 +342,8 @@ pub fn solve_ppme(prob: &SamplingProblem, opts: &ExactOptions) -> Option<PpmeSol
         model.set_initial_solution(warm);
     }
 
-    let mip_opts = MipOptions {
-        max_nodes: opts.max_nodes,
-        time_limit: opts.time_limit,
-        rel_gap: opts.rel_gap,
-        ..Default::default()
-    };
     let sol = match model
-        .solve_mip(&mip_opts, None)
+        .solve_mip(&opts.mip(None), None)
         .and_then(|(out, _)| out.into_solution())
     {
         Ok(s) => s,
@@ -396,8 +390,8 @@ fn full_cover_incumbent(prob: &SamplingProblem, opts: &ExactOptions) -> Option<V
     // Keep the inner PPM solve cheap: it only seeds the incumbent.
     let inner = ExactOptions {
         max_nodes: 2_000,
-        time_limit: Some(std::time::Duration::from_secs(10)),
         rel_gap: opts.rel_gap.max(1e-9),
+        ..ExactOptions::default()
     };
     let cover = crate::passive::solve_ppm_exact(&inst, 1.0, &inner)
         .or_else(|| crate::passive::greedy_adaptive(&inst, 1.0))?;

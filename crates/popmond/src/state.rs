@@ -11,21 +11,20 @@
 //!
 //! ## Cache layout
 //!
-//! Instances live in a 16-way sharded `id → Arc<Slot>` map (hash-sharded
-//! like `engine::Memo`, first insert wins). Each slot holds the immutable
-//! topology plus a mutex-guarded [`SlotState`]: the instance's
-//! [`DeltaInstance`] warm chain, a version counter bumped by every
-//! mutation, and a per-version solve memo. A solve locks the slot, so
-//! identical concurrent queries serialize onto one solver run: the first
-//! computes and stores, the rest hit the memo — that is the coalescing
-//! contract, and it is deterministic because the memo key covers the full
-//! canonical query and the instance version.
+//! Instances live in a 16-way sharded `id → Arc<Slot>` map (hash-sharded,
+//! first insert wins). Each slot holds the immutable topology plus a
+//! mutex-guarded [`SlotState`]: the instance's [`DeltaInstance`] warm
+//! chain, a version counter bumped by every mutation, and a solve memo
+//! emptied by every mutation. A solve locks the slot, so identical
+//! concurrent queries serialize onto one solver run: the first computes
+//! and stores, the rest hit the memo — that is the coalescing contract,
+//! and it is deterministic because the memo key is the full canonical
+//! query.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use engine::Memo;
 use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
 use placement::resilience::score_ensemble;
@@ -38,21 +37,17 @@ use popgen::{
 use crate::json::Value;
 use crate::protocol::{self, Error, Method, Mode, Page, Request, SolveQuery, WhatIf};
 
-/// Number of instance-cache shards (mirrors `engine::Memo`).
+/// Number of instance-cache shards.
 const SHARDS: usize = 16;
 
-/// FNV-1a over a version prefix plus a text key — the solve-memo key.
-fn fnv64(version: u64, text: &str) -> u64 {
+/// FNV-1a over the instance id picks its shard.
+fn shard_of(id: &str) -> usize {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in version.to_le_bytes().into_iter().chain(text.bytes()) {
+    for b in id.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    h
-}
-
-fn shard_of(id: &str) -> usize {
-    (fnv64(0, id) % SHARDS as u64) as usize
+    (h % SHARDS as u64) as usize
 }
 
 /// Maps a typed `popgen` spec error onto the wire's one-line error
@@ -86,18 +81,19 @@ struct SlotMeta {
 /// its coalescing memo.
 struct SlotState {
     delta: DeltaInstance,
-    /// Bumped by every mutation; part of every solve-memo key.
+    /// Bumped by every mutation.
     version: u64,
     mutations: u64,
     /// Solver invocations actually performed.
     solves: u64,
     /// Responses served from the per-version memo instead of a solve.
     coalesced: u64,
-    /// Per-version solve cache; replaced on every mutation.
-    memo: Memo,
-    /// Active-monitoring cache: the router topology never mutates, so
-    /// this one survives version bumps.
-    apm_memo: Memo,
+    /// Passive solves answered at this version, keyed by
+    /// [`protocol::query_key`]; emptied on every mutation.
+    memo: HashMap<String, Arc<SolveOutcome>>,
+    /// Active-monitoring answers: the router topology never mutates, so
+    /// this map survives version bumps.
+    apm_memo: HashMap<String, Arc<SolveOutcome>>,
 }
 
 struct Slot {
@@ -278,10 +274,10 @@ impl Service {
         self.insert(id, pop, ts, routed, spec.to_string())
     }
 
-    /// First-insert-wins slot creation (like `engine::Memo`): the instance
-    /// is built outside the shard lock, and a concurrent load of the same
-    /// id keeps whichever slot landed first — both callers get a response
-    /// describing the stored slot.
+    /// First-insert-wins slot creation: the instance is built outside the
+    /// shard lock, and a concurrent load of the same id keeps whichever
+    /// slot landed first — both callers get a response describing the
+    /// stored slot.
     fn insert(&self, id: String, pop: Pop, ts: TrafficSet, routed: bool, origin: String) -> String {
         let delta = if routed {
             DeltaInstance::from_traffic(&pop.graph, &ts)
@@ -300,8 +296,8 @@ impl Service {
                 mutations: 0,
                 solves: 0,
                 coalesced: 0,
-                memo: Memo::new(),
-                apm_memo: Memo::new(),
+                memo: HashMap::new(),
+                apm_memo: HashMap::new(),
             }),
         });
         // Count before taking the shard lock (instance_count locks every
@@ -420,7 +416,7 @@ impl Service {
         };
         state.version += 1;
         state.mutations += 1;
-        state.memo = Memo::new();
+        state.memo.clear();
         let mut fields = vec![
             ("ok".into(), Value::Bool(true)),
             ("op".into(), Value::Str("whatif".into())),
@@ -660,36 +656,32 @@ impl Service {
     }
 }
 
-/// Runs (or coalesces) one solve under the slot lock. The memo key covers
-/// the canonical query and the instance version, so a repeat of a query
-/// already answered at this version returns the stored outcome — the
-/// coalescing path — and a mutation (version bump) naturally misses.
+/// Runs (or coalesces) one solve under the slot lock. The memo key is the
+/// canonical query, and every mutation empties the passive memo, so a
+/// repeat of a query already answered at this version returns the stored
+/// outcome — the coalescing path — and a query after a mutation misses.
 fn run_solve(meta: &SlotMeta, state: &mut SlotState, query: &SolveQuery) -> Arc<SolveOutcome> {
-    let key_text = protocol::query_key(query);
-    let (domain, key) = match query.mode {
-        Mode::Ppm => ("solve", fnv64(state.version, &key_text)),
-        // The router topology never mutates, so APM answers survive
-        // version bumps in their own memo.
-        Mode::Apm => ("apm", fnv64(0, &key_text)),
-    };
+    let key = protocol::query_key(query);
     let memo = match query.mode {
         Mode::Ppm => &state.memo,
         Mode::Apm => &state.apm_memo,
     };
-    if let Some(hit) = memo.get::<SolveOutcome>(domain, key) {
+    if let Some(hit) = memo.get(&key) {
+        let hit = Arc::clone(hit);
         state.coalesced += 1;
         return hit;
     }
     state.solves += 1;
-    let outcome = match query.mode {
+    let outcome = Arc::new(match query.mode {
         Mode::Ppm => solve_ppm(state, query),
         Mode::Apm => solve_apm(meta, query),
-    };
+    });
     let memo = match query.mode {
-        Mode::Ppm => &state.memo,
-        Mode::Apm => &state.apm_memo,
+        Mode::Ppm => &mut state.memo,
+        Mode::Apm => &mut state.apm_memo,
     };
-    memo.get_or_compute(domain, key, || outcome)
+    memo.insert(key, Arc::clone(&outcome));
+    outcome
 }
 
 /// Bridges a wire query's method onto the unified request.
