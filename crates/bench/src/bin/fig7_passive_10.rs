@@ -10,9 +10,9 @@
 //! the greedy uses about twice as many devices.
 //!
 //! The sweep runs through the scenario engine: k × seed cases fan out
-//! across `POPMON_THREADS` workers (all cores by default), the per-seed
-//! instance is memoized across k-points, and the CSV is byte-identical to
-//! a serial run (`tests/engine_parity.rs`).
+//! across `POPMON_THREADS` workers (all cores by default), each seed's
+//! chain builds its instance once for all k-points, and the CSV is
+//! byte-identical to a serial run (`tests/engine_parity.rs`).
 
 use popgen::PopSpec;
 

@@ -9,7 +9,7 @@
 //!
 //! The sweep runs through the scenario engine: budget × seed cases fan out
 //! across `POPMON_THREADS` workers (all cores by default), the per-seed
-//! deployment is memoized across budget points, and the report is
+//! deployment is solved once and shared by all budget points, and the report is
 //! byte-identical to a serial run (`tests/engine_parity.rs`).
 
 use popgen::PopSpec;

@@ -7,8 +7,9 @@
 //! `placement::cascade`, reporting the overhead the refined model reveals.
 //!
 //! The sweep runs through the scenario engine (`POPMON_THREADS` workers,
-//! all cores by default) with the per-seed multi-routed traffic memoized
-//! across k-points; the CSV is byte-identical to a serial run. The
+//! all cores by default) with the per-seed multi-routed traffic built once
+//! and shared by all k-points; the CSV is byte-identical to a serial run
+//! (CI diffs a serial and a 4-worker run). The
 //! crafted-overlap demonstration below it is deterministic and unswept.
 
 use placement::cascade::{independent_monitored, solve_ppme_cascade};

@@ -8,9 +8,9 @@
 //! devices placed optimally on top of the base.
 //!
 //! Both sections run through the scenario engine (`POPMON_THREADS`
-//! workers, all cores by default); the per-seed `PPM(0.8)` base solve is
-//! memoized across every point of a section (the serial loops re-solved
-//! it per point). The CSV is byte-identical to a serial run.
+//! workers, all cores by default); each seed's chain solves the
+//! `PPM(0.8)` base once for every point of a section. The CSV is
+//! byte-identical to a serial run.
 
 use popgen::PopSpec;
 

@@ -7,8 +7,8 @@
 //! flow greedy, and the exact ILP — device counts averaged over seeds.
 //!
 //! The sweep runs through the scenario engine (`POPMON_THREADS` workers,
-//! all cores by default) with the per-seed instance memoized across
-//! k-points; the CSV is byte-identical to a serial run.
+//! all cores by default); each seed's chain builds its instance once for
+//! all k-points, and the CSV is byte-identical to a serial run.
 
 use popgen::PopSpec;
 

@@ -1,18 +1,19 @@
 //! Section 5 extension experiment: `PPME(h, k)` setup + exploitation cost
-//! as the global target `k` sweeps, on the 10-router POP with multi-routed
-//! traffics (2 routes per pair).
+//! as the global target `k` sweeps, on the compact `PopSpec::small` POP
+//! (5 routers) with multi-routed traffics (2 routes per pair).
 //!
 //! The paper describes Linear Program 3 but does not plot it; this
-//! experiment records the cost structure its MILP produces on a compact
-//! POP (the fixed-charge MILP is solved with a 2% gap tolerance — see
-//! EXPERIMENTS.md): the setup cost
+//! experiment records the cost structure its MILP produces. The
+//! fixed-charge MILP is solved with a 2% relative gap tolerance on the
+//! small preset because proving optimality on the 27-link `paper_10` POP
+//! is slow. The setup cost
 //! is a staircase (devices are discrete) while the exploitation cost grows
 //! smoothly with `k`, and a per-traffic floor `h` raises the baseline.
 //!
 //! The (h, k) grid runs through the scenario engine (`POPMON_THREADS`
-//! workers, all cores by default) with the per-seed multi-routed traffic
-//! memoized across all grid points; the CSV is byte-identical to a
-//! serial run.
+//! workers, all cores by default); the per-seed multi-routed traffic is
+//! built once and shared by all grid points, and the CSV is
+//! byte-identical to a serial run.
 
 use placement::passive::ExactOptions;
 use popgen::PopSpec;

@@ -5,7 +5,8 @@
 //!
 //! * `--seeds N` — number of seeded runs to average (the paper averages
 //!   20; defaults here are smaller so a full regeneration terminates in
-//!   minutes — see `EXPERIMENTS.md`);
+//!   minutes — each binary's doc states its default, and `DESIGN.md`'s
+//!   experiment index lists the binaries);
 //! * `--scale S` — optional instance-size multiplier where meaningful;
 //! * `--out PATH` — write the CSV to a file instead of stdout (an
 //!   unwritable path is a one-line error and exit code 1, not a panic).

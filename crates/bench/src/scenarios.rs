@@ -8,9 +8,11 @@
 //! * the parity tests can run the *same* sweep serially and with multiple
 //!   workers and assert the reports are byte-identical.
 //!
-//! Per-case sub-results that several cases share — the seeded deployment a
-//! whole budget sweep reuses, or the probe set Φ consumed by three beacon
-//! placements — go through the run's [`engine::Memo`], keyed by seed.
+//! A seed's set-up that several points share — the seeded instance, or the
+//! deployment a whole budget sweep reuses — is built exactly once: at the
+//! top of the seed's chain in a chained sweep, or up front with
+//! [`Engine::run_pool`] (one job per seed, indexed by `Case::seed`) in a
+//! per-case sweep.
 
 use engine::{Case, ChainCase, Engine, ScenarioReport, ScenarioSpec};
 use netgraph::Graph;
@@ -39,18 +41,11 @@ use crate::{mean, stddev};
 
 /// The seed-keyed `PPM` instance every passive sweep starts from: the
 /// seeded traffic matrix run through [`PpmInstance::from_traffic`]. The
-/// instance construction (one shortest path per traffic pair) is shared
-/// by every k-point of a sweep, so it goes through the run's memo.
-fn ppm_instance_of(
-    memo: &engine::Memo,
-    domain: &'static str,
-    pop: &Pop,
-    seed: u64,
-) -> std::sync::Arc<PpmInstance> {
-    memo.get_or_compute(domain, seed, || {
-        let ts = TrafficSpec::default().generate(pop, seed);
-        PpmInstance::from_traffic(&pop.graph, &ts)
-    })
+/// construction (one shortest path per traffic pair) is shared by every
+/// k-point of a sweep, so each sweep builds it once per seed.
+fn ppm_instance(pop: &Pop, seed: u64) -> PpmInstance {
+    let ts = TrafficSpec::default().generate(pop, seed);
+    PpmInstance::from_traffic(&pop.graph, &ts)
 }
 
 // ---------------------------------------------------------------------------
@@ -68,8 +63,7 @@ fn chain_ppm(chain: &mut DeltaInstance, k: f64) -> Option<PpmSolution> {
 
 /// The figure-7 sweep: for each coverage target `k` (percent), the
 /// decreasing-load greedy and the exact ILP device counts averaged over
-/// seeds. The per-seed instance is built once and shared by every k-point
-/// through the memo.
+/// seeds. The per-seed instance is built once, at the top of its chain.
 ///
 /// Runs as per-seed **warm-start chains**: one [`DeltaInstance`] walks
 /// the k grid, each exact solve re-targeting the coverage row and reusing
@@ -82,7 +76,7 @@ pub fn fig7_report(engine: &Engine, pop: &Pop, k_percents: &[u32], seeds: u64) -
         &spec,
         "k_percent,greedy_devices,ilp_devices,greedy_stddev,ilp_stddev",
         |c: ChainCase<'_, u32>| {
-            let inst = ppm_instance_of(c.memo, "fig7_inst", pop, c.seed);
+            let inst = ppm_instance(pop, c.seed);
             let mut chain = DeltaInstance::from_instance(&inst);
             c.points
                 .iter()
@@ -116,7 +110,8 @@ pub fn fig7_report(engine: &Engine, pop: &Pop, k_percents: &[u32], seeds: u64) -
 /// The figure-8 sweep: greedy vs. the MECF branch-and-bound on the
 /// 15-router POP, averaged over seeds, with the fraction of seeded solves
 /// that closed the search. `opts` bounds each exact solve (the binary
-/// passes a 50,000-node budget).
+/// passes a 50,000-node budget). The per-seed instances are built up front
+/// and shared by every k-point.
 pub fn fig8_report(
     engine: &Engine,
     pop: &Pop,
@@ -125,14 +120,17 @@ pub fn fig8_report(
     opts: &ExactOptions,
 ) -> ScenarioReport {
     let spec = ScenarioSpec::new("fig8_passive_15", k_percents.to_vec()).with_seeds(seeds);
+    let insts = engine.run_pool(spec.seeds_per_point as usize, |s| {
+        ppm_instance(pop, s as u64)
+    });
     engine.run_report(
         &spec,
         "k_percent,greedy_devices,exact_devices,proven_fraction",
         |c: Case<'_, u32>| {
-            let inst = ppm_instance_of(c.memo, "fig8_inst", pop, c.seed);
+            let inst = &insts[c.seed as usize];
             let k = *c.point as f64 / 100.0;
-            let g = greedy_static(&inst, k).expect("all traffic coverable on this POP");
-            let s = solve_ppm_mecf_bb(&inst, k, opts).expect("feasible");
+            let g = greedy_static(inst, k).expect("all traffic coverable on this POP");
+            let s = solve_ppm_mecf_bb(inst, k, opts).expect("feasible");
             assert!(inst.is_feasible(&s.edges, k));
             (
                 g.device_count() as f64,
@@ -175,7 +173,7 @@ pub fn mecf_ablation_report(
         &spec,
         "k_percent,static_greedy,adaptive_greedy,flow_greedy,ilp,mecf_bb",
         |c: ChainCase<'_, u32>| {
-            let inst = ppm_instance_of(c.memo, "ablation_inst", pop, c.seed);
+            let inst = ppm_instance(pop, c.seed);
             let opts = ExactOptions::default();
             let mut chain = DeltaInstance::from_instance(&inst);
             c.points
@@ -212,16 +210,16 @@ pub fn mecf_ablation_report(
 // xp_cascade: additive vs. independent-sampling (cascade) cost across k
 // ---------------------------------------------------------------------------
 
-/// The seed-keyed multi-routed traffic set shared by every k-point of the
-/// sampling sweeps (2 routes per pair, the section-5 setting).
-fn multi_traffic_of(
-    memo: &engine::Memo,
-    domain: &'static str,
+/// One seed-keyed multi-routed traffic set per seed of `spec` (2 routes
+/// per pair, the section-5 setting), built up front and shared by every
+/// point of the sampling sweeps.
+fn multi_traffic_per_seed<P>(
+    engine: &Engine,
+    spec: &ScenarioSpec<P>,
     pop: &Pop,
-    seed: u64,
-) -> std::sync::Arc<Vec<MultiTraffic>> {
-    memo.get_or_compute(domain, seed, || {
-        TrafficSpec::default().generate_multi(pop, seed, 2)
+) -> Vec<Vec<MultiTraffic>> {
+    engine.run_pool(spec.seeds_per_point as usize, |s| {
+        TrafficSpec::default().generate_multi(pop, s as u64, 2)
     })
 }
 
@@ -236,14 +234,15 @@ pub fn cascade_report(
     seeds: u64,
 ) -> ScenarioReport {
     let spec = ScenarioSpec::new("xp_cascade", k_percents.to_vec()).with_seeds(seeds);
+    let multis = multi_traffic_per_seed(engine, &spec, pop);
     engine.run_report(
         &spec,
         "k_percent,additive_cost,cascade_cost,overhead_percent,additive_true_coverage",
         |c: Case<'_, u32>| {
-            let multi = multi_traffic_of(c.memo, "cascade_multi", pop, c.seed);
             let k = *c.point as f64 / 100.0;
             let (ci, ce) = SamplingProblem::uniform_costs(pop.graph.edge_count());
-            let prob = SamplingProblem::from_multi(&pop.graph, &multi, 0.0, k, ci, ce);
+            let multi = &multis[c.seed as usize];
+            let prob = SamplingProblem::from_multi(&pop.graph, multi, 0.0, k, ci, ce);
             let additive = solve_ppme(&prob, &ExactOptions::default()).expect("feasible");
             let cascade = solve_ppme_cascade(&prob, &ExactOptions::default()).expect("feasible");
             let actual = independent_monitored(&prob, &additive.rates);
@@ -272,7 +271,7 @@ pub fn cascade_report(
 /// The section-5 cost sweep: for each `(h, k)` percent pair, the PPME
 /// fixed-charge MILP's device count and cost split, averaged over seeds.
 /// Callers pass pre-filtered pairs (`h ≤ k`); the multi-routed traffic
-/// set is memoized per seed across all pairs.
+/// set is built once per seed and shared by all pairs.
 pub fn sampling_cost_report(
     engine: &Engine,
     pop: &Pop,
@@ -281,16 +280,16 @@ pub fn sampling_cost_report(
     opts: &ExactOptions,
 ) -> ScenarioReport {
     let spec = ScenarioSpec::new("xp_sampling_cost", hk_percents.to_vec()).with_seeds(seeds);
+    let multis = multi_traffic_per_seed(engine, &spec, pop);
     engine.run_report(
         &spec,
         "k_percent,h_percent,devices,setup_cost,exploit_cost,total_cost",
         |c: Case<'_, (u32, u32)>| {
             let (h_pct, k_pct) = *c.point;
-            let multi = multi_traffic_of(c.memo, "sampling_multi", pop, c.seed);
             let (ci, ce) = SamplingProblem::uniform_costs(pop.graph.edge_count());
             let prob = SamplingProblem::from_multi(
                 &pop.graph,
-                &multi,
+                &multis[c.seed as usize],
                 h_pct as f64 / 100.0,
                 k_pct as f64 / 100.0,
                 ci,
@@ -330,27 +329,19 @@ struct IncrementalSeedSetup {
     base_edges: Vec<usize>,
 }
 
-fn incremental_seed_setup(
-    memo: &engine::Memo,
-    pop: &Pop,
-    seed: u64,
-) -> std::sync::Arc<IncrementalSeedSetup> {
-    memo.get_or_compute("incremental_base", seed, || {
-        let ts = TrafficSpec::default().generate(pop, seed);
-        let inst = PpmInstance::from_traffic(&pop.graph, &ts);
-        let base = solve_ppm_exact(&inst, 0.8, &ExactOptions::default())
-            .expect("PPM(0.8) is feasible on this POP");
-        IncrementalSeedSetup {
-            inst,
-            base_edges: base.edges,
-        }
-    })
+fn incremental_seed_setup(pop: &Pop, seed: u64) -> IncrementalSeedSetup {
+    let inst = ppm_instance(pop, seed);
+    let base = solve_ppm_exact(&inst, 0.8, &ExactOptions::default())
+        .expect("PPM(0.8) is feasible on this POP");
+    IncrementalSeedSetup {
+        inst,
+        base_edges: base.edges,
+    }
 }
 
 /// Section-1/4.3 upgrades: additional devices needed to reach each higher
 /// `k` when the `PPM(0.8)` base cannot move, against a from-scratch
-/// deployment. The base solve is memoized per seed (the serial loops
-/// re-solved it for every k-point).
+/// deployment. The base is solved once per seed, at the top of its chain.
 ///
 /// Both columns ride per-seed warm-start chains: one [`DeltaInstance`]
 /// with the frozen base installed (the incremental totals) and one plain
@@ -367,7 +358,7 @@ pub fn incremental_report(
         &spec,
         "section,x,incremental_total,scratch_total,penalty",
         |c: ChainCase<'_, u32>| {
-            let setup = incremental_seed_setup(c.memo, pop, c.seed);
+            let setup = incremental_seed_setup(pop, c.seed);
             let mut inc_chain = DeltaInstance::from_instance(&setup.inst);
             inc_chain
                 .try_set_installed(&setup.base_edges)
@@ -393,8 +384,8 @@ pub fn incremental_report(
 }
 
 /// Section-1/4.3 expected gain: coverage bought by adding 1..n optimally
-/// placed devices on top of the `PPM(0.8)` base (memoized per seed, as in
-/// [`incremental_report`]). The budget MIP rides a per-seed warm-start
+/// placed devices on top of the `PPM(0.8)` base (solved once per seed, as
+/// in [`incremental_report`]). The budget MIP rides a per-seed warm-start
 /// chain over the extras grid (only the budget row's RHS moves).
 pub fn budget_gain_report(
     engine: &Engine,
@@ -407,7 +398,7 @@ pub fn budget_gain_report(
         &spec,
         "section,x,coverage_gain,coverage_after_percent,unused",
         |c: ChainCase<'_, u32>| {
-            let setup = incremental_seed_setup(c.memo, pop, c.seed);
+            let setup = incremental_seed_setup(pop, c.seed);
             let before = setup.inst.coverage(&setup.base_edges);
             let mut chain = DeltaInstance::from_instance(&setup.inst);
             chain
@@ -468,7 +459,8 @@ fn campaign_seed_setup(pop: &Pop, seed: u64) -> CampaignSeedSetup {
 /// The measurement-campaign sweep (section 7 extension): for each stretch
 /// budget (percent of the unconstrained campaign's stretch), the coverage
 /// recaptured by the greedy and exact campaign solvers, averaged over
-/// seeds. One CSV row per budget point.
+/// seeds. One CSV row per budget point; the per-seed set-ups are built up
+/// front and shared by every budget point.
 pub fn campaign_report(
     engine: &Engine,
     pop: &Pop,
@@ -476,13 +468,14 @@ pub fn campaign_report(
     seeds: u64,
 ) -> ScenarioReport {
     let spec = ScenarioSpec::new("xp_campaign", budget_percents.to_vec()).with_seeds(seeds);
+    let setups = engine.run_pool(spec.seeds_per_point as usize, |s| {
+        campaign_seed_setup(pop, s as u64)
+    });
     engine.run_report(
         &spec,
         "budget_percent,coverage_before,greedy_after,exact_after,greedy_stretch",
         |c: Case<'_, u32>| {
-            let setup = c
-                .memo
-                .get_or_compute("campaign_seed", c.seed, || campaign_seed_setup(pop, c.seed));
+            let setup = &setups[c.seed as usize];
             let budget_pct = *c.point;
             let budget = if budget_pct == 100 {
                 f64::INFINITY
@@ -613,27 +606,20 @@ pub fn dynamic_traffic_report(
 }
 
 // ---------------------------------------------------------------------------
-// xp_scale_150: the full pipeline on a large POP, stages fanned out
+// xp_scale_150: the full pipeline on a large POP, passive ∥ active
 // ---------------------------------------------------------------------------
 
-/// Independent solver stages of the large-POP pipeline. Passive and active
-/// stages have no data dependency on each other, so they load-balance
-/// across the pool; the probe set Φ and the ILP beacon placement are
-/// shared through the memo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineStage {
-    PassiveGreedy,
-    PassiveExact,
-    Probes,
-    BeaconsThiran,
-    BeaconsGreedy,
-    BeaconsIlp,
-    ProbeMakespan,
-}
-
 /// Runs the passive + active solver stages of the scale experiment and
-/// returns `metric,value` rows in stage order. `k` is the passive
-/// coverage target; `opts` bounds the exact branch-and-bound.
+/// returns `metric,value` rows in stage order: passive greedy and exact,
+/// then probes and the three beacon placements and the probe makespan.
+/// `k` is the passive coverage target; `opts` bounds the exact
+/// branch-and-bound.
+///
+/// The passive and active halves have no data dependency, so they are two
+/// jobs on the engine's pool: with two or more workers the passive
+/// branch-and-bound overlaps the whole active half. Inside the active half
+/// the probe set Φ and the ILP beacon placement are each computed once and
+/// passed on to the stages that consume them.
 pub fn pipeline_stage_report(
     engine: &Engine,
     pop: &Pop,
@@ -641,70 +627,42 @@ pub fn pipeline_stage_report(
     k: f64,
     opts: &ExactOptions,
 ) -> ScenarioReport {
-    use PipelineStage::*;
     let inst = PpmInstance::from_traffic(&pop.graph, ts);
     let (rgraph, _) = pop.router_subgraph();
     let candidates: Vec<netgraph::NodeId> = rgraph.nodes().collect();
-    let probes_of = |c: &Case<'_, PipelineStage>| {
-        c.memo
-            .get_or_compute("probes", 0, || compute_probes(&rgraph, &candidates))
-    };
-    let ilp_of = |c: &Case<'_, PipelineStage>| {
-        let probes = probes_of(c);
-        c.memo.get_or_compute("beacons_ilp", 0, || {
-            place_beacons_ilp(&rgraph, &probes, &candidates)
-        })
-    };
-
-    let spec = ScenarioSpec::new(
-        "xp_scale_pipeline",
+    let passive = || {
+        let g = greedy_static(&inst, k).expect("feasible");
+        let s = solve_ppm_mecf_bb(&inst, k, opts).expect("feasible");
+        assert!(inst.is_feasible(&s.edges, k));
         vec![
-            PassiveGreedy,
-            PassiveExact,
-            Probes,
-            BeaconsThiran,
-            BeaconsGreedy,
-            BeaconsIlp,
-            ProbeMakespan,
-        ],
-    );
-    engine.run_report(
-        &spec,
-        "metric,value",
-        |c: Case<'_, PipelineStage>| match *c.point {
-            PassiveGreedy => {
-                let g = greedy_static(&inst, k).expect("feasible");
-                format!("passive_greedy_devices,{}", g.device_count())
-            }
-            PassiveExact => {
-                let s = solve_ppm_mecf_bb(&inst, k, opts).expect("feasible");
-                assert!(inst.is_feasible(&s.edges, k));
-                format!(
-                    "passive_exact_devices,{} (proven {})",
-                    s.device_count(),
-                    s.proven_optimal
-                )
-            }
-            Probes => format!("probes,{}", probes_of(&c).len()),
-            BeaconsThiran => {
-                let b = place_beacons_thiran(&probes_of(&c), &candidates);
-                format!("beacons_thiran,{}", b.len())
-            }
-            BeaconsGreedy => {
-                let b = place_beacons_greedy(&probes_of(&c), &candidates);
-                format!("beacons_greedy,{}", b.len())
-            }
-            BeaconsIlp => {
-                let ilp = ilp_of(&c);
-                format!("beacons_ilp,{} (proven {})", ilp.len(), ilp.proven_optimal)
-            }
-            ProbeMakespan => {
-                let assign = assign_probes_ilp(&probes_of(&c), &ilp_of(&c));
-                format!("probe_makespan,{}", assign.max_load)
-            }
-        },
-        |_, rs| rs[0].clone(),
-    )
+            format!("passive_greedy_devices,{}", g.device_count()),
+            format!(
+                "passive_exact_devices,{} (proven {})",
+                s.device_count(),
+                s.proven_optimal
+            ),
+        ]
+    };
+    let active = || {
+        let probes = compute_probes(&rgraph, &candidates);
+        let thiran = place_beacons_thiran(&probes, &candidates);
+        let greedy = place_beacons_greedy(&probes, &candidates);
+        let ilp = place_beacons_ilp(&rgraph, &probes, &candidates);
+        let assign = assign_probes_ilp(&probes, &ilp);
+        vec![
+            format!("probes,{}", probes.len()),
+            format!("beacons_thiran,{}", thiran.len()),
+            format!("beacons_greedy,{}", greedy.len()),
+            format!("beacons_ilp,{} (proven {})", ilp.len(), ilp.proven_optimal),
+            format!("probe_makespan,{}", assign.max_load),
+        ]
+    };
+    let halves = engine.run_pool(2, |i| if i == 0 { passive() } else { active() });
+    ScenarioReport {
+        name: "xp_scale_pipeline".into(),
+        header: "metric,value".into(),
+        rows: halves.into_iter().flatten().collect(),
+    }
 }
 
 // ---------------------------------------------------------------------------

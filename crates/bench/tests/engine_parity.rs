@@ -122,60 +122,10 @@ fn incremental_sweeps_parallel_match_serial() {
     assert_eq!(serial.to_csv(), parallel.to_csv());
 }
 
-/// `engine::Memo` under contention: many threads racing the same key must
-/// all observe the *same* stored value (first insert wins), no matter how
-/// many builders actually ran.
-#[test]
-fn memo_racing_threads_observe_one_value() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Barrier};
-
-    for round in 0..8u64 {
-        let memo = engine::Memo::new();
-        let builds = AtomicUsize::new(0);
-        let n = 16;
-        let barrier = Barrier::new(n);
-        let observed: Vec<Arc<u64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|tid| {
-                    let (memo, builds, barrier) = (&memo, &builds, &barrier);
-                    scope.spawn(move || {
-                        // Line every thread up so the builders genuinely race.
-                        barrier.wait();
-                        memo.get_or_compute("raced", round, || {
-                            builds.fetch_add(1, Ordering::Relaxed);
-                            // Thread-dependent candidate values: if any
-                            // loser's value ever leaked, the assertion
-                            // below would catch it.
-                            round * 1000 + tid as u64
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("no panics"))
-                .collect()
-        });
-
-        let first = &observed[0];
-        for v in &observed {
-            assert_eq!(**v, **first, "all racers must observe the stored value");
-            assert!(Arc::ptr_eq(v, first), "all racers must share one Arc");
-        }
-        assert!(builds.load(Ordering::Relaxed) >= 1);
-        assert_eq!(
-            memo.len(),
-            1,
-            "one entry regardless of how many builders raced"
-        );
-    }
-}
-
 #[test]
 fn topology_families_parallel_matches_serial() {
     use popmon_bench::scenarios::FamilyPoint;
-    // One point per family plus a second density so cross-point memo/RNG
+    // One point per family plus a second density so cross-point RNG
     // interference would surface; every column is deterministic (the
     // exact solver is node-bounded, never wall-clock-bounded).
     let mut points = Vec::new();

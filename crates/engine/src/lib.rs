@@ -7,9 +7,9 @@
 //!
 //! A scenario is a grid of **cases**: every *point* of the sweep's x-axis
 //! crossed with every *seed*. Cases are independent by contract — the case
-//! closure receives a [`Case`] (point, indices, seed, and a shared
-//! [`memo::Memo`]) and must derive everything it needs from those, never
-//! from mutable shared state. Under that contract the engine guarantees:
+//! closure receives a [`Case`] (point, indices and seed) and must derive
+//! everything it needs from those and from read-only captures, never from
+//! mutable shared state. Under that contract the engine guarantees:
 //!
 //! * **determinism** — results are collected into slots indexed by case
 //!   number and aggregated in slot order, so a run with `N` worker threads
@@ -19,27 +19,24 @@
 //!   shared atomic cursor, so uneven case costs (e.g. an exact solver next
 //!   to a greedy one) still load-balance.
 //!
-//! ## Memoization
+//! ## Shared set-up
 //!
-//! Cases frequently share expensive sub-computations: the same seeded
-//! deployment solved once per sweep point, the same probe set reused by
-//! three placement strategies, the same shortest-path tree queried per
-//! traffic. [`memo::Memo`] is a typed, thread-safe cache keyed by
-//! `(domain, u64)`; the first computation wins and everyone else gets the
-//! shared `Arc`. Builders must be deterministic — the cache trades *time*,
-//! never *values*, so memoized and unmemoized runs stay byte-identical.
+//! Cases frequently share an expensive, seed-determined set-up: the seeded
+//! instance every k-point of a sweep starts from, or the deployment a whole
+//! budget sweep reuses. A chained sweep builds it once at the top of its
+//! chain closure (one chain per seed). A per-case sweep builds one set-up
+//! per seed up front with [`Engine::run_pool`] and indexes it by
+//! [`Case::seed`], so every value is typed and built exactly once.
 //!
 //! See `DESIGN.md` (workspace root) for the threading model rationale.
 
 #![forbid(unsafe_code)]
 
-pub mod memo;
 pub mod report;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-pub use memo::Memo;
 pub use report::ScenarioReport;
 
 /// A sweep description: named x-axis points crossed with seeds.
@@ -81,8 +78,6 @@ pub struct Case<'a, P> {
     pub point_index: usize,
     /// Seed in `0..seeds_per_point`.
     pub seed: u64,
-    /// Cache shared by every case of this `run`.
-    pub memo: &'a Memo,
 }
 
 /// One *chain* of work handed to the chain closure: every point of the
@@ -93,15 +88,12 @@ pub struct Case<'a, P> {
 /// (an LP basis, a route cache) from point to point. Because a chain is
 /// confined to one worker and is keyed by seed alone, the engine's
 /// determinism contract is unchanged — results land in the same
-/// `[point][seed]` slots as an unchained run, and the memo keying by seed
-/// is untouched.
+/// `[point][seed]` slots as an unchained run.
 pub struct ChainCase<'a, P> {
     /// All sweep points, in `ScenarioSpec::points` order.
     pub points: &'a [P],
     /// Seed in `0..seeds_per_point`.
     pub seed: u64,
-    /// Cache shared by every chain of this `run`.
-    pub memo: &'a Memo,
 }
 
 /// The scenario engine: a worker-pool executor for [`ScenarioSpec`]s.
@@ -153,7 +145,6 @@ impl Engine {
     {
         let seeds = spec.seeds_per_point.max(1);
         let total = spec.points.len() * seeds as usize;
-        let memo = Memo::new();
 
         let run_one = |i: usize| {
             let point_index = i / seeds as usize;
@@ -162,11 +153,10 @@ impl Engine {
                 point: &spec.points[point_index],
                 point_index,
                 seed,
-                memo: &memo,
             })
         };
 
-        let mut results = run_pool(self.threads, total, run_one).into_iter();
+        let mut results = self.run_pool(total, run_one).into_iter();
         (0..spec.points.len())
             .map(|_| results.by_ref().take(seeds as usize).collect())
             .collect()
@@ -192,13 +182,11 @@ impl Engine {
         F: Fn(ChainCase<'_, P>) -> Vec<R> + Sync,
     {
         let seeds = spec.seeds_per_point.max(1) as usize;
-        let memo = Memo::new();
 
         let run_one = |seed: usize| {
             let out = chain(ChainCase {
                 points: &spec.points,
                 seed: seed as u64,
-                memo: &memo,
             });
             assert_eq!(
                 out.len(),
@@ -211,7 +199,8 @@ impl Engine {
         };
 
         // Transpose seed-major chains into the point-major grouping.
-        let mut chains: Vec<std::vec::IntoIter<R>> = run_pool(self.threads, seeds, run_one)
+        let mut chains: Vec<std::vec::IntoIter<R>> = self
+            .run_pool(seeds, run_one)
             .into_iter()
             .map(Vec::into_iter)
             .collect();
@@ -263,40 +252,43 @@ impl Engine {
     {
         render(spec, header.into(), &self.run_cases(spec, case), row)
     }
-}
 
-/// Runs `job(i)` for every `i` in `0..n` on up to `threads` scoped
-/// workers that pull indices off one atomic cursor, and returns the
-/// results in index order whatever order they finished in. With one
-/// thread, or one job, the jobs run inline.
-fn run_pool<R, J>(threads: usize, n: usize, job: J) -> Vec<R>
-where
-    R: Send,
-    J: Fn(usize) -> R + Sync,
-{
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(job).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let results = Mutex::new((0..n).map(|_| None).collect::<Vec<Option<R>>>());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = job(i);
-                results.lock().expect("result store poisoned")[i] = Some(r);
-            });
+    /// Runs `job(i)` for every `i` in `0..n` on up to [`Engine::threads`]
+    /// scoped workers that pull indices off one atomic cursor, and returns
+    /// the results in index order whatever order they finished in. With
+    /// one thread, or one job, the jobs run inline.
+    ///
+    /// This is the pool under every `run_*` method; sweeps also call it
+    /// directly to build one shared set-up per seed before their cases run.
+    pub fn run_pool<R, J>(&self, n: usize, job: J) -> Vec<R>
+    where
+        R: Send,
+        J: Fn(usize) -> R + Sync,
+    {
+        if self.threads <= 1 || n <= 1 {
+            return (0..n).map(job).collect();
         }
-    });
-    results
-        .into_inner()
-        .expect("result store poisoned")
-        .into_iter()
-        .map(|r| r.expect("worker pool left a job unfilled"))
-        .collect()
+        let cursor = AtomicUsize::new(0);
+        let results = Mutex::new((0..n).map(|_| None).collect::<Vec<Option<R>>>());
+        std::thread::scope(|scope| {
+            for _ in 0..self.threads.min(n) {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let r = job(i);
+                    results.lock().expect("result store poisoned")[i] = Some(r);
+                });
+            }
+        });
+        results
+            .into_inner()
+            .expect("result store poisoned")
+            .into_iter()
+            .map(|r| r.expect("worker pool left a job unfilled"))
+            .collect()
+    }
 }
 
 /// One CSV row per point: `row` gets the point and its seed-ordered
@@ -425,21 +417,18 @@ mod tests {
     }
 
     #[test]
-    fn memo_shared_across_cases() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let builds = AtomicUsize::new(0);
-        let spec = ScenarioSpec::new("memo", vec![0usize; 1]).with_seeds(64);
-        let grouped = Engine::with_threads(4).run_cases(&spec, |c| {
-            let v = c.memo.get_or_compute("answer", 0, || {
-                builds.fetch_add(1, Ordering::Relaxed);
-                42usize
-            });
-            *v
-        });
-        assert!(grouped[0].iter().all(|&v| v == 42));
-        // At least one build, and every case observed the same value. The
-        // build count can transiently exceed 1 under contention, but the
-        // stored value is always the first insert.
-        assert!(builds.load(Ordering::Relaxed) >= 1);
+    fn run_pool_returns_results_in_index_order() {
+        let job = |i: usize| {
+            // Uneven work so parallel jobs finish out of order.
+            let mut acc = i as u64;
+            for _ in 0..(i % 5) * 2000 {
+                acc = acc.rotate_left(3) ^ 0x5151;
+            }
+            (i, acc)
+        };
+        let serial = Engine::serial().run_pool(23, job);
+        assert!(serial.iter().enumerate().all(|(i, r)| r.0 == i));
+        assert_eq!(Engine::with_threads(4).run_pool(23, job), serial);
+        assert!(Engine::with_threads(4).run_pool(0, job).is_empty());
     }
 }

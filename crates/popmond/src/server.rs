@@ -270,7 +270,7 @@ fn serve_connection(
             let reply = match semaphore.acquire_or_shed(queue_cap) {
                 Acquired::Permit(_permit) => service.handle_line(trimmed),
                 // Shed path: nothing was processed and no state touched.
-                // Health probes are exempt — they are O(shards) cheap and
+                // Health probes are exempt — they take one map lock and
                 // must keep answering while the solver slots are saturated.
                 Acquired::Shed => {
                     if matches!(

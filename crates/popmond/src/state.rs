@@ -1,4 +1,4 @@
-//! The resident service: sharded instance cache, warm delta chains, and
+//! The resident service: the instance cache, warm delta chains, and
 //! per-instance solve coalescing.
 //!
 //! [`Service`] is the whole daemon behind one thread-safe entry point,
@@ -11,15 +11,17 @@
 //!
 //! ## Cache layout
 //!
-//! Instances live in a 16-way sharded `id → Arc<Slot>` map (hash-sharded,
-//! first insert wins). Each slot holds the immutable topology plus a
-//! mutex-guarded [`SlotState`]: the instance's [`DeltaInstance`] warm
-//! chain, a version counter bumped by every mutation, and a solve memo
-//! emptied by every mutation. A solve locks the slot, so identical
-//! concurrent queries serialize onto one solver run: the first computes
-//! and stores, the rest hit the memo — that is the coalescing contract,
-//! and it is deterministic because the memo key is the full canonical
-//! query.
+//! Instances live in one mutex-guarded `id → Arc<Slot>` map (first insert
+//! wins). The map lock is held only to look up, insert, evict or snapshot
+//! slots — never while an instance is built or solved — so the
+//! `max_instances` cap is exact and `list` sees one consistent set. Each
+//! slot holds the immutable topology plus a mutex-guarded [`SlotState`]:
+//! the instance's [`DeltaInstance`] warm chain, a version counter bumped
+//! by every mutation, and a solve memo emptied by every mutation. A solve
+//! locks the slot, so identical concurrent queries serialize onto one
+//! solver run: the first computes and stores, the rest hit the memo — that
+//! is the coalescing contract, and it is deterministic because the memo
+//! key is the full canonical query.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,19 +38,6 @@ use popgen::{
 
 use crate::json::Value;
 use crate::protocol::{self, Error, Method, Mode, Page, Request, SolveQuery, WhatIf};
-
-/// Number of instance-cache shards.
-const SHARDS: usize = 16;
-
-/// FNV-1a over the instance id picks its shard.
-fn shard_of(id: &str) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in id.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h % SHARDS as u64) as usize
-}
 
 /// Maps a typed `popgen` spec error onto the wire's one-line error
 /// contract (keeping the field/reason structure instead of re-stringifying
@@ -133,7 +122,7 @@ impl Reply {
 
 /// The resident placement service (see the module docs).
 pub struct Service {
-    shards: [Mutex<HashMap<String, Arc<Slot>>>; SHARDS],
+    instances: Mutex<HashMap<String, Arc<Slot>>>,
     config: ServiceConfig,
     requests: AtomicU64,
 }
@@ -142,7 +131,7 @@ impl Service {
     /// Creates an empty service.
     pub fn new(config: ServiceConfig) -> Self {
         Service {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            instances: Mutex::new(HashMap::new()),
             config,
             requests: AtomicU64::new(0),
         }
@@ -225,10 +214,12 @@ impl Service {
 
     /// Number of resident instances.
     pub fn instance_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard poisoned").len())
-            .sum()
+        self.instances().len()
+    }
+
+    /// The instance map, locked.
+    fn instances(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Slot>>> {
+        self.instances.lock().expect("instance map poisoned")
     }
 
     // ---- loads ----------------------------------------------------------
@@ -275,9 +266,10 @@ impl Service {
     }
 
     /// First-insert-wins slot creation: the instance is built outside the
-    /// shard lock, and a concurrent load of the same id keeps whichever
-    /// slot landed first — both callers get a response describing the
-    /// stored slot.
+    /// map lock, and a concurrent load of the same id keeps whichever slot
+    /// landed first — both callers get a response describing the stored
+    /// slot. The cap check and the insert share one lock, so the cache
+    /// never holds more than `max_instances` slots.
     fn insert(&self, id: String, pop: Pop, ts: TrafficSet, routed: bool, origin: String) -> String {
         let delta = if routed {
             DeltaInstance::from_traffic(&pop.graph, &ts)
@@ -300,26 +292,23 @@ impl Service {
                 apm_memo: HashMap::new(),
             }),
         });
-        // Count before taking the shard lock (instance_count locks every
-        // shard in turn). The cap is a soft guard against unbounded
-        // resident instances; a racing load may land one slot over.
-        let count = self.instance_count();
         let (stored, created) = {
-            let mut shard = self.shards[shard_of(&id)].lock().expect("shard poisoned");
-            match shard.get(&id) {
+            let mut instances = self.instances();
+            match instances.get(&id) {
                 Some(existing) => (existing.clone(), false),
                 None => {
-                    if count >= self.config.max_instances {
+                    if instances.len() >= self.config.max_instances {
                         return Error::new(
                             "cache_full",
                             format!(
-                                "instance cache holds {count} of {} slots",
+                                "instance cache holds {} of {} slots",
+                                instances.len(),
                                 self.config.max_instances
                             ),
                         )
                         .to_json();
                     }
-                    shard.insert(id.clone(), slot.clone());
+                    instances.insert(id.clone(), slot.clone());
                     (slot, true)
                 }
             }
@@ -349,9 +338,7 @@ impl Service {
     }
 
     fn get(&self, id: &str) -> Result<Arc<Slot>, Error> {
-        self.shards[shard_of(id)]
-            .lock()
-            .expect("shard poisoned")
+        self.instances()
             .get(id)
             .cloned()
             .ok_or_else(|| Error::new("no_such_instance", format!("no instance {id:?}")))
@@ -581,12 +568,13 @@ impl Service {
     }
 
     fn list(&self) -> String {
-        let mut rows: Vec<(String, Arc<Slot>)> = Vec::new();
-        for shard in &self.shards {
-            for (id, slot) in shard.lock().expect("shard poisoned").iter() {
-                rows.push((id.clone(), slot.clone()));
-            }
-        }
+        // Snapshot under the map lock; slot states are read after it is
+        // released, so a long solve on one slot never blocks the map.
+        let mut rows: Vec<(String, Arc<Slot>)> = self
+            .instances()
+            .iter()
+            .map(|(id, slot)| (id.clone(), slot.clone()))
+            .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         let instances: Vec<Value> = rows
             .into_iter()
@@ -641,11 +629,7 @@ impl Service {
     }
 
     fn evict(&self, id: &str) -> String {
-        let existed = self.shards[shard_of(id)]
-            .lock()
-            .expect("shard poisoned")
-            .remove(id)
-            .is_some();
+        let existed = self.instances().remove(id).is_some();
         Value::Obj(vec![
             ("ok".into(), Value::Bool(true)),
             ("op".into(), Value::Str("evict".into())),

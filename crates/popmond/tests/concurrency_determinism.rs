@@ -3,10 +3,11 @@
 //!
 //! The same seeded multi-client workload is driven against a 1-permit
 //! and a 4-permit server; the per-session transcripts (every response
-//! line, coalescing counters included) must be identical. A second test
-//! races many threads loading the *same* instance id — mirroring the
-//! `engine::Memo` contention test — and asserts the sharded cache keeps
-//! exactly one winning slot that every racer observes.
+//! line, coalescing counters included) must be identical. Two more tests
+//! race threads against the instance cache directly: loads of the *same*
+//! id must keep exactly one winning slot that every racer observes, and
+//! loads of *distinct* ids into a capped cache must fill it to exactly
+//! `max_instances` slots.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -123,9 +124,8 @@ fn per_session_transcripts_are_thread_count_invariant() {
     }
 }
 
-/// Mirrors `memo_racing_threads_observe_one_value` on the instance
-/// cache: threads racing `load_spec` on one id must leave exactly one
-/// slot, and every racer's subsequent solve must observe it bytewise.
+/// Threads racing `load_spec` on one id must leave exactly one slot, and
+/// every racer's subsequent solve must observe it bytewise.
 #[test]
 fn racing_loads_of_one_id_keep_one_slot() {
     for round in 0..6u64 {
@@ -173,5 +173,51 @@ fn racing_loads_of_one_id_keep_one_slot() {
                 "every racer must observe the winning slot's answer"
             );
         }
+    }
+}
+
+/// Threads racing `load_spec` on distinct ids into a capped cache: the cap
+/// check and the insert share one lock, so exactly `max_instances` loads
+/// create a slot and every other load is refused with `cache_full`.
+#[test]
+fn racing_loads_of_distinct_ids_fill_the_cap_exactly() {
+    for round in 0..6u64 {
+        let cap = 5;
+        let service = Service::new(ServiceConfig { max_instances: cap });
+        let n = 16;
+        let barrier = Barrier::new(n);
+        let responses: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let (service, barrier) = (&service, &barrier);
+                    scope.spawn(move || {
+                        let load = format!(
+                            r#"{{"op":"load_spec","id":"r{round}_{i}","spec":"small","seed":{round}}}"#
+                        );
+                        barrier.wait();
+                        service.handle_line(&load).text
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+        let mut created = 0;
+        for resp in &responses {
+            let doc = json::parse(resp).unwrap();
+            if doc.get("created").and_then(Value::as_bool) == Some(true) {
+                created += 1;
+            } else {
+                assert_eq!(
+                    doc.get("error")
+                        .and_then(|e| e.get("code"))
+                        .and_then(Value::as_str),
+                    Some("cache_full"),
+                    "a load that created nothing must be refused: {resp}"
+                );
+            }
+        }
+        assert_eq!(created, cap, "exactly max_instances loads create a slot");
+        assert_eq!(service.instance_count(), cap);
     }
 }

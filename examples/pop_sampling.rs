@@ -16,8 +16,10 @@ use popmon::popgen::dynamic::{DynamicSpec, TrafficProcess};
 use popmon::popgen::{PopSpec, TrafficSpec};
 
 fn main() {
-    // The fixed-charge PPME MILP is solved on a compact POP (see
-    // EXPERIMENTS.md on why proving optimality at 27 binaries is slow).
+    // The fixed-charge PPME MILP is solved on a compact POP: with one
+    // install binary per link, proving optimality on the 27-link
+    // `paper_10` POP is slow (the `xp_sampling_cost` sweep in DESIGN.md's
+    // experiment index uses the same preset for the same reason).
     let pop = PopSpec::small().build();
     let ne = pop.graph.edge_count();
 
