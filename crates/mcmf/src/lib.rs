@@ -13,10 +13,11 @@
 //!   building block);
 //! * [`mincost`] — successive shortest paths with node potentials
 //!   (Bellman–Ford bootstrap, Dijkstra with reduced costs afterwards);
-//! * [`mecf`] — construction of the paper's auxiliary graph from an
-//!   abstract monitoring instance, the **flow greedy** heuristic (min-cost
-//!   flow with `1/load(e)` costs, the paper's formalization of "pick the
-//!   most loaded link first"), and helpers shared by the placement crate.
+//! * [`mecf`] — construction of the paper's auxiliary graph from edge
+//!   indices and weighted traffic edge lists, with caller-chosen
+//!   `(S, w_e)` costs; the placement crate runs the **flow greedy**
+//!   (min-cost flow with `1/load(e)` costs, the paper's formalization of
+//!   "pick the most loaded link first") on it.
 //!
 //! All capacities/costs are `f64` with explicit tolerances ([`FLOW_EPS`])
 //! because traffic volumes in the paper are real-valued bandwidths.

@@ -1,8 +1,8 @@
 //! The Minimum Edge Cost Flow (MECF) auxiliary graph of the paper's
-//! Section 4.3 (Figure 5), and the flow-based greedy heuristic.
+//! Section 4.3 (Figure 5).
 //!
-//! Construction (Theorem 2): given a monitoring instance with edge set `E`
-//! and weighted traffics `D`,
+//! Construction (Theorem 2): given edges `E = 0..num_edges` and weighted
+//! traffics `D`, each a volume plus the edges its path traverses,
 //!
 //! 1. one node `w_e` per edge `e ∈ E`, one node `w_t` per traffic `t ∈ D`,
 //!    plus a source `S` and sink `T`;
@@ -13,58 +13,14 @@
 //! 4. arcs `(w_t, T)` of capacity `v_t` (the traffic volume) and zero cost.
 //!
 //! Routing `k · Σ v_t` units from `S` to `T` while paying for each used
-//! `(S, w_e)` arc solves `PPM(k)`. The *fixed-charge* objective itself is
-//! solved by the MIP in the `placement` crate; this module provides the
-//! **linear relaxation** in which the `(S, w_e)` arc costs `1/load(e)` per
-//! unit — the paper's formalization of the classical "most loaded link
-//! first" greedy ("Such a link cost configuration models the greedy
-//! behavior of previously defined heuristics").
+//! `(S, w_e)` arc solves `PPM(k)`. The graph takes any per-unit cost on
+//! the `(S, w_e)` arcs; the `placement` crate solves the fixed-charge
+//! objective and the paper's flow greedy (cost `1/load(e)`) on top of it.
+//! Traffics are plain index lists, so this crate depends on no graph or
+//! traffic crate.
 
-use crate::mincost::min_cost_flow;
 use crate::network::FlowNetwork;
-use crate::{ArcId, NodeRef, FLOW_EPS};
-
-/// An abstract monitoring instance: edges are `0..num_edges`, and each
-/// traffic is a volume plus the set of edges its path traverses.
-///
-/// This index-based form keeps `mcmf` independent of the graph and traffic
-/// crates; `placement` adapts its typed instances into it.
-#[derive(Debug, Clone)]
-pub struct MonitoringInstance {
-    /// Number of network links (candidate monitor locations).
-    pub num_edges: usize,
-    /// `(volume, edges traversed)` per traffic. Edge lists must be
-    /// duplicate-free.
-    pub traffics: Vec<(f64, Vec<usize>)>,
-}
-
-impl MonitoringInstance {
-    /// Total bandwidth `V = Σ v_t` carried by the network.
-    pub fn total_volume(&self) -> f64 {
-        self.traffics.iter().map(|&(v, _)| v).sum()
-    }
-
-    /// Load of every edge: sum of the volumes of the traffics crossing it.
-    pub fn edge_loads(&self) -> Vec<f64> {
-        let mut load = vec![0.0; self.num_edges];
-        for (v, edges) in &self.traffics {
-            for &e in edges {
-                load[e] += v;
-            }
-        }
-        load
-    }
-
-    /// Total volume of the traffics covered by the edge set `selected`
-    /// (a boolean mask over edges).
-    pub fn coverage_of(&self, selected: &[bool]) -> f64 {
-        self.traffics
-            .iter()
-            .filter(|(_, edges)| edges.iter().any(|&e| selected[e]))
-            .map(|&(v, _)| v)
-            .sum()
-    }
-}
+use crate::{ArcId, NodeRef};
 
 /// The built auxiliary graph with handles onto its structured arcs.
 #[derive(Debug, Clone)]
@@ -81,16 +37,18 @@ pub struct MecfGraph {
     pub traffic_arcs: Vec<ArcId>,
 }
 
-/// Builds the auxiliary graph with the given per-unit cost on each
-/// `(S, w_e)` arc (zero cost everywhere else, per the paper).
-pub fn build_mecf(inst: &MonitoringInstance, edge_cost: &[f64]) -> MecfGraph {
-    assert_eq!(
-        edge_cost.len(),
-        inst.num_edges,
-        "one cost per edge required"
-    );
-    let ne = inst.num_edges;
-    let nt = inst.traffics.len();
+/// Builds the auxiliary graph of `num_edges` edges and the `(volume,
+/// edges traversed)` traffics, with the given per-unit cost on each
+/// `(S, w_e)` arc (zero cost everywhere else, per the paper). Edge lists
+/// must be duplicate-free.
+pub fn build_mecf(
+    num_edges: usize,
+    traffics: &[(f64, Vec<usize>)],
+    edge_cost: &[f64],
+) -> MecfGraph {
+    assert_eq!(edge_cost.len(), num_edges, "one cost per edge required");
+    let ne = num_edges;
+    let nt = traffics.len();
     // Layout: 0 = S, 1 = T, 2..2+ne = w_e, 2+ne.. = w_t.
     let mut net = FlowNetwork::new(2 + ne + nt);
     let source = NodeRef(0);
@@ -102,7 +60,7 @@ pub fn build_mecf(inst: &MonitoringInstance, edge_cost: &[f64]) -> MecfGraph {
         .map(|e| net.add_arc(source, we(e), f64::INFINITY, edge_cost[e]))
         .collect();
     let mut traffic_arcs = Vec::with_capacity(nt);
-    for (t, (v, edges)) in inst.traffics.iter().enumerate() {
+    for (t, (v, edges)) in traffics.iter().enumerate() {
         for &e in edges {
             assert!(e < ne, "traffic {t} references edge {e} out of range");
             net.add_arc(we(e), wt(t), f64::INFINITY, 0.0);
@@ -119,64 +77,6 @@ pub fn build_mecf(inst: &MonitoringInstance, edge_cost: &[f64]) -> MecfGraph {
     }
 }
 
-/// Result of the flow-based greedy heuristic.
-#[derive(Debug, Clone)]
-pub struct FlowGreedyResult {
-    /// Selected edges (mask over `0..num_edges`).
-    pub selected: Vec<bool>,
-    /// Volume routed through the auxiliary graph (≥ `k·V` when feasible).
-    pub routed: f64,
-    /// Coverage of the selected set in the original instance.
-    pub coverage: f64,
-}
-
-/// The paper's flow-greedy heuristic for `PPM(k)`: a min-cost flow on the
-/// auxiliary graph with `(S, w_e)` cost `1/load(e)`, selecting every edge
-/// whose arc carries flow.
-///
-/// Returns `None` when even monitoring *all* edges cannot reach the target
-/// (i.e. `k > 1` after rounding, or zero-volume instances).
-pub fn flow_greedy(inst: &MonitoringInstance, k: f64) -> Option<FlowGreedyResult> {
-    assert!(
-        (0.0..=1.0 + 1e-12).contains(&k),
-        "k must lie in (0, 1], got {k}"
-    );
-    let total = inst.total_volume();
-    let demand = k * total;
-    if demand <= FLOW_EPS {
-        return Some(FlowGreedyResult {
-            selected: vec![false; inst.num_edges],
-            routed: 0.0,
-            coverage: 0.0,
-        });
-    }
-
-    let loads = inst.edge_loads();
-    // Cost 1/load: heavily loaded links are cheap per monitored unit.
-    // Unused links get an effectively prohibitive (but finite) cost.
-    let costs: Vec<f64> = loads
-        .iter()
-        .map(|&l| if l > FLOW_EPS { 1.0 / l } else { 1e12 })
-        .collect();
-    let mut g = build_mecf(inst, &costs);
-    let res = min_cost_flow(&mut g.net, g.source, g.sink, demand);
-    if res.flow + FLOW_EPS < demand {
-        return None; // target unreachable even with all devices
-    }
-
-    let selected: Vec<bool> = g
-        .edge_arcs
-        .iter()
-        .map(|&a| g.net.flow(a) > FLOW_EPS)
-        .collect();
-    let coverage = inst.coverage_of(&selected);
-    Some(FlowGreedyResult {
-        selected,
-        routed: res.flow,
-        coverage,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,37 +87,18 @@ mod tests {
     ///
     /// Edges: 0 = heavy (t0, t1), 1 = left (t0, t2), 2 = right (t1, t3),
     /// 3, 4 = light tails (t2), (t3).
-    fn figure3_like() -> MonitoringInstance {
-        MonitoringInstance {
-            num_edges: 5,
-            traffics: vec![
-                (2.0, vec![0, 1]),
-                (2.0, vec![0, 2]),
-                (1.0, vec![1, 3]),
-                (1.0, vec![2, 4]),
-            ],
-        }
-    }
-
-    #[test]
-    fn volumes_and_loads() {
-        let inst = figure3_like();
-        assert_eq!(inst.total_volume(), 6.0);
-        assert_eq!(inst.edge_loads(), vec![4.0, 3.0, 3.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn coverage_mask() {
-        let inst = figure3_like();
-        assert_eq!(inst.coverage_of(&[true, false, false, false, false]), 4.0);
-        assert_eq!(inst.coverage_of(&[false, true, true, false, false]), 6.0);
-        assert_eq!(inst.coverage_of(&[false; 5]), 0.0);
+    fn figure3_like() -> Vec<(f64, Vec<usize>)> {
+        vec![
+            (2.0, vec![0, 1]),
+            (2.0, vec![0, 2]),
+            (1.0, vec![1, 3]),
+            (1.0, vec![2, 4]),
+        ]
     }
 
     #[test]
     fn mecf_graph_shape() {
-        let inst = figure3_like();
-        let g = build_mecf(&inst, &[1.0; 5]);
+        let g = build_mecf(5, &figure3_like(), &[1.0; 5]);
         assert_eq!(g.net.node_count(), 2 + 5 + 4);
         // 5 edge arcs + 8 incidence arcs + 4 traffic arcs.
         assert_eq!(g.net.arc_count(), 5 + 8 + 4);
@@ -229,49 +110,22 @@ mod tests {
     }
 
     #[test]
-    fn full_monitoring_routes_everything() {
-        let inst = figure3_like();
-        let r = flow_greedy(&inst, 1.0).expect("feasible");
-        assert!((r.routed - 6.0).abs() < 1e-9);
-        assert!((r.coverage - 6.0).abs() < 1e-9);
-        // Whatever was selected must cover all traffics.
-        assert!(inst.coverage_of(&r.selected) >= 6.0 - 1e-9);
-    }
-
-    #[test]
-    fn greedy_behavior_prefers_loaded_link() {
-        // At k ~ 4/6 the heavy link alone suffices and is the cheapest per
-        // unit, so the flow greedy must select exactly edge 0.
-        let inst = figure3_like();
-        let r = flow_greedy(&inst, 4.0 / 6.0).unwrap();
-        assert!(r.selected[0]);
-        assert_eq!(r.selected.iter().filter(|&&b| b).count(), 1);
-    }
-
-    #[test]
     fn zero_k_selects_nothing() {
+        // PPM(0) routes `0 · Σ v_t` units, so no (S, w_e) arc carries flow
+        // and no device is selected.
         let inst = figure3_like();
-        let r = flow_greedy(&inst, 0.0).unwrap();
-        assert!(r.selected.iter().all(|&b| !b));
-    }
-
-    #[test]
-    fn empty_instance() {
-        let inst = MonitoringInstance {
-            num_edges: 3,
-            traffics: vec![],
-        };
-        let r = flow_greedy(&inst, 1.0).unwrap();
-        assert_eq!(r.routed, 0.0);
+        let loads = [4.0, 3.0, 3.0, 1.0, 1.0];
+        let costs: Vec<f64> = loads.iter().map(|l| 1.0 / l).collect();
+        let mut g = build_mecf(5, &inst, &costs);
+        let (k, total): (f64, f64) = (0.0, inst.iter().map(|(v, _)| v).sum());
+        let r = crate::mincost::min_cost_flow(&mut g.net, g.source, g.sink, k * total);
+        assert_eq!(r.flow, 0.0);
+        assert!(g.edge_arcs.iter().all(|&a| g.net.flow(a) == 0.0));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_bad_edge_reference() {
-        let inst = MonitoringInstance {
-            num_edges: 1,
-            traffics: vec![(1.0, vec![3])],
-        };
-        build_mecf(&inst, &[1.0]);
+        build_mecf(1, &[(1.0, vec![3])], &[1.0]);
     }
 }

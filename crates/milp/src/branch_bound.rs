@@ -130,11 +130,6 @@ impl MipOutcome {
         }
     }
 
-    /// Whether the search ended on its own terms (no budget trip).
-    pub fn is_complete(&self) -> bool {
-        matches!(self, MipOutcome::Complete(_))
-    }
-
     /// The complete solution, or the budget trip as
     /// [`SolverError::Interrupted`]. For callers that set no
     /// [`MipOptions::work_budget`] (where no trip can happen) or that

@@ -813,14 +813,6 @@ impl Basis {
         }
     }
 
-    /// Nonzeros in the underlying factors (dense: the full inverse).
-    pub fn lu_nnz(&self) -> usize {
-        match &self.repr {
-            Repr::Dense { inv, .. } => inv.binv.len(),
-            Repr::Sparse(sb) => sb.lu.nnz(),
-        }
-    }
-
     /// Whether the accumulated updates warrant refactorizing — the
     /// update-vs-refactorize policy per backend. Dense: a long in-place
     /// update run only accumulates round-off, so the cap is generous

@@ -414,11 +414,6 @@ impl Model {
         self.constrs.len()
     }
 
-    /// Name of a variable.
-    pub fn var_name(&self, v: VarId) -> &str {
-        &self.vars[v.index()].name
-    }
-
     /// The [`VarId`] at dense index `i`.
     ///
     /// # Panics
@@ -437,16 +432,6 @@ impl Model {
     pub fn constr(&self, i: usize) -> ConstrId {
         assert!(i < self.constrs.len(), "constraint index {i} out of range");
         ConstrId(i as u32)
-    }
-
-    /// Ids of all integer/binary variables.
-    pub fn integer_vars(&self) -> Vec<VarId> {
-        self.vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.integer)
-            .map(|(i, _)| VarId(i as u32))
-            .collect()
     }
 
     /// Evaluates the objective of an assignment (in the model's sense).

@@ -27,12 +27,12 @@
 //! bases, never answers: a proven-optimal device count is the unique
 //! optimum either way (pinned by `tests/delta_chain.rs` against
 //! [`solve_ppm_exact`]/[`solve_incremental`]/[`solve_budget`] on the
-//! seed-0 sweeps). The chains search serially (one node per round), the
-//! one-shot minimum-device solve in rounds of eight, so a budgeted solve
-//! may stop at a different point on either path. Since both paths share
-//! the kernel, "chain equals fresh solve" cannot catch a model-building
-//! bug; `tests/proptest_passive.rs` checks both against subset
-//! enumeration.
+//! seed-0 sweeps). Both paths run the one serial search, so a budgeted
+//! solve stops at the same point on either (pinned by
+//! `solve::tests::budgeted_one_shot_and_chained_solves_keep_their_search_bits`).
+//! Since both paths share the kernel, "chain equals fresh solve" cannot
+//! catch a model-building bug; `tests/proptest_passive.rs` checks both
+//! against subset enumeration.
 //!
 //! [`solve_ppm_exact`]: crate::passive::solve_ppm_exact
 //! [`solve_incremental`]: crate::passive::solve_incremental
@@ -452,7 +452,7 @@ mod tests {
     use super::*;
     use crate::instance::fixture_figure3;
     use crate::passive::{
-        solve_budget, solve_incremental, solve_ppm_exact, BudgetSolution, ExactOptions, PpmSolution,
+        solve_budget, solve_incremental, solve_ppm_exact, ExactOptions, PpmSolution,
     };
 
     /// An exact `PPM(k)` solve on the chain with default knobs.
@@ -461,7 +461,7 @@ mod tests {
     }
 
     /// A budget solve on the chain with default knobs.
-    fn chain_budget(delta: &mut DeltaInstance, devices: usize) -> BudgetSolution {
+    fn chain_budget(delta: &mut DeltaInstance, devices: usize) -> PpmSolution {
         let out = delta.solve(&SolveRequest::budget(devices)).unwrap();
         out.into_budget().expect("budget request")
     }

@@ -14,7 +14,6 @@
 //! 3. Goto 1.
 //! ```
 
-use mcmf::mecf::MonitoringInstance;
 use milp::{Cmp, Model, Sense, SolverError, VarId, VarKind};
 use popgen::dynamic::TrafficProcess;
 
@@ -112,9 +111,9 @@ pub fn reoptimize_rates(prob: &SamplingProblem, installed: &[bool]) -> Option<Ra
 /// when the installed links cannot carry `k·V`.
 pub fn reoptimize_rates_flow(prob: &SamplingProblem, installed: &[bool]) -> Option<RatesSolution> {
     assert_eq!(installed.len(), prob.num_edges, "one flag per link");
-    // Build a monitoring instance over installed links only (uninstalled
-    // links get pruned from supports; traffics with no installed link keep
-    // an empty support and simply cannot be attributed).
+    // The traffics over installed links only (uninstalled links get
+    // pruned from supports; traffics with no installed link keep an empty
+    // support and simply cannot be attributed), and their link loads.
     let traffics: Vec<(f64, Vec<usize>)> = prob
         .paths
         .iter()
@@ -129,11 +128,12 @@ pub fn reoptimize_rates_flow(prob: &SamplingProblem, installed: &[bool]) -> Opti
             )
         })
         .collect();
-    let inst = MonitoringInstance {
-        num_edges: prob.num_edges,
-        traffics,
-    };
-    let loads = inst.edge_loads();
+    let mut loads = vec![0.0; prob.num_edges];
+    for (v, edges) in &traffics {
+        for &e in edges {
+            loads[e] += v;
+        }
+    }
     let costs: Vec<f64> = (0..prob.num_edges)
         .map(|e| {
             if loads[e] > 1e-12 {
@@ -143,7 +143,7 @@ pub fn reoptimize_rates_flow(prob: &SamplingProblem, installed: &[bool]) -> Opti
             }
         })
         .collect();
-    let mut g = mcmf::mecf::build_mecf(&inst, &costs);
+    let mut g = mcmf::mecf::build_mecf(prob.num_edges, &traffics, &costs);
     let demand = prob.k * prob.total_volume();
     let res = mcmf::mincost::min_cost_flow(&mut g.net, g.source, g.sink, demand);
     if res.flow + 1e-9 < demand {

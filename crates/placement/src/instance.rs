@@ -8,8 +8,7 @@
 //! >
 //! > MEASURE: cardinality of `E'`.
 
-use mcmf::mecf::MonitoringInstance;
-use netgraph::{EdgeId, Graph};
+use netgraph::Graph;
 use popgen::TrafficSet;
 
 /// A `PPM(k)` instance: candidate edges and weighted traffic supports.
@@ -161,23 +160,6 @@ impl PpmInstance {
             return 1.0;
         }
         1.0 - self.uncoverable_volume() / total
-    }
-
-    /// Adapter to the index-based instance used by the flow crate.
-    pub fn to_monitoring(&self) -> MonitoringInstance {
-        MonitoringInstance {
-            num_edges: self.num_edges,
-            traffics: self.traffics.clone(),
-        }
-    }
-
-    /// Supports as `EdgeId`s for interop with `netgraph`-typed callers.
-    pub fn support_edges(&self, traffic: usize) -> Vec<EdgeId> {
-        self.traffics[traffic]
-            .1
-            .iter()
-            .map(|&e| EdgeId(e as u32))
-            .collect()
     }
 }
 

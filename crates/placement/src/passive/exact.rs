@@ -23,7 +23,7 @@ use milp::{
 };
 
 use crate::instance::PpmInstance;
-use crate::passive::{greedy_adaptive, greedy_static, selected_edges, BudgetSolution, PpmSolution};
+use crate::passive::{greedy_adaptive, greedy_static, selected_edges, PpmSolution};
 use crate::solve::{greedy_budget, Anytime};
 
 /// Options for the exact batch solvers: node limit and gap. The
@@ -320,12 +320,12 @@ impl ExactModel {
         at: Deployment<'_>,
         budget: usize,
         opts: &MipOptions,
-    ) -> Anytime<BudgetSolution> {
+    ) -> Anytime<PpmSolution> {
         let this = slot.get_or_insert_with(|| Self::max_coverage(at));
         this.model.set_rhs(this.goal_row, budget as f64);
         this.solve(
             opts,
-            |edges, proven| BudgetSolution::from_edges(at.inst, edges, proven),
+            |edges, proven| PpmSolution::from_edges(at.inst, edges, proven),
             |e| {
                 matches!(e, SolverError::NodeLimitNoSolution { .. })
                     .then(|| greedy_budget(at.inst, budget, at.installed, at.disabled))

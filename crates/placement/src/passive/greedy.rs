@@ -9,9 +9,13 @@
 //! * [`greedy_adaptive`] — the set-cover greedy ("always choose the edge
 //!   which permits to monitor the larger volume of traffic not monitored
 //!   yet", Section 4.3), which carries the Slavík guarantee.
-//! * [`flow_greedy_ppm`] — the min-cost-flow computation on the MECF
-//!   linear relaxation with `1/load(e)` arc costs, which the paper shows
+//! * [`flow_greedy_ppm`] — a min-cost flow on the MECF auxiliary graph
+//!   (built by `mcmf`) with `1/load(e)` arc costs, which the paper shows
 //!   formalizes the greedy family (Section 4.3 "Heuristics").
+
+use mcmf::mecf::build_mecf;
+use mcmf::mincost::min_cost_flow;
+use mcmf::FLOW_EPS;
 
 use crate::instance::PpmInstance;
 use crate::passive::PpmSolution;
@@ -127,18 +131,31 @@ pub fn greedy_adaptive(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
     Some(PpmSolution::from_edges(inst, g.selection, false))
 }
 
-/// Flow greedy on the MECF relaxation (cost `1/load(e)` per monitored
-/// unit).
+/// The paper's flow greedy: a min-cost flow of `k·V` units on the MECF
+/// auxiliary graph ([`mcmf::mecf::build_mecf`]) with `(S, w_e)` cost
+/// `1/load(e)` per monitored unit, selecting every edge whose arc carries
+/// flow. Returns `None` when even monitoring every edge cannot route the
+/// target.
 pub fn flow_greedy_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
     check_k(k);
-    let mon = inst.to_monitoring();
-    let r = mcmf::mecf::flow_greedy(&mon, k)?;
-    let edges: Vec<usize> = r
-        .selected
+    let demand = k * inst.total_volume();
+    if demand <= FLOW_EPS {
+        return Some(PpmSolution::from_edges(inst, Vec::new(), false));
+    }
+    // Cost 1/load: heavily loaded links are cheap per monitored unit.
+    // Unused links get an effectively prohibitive (but finite) cost.
+    let costs: Vec<f64> = inst
+        .edge_loads()
         .iter()
-        .enumerate()
-        .filter(|(_, &s)| s)
-        .map(|(e, _)| e)
+        .map(|&l| if l > FLOW_EPS { 1.0 / l } else { 1e12 })
+        .collect();
+    let mut g = build_mecf(inst.num_edges, &inst.traffics, &costs);
+    let res = min_cost_flow(&mut g.net, g.source, g.sink, demand);
+    if res.flow + FLOW_EPS < demand {
+        return None;
+    }
+    let edges = (0..inst.num_edges)
+        .filter(|&e| g.net.flow(g.edge_arcs[e]) > FLOW_EPS)
         .collect();
     Some(PpmSolution::from_edges(inst, edges, false))
 }
@@ -198,10 +215,36 @@ mod tests {
     }
 
     #[test]
+    fn flow_greedy_full_monitoring_covers_everything() {
+        let inst = fixture_figure3();
+        let f = flow_greedy_ppm(&inst, 1.0).expect("feasible");
+        assert!((f.coverage - 6.0).abs() < 1e-9);
+        assert!(inst.coverage(&f.edges) >= 6.0 - 1e-9);
+    }
+
+    #[test]
+    fn flow_greedy_prefers_loaded_link() {
+        // At k = 4/6 the heavy link alone suffices and is the cheapest per
+        // unit, so the flow greedy must select exactly edge 0.
+        let inst = fixture_figure3();
+        let f = flow_greedy_ppm(&inst, 4.0 / 6.0).unwrap();
+        assert_eq!(f.edges, vec![0]);
+    }
+
+    #[test]
+    fn flow_greedy_empty_instance() {
+        let inst = PpmInstance::new(3, vec![]);
+        let f = flow_greedy_ppm(&inst, 1.0).unwrap();
+        assert!(f.edges.is_empty());
+        assert_eq!(f.coverage, 0.0);
+    }
+
+    #[test]
     fn zero_k_selects_nothing() {
         let inst = fixture_figure3();
         assert_eq!(greedy_static(&inst, 0.0).unwrap().device_count(), 0);
         assert_eq!(greedy_adaptive(&inst, 0.0).unwrap().device_count(), 0);
+        assert_eq!(flow_greedy_ppm(&inst, 0.0).unwrap().device_count(), 0);
     }
 
     #[test]

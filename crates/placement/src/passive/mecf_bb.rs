@@ -553,17 +553,23 @@ mod tests {
             EdgeState::Forbidden => false,
             EdgeState::Free => loads[e] > 1e-12,
         };
-        let mut mon = inst.to_monitoring();
-        for (_, support) in &mut mon.traffics {
-            support.retain(|&e| allowed(e));
-        }
+        let traffics: Vec<(f64, Vec<usize>)> = inst
+            .traffics
+            .iter()
+            .map(|(v, support)| {
+                (
+                    *v,
+                    support.iter().copied().filter(|&e| allowed(e)).collect(),
+                )
+            })
+            .collect();
         let costs: Vec<f64> = (0..inst.num_edges)
             .map(|e| match state[e] {
                 EdgeState::Free if allowed(e) => 1.0 / loads[e],
                 _ => 0.0,
             })
             .collect();
-        let mut g = mcmf::mecf::build_mecf(&mon, &costs);
+        let mut g = mcmf::mecf::build_mecf(inst.num_edges, &traffics, &costs);
         let r = mcmf::mincost::min_cost_flow(&mut g.net, g.source, g.sink, target);
         (r.flow + 1e-6 >= target).then_some(r.cost)
     }

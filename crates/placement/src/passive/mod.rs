@@ -16,7 +16,7 @@ pub(crate) use exact::{Deployment, ExactModel};
 pub(crate) use greedy::decreasing_load_picks;
 pub use greedy::{flow_greedy_ppm, greedy_adaptive, greedy_static};
 pub use mecf_bb::solve_ppm_mecf_bb;
-pub use variants::{expected_gain, solve_budget, solve_incremental, BudgetSolution};
+pub use variants::{expected_gain, solve_budget, solve_incremental};
 
 use milp::{Solution, VarId};
 
@@ -27,7 +27,9 @@ pub(crate) fn selected_edges(xs: &[VarId], sol: &Solution) -> Vec<usize> {
     (0..xs.len()).filter(|&e| sol.is_one(xs[e], 1e-4)).collect()
 }
 
-/// A solution to `PPM(k)`: the selected monitor links plus bookkeeping.
+/// A passive placement: the selected monitor links plus bookkeeping. It
+/// answers both `PPM(k)` and its budget variant (maximum coverage with a
+/// limited number of devices).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PpmSolution {
     /// Selected edge indices, sorted.

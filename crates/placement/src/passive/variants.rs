@@ -5,48 +5,14 @@
 //!   move, compute the best way to position a new set of monitors": the
 //!   installed `x_e` are fixed to 1 and the MIP minimizes the added count;
 //! * **budget** — "finding the best positioning of a limited number of
-//!   devices": maximize the monitored volume subject to `Σ x_e ≤ B`;
+//!   devices": maximize the monitored volume subject to `Σ x_e ≤ B`,
+//!   answered with the same [`PpmSolution`] as `PPM(k)`;
 //! * **expected gain** — "the estimation of the expected gain in buying one
 //!   or a set of new devices": the budget problem on top of an installed
 //!   base, reported as the coverage delta.
 
 use crate::instance::PpmInstance;
 use crate::passive::{Deployment, ExactModel, ExactOptions, PpmSolution};
-
-/// Solution of the budget-constrained maximum-coverage problem.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetSolution {
-    /// All selected edges (including the pre-installed ones).
-    pub edges: Vec<usize>,
-    /// Volume covered.
-    pub coverage: f64,
-    /// Total volume of the instance.
-    pub total_volume: f64,
-    /// Whether the MIP proved optimality.
-    pub proven_optimal: bool,
-}
-
-impl BudgetSolution {
-    /// Builds a solution from a device set (ascending), computing its
-    /// coverage on `inst`.
-    pub(crate) fn from_edges(inst: &PpmInstance, edges: Vec<usize>, proven: bool) -> Self {
-        BudgetSolution {
-            coverage: inst.coverage(&edges),
-            total_volume: inst.total_volume(),
-            proven_optimal: proven,
-            edges,
-        }
-    }
-
-    /// Fraction of the total volume covered.
-    pub fn coverage_fraction(&self) -> f64 {
-        if self.total_volume > 0.0 {
-            self.coverage / self.total_volume
-        } else {
-            0.0
-        }
-    }
-}
 
 /// Minimum number of *additional* devices to reach coverage `k`, given
 /// `installed` devices that cannot move. Returns the complete placement
@@ -69,13 +35,14 @@ pub fn solve_incremental(
 }
 
 /// Maximum-coverage placement of at most `budget` new devices on top of
-/// `installed` ones (pass `&[]` for a fresh deployment).
+/// `installed` ones (pass `&[]` for a fresh deployment). The placement
+/// lists every selected edge, the installed ones included.
 pub fn solve_budget(
     inst: &PpmInstance,
     budget: usize,
     installed: &[usize],
     opts: &ExactOptions,
-) -> BudgetSolution {
+) -> PpmSolution {
     let installed = sorted_links(installed);
     let at = Deployment {
         installed: &installed,

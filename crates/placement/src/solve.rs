@@ -6,7 +6,8 @@
 //! ([`DeltaInstance::solve`]) and the `popmond` service's wire queries
 //! solve: the request carries the objective (`PPM(k)` or `APM`), the
 //! method (greedy or exact) and the solver knobs; the outcome is one enum
-//! over the existing solution types. Validation
+//! over the passive [`PpmSolution`] (which answers target and budget
+//! solves alike) and the active [`ApmSolution`]. Validation
 //! ([`SolveRequest::validate`]) happens once, with typed
 //! [`PlacementError`]s, before any solver state is touched. A work budget
 //! enters only here, and a tripped one is reported as
@@ -25,8 +26,7 @@ use netgraph::{Graph, NodeId};
 use crate::active::{compute_probes, place_beacons_greedy, place_beacons_ilp};
 use crate::instance::PpmInstance;
 use crate::passive::{
-    decreasing_load_picks, greedy_static, BudgetSolution, Deployment, ExactModel, ExactOptions,
-    PpmSolution,
+    decreasing_load_picks, greedy_static, Deployment, ExactModel, ExactOptions, PpmSolution,
 };
 
 /// Typed validation error for placement requests and mutations — the
@@ -79,6 +79,16 @@ pub enum SolveMethod {
     Greedy,
     /// Exact MIP/ILP under the request's node budget.
     Exact,
+}
+
+impl SolveMethod {
+    /// Stable wire token for the method (`greedy` / `exact`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            SolveMethod::Greedy => "greedy",
+            SolveMethod::Exact => "exact",
+        }
+    }
 }
 
 /// A validated solve request: objective, method, and the solver knobs
@@ -248,8 +258,8 @@ impl DegradeReason {
     }
 }
 
-/// The outcome of a unified solve: one enum over the existing solution
-/// types, plus the explicit infeasible case.
+/// The outcome of a unified solve: one enum over [`PpmSolution`] and
+/// [`ApmSolution`], plus the explicit infeasible case.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveOutcome {
     /// The coverage target is unreachable on this instance.
@@ -257,7 +267,7 @@ pub enum SolveOutcome {
     /// A passive (tap) placement.
     Ppm(PpmSolution),
     /// A budget-constrained maximum-coverage placement.
-    Budget(BudgetSolution),
+    Budget(PpmSolution),
     /// An active (beacon) placement.
     Apm(ApmSolution),
     /// An anytime solve whose work budget tripped before proven
@@ -294,7 +304,7 @@ impl SolveOutcome {
 
     /// The placement of a finished budget solve: `Some` for
     /// [`SolveOutcome::Budget`] only.
-    pub fn into_budget(self) -> Option<BudgetSolution> {
+    pub fn into_budget(self) -> Option<PpmSolution> {
         match self {
             SolveOutcome::Budget(sol) => Some(sol),
             _ => None,
@@ -351,57 +361,25 @@ impl<T> Anytime<T> {
     }
 }
 
-/// Maps a PPM kernel attempt onto the outcome surface, running `fallback`
-/// (the paper's greedy on the same constrained state) when the budget
+/// The one mapping from a kernel attempt onto the outcome surface:
+/// `answer` turns a kernel answer into an outcome, and `fallback` (the
+/// paper's greedy on the same constrained state) answers when the budget
 /// tripped before any incumbent existed.
-fn ppm_outcome(
-    attempt: Anytime<Option<PpmSolution>>,
-    fallback: impl FnOnce() -> Option<PpmSolution>,
+fn outcome<T>(
+    attempt: Anytime<T>,
+    answer: impl Fn(T) -> SolveOutcome,
+    fallback: impl FnOnce() -> SolveOutcome,
 ) -> SolveOutcome {
     match attempt {
-        Anytime::Done(Some(s)) => SolveOutcome::Ppm(s),
-        Anytime::Done(None) => SolveOutcome::Unreachable,
-        Anytime::Cut {
-            incumbent,
-            bound,
-            work_spent,
-        } => {
-            let (partial, reason) = match incumbent.flatten() {
-                Some(s) => (SolveOutcome::Ppm(s), DegradeReason::PartialExact),
-                None => match fallback() {
-                    Some(g) => (SolveOutcome::Ppm(g), DegradeReason::GreedyFallback),
-                    None => (SolveOutcome::Unreachable, DegradeReason::GreedyFallback),
-                },
-            };
-            SolveOutcome::Degraded {
-                partial: Box::new(partial),
-                reason,
-                work_spent,
-                bound,
-            }
-        }
-    }
-}
-
-/// [`ppm_outcome`]'s sibling for budget solves (the greedy fallback always
-/// produces a placement — the budget problem is feasible by construction).
-fn budget_outcome(
-    attempt: Anytime<BudgetSolution>,
-    fallback: impl FnOnce() -> BudgetSolution,
-) -> SolveOutcome {
-    match attempt {
-        Anytime::Done(s) => SolveOutcome::Budget(s),
+        Anytime::Done(s) => answer(s),
         Anytime::Cut {
             incumbent,
             bound,
             work_spent,
         } => {
             let (partial, reason) = match incumbent {
-                Some(s) => (SolveOutcome::Budget(s), DegradeReason::PartialExact),
-                None => (
-                    SolveOutcome::Budget(fallback()),
-                    DegradeReason::GreedyFallback,
-                ),
+                Some(s) => (answer(s), DegradeReason::PartialExact),
+                None => (fallback(), DegradeReason::GreedyFallback),
             };
             SolveOutcome::Degraded {
                 partial: Box::new(partial),
@@ -455,16 +433,17 @@ pub(crate) fn solve_ppm_request(
     let (inst, installed, disabled) = (at.inst, at.installed, at.disabled);
     if let Some(devices) = req.device_budget {
         let attempt = ExactModel::solve_max_coverage(budget, at, devices, &search);
-        return Ok(budget_outcome(attempt, || {
-            greedy_budget(inst, devices, installed, disabled)
+        return Ok(outcome(attempt, SolveOutcome::Budget, || {
+            SolveOutcome::Budget(greedy_budget(inst, devices, installed, disabled))
         }));
     }
     let attempt = match req.method {
         SolveMethod::Exact => ExactModel::solve_min_devices(exact, at, k, &search),
         SolveMethod::Greedy => Anytime::Done(greedy_constrained(inst, installed, disabled, k)),
     };
-    Ok(ppm_outcome(attempt, || {
-        greedy_constrained(inst, installed, disabled, k)
+    let ppm = |s: Option<PpmSolution>| s.map_or(SolveOutcome::Unreachable, SolveOutcome::Ppm);
+    Ok(outcome(attempt, ppm, || {
+        ppm(greedy_constrained(inst, installed, disabled, k))
     }))
 }
 
@@ -566,7 +545,7 @@ pub fn greedy_budget(
     budget: usize,
     installed: &[usize],
     disabled: &[usize],
-) -> BudgetSolution {
+) -> PpmSolution {
     let mut edges: Vec<usize> = installed
         .iter()
         .copied()
@@ -590,13 +569,7 @@ pub fn greedy_budget(
         edges.push(e);
         coverage += gain;
     }
-    edges.sort_unstable();
-    BudgetSolution {
-        coverage: inst.coverage(&edges),
-        total_volume: inst.total_volume(),
-        proven_optimal: false,
-        edges,
-    }
+    PpmSolution::from_edges(inst, edges, false)
 }
 
 #[cfg(test)]

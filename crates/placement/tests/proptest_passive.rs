@@ -23,7 +23,7 @@ use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
 use placement::passive::{
     brute_force_ppm, greedy_adaptive, greedy_static, solve_budget, solve_incremental,
-    solve_ppm_exact, solve_ppm_mecf_bb, BudgetSolution, ExactOptions, PpmSolution,
+    solve_ppm_exact, solve_ppm_mecf_bb, ExactOptions, PpmSolution,
 };
 use placement::setcover::slavik_bound;
 use placement::solve::{greedy_constrained, SolveOutcome, SolveRequest};
@@ -503,13 +503,7 @@ impl SubsetOracle {
 
     /// Checks a budget answer: the live installed links plus at most
     /// `budget` free ones, nothing failed, the oracle's coverage, proven.
-    fn check_max_coverage(
-        &self,
-        sol: &BudgetSolution,
-        budget: usize,
-        disabled: &[usize],
-        what: &str,
-    ) {
+    fn check_max_coverage(&self, sol: &PpmSolution, budget: usize, disabled: &[usize], what: &str) {
         assert!(sol.proven_optimal, "{what}: unproven");
         assert!(
             self.live.iter().all(|e| sol.edges.contains(e)),
@@ -601,7 +595,6 @@ proptest! {
 /// comparison. Kept verbatim so the incremental search can be checked
 /// against it bit for bit.
 mod reference_mecf_bb {
-    use mcmf::mecf::MonitoringInstance;
     use placement::instance::PpmInstance;
     use placement::passive::{greedy_adaptive, greedy_static, ExactOptions, PpmSolution};
 
@@ -633,8 +626,7 @@ mod reference_mecf_bb {
             return None;
         }
         let merged = inst.merged();
-        let mon = merged.to_monitoring();
-        let loads = mon.edge_loads();
+        let loads = merged.edge_loads();
         let ne = merged.num_edges;
 
         // Edge → traffics index, built once: the incremental redundancy prune
@@ -689,7 +681,7 @@ mod reference_mecf_bb {
 
             // Flow bound for this node.
             let Some((bound_frac, routed)) = flow_bound(
-                &mon,
+                &merged,
                 &loads,
                 &frame.state,
                 target,
@@ -779,14 +771,14 @@ mod reference_mecf_bb {
     /// per edge; `None` when the target cannot be routed. `items` and
     /// `with_flow` are caller-owned scratch buffers reused across nodes.
     fn flow_bound(
-        mon: &MonitoringInstance,
+        inst: &PpmInstance,
         loads: &[f64],
         state: &[EdgeState],
         target: f64,
         items: &mut Vec<(f64, f64, usize)>,
         with_flow: &mut Vec<(bool, f64)>,
     ) -> Option<(f64, f64)> {
-        let ne = mon.num_edges;
+        let ne = inst.num_edges;
         with_flow.clear();
         with_flow.resize(ne, (false, 0.0));
         if target <= 1e-12 {
@@ -796,7 +788,7 @@ mod reference_mecf_bb {
         // Cheapest allowed edge per traffic; ties prefer the heavier load so
         // flow consolidates onto fewer edges (better incumbents).
         items.clear();
-        for (v, support) in &mon.traffics {
+        for (v, support) in &inst.traffics {
             let mut best: Option<(f64, usize)> = None;
             for &e in support {
                 let cost = match state[e] {

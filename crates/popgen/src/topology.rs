@@ -185,11 +185,6 @@ impl PopSpec {
         self.backbone + self.access
     }
 
-    /// Total number of virtual endpoints.
-    pub fn endpoint_count(&self) -> usize {
-        self.customers + self.peers
-    }
-
     /// Builds the topology.
     ///
     /// # Panics

@@ -111,16 +111,9 @@ pub enum Mode {
     Apm,
 }
 
-/// Which solver a `solve` asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// The paper's greedy (PPM: decreasing-load greedy; APM: improved
-    /// greedy beacon placement).
-    Greedy,
-    /// Exact MIP/ILP with a node budget, warm-started along the
-    /// instance's delta chain.
-    Exact,
-}
+/// Which solver a `solve` asks for: the unified solve API's method,
+/// under the wire's name.
+pub use placement::solve::SolveMethod as Method;
 
 /// A fully validated solve query (the solve-cache key is derived from
 /// exactly these fields).
@@ -543,10 +536,7 @@ pub fn query_key(q: &SolveQuery) -> String {
             Mode::Ppm => "ppm",
             Mode::Apm => "apm",
         },
-        match q.method {
-            Method::Greedy => "greedy",
-            Method::Exact => "exact",
-        },
+        q.method.as_str(),
         q.k.to_bits(),
         q.max_nodes
     );

@@ -32,7 +32,9 @@ use std::time::Duration;
 use crate::protocol;
 use crate::state::Service;
 
-/// Server configuration.
+/// Server configuration. The daemon sets it from its `--threads` and
+/// `--queue` flags only; [`ServerConfig::default`] is 4 permits and 16
+/// waiters per permit.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Concurrent request-processing permits (not a connection cap).
@@ -40,25 +42,6 @@ pub struct ServerConfig {
     /// Overload cap: how many requests may *wait* for a permit before
     /// further requests are shed with a typed `overloaded` error.
     pub queue: usize,
-}
-
-impl ServerConfig {
-    /// Reads `POPMON_THREADS` (like the scenario engine), defaulting to
-    /// 4, and `POPMON_QUEUE` for the shed threshold, defaulting to
-    /// 16 waiters per permit — deep enough that well-behaved closed-loop
-    /// clients never see a shed.
-    pub fn from_env() -> Self {
-        let threads: usize = std::env::var("POPMON_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(4);
-        let queue = std::env::var("POPMON_QUEUE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(threads.saturating_mul(16));
-        ServerConfig { threads, queue }
-    }
 }
 
 impl Default for ServerConfig {

@@ -37,7 +37,7 @@ use popgen::{
 };
 
 use crate::json::Value;
-use crate::protocol::{self, Error, Method, Mode, Page, Request, SolveQuery, WhatIf};
+use crate::protocol::{self, Error, Mode, Page, Request, SolveQuery, WhatIf};
 
 /// Maps a typed `popgen` spec error onto the wire's one-line error
 /// contract (keeping the field/reason structure instead of re-stringifying
@@ -668,19 +668,9 @@ fn run_solve(meta: &SlotMeta, state: &mut SlotState, query: &SolveQuery) -> Arc<
     outcome
 }
 
-/// Bridges a wire query's method onto the unified request.
-fn with_method(req: SolveRequest, method: Method) -> SolveRequest {
-    match method {
-        Method::Greedy => req.greedy(),
-        Method::Exact => req.exact(),
-    }
-}
-
 fn solve_ppm(state: &mut SlotState, query: &SolveQuery) -> SolveOutcome {
-    let mut req = with_method(
-        SolveRequest::ppm(query.k).with_node_budget(query.max_nodes),
-        query.method,
-    );
+    let mut req = SolveRequest::ppm(query.k).with_node_budget(query.max_nodes);
+    req.method = query.method;
     // An anytime budget (explicit, or mapped from a deadline) turns the
     // exact solve into a degradable one; unset budgets leave the request
     // — and hence the whole solve trajectory — byte-identical to before.
@@ -695,7 +685,8 @@ fn solve_ppm(state: &mut SlotState, query: &SolveQuery) -> SolveOutcome {
 
 fn solve_apm(meta: &SlotMeta, query: &SolveQuery) -> SolveOutcome {
     let (graph, _) = meta.pop.router_subgraph();
-    let req = with_method(SolveRequest::apm(), query.method);
+    let mut req = SolveRequest::apm();
+    req.method = query.method;
     solve::solve_apm(&graph, &req).expect("APM requests carry no instance-dependent knobs")
 }
 
@@ -719,16 +710,7 @@ fn solve_fields(
                 .into(),
             ),
         ),
-        (
-            "method".into(),
-            Value::Str(
-                match query.method {
-                    Method::Greedy => "greedy",
-                    Method::Exact => "exact",
-                }
-                .into(),
-            ),
-        ),
+        ("method".into(), Value::Str(query.method.as_str().into())),
         ("version".into(), Value::Num(state.version as f64)),
     ];
     if query.mode == Mode::Ppm {
@@ -778,41 +760,22 @@ fn outcome_fields(fields: &mut Vec<(String, Value)>, outcome: &SolveOutcome, pag
             ),
         )
     };
-    // A PPM-shaped arm shared by target solves and (internal) budget
-    // solves: identical field set, identical order.
-    let ppm_shaped =
-        |fields: &mut Vec<(String, Value)>, edges: &[usize], coverage: f64, total: f64, proven| {
-            let (count, pg, pages, placement) = paged(edges);
+    match outcome {
+        SolveOutcome::Unreachable => {
+            fields.push(("feasible".into(), Value::Bool(false)));
+        }
+        // Target solves and (internal) budget solves: identical field set,
+        // identical order.
+        SolveOutcome::Ppm(sol) | SolveOutcome::Budget(sol) => {
+            let (count, pg, pages, placement) = paged(&sol.edges);
             fields.push(("feasible".into(), Value::Bool(true)));
             fields.push(("devices".into(), count));
             fields.push(("page".into(), pg));
             fields.push(("pages".into(), pages));
             fields.push(("placement".into(), placement));
-            fields.push(("coverage".into(), Value::Num(coverage)));
-            fields.push(("total_volume".into(), Value::Num(total)));
-            fields.push(("proven_optimal".into(), Value::Bool(proven)));
-        };
-    match outcome {
-        SolveOutcome::Unreachable => {
-            fields.push(("feasible".into(), Value::Bool(false)));
-        }
-        SolveOutcome::Ppm(sol) => {
-            ppm_shaped(
-                fields,
-                &sol.edges,
-                sol.coverage,
-                sol.total_volume,
-                sol.proven_optimal,
-            );
-        }
-        SolveOutcome::Budget(sol) => {
-            ppm_shaped(
-                fields,
-                &sol.edges,
-                sol.coverage,
-                sol.total_volume,
-                sol.proven_optimal,
-            );
+            fields.push(("coverage".into(), Value::Num(sol.coverage)));
+            fields.push(("total_volume".into(), Value::Num(sol.total_volume)));
+            fields.push(("proven_optimal".into(), Value::Bool(sol.proven_optimal)));
         }
         SolveOutcome::Apm(sol) => {
             let (count, pg, pages, placement) = paged(&sol.beacons);

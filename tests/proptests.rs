@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use popmon::milp::{Cmp, MipOptions, Model, Sense, VarKind};
 use popmon::placement::instance::PpmInstance;
 use popmon::placement::passive::{
-    brute_force_ppm, greedy_adaptive, greedy_static, solve_ppm_exact, ExactOptions,
+    brute_force_ppm, flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_exact, ExactOptions,
 };
 use popmon::placement::reduction::{msc_to_ppm, ppm_solution_to_msc, ppm_to_msc};
 use popmon::placement::setcover::{brute_force_cover, slavik_bound, SetCoverInstance};
@@ -173,17 +173,9 @@ proptest! {
     #[test]
     fn flow_conservation_on_random_mecf(inst in ppm_instances(), k_pct in 10u32..=100) {
         let k = k_pct as f64 / 100.0;
-        let mon = inst.to_monitoring();
-        if let Some(r) = popmon::mcmf::mecf::flow_greedy(&mon, k) {
-            // The flow-greedy result is a feasible PPM solution.
-            let edges: Vec<usize> = r
-                .selected
-                .iter()
-                .enumerate()
-                .filter(|(_, &s)| s)
-                .map(|(e, _)| e)
-                .collect();
-            prop_assert!(inst.coverage(&edges) + 1e-9 >= r.routed - 1e-9);
+        if let Some(sol) = flow_greedy_ppm(&inst, k) {
+            // The flow-greedy selection covers the flow it routed, k·V.
+            prop_assert!(sol.coverage + 1e-9 >= k * inst.total_volume() - 1e-9);
         }
     }
 }
