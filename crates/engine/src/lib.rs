@@ -63,11 +63,6 @@ impl<P> ScenarioSpec<P> {
         self.seeds_per_point = seeds.max(1);
         self
     }
-
-    /// Total number of cases in the grid.
-    pub fn case_count(&self) -> usize {
-        self.points.len() * self.seeds_per_point as usize
-    }
 }
 
 /// One unit of work handed to the case closure.
@@ -318,7 +313,6 @@ mod tests {
     #[test]
     fn grid_shape_and_order() {
         let spec = ScenarioSpec::new("shape", vec![10usize, 20, 30]).with_seeds(4);
-        assert_eq!(spec.case_count(), 12);
         let grouped = Engine::serial().run_cases(&spec, |c| (*c.point, c.seed));
         assert_eq!(grouped.len(), 3);
         for (pi, row) in grouped.iter().enumerate() {

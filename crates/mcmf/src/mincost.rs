@@ -162,11 +162,6 @@ pub fn min_cost_flow(
     FlowResult { flow: routed, cost }
 }
 
-/// Routes as much flow as possible at minimum cost (min-cost max-flow).
-pub fn min_cost_max_flow(net: &mut FlowNetwork, source: NodeRef, sink: NodeRef) -> FlowResult {
-    min_cost_flow(net, source, sink, f64::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,16 +225,6 @@ mod tests {
         assert_eq!(r.flow, 3.0);
         assert!((r.cost - 8.0).abs() < 1e-9, "cost = {}", r.cost);
         net.check_conservation(s, t).unwrap();
-    }
-
-    #[test]
-    fn min_cost_max_flow_saturates() {
-        let mut net = FlowNetwork::new(3);
-        net.add_arc(n(0), n(1), 4.0, 1.0);
-        net.add_arc(n(1), n(2), 3.0, 1.0);
-        let r = min_cost_max_flow(&mut net, n(0), n(2));
-        assert_eq!(r.flow, 3.0);
-        assert_eq!(r.cost, 6.0);
     }
 
     #[test]

@@ -125,22 +125,9 @@ impl FlowNetwork {
         (NodeRef(self.arcs[fwd + 1].to), NodeRef(self.arcs[fwd].to))
     }
 
-    /// Per-unit cost of forward arc `arc`.
-    pub fn arc_cost(&self, arc: ArcId) -> f64 {
-        self.arcs[arc.index() * 2].cost
-    }
-
     /// Original capacity of forward arc `arc`.
     pub fn arc_capacity(&self, arc: ArcId) -> f64 {
         self.orig_cap[arc.index()]
-    }
-
-    /// Removes all flow, restoring original capacities.
-    pub fn reset_flow(&mut self) {
-        for i in 0..self.orig_cap.len() {
-            self.arcs[2 * i].cap = self.orig_cap[i];
-            self.arcs[2 * i + 1].cap = 0.0;
-        }
     }
 
     /// Total cost of the current flow: `Σ flow(a) · cost(a)`.
@@ -187,7 +174,6 @@ mod tests {
         let a = net.add_arc(NodeRef(0), NodeRef(1), 5.0, 2.0);
         assert_eq!(net.arc_count(), 1);
         assert_eq!(net.arc_endpoints(a), (NodeRef(0), NodeRef(1)));
-        assert_eq!(net.arc_cost(a), 2.0);
         assert_eq!(net.arc_capacity(a), 5.0);
         assert_eq!(net.flow(a), 0.0);
     }
@@ -212,18 +198,5 @@ mod tests {
         let mut net = FlowNetwork::new(2);
         let a = net.add_arc(NodeRef(0), NodeRef(1), f64::INFINITY, 1.0);
         assert_eq!(net.arc_capacity(a), f64::INFINITY);
-    }
-
-    #[test]
-    fn reset_restores_capacity() {
-        let mut net = FlowNetwork::new(2);
-        let a = net.add_arc(NodeRef(0), NodeRef(1), 3.0, 1.0);
-        // Push flow manually through the raw arcs.
-        net.arcs[0].cap -= 2.0;
-        net.arcs[1].cap += 2.0;
-        assert_eq!(net.flow(a), 2.0);
-        net.reset_flow();
-        assert_eq!(net.flow(a), 0.0);
-        assert_eq!(net.arcs[0].cap, 3.0);
     }
 }

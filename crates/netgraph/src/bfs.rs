@@ -61,26 +61,6 @@ pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
     (comp, count)
 }
 
-/// Hop distance (number of edges) from `source` to every node;
-/// `usize::MAX` marks unreachable nodes.
-pub fn hop_distances(graph: &Graph, source: NodeId) -> Result<Vec<usize>> {
-    graph.check_node(source)?;
-    let mut dist = vec![usize::MAX; graph.node_count()];
-    let mut queue = VecDeque::new();
-    dist[source.index()] = 0;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u.index()];
-        for &(_, v) in graph.neighbors(u) {
-            if dist[v.index()] == usize::MAX {
-                dist[v.index()] = du + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    Ok(dist)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,14 +110,5 @@ mod tests {
         let (comp, count) = connected_components(&g);
         assert_eq!(count, 2);
         assert_eq!(comp, vec![0, 0, 0, 1, 1]);
-    }
-
-    #[test]
-    fn hop_distance_counts_edges() {
-        let g = two_islands();
-        let d = hop_distances(&g, NodeId(0)).unwrap();
-        assert_eq!(d[0], 0);
-        assert_eq!(d[2], 2);
-        assert_eq!(d[4], usize::MAX);
     }
 }

@@ -45,15 +45,6 @@ impl Path {
         Ok(Self { nodes, edges })
     }
 
-    /// Builds a single-node path (zero edges).
-    pub fn trivial(graph: &Graph, node: NodeId) -> Result<Self> {
-        graph.check_node(node)?;
-        Ok(Self {
-            nodes: vec![node],
-            edges: Vec::new(),
-        })
-    }
-
     /// Builds a path from a node sequence alone, resolving each hop to the
     /// smallest-id edge joining the pair.
     pub fn from_nodes(graph: &Graph, nodes: Vec<NodeId>) -> Result<Self> {
@@ -212,15 +203,6 @@ mod tests {
         )
         .unwrap();
         assert!(!p.is_simple());
-    }
-
-    #[test]
-    fn trivial_path() {
-        let (g, n, _) = square();
-        let p = Path::trivial(&g, n[2]).unwrap();
-        assert!(p.is_empty());
-        assert_eq!(p.source(), p.target());
-        assert!(p.is_simple());
     }
 
     #[test]

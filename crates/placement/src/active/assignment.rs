@@ -49,11 +49,6 @@ impl ProbeAssignment {
             max_load,
         }
     }
-
-    /// Total messages (= number of probes).
-    pub fn total_messages(&self) -> usize {
-        self.emitter.len()
-    }
 }
 
 /// Greedy balancing: forced probes (one endpoint hosts a beacon) first,
@@ -193,7 +188,6 @@ mod tests {
         let probes = compute_probes(&g, &candidates);
         let placement = place_beacons_greedy(&probes, &candidates);
         let a = assign_probes_greedy(&probes, &placement);
-        assert_eq!(a.total_messages(), probes.len());
         assert_eq!(a.load.iter().sum::<usize>(), probes.len());
         for (p, e) in probes.probes.iter().zip(&a.emitter) {
             assert!(*e == p.u || *e == p.v, "emitter is an extremity");

@@ -23,6 +23,7 @@ use milp::{Cmp, MipOptions, Model, Sense, SolveStatus, VarId, VarKind};
 use netgraph::{Graph, NodeId};
 
 use crate::active::probes::ProbeSet;
+use crate::setcover::{greedy_set_cover, SetCoverInstance};
 
 /// A beacon placement with provenance.
 #[derive(Debug, Clone)]
@@ -86,24 +87,26 @@ pub fn place_beacons_thiran(probes: &ProbeSet, candidates: &[NodeId]) -> BeaconP
 /// The paper's improved greedy: pick the candidate generating the most
 /// remaining probes first ("we can select the beacon that will generate the
 /// greatest number of probes first, then remove these probes from the set
-/// of probes, and so on").
+/// of probes, and so on"). This is [`greedy_set_cover`] with one set per
+/// candidate — the probes it is an endpoint of — so ties go to the
+/// smaller node id.
+///
+/// # Panics
+///
+/// Panics when some probe has no candidate endpoint.
 pub fn place_beacons_greedy(probes: &ProbeSet, candidates: &[NodeId]) -> BeaconPlacement {
-    let mut remaining: Vec<&crate::active::Probe> = probes.probes.iter().collect();
     let mut sorted = candidates.to_vec();
     sorted.sort_unstable();
-    let mut beacons = Vec::new();
-    while !remaining.is_empty() {
-        let (pick, count) = sorted
-            .iter()
-            .copied()
-            .map(|c| (c, remaining.iter().filter(|p| p.u == c || p.v == c).count()))
-            .max_by_key(|&(c, n)| (n, std::cmp::Reverse(c)))
-            .expect("candidates non-empty while probes remain");
-        assert!(count > 0, "probe endpoints are candidates");
-        beacons.push(pick);
-        remaining.retain(|p| p.u != pick && p.v != pick);
-    }
-    BeaconPlacement::new(beacons, false)
+    let sets = sorted
+        .iter()
+        .map(|&c| {
+            let sends = |i: &usize| probes.probes[*i].u == c || probes.probes[*i].v == c;
+            (0..probes.len()).filter(sends).collect()
+        })
+        .collect();
+    let cover = greedy_set_cover(&SetCoverInstance::unweighted(probes.len(), sets))
+        .expect("probe endpoints are candidates");
+    BeaconPlacement::new(cover.selection.iter().map(|&i| sorted[i]).collect(), false)
 }
 
 /// The exact ILP of Section 6.1 (a restricted minimum vertex cover over

@@ -410,9 +410,8 @@ impl DeltaInstance {
     ///
     /// With [`SolveRequest::work_budget`] set the exact solves are
     /// *anytime*: a tripped budget yields [`SolveOutcome::Degraded`] with
-    /// the incumbent or a [`crate::solve::greedy_constrained`] /
-    /// [`crate::solve::greedy_budget`] fallback on the same constrained
-    /// state.
+    /// the incumbent or a [`crate::solve::greedy_constrained`] / greedy
+    /// budget fallback on the same constrained state.
     pub fn solve(&mut self, req: &SolveRequest) -> Result<SolveOutcome, PlacementError> {
         let at = Deployment {
             inst: &self.inst,

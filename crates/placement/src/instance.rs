@@ -93,11 +93,6 @@ impl PpmInstance {
         for &e in selected {
             mask[e] = true;
         }
-        self.coverage_mask(&mask)
-    }
-
-    /// Total volume of the traffics covered by a boolean edge mask.
-    pub fn coverage_mask(&self, mask: &[bool]) -> f64 {
         self.traffics
             .iter()
             .filter(|(_, support)| support.iter().any(|&e| mask[e]))

@@ -2,7 +2,7 @@
 //! tests and property tests to validate the MIP and the heuristics.
 
 use crate::instance::PpmInstance;
-use crate::passive::PpmSolution;
+use crate::passive::{assert_fraction, PpmSolution};
 use crate::reduction::ppm_to_msc;
 use crate::setcover::brute_force_cover;
 
@@ -11,10 +11,7 @@ use crate::setcover::brute_force_cover;
 ///
 /// Returns `None` when no edge set reaches the target.
 pub fn brute_force_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
-    assert!(
-        k.is_finite() && (0.0..=1.0 + 1e-12).contains(&k),
-        "monitoring fraction k must lie in [0, 1], got {k}"
-    );
+    assert_fraction(k);
     let msc = ppm_to_msc(inst);
     let target = k * inst.total_volume();
     let selection = brute_force_cover(&msc, target)?;

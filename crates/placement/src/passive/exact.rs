@@ -23,7 +23,7 @@ use milp::{
 };
 
 use crate::instance::PpmInstance;
-use crate::passive::{greedy_adaptive, greedy_static, selected_edges, PpmSolution};
+use crate::passive::{assert_fraction, greedy_incumbent, selected_edges, PpmSolution};
 use crate::solve::{greedy_budget, Anytime};
 
 /// Options for the exact batch solvers: node limit and gap. The
@@ -199,20 +199,11 @@ pub fn solve_ppm_mecf(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option
     ))
 }
 
-/// Panics unless `k` is a coverage fraction in `[0, 1]` (sweeps may land
-/// a float hair above 1).
-fn assert_fraction(k: f64) {
-    assert!(
-        k.is_finite() && (0.0..=1.0 + 1e-12).contains(&k),
-        "monitoring fraction k must lie in [0, 1], got {k}"
-    );
-}
-
 /// The coverage target `k·V` in absolute volume, or `None` when the
 /// uncoverable (empty-support) traffic makes it unreachable. The target is
 /// `k` of the ORIGINAL volume: merging only drops traffics that cannot be
 /// covered anyway, and the target must not weaken with them.
-fn coverage_target(inst: &PpmInstance, k: f64) -> Option<f64> {
+pub(super) fn coverage_target(inst: &PpmInstance, k: f64) -> Option<f64> {
     let target = k * inst.total_volume();
     (target <= inst.max_coverage_fraction() * inst.total_volume() + 1e-9).then_some(target)
 }
@@ -406,15 +397,9 @@ impl ExactModel {
     /// the original instance (which carries the correct target semantics)
     /// as branch-and-bound's initial incumbent.
     fn seed_greedy(&mut self, inst: &PpmInstance, k: f64) {
-        let warm = match (greedy_static(inst, k), greedy_adaptive(inst, k)) {
-            (Some(a), Some(b)) => Some(if a.device_count() <= b.device_count() {
-                a
-            } else {
-                b
-            }),
-            (a, b) => a.or(b),
+        let Some(w) = greedy_incumbent(inst, k) else {
+            return;
         };
-        let Some(w) = warm else { return };
         let mut values = vec![0.0; self.model.var_count()];
         for &e in &w.edges {
             values[self.xs[e].index()] = 1.0;

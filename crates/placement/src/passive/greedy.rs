@@ -18,7 +18,7 @@ use mcmf::mincost::min_cost_flow;
 use mcmf::FLOW_EPS;
 
 use crate::instance::PpmInstance;
-use crate::passive::PpmSolution;
+use crate::passive::{assert_fraction, PpmSolution};
 use crate::reduction::ppm_to_msc;
 use crate::setcover::greedy_partial_cover;
 
@@ -27,7 +27,7 @@ use crate::setcover::greedy_partial_cover;
 ///
 /// One pass: O(Σ|support| + E log E) (see [`decreasing_load_picks`]).
 pub fn greedy_static(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
-    check_k(k);
+    assert_fraction(k);
     let total = inst.total_volume();
     let skip = vec![false; inst.traffics.len()];
     let dead = vec![false; inst.num_edges];
@@ -124,7 +124,7 @@ pub(crate) fn decreasing_load_picks(
 /// Adaptive (set-cover) greedy: repeatedly pick the edge covering the most
 /// uncovered volume.
 pub fn greedy_adaptive(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
-    check_k(k);
+    assert_fraction(k);
     let msc = ppm_to_msc(inst);
     let target = k * inst.total_volume();
     let g = greedy_partial_cover(&msc, target)?;
@@ -137,7 +137,7 @@ pub fn greedy_adaptive(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
 /// flow. Returns `None` when even monitoring every edge cannot route the
 /// target.
 pub fn flow_greedy_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
-    check_k(k);
+    assert_fraction(k);
     let demand = k * inst.total_volume();
     if demand <= FLOW_EPS {
         return Some(PpmSolution::from_edges(inst, Vec::new(), false));
@@ -160,11 +160,18 @@ pub fn flow_greedy_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
     Some(PpmSolution::from_edges(inst, edges, false))
 }
 
-fn check_k(k: f64) {
-    assert!(
-        k.is_finite() && (0.0..=1.0 + 1e-12).contains(&k),
-        "monitoring fraction k must lie in [0, 1], got {k}"
-    );
+/// The better of [`greedy_static`] and [`greedy_adaptive`] (fewer
+/// devices; the static one on a tie): the exact searches' initial
+/// incumbent.
+pub(crate) fn greedy_incumbent(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
+    match (greedy_static(inst, k), greedy_adaptive(inst, k)) {
+        (Some(a), Some(b)) => Some(if a.device_count() <= b.device_count() {
+            a
+        } else {
+            b
+        }),
+        (a, b) => a.or(b),
+    }
 }
 
 #[cfg(test)]

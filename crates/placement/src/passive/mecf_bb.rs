@@ -24,7 +24,8 @@
 //! changed are re-scanned at the next node.
 
 use crate::instance::PpmInstance;
-use crate::passive::{greedy_adaptive, greedy_static, ExactOptions, PpmSolution};
+use crate::passive::exact::coverage_target;
+use crate::passive::{assert_fraction, greedy_incumbent, ExactOptions, PpmSolution};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EdgeState {
@@ -41,28 +42,14 @@ enum EdgeState {
 /// completed within the node limit. Preferred for large instances (the
 /// Figure 8 scale); the MIP route is kept for cross-validation.
 pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
-    assert!(
-        k.is_finite() && (0.0..=1.0 + 1e-12).contains(&k),
-        "monitoring fraction k must lie in [0, 1], got {k}"
-    );
-    let target = k * inst.total_volume();
-    if target > inst.max_coverage_fraction() * inst.total_volume() + 1e-9 {
-        return None;
-    }
+    assert_fraction(k);
+    let target = coverage_target(inst, k)?;
     let merged = inst.merged();
     let ne = merged.num_edges;
     let mut fb = FlowBound::new(&merged);
 
     // Initial incumbent from the greedy pair.
-    let mut incumbent: Option<Vec<usize>> = match (greedy_static(inst, k), greedy_adaptive(inst, k))
-    {
-        (Some(a), Some(b)) => Some(if a.device_count() <= b.device_count() {
-            a.edges
-        } else {
-            b.edges
-        }),
-        (a, b) => a.or(b).map(|s| s.edges),
-    };
+    let mut incumbent: Option<Vec<usize>> = greedy_incumbent(inst, k).map(|s| s.edges);
 
     // DFS over edge fixings. A frame is its parent's fixings (the first
     // `depth` entries of the bound's trail when it is popped) plus one

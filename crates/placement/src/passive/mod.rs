@@ -13,7 +13,7 @@ pub use exact::{
     ExactOptions,
 };
 pub(crate) use exact::{Deployment, ExactModel};
-pub(crate) use greedy::decreasing_load_picks;
+pub(crate) use greedy::{decreasing_load_picks, greedy_incumbent};
 pub use greedy::{flow_greedy_ppm, greedy_adaptive, greedy_static};
 pub use mecf_bb::solve_ppm_mecf_bb;
 pub use variants::{expected_gain, solve_budget, solve_incremental};
@@ -21,6 +21,15 @@ pub use variants::{expected_gain, solve_budget, solve_incremental};
 use milp::{Solution, VarId};
 
 use crate::instance::PpmInstance;
+
+/// Panics unless `k` is a coverage fraction in `[0, 1]` (sweeps may land
+/// a float hair above 1).
+fn assert_fraction(k: f64) {
+    assert!(
+        k.is_finite() && (0.0..=1.0 + 1e-12).contains(&k),
+        "monitoring fraction k must lie in [0, 1], got {k}"
+    );
+}
 
 /// The edges whose device variable `xs[e]` is one in `sol`, ascending.
 pub(crate) fn selected_edges(xs: &[VarId], sol: &Solution) -> Vec<usize> {

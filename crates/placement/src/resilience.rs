@@ -38,6 +38,7 @@ use popgen::failure::Scenario;
 
 use crate::delta::DeltaInstance;
 use crate::instance::PpmInstance;
+use crate::setcover::{greedy_max_cover, SetCoverInstance};
 use crate::solve::PlacementError;
 
 /// One scenario's outcome for the scored placement.
@@ -365,9 +366,12 @@ pub fn score_ensemble_cold(
 /// Stochastic-aware greedy: picks up to `budget` devices maximizing the
 /// summed covered *fraction* over the sampled ensemble (equivalently, the
 /// expected coverage), accounting for device death — a device on link `e`
-/// contributes nothing in scenarios where `e` fails. Ties break toward
-/// the smaller link index; the build stops early when no device adds
-/// coverage. Returns the chosen links, ascending.
+/// contributes nothing in scenarios where `e` fails or is in
+/// `base_disabled`. It is [`greedy_max_cover`] over one element per
+/// (scenario, traffic), weighted by the traffic's share of that
+/// scenario's volume: gains within `1e-9 ·` the ensemble's total weight
+/// tie and go to the smaller link index, and the build stops early when
+/// no device adds coverage. Returns the chosen links, ascending.
 ///
 /// This is the head-to-head rival of the deterministic optimum in the
 /// `xp_resilience` sweep: on a static instance (empty scenarios'
@@ -381,77 +385,40 @@ pub fn greedy_expected(
     validate(base.num_edges, base.traffics.len(), &[], scenarios)?;
     let num_edges = base.num_edges;
     let t_count = base.traffics.len();
-    let s_count = scenarios.len();
 
-    // Dense per-scenario volumes and totals (sweep-scale ensembles only;
-    // the scorer above is the streaming path).
-    let base_vol: Vec<f64> = base.traffics.iter().map(|&(v, _)| v).collect();
-    let mut vols: Vec<Vec<f64>> = Vec::with_capacity(s_count);
-    let mut totals: Vec<f64> = Vec::with_capacity(s_count);
-    let mut dead: Vec<Vec<bool>> = Vec::with_capacity(s_count);
-    for s in scenarios {
-        let mut v = base_vol.clone();
-        for &(t, f) in &s.demand_factors {
-            v[t] *= f;
-        }
-        totals.push(v.iter().sum());
-        vols.push(v);
-        let mut d = vec![false; num_edges];
-        for &e in base_disabled.iter().chain(&s.failed_links) {
-            if e < num_edges {
-                d[e] = true;
-            }
-        }
-        dead.push(d);
-    }
-    let mut touch: Vec<Vec<u32>> = vec![Vec::new(); num_edges];
+    // Element `s · T + t` is traffic `t` in scenario `s`. Link `e`'s set
+    // lists, scenario by scenario, the traffics on it in traffic order, so
+    // each gain sums the same fractions in the same order as a dense scan.
+    let mut weights = Vec::with_capacity(scenarios.len() * t_count);
+    let mut sets: Vec<Vec<usize>> = vec![Vec::new(); num_edges];
+    let mut touch: Vec<Vec<usize>> = vec![Vec::new(); num_edges];
     for (t, (_, support)) in base.traffics.iter().enumerate() {
         for &e in support {
-            touch[e].push(t as u32);
+            touch[e].push(t);
         }
     }
-
-    let mut covered = vec![false; s_count * t_count];
-    let mut chosen_mask = vec![false; num_edges];
-    let mut chosen = Vec::new();
-    for _ in 0..budget {
-        let mut best: Option<(usize, f64)> = None;
-        for e in 0..num_edges {
-            if chosen_mask[e] || touch[e].is_empty() {
-                continue;
-            }
-            let mut gain = 0.0f64;
-            for s in 0..s_count {
-                if dead[s][e] || totals[s] <= 0.0 {
-                    continue;
-                }
-                let row = &covered[s * t_count..(s + 1) * t_count];
-                for &t in &touch[e] {
-                    if !row[t as usize] {
-                        gain += vols[s][t as usize] / totals[s];
-                    }
-                }
-            }
-            // Strict improvement: ties keep the smallest link index.
-            if best.is_none_or(|(_, g)| gain > g) {
-                best = Some((e, gain));
+    let mut dead = vec![false; num_edges];
+    for (s, scenario) in scenarios.iter().enumerate() {
+        let mut vol: Vec<f64> = base.traffics.iter().map(|&(v, _)| v).collect();
+        for &(t, f) in &scenario.demand_factors {
+            vol[t] *= f;
+        }
+        let total: f64 = vol.iter().sum();
+        weights.extend(
+            vol.iter()
+                .map(|v| if total > 0.0 { v / total } else { 0.0 }),
+        );
+        dead.fill(false);
+        for &e in base_disabled.iter().chain(&scenario.failed_links) {
+            if e < num_edges {
+                dead[e] = true;
             }
         }
-        let Some((e, gain)) = best else { break };
-        if gain <= 0.0 {
-            break;
-        }
-        chosen_mask[e] = true;
-        chosen.push(e);
-        for s in 0..s_count {
-            if dead[s][e] {
-                continue;
-            }
-            for &t in &touch[e] {
-                covered[s * t_count + t as usize] = true;
-            }
+        for e in (0..num_edges).filter(|&e| !dead[e]) {
+            sets[e].extend(touch[e].iter().map(|&t| s * t_count + t));
         }
     }
+    let mut chosen = greedy_max_cover(&SetCoverInstance::new(weights, sets), budget).selection;
     chosen.sort_unstable();
     Ok(chosen)
 }

@@ -4,9 +4,14 @@
 //! results: the greedy algorithm is a `(ln n − ln ln n + O(1))`
 //! approximation (Slavík), and no polynomial algorithm does better than
 //! `(1 − ε) ln n` unless NP ⊂ DTIME(n^{log log n}) (Feige). This module
-//! implements the weighted-element *partial* cover greedy — covering at
-//! least a target weight of elements with the fewest sets — which
-//! specializes to plain MSC at target = total weight.
+//! holds the workspace's one marginal-gain greedy — repeatedly pick the
+//! set adding the most still-uncovered element weight — in two forms:
+//! the *partial* cover ([`greedy_partial_cover`]: reach a target weight
+//! with the fewest sets; plain MSC at target = total weight) and the
+//! *max coverage* greedy ([`greedy_max_cover`]: cover the most weight
+//! with at most `budget` sets). Link placement (Section 4.3), the probe
+//! cover and beacon placement (Section 6.1), the budget fallback and the
+//! ensemble greedy all run it.
 
 /// A (partial, weighted-element) set cover instance.
 #[derive(Debug, Clone)]
@@ -97,24 +102,23 @@ pub struct GreedyCover {
     pub covered: f64,
 }
 
-/// Greedy partial cover: repeatedly pick the set covering the most
-/// still-uncovered weight until `target` weight is covered.
-///
-/// Returns `None` when the target exceeds the coverable weight. Ties break
-/// on the smaller set index, so the output is deterministic.
-pub fn greedy_partial_cover(inst: &SetCoverInstance, target: f64) -> Option<GreedyCover> {
-    let n = inst.weights.len();
-    let mut covered = vec![false; n];
+/// The greedy's gain tolerance: a set must add more than this, and gains
+/// within it tie.
+fn tolerance(inst: &SetCoverInstance) -> f64 {
+    1e-9 * inst.total_weight().max(1.0)
+}
+
+/// The marginal-gain loop: pick the unused set covering the most
+/// still-uncovered weight until `target` weight is covered, `max_picks`
+/// sets are picked, or no set adds more than `tol`. Gains within `tol`
+/// tie, and ties go to the smaller set index.
+fn greedy_picks(inst: &SetCoverInstance, target: f64, max_picks: usize) -> GreedyCover {
+    let mut covered = vec![false; inst.weights.len()];
     let mut covered_w = 0.0f64;
     let mut selection = Vec::new();
-    let tol = 1e-9 * inst.total_weight().max(1.0);
-
-    if target > inst.max_coverable_weight() + tol {
-        return None;
-    }
-
+    let tol = tolerance(inst);
     let mut used = vec![false; inst.sets.len()];
-    while covered_w + tol < target {
+    while selection.len() < max_picks && covered_w + tol < target {
         let mut best: Option<(usize, f64)> = None;
         for (i, s) in inst.sets.iter().enumerate() {
             if used[i] {
@@ -129,7 +133,7 @@ pub fn greedy_partial_cover(inst: &SetCoverInstance, target: f64) -> Option<Gree
                 best = Some((i, gain));
             }
         }
-        let (pick, gain) = best?; // None only on numeric pathologies
+        let Some((pick, gain)) = best else { break };
         used[pick] = true;
         selection.push(pick);
         covered_w += gain;
@@ -137,11 +141,35 @@ pub fn greedy_partial_cover(inst: &SetCoverInstance, target: f64) -> Option<Gree
             covered[e] = true;
         }
     }
-
-    Some(GreedyCover {
+    GreedyCover {
         selection,
         covered: covered_w,
-    })
+    }
+}
+
+/// Greedy partial cover: repeatedly pick the set covering the most
+/// still-uncovered weight until `target` weight is covered.
+///
+/// Returns `None` when the target exceeds the coverable weight. A set must
+/// add more than `1e-9 ·` the total weight, and ties within that go to the
+/// smaller set index, so the output is deterministic.
+pub fn greedy_partial_cover(inst: &SetCoverInstance, target: f64) -> Option<GreedyCover> {
+    let tol = tolerance(inst);
+    if target > inst.max_coverable_weight() + tol {
+        return None;
+    }
+    let g = greedy_picks(inst, target, usize::MAX);
+    if g.covered + tol < target {
+        return None; // only on numeric pathologies
+    }
+    Some(g)
+}
+
+/// Greedy maximum coverage: the same picks as [`greedy_partial_cover`],
+/// but up to `budget` sets, stopping early once no set adds more than
+/// `1e-9 ·` the total weight.
+pub fn greedy_max_cover(inst: &SetCoverInstance, budget: usize) -> GreedyCover {
+    greedy_picks(inst, f64::INFINITY, budget)
 }
 
 /// Full-cover convenience wrapper (`MSC`): greedy until everything
@@ -303,5 +331,32 @@ mod tests {
         let g = greedy_set_cover(&inst).unwrap();
         assert!(g.selection.is_empty());
         assert_eq!(brute_force_cover(&inst, 0.0), Some(vec![]));
+        assert!(greedy_max_cover(&inst, 3).selection.is_empty());
+    }
+
+    #[test]
+    fn max_cover_stops_at_the_budget_or_when_nothing_is_left() {
+        let inst = SetCoverInstance::new(
+            vec![5.0, 4.0, 3.0, 0.0],
+            vec![vec![3], vec![0], vec![1, 2], vec![2], vec![1]],
+        );
+        // Set 0 holds only a zero-weight element: never picked.
+        let g = greedy_max_cover(&inst, 1);
+        assert_eq!(g.selection, vec![2]);
+        assert_eq!(g.covered, 7.0);
+        let g = greedy_max_cover(&inst, 10);
+        assert_eq!(g.selection, vec![2, 1]);
+        assert_eq!(g.covered, 12.0);
+        assert!(greedy_max_cover(&inst, 0).selection.is_empty());
+    }
+
+    #[test]
+    fn max_cover_ties_go_to_the_smaller_index() {
+        // Sets 1 and 2 add the same weight up to a rounding error.
+        let inst = SetCoverInstance::new(vec![0.3, 0.1, 0.2], vec![vec![], vec![0], vec![1, 2]]);
+        assert_ne!(0.3f64, 0.1 + 0.2);
+        assert_eq!(greedy_max_cover(&inst, 1).selection, vec![1]);
+        // The partial cover runs the same loop.
+        assert_eq!(greedy_partial_cover(&inst, 0.3).unwrap().selection, vec![1]);
     }
 }

@@ -28,6 +28,8 @@ use crate::instance::PpmInstance;
 use crate::passive::{
     decreasing_load_picks, greedy_static, Deployment, ExactModel, ExactOptions, PpmSolution,
 };
+use crate::reduction::ppm_to_msc;
+use crate::setcover::greedy_max_cover;
 
 /// Typed validation error for placement requests and mutations — the
 /// `placement`-side counterpart of `popgen::SpecError`: a stable field
@@ -537,10 +539,12 @@ pub fn greedy_constrained(
 /// The greedy counterpart of the budget MIP, used as the degradation
 /// fallback: live installed devices contribute their coverage for free
 /// (failure beats installation), then up to `budget` new devices are
-/// added one at a time by best marginal coverage gain, skipping failed
-/// links. Never proven optimal. `installed` and `disabled` must be
-/// sorted.
-pub fn greedy_budget(
+/// added one at a time by best marginal coverage gain
+/// ([`greedy_max_cover`]), skipping installed and failed links. Gains
+/// within `1e-9 ·` the uncovered volume tie and go to the smaller link
+/// index; the build stops early when no link adds coverage. Never proven
+/// optimal. `installed` and `disabled` must be sorted.
+pub(crate) fn greedy_budget(
     inst: &PpmInstance,
     budget: usize,
     installed: &[usize],
@@ -551,24 +555,19 @@ pub fn greedy_budget(
         .copied()
         .filter(|e| disabled.binary_search(e).is_err())
         .collect();
-    let mut coverage = inst.coverage(&edges);
-    for _ in 0..budget {
-        let mut best: Option<(usize, f64)> = None;
-        for e in 0..inst.num_edges {
-            if disabled.binary_search(&e).is_ok() || edges.contains(&e) {
-                continue;
-            }
-            let mut trial = edges.clone();
-            trial.push(e);
-            let gain = inst.coverage(&trial) - coverage;
-            if gain > best.map_or(0.0, |(_, g)| g) {
-                best = Some((e, gain));
-            }
+    let mut msc = ppm_to_msc(inst);
+    for (w, (_, support)) in msc.weights.iter_mut().zip(&inst.traffics) {
+        if support.iter().any(|e| edges.binary_search(e).is_ok()) {
+            *w = 0.0;
         }
-        let Some((e, gain)) = best else { break };
-        edges.push(e);
-        coverage += gain;
     }
+    // `disabled` is not range-checked on this path.
+    for &e in installed.iter().chain(disabled) {
+        if let Some(set) = msc.sets.get_mut(e) {
+            set.clear();
+        }
+    }
+    edges.extend(greedy_max_cover(&msc, budget).selection);
     PpmSolution::from_edges(inst, edges, false)
 }
 
@@ -635,6 +634,33 @@ mod tests {
         let chained = DeltaInstance::from_instance(&inst).solve(&req).unwrap();
         for out in [one_shot, chained] {
             assert_eq!(out, SolveOutcome::Budget(want.clone()));
+        }
+    }
+
+    #[test]
+    fn greedy_budget_adds_only_devices_that_raise_coverage() {
+        use popgen::{FamilySpec, GravitySpec};
+
+        // No traffic crosses link 1. A greedy that re-summed the whole
+        // coverage per trial link saw a one-ulp "gain" there and put a
+        // device on it; the marginal-gain kernel stops after link 16.
+        let spec = FamilySpec::canonical("hier", 11, 3).expect("known family");
+        let pop = spec.build(110).expect("valid spec");
+        let inst =
+            PpmInstance::from_traffic(&pop.graph, &GravitySpec::default().generate(&pop, 110));
+        let (installed, disabled) = ([0], [4, 10, 12]);
+        assert!(inst
+            .traffics
+            .iter()
+            .all(|(_, support)| !support.contains(&1)));
+        let sol = greedy_budget(&inst, 6, &installed, &disabled);
+        assert_eq!(sol.edges, vec![0, 16]);
+        for &e in sol.edges.iter().filter(|e| !installed.contains(e)) {
+            let without: Vec<usize> = sol.edges.iter().copied().filter(|&f| f != e).collect();
+            assert!(
+                inst.coverage(&without) < sol.coverage,
+                "link {e} adds nothing"
+            );
         }
     }
 
