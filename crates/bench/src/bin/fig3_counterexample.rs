@@ -8,9 +8,8 @@
 //! Output: one row per algorithm with its device count and selection.
 
 use placement::instance::PpmInstance;
-use placement::passive::{
-    brute_force_ppm, greedy_adaptive, greedy_static, solve_ppm_exact, ExactOptions,
-};
+use placement::passive::{brute_force_ppm, greedy_adaptive, greedy_static};
+use placement::solve::{solve_instance, SolveRequest};
 
 fn main() {
     let inst = PpmInstance::new(
@@ -38,7 +37,10 @@ fn main() {
         adaptive.edges,
         adaptive.coverage
     );
-    let ilp = solve_ppm_exact(&inst, 1.0, &ExactOptions::default()).expect("feasible");
+    let ilp = solve_instance(&inst, &SolveRequest::ppm(1.0))
+        .expect("valid request")
+        .into_ppm()
+        .expect("feasible");
     println!(
         "ilp,{},{:?},{}",
         ilp.device_count(),

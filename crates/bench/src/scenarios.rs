@@ -26,12 +26,11 @@ use placement::delta::DeltaInstance;
 use placement::dynamic::{run_controller, ControllerSpec};
 use placement::instance::PpmInstance;
 use placement::passive::{
-    flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_exact, solve_ppm_mecf_bb,
-    ExactOptions, PpmSolution,
+    flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_mecf_bb, ExactOptions, PpmSolution,
 };
 use placement::resilience::{greedy_expected, score_ensemble};
 use placement::sampling::{solve_ppme, SamplingProblem};
-use placement::solve::{SolveOutcome, SolveRequest};
+use placement::solve::{solve_instance, SolveOutcome, SolveRequest};
 use popgen::dynamic::{DynamicSpec, TrafficProcess};
 use popgen::{
     FailureModel, FailureSpec, FamilySpec, GravitySpec, MultiTraffic, Pop, TrafficSet, TrafficSpec,
@@ -57,6 +56,14 @@ fn ppm_instance(pop: &Pop, seed: u64) -> PpmInstance {
 fn chain_ppm(chain: &mut DeltaInstance, k: f64) -> Option<PpmSolution> {
     chain
         .solve(&SolveRequest::ppm(k))
+        .expect("valid request")
+        .into_ppm()
+}
+
+/// A cold exact `PPM(k)` solve with default knobs; `None` when the target
+/// is unreachable.
+fn fresh_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
+    solve_instance(inst, &SolveRequest::ppm(k))
         .expect("valid request")
         .into_ppm()
 }
@@ -331,8 +338,7 @@ struct IncrementalSeedSetup {
 
 fn incremental_seed_setup(pop: &Pop, seed: u64) -> IncrementalSeedSetup {
     let inst = ppm_instance(pop, seed);
-    let base = solve_ppm_exact(&inst, 0.8, &ExactOptions::default())
-        .expect("PPM(0.8) is feasible on this POP");
+    let base = fresh_ppm(&inst, 0.8).expect("PPM(0.8) is feasible on this POP");
     IncrementalSeedSetup {
         inst,
         base_edges: base.edges,
@@ -441,8 +447,7 @@ struct CampaignSeedSetup {
 fn campaign_seed_setup(pop: &Pop, seed: u64) -> CampaignSeedSetup {
     let ts = TrafficSpec::default().generate(pop, seed);
     let inst = PpmInstance::from_traffic(&pop.graph, &ts);
-    let placed = solve_ppm_exact(&inst, 0.8, &ExactOptions::default())
-        .expect("PPM(0.8) is feasible on the campaign POP");
+    let placed = fresh_ppm(&inst, 0.8).expect("PPM(0.8) is feasible on the campaign POP");
     let mut installed = vec![false; pop.graph.edge_count()];
     for &e in &placed.edges {
         installed[e] = true;
@@ -545,8 +550,7 @@ pub fn dynamic_traffic_report(
         let seed = *c.point;
         let ts = TrafficSpec::default().generate(pop, seed);
         let inst = PpmInstance::from_traffic(&pop.graph, &ts);
-        let placed =
-            solve_ppm_exact(&inst, 0.95, &ExactOptions::default()).expect("PPM(0.95) feasible");
+        let placed = fresh_ppm(&inst, 0.95).expect("PPM(0.95) feasible");
         let mut installed = vec![false; ne];
         for &e in &placed.edges {
             installed[e] = true;

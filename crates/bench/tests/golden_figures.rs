@@ -14,7 +14,8 @@
 
 use engine::Engine;
 use placement::instance::PpmInstance;
-use placement::passive::{greedy_static, solve_ppm_exact, solve_ppm_mecf_bb, ExactOptions};
+use placement::passive::{greedy_static, solve_ppm_mecf_bb, ExactOptions};
+use placement::solve::{solve_instance, SolveRequest};
 use popgen::{PopSpec, TrafficSpec};
 use popmon_bench::scenarios;
 
@@ -45,7 +46,10 @@ fn fig7_passive_10_golden_seed0() {
             "fig7 greedy device count moved at k = {k_pct}%"
         );
         assert!(inst.is_feasible(&g.edges, k));
-        let ilp = solve_ppm_exact(&inst, k, &ExactOptions::default()).expect("feasible");
+        let ilp = solve_instance(&inst, &SolveRequest::ppm(k))
+            .unwrap()
+            .into_ppm()
+            .expect("feasible");
         assert_eq!(
             ilp.device_count(),
             ilp_want,

@@ -9,8 +9,6 @@
 //!
 //! * [`FlowNetwork`] — a directed flow network with `f64` capacities and
 //!   per-unit costs, stored in the usual paired-residual-arc form;
-//! * [`maxflow`] — Dinic's algorithm (used for feasibility checks and as a
-//!   building block);
 //! * [`mincost`] — successive shortest paths with node potentials
 //!   (Bellman–Ford bootstrap, Dijkstra with reduced costs afterwards);
 //! * [`mecf`] — construction of the paper's auxiliary graph from edge
@@ -25,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod maxflow;
 pub mod mecf;
 pub mod mincost;
 mod network;

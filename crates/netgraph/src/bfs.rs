@@ -1,4 +1,4 @@
-//! Unweighted traversal: reachability, connected components, hop distances.
+//! Unweighted traversal: reachability and connectivity.
 
 use std::collections::VecDeque;
 
@@ -32,33 +32,6 @@ pub fn is_connected(graph: &Graph) -> bool {
     reachable_mask(graph, NodeId(0))
         .map(|mask| mask.iter().all(|&b| b))
         .unwrap_or(false)
-}
-
-/// Assigns each node a component id in `0..component_count`; returns
-/// `(component ids, component count)`. Component ids follow the smallest
-/// node id in each component, so the labelling is deterministic.
-pub fn connected_components(graph: &Graph) -> (Vec<usize>, usize) {
-    let n = graph.node_count();
-    let mut comp = vec![usize::MAX; n];
-    let mut count = 0;
-    for start in 0..n {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let mut queue = VecDeque::new();
-        comp[start] = count;
-        queue.push_back(NodeId(start as u32));
-        while let Some(u) = queue.pop_front() {
-            for &(_, v) in graph.neighbors(u) {
-                if comp[v.index()] == usize::MAX {
-                    comp[v.index()] = count;
-                    queue.push_back(v);
-                }
-            }
-        }
-        count += 1;
-    }
-    (comp, count)
 }
 
 #[cfg(test)]
@@ -102,13 +75,5 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.add_node("only");
         assert!(is_connected(&b.build()));
-    }
-
-    #[test]
-    fn components_are_labelled_deterministically() {
-        let g = two_islands();
-        let (comp, count) = connected_components(&g);
-        assert_eq!(count, 2);
-        assert_eq!(comp, vec![0, 0, 0, 1, 1]);
     }
 }

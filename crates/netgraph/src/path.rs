@@ -103,11 +103,6 @@ impl Path {
         seen.windows(2).all(|w| w[0] != w[1])
     }
 
-    /// `true` when the path traverses `edge`.
-    pub fn uses_edge(&self, edge: EdgeId) -> bool {
-        self.edges.contains(&edge)
-    }
-
     /// `true` when the path visits `node`.
     pub fn visits(&self, node: NodeId) -> bool {
         self.nodes.contains(&node)
@@ -168,8 +163,7 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert!((p.cost(&g) - 2.0).abs() < 1e-12);
         assert!(p.is_simple());
-        assert!(p.uses_edge(e[0]));
-        assert!(!p.uses_edge(e[2]));
+        assert_eq!(p.edges(), &[e[0], e[1]]);
     }
 
     #[test]

@@ -119,17 +119,4 @@ proptest! {
             prop_assert_eq!(mask[v.index()], tree.distance(v).is_some());
         }
     }
-
-    #[test]
-    fn components_partition_the_graph(g in graphs()) {
-        let (comp, count) = bfs::connected_components(&g);
-        prop_assert!(count >= 1);
-        for e in g.edges() {
-            let (u, v) = g.endpoints(e);
-            prop_assert_eq!(comp[u.index()], comp[v.index()], "edges stay inside components");
-        }
-        for v in g.nodes() {
-            prop_assert!(comp[v.index()] < count);
-        }
-    }
 }

@@ -244,7 +244,7 @@ pub fn campaign_exact(prob: &CampaignProblem) -> CampaignSolution {
 mod tests {
     use super::*;
     use crate::instance::PpmInstance;
-    use crate::passive::{solve_ppm_exact, ExactOptions};
+    use crate::solve::exact_ppm;
     use popgen::{PopSpec, TrafficSpec};
 
     fn setup(k: f64) -> (popgen::Pop, TrafficSet, Vec<bool>) {
@@ -253,7 +253,7 @@ mod tests {
         let pop = PopSpec::paper_10().build();
         let ts = TrafficSpec::default().generate(&pop, 1);
         let inst = PpmInstance::from_traffic(&pop.graph, &ts);
-        let sol = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+        let sol = exact_ppm(&inst, k).unwrap();
         let mut installed = vec![false; pop.graph.edge_count()];
         for &e in &sol.edges {
             installed[e] = true;

@@ -10,7 +10,7 @@
 //!
 //! * **warm-started exact solves** — the chain keeps one minimum-device
 //!   (LP 2) and one budget model of the crate's single exact kernel,
-//!   `passive::ExactModel` — the one the one-shot solvers build and throw
+//!   `passive::ExactModel` — the one [`solve_instance`] builds and throws
 //!   away — built once per instance structure. Successive grid points
 //!   only move a right-hand side ([`milp::Model::set_rhs`]) and
 //!   re-optimize from the previous point's root basis with the dual
@@ -23,20 +23,19 @@
 //!   Yen/Dijkstra only for the traffics whose path actually crossed it
 //!   ([`netgraph::delta::RoutePlan`]).
 //!
-//! Results are *identical* to the one-shot solvers — the chains reuse
-//! bases, never answers: a proven-optimal device count is the unique
-//! optimum either way (pinned by `tests/delta_chain.rs` against
-//! [`solve_ppm_exact`]/[`solve_incremental`]/[`solve_budget`] on the
-//! seed-0 sweeps). Both paths run the one serial search, so a budgeted
-//! solve stops at the same point on either (pinned by
+//! Results are *identical* to cold solves — the chains reuse bases,
+//! never answers: a proven-optimal device count is the unique optimum
+//! either way (pinned by `tests/delta_chain.rs` on the seed-0 sweeps
+//! against [`solve_instance`] for fresh points and against a fresh
+//! chain per point once a base is installed). Both paths run the one
+//! serial search, so a budgeted solve stops at the same point on either
+//! (pinned by
 //! `solve::tests::budgeted_one_shot_and_chained_solves_keep_their_search_bits`).
 //! Since both paths share the kernel, "chain equals fresh solve" cannot
 //! catch a model-building bug; `tests/proptest_passive.rs` checks both
 //! against subset enumeration.
 //!
-//! [`solve_ppm_exact`]: crate::passive::solve_ppm_exact
-//! [`solve_incremental`]: crate::passive::solve_incremental
-//! [`solve_budget`]: crate::passive::solve_budget
+//! [`solve_instance`]: crate::solve::solve_instance
 
 use netgraph::delta::RoutePlan;
 use netgraph::{EdgeId, Graph, NodeId};
@@ -270,11 +269,10 @@ impl DeltaInstance {
     }
 
     /// Replaces the pre-installed device set (edges fixed to 1 at zero
-    /// cost — [`solve_incremental`]'s sunk-cost semantics). A bound/cost
-    /// repair on the cached exact model: only the edges whose status
-    /// changed are touched and the warm chain survives.
-    ///
-    /// [`solve_incremental`]: crate::passive::solve_incremental
+    /// cost — the paper's incremental deployment: exact solves count only
+    /// new devices, budget solves add at most the budget on top). A
+    /// bound/cost repair on the cached exact model: only the edges whose
+    /// status changed are touched and the warm chain survives.
     pub fn try_set_installed(&mut self, installed: &[usize]) -> Result<(), PlacementError> {
         for &e in installed {
             self.check_link("installed", e)?;
@@ -404,14 +402,16 @@ impl DeltaInstance {
     /// solve method of a chain, and the one the `popmond` service routes
     /// through. Exact solves ride the warm chain, on the same kernel and
     /// dispatch as [`crate::solve::solve_instance`] but with the serial
-    /// search; greedy solves run [`crate::solve::greedy_constrained`] on
-    /// the borrowed instance. APM requests are rejected (they need a
-    /// router graph; use [`crate::solve::solve_apm`]).
+    /// search; greedy solves run the paper's decreasing-load greedy on
+    /// the borrowed instance, with the live installed devices' coverage
+    /// free and no device on a failed link — the only public form of that
+    /// constrained greedy. APM requests are rejected (they need a router
+    /// graph; use [`crate::solve::solve_apm`]).
     ///
     /// With [`SolveRequest::work_budget`] set the exact solves are
     /// *anytime*: a tripped budget yields [`SolveOutcome::Degraded`] with
-    /// the incumbent or a [`crate::solve::greedy_constrained`] / greedy
-    /// budget fallback on the same constrained state.
+    /// the incumbent or the matching greedy (constrained or budget)
+    /// fallback on the same constrained state.
     pub fn solve(&mut self, req: &SolveRequest) -> Result<SolveOutcome, PlacementError> {
         let at = Deployment {
             inst: &self.inst,
@@ -450,9 +450,8 @@ fn support_of(plan: &RoutePlan, i: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::instance::fixture_figure3;
-    use crate::passive::{
-        solve_budget, solve_incremental, solve_ppm_exact, ExactOptions, PpmSolution,
-    };
+    use crate::passive::PpmSolution;
+    use crate::solve::exact_ppm;
 
     /// An exact `PPM(k)` solve on the chain with default knobs.
     fn chain_ppm(delta: &mut DeltaInstance, k: f64) -> Option<PpmSolution> {
@@ -465,14 +464,135 @@ mod tests {
         out.into_budget().expect("budget request")
     }
 
+    /// A fresh chain on `inst` with `installed` in place: its first solve
+    /// builds the model cold, like a one-shot solve.
+    fn fresh_chain(inst: &PpmInstance, installed: &[usize]) -> DeltaInstance {
+        let mut delta = DeltaInstance::from_instance(inst);
+        delta.try_set_installed(installed).unwrap();
+        delta
+    }
+
+    /// Minimum devices reaching `k` with `installed` pinned, cold.
+    fn fresh_incremental(inst: &PpmInstance, k: f64, installed: &[usize]) -> Option<PpmSolution> {
+        chain_ppm(&mut fresh_chain(inst, installed), k)
+    }
+
+    /// Maximum coverage of `devices` new devices on top of `installed`,
+    /// cold.
+    fn fresh_budget(inst: &PpmInstance, devices: usize, installed: &[usize]) -> PpmSolution {
+        chain_budget(&mut fresh_chain(inst, installed), devices)
+    }
+
+    #[test]
+    fn incremental_respects_installed() {
+        let inst = fixture_figure3();
+        // Pre-install the greedy-bait heavy link 0; completing to k=1 needs
+        // 2 more (links 3/4 or 1/2 pick up the weight-1 traffics).
+        let s = fresh_incremental(&inst, 1.0, &[0]).unwrap();
+        assert!(s.edges.contains(&0), "installed device must stay");
+        assert_eq!(
+            s.device_count(),
+            3,
+            "two new devices on top of the installed one"
+        );
+        assert!(inst.is_feasible(&s.edges, 1.0));
+    }
+
+    #[test]
+    fn incremental_rejects_bad_edge() {
+        let mut delta = DeltaInstance::from_instance(&fixture_figure3());
+        let err = delta.try_set_installed(&[99]).unwrap_err();
+        assert_eq!(err.field, "installed");
+        assert!(err.message.contains("out of range"), "{err}");
+        assert!(
+            delta.installed().is_empty(),
+            "a rejected set changes nothing"
+        );
+    }
+
+    #[test]
+    fn budget_zero_covers_installed_only() {
+        let inst = fixture_figure3();
+        let s = fresh_budget(&inst, 0, &[0]);
+        assert_eq!(s.edges, vec![0]);
+        assert_eq!(s.coverage, 4.0);
+    }
+
+    #[test]
+    fn budget_one_fresh_takes_heaviest() {
+        let inst = fixture_figure3();
+        let s = fresh_budget(&inst, 1, &[]);
+        assert_eq!(s.edges.len(), 1);
+        assert_eq!(
+            s.coverage, 4.0,
+            "best single edge covers the two weight-2 traffics"
+        );
+    }
+
+    #[test]
+    fn budget_two_fresh_covers_everything() {
+        let inst = fixture_figure3();
+        let s = fresh_budget(&inst, 2, &[]);
+        assert_eq!(s.coverage, 6.0);
+        assert!((s.coverage_fraction() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn budget_is_monotone() {
+        let inst = fixture_figure3();
+        let mut last = 0.0;
+        for b in 0..=3 {
+            let s = fresh_budget(&inst, b, &[]);
+            assert!(s.coverage + 1e-9 >= last);
+            last = s.coverage;
+        }
+    }
+
+    #[test]
+    fn expected_gain_decreases_with_base() {
+        let inst = fixture_figure3();
+        // The paper's expected gain of buying one device: the budget
+        // optimum on top of the base minus the base's own coverage.
+        let gain = |installed: &[usize]| {
+            fresh_budget(&inst, 1, installed).coverage - inst.coverage(installed)
+        };
+        assert_eq!(gain(&[]), 4.0);
+        // With edge 0 installed, one more device adds at most 2.0 (link 1
+        // adds t2 (1.0) with t0 already covered; link 2 likewise).
+        let on_top = gain(&[0]);
+        assert!(on_top <= 2.0 + 1e-9);
+        assert!(on_top > 0.0);
+    }
+
+    #[test]
+    fn budget_answers_list_only_devices_that_raise_coverage() {
+        // The budget model gives devices no cost, so its optimum may also
+        // switch on link 0, which covers nothing links 1, 3 and 4 miss.
+        let inst = PpmInstance::new(
+            5,
+            vec![
+                (3.0, vec![]),
+                (0.0, vec![1, 3]),
+                (5.0, vec![0, 4]),
+                (5.0, vec![0, 1]),
+                (0.0, vec![]),
+                (0.0, vec![4]),
+                (4.0, vec![1, 4]),
+            ],
+        );
+        let s = fresh_budget(&inst, 3, &[3]);
+        assert_eq!(s.edges, vec![1, 3, 4]);
+        assert_eq!(s.coverage, 14.0);
+        assert!(s.proven_optimal);
+    }
+
     #[test]
     fn chain_matches_one_shot_on_figure3() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        let opts = ExactOptions::default();
         for k in [0.5, 0.75, 0.9, 1.0] {
             let chained = chain_ppm(&mut delta, k).unwrap();
-            let fresh = solve_ppm_exact(&inst, k, &opts).unwrap();
+            let fresh = exact_ppm(&inst, k).unwrap();
             assert_eq!(chained.device_count(), fresh.device_count(), "k = {k}");
             assert!(inst.is_feasible(&chained.edges, k));
             assert!(chained.proven_optimal);
@@ -484,10 +604,9 @@ mod tests {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
         delta.try_set_installed(&[0]).unwrap();
-        let opts = ExactOptions::default();
         for k in [0.75, 1.0] {
             let chained = chain_ppm(&mut delta, k).unwrap();
-            let fresh = solve_incremental(&inst, k, &[0], &opts).unwrap();
+            let fresh = fresh_incremental(&inst, k, &[0]).unwrap();
             assert_eq!(chained.device_count(), fresh.device_count(), "k = {k}");
             assert!(chained.edges.contains(&0), "installed device must stay");
         }
@@ -497,10 +616,9 @@ mod tests {
     fn budget_chain_matches_one_shot() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        let opts = ExactOptions::default();
         for b in 0..=3 {
             let chained = chain_budget(&mut delta, b);
-            let fresh = solve_budget(&inst, b, &[], &opts);
+            let fresh = fresh_budget(&inst, b, &[]);
             assert!(
                 (chained.coverage - fresh.coverage).abs() < 1e-9,
                 "budget = {b}"
@@ -512,7 +630,6 @@ mod tests {
     fn structural_deltas_invalidate_and_stay_exact() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        let opts = ExactOptions::default();
         let _ = chain_ppm(&mut delta, 1.0).unwrap();
 
         // Scale one demand, add a flow, remove a flow — after each delta
@@ -521,12 +638,12 @@ mod tests {
         delta.try_scale_demand(0, 3.0).unwrap();
         let t = delta.try_add_flow(2.5, vec![3, 4]).unwrap();
         let a = chain_ppm(&mut delta, 0.9).unwrap();
-        let fresh = solve_ppm_exact(delta.instance(), 0.9, &opts).unwrap();
+        let fresh = exact_ppm(delta.instance(), 0.9).unwrap();
         assert_eq!(a.device_count(), fresh.device_count());
 
         delta.try_remove_flow(t).unwrap();
         let b = chain_ppm(&mut delta, 0.9).unwrap();
-        let fresh = solve_ppm_exact(delta.instance(), 0.9, &opts).unwrap();
+        let fresh = exact_ppm(delta.instance(), 0.9).unwrap();
         assert_eq!(b.device_count(), fresh.device_count());
     }
 
@@ -573,7 +690,6 @@ mod tests {
     fn volume_deltas_keep_the_warm_chain_alive() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        let opts = ExactOptions::default();
         let _ = chain_ppm(&mut delta, 1.0).unwrap();
         assert!(delta.exact_cache.is_some());
 
@@ -592,7 +708,7 @@ mod tests {
 
         // And the repaired model answers exactly like a cold solve.
         let chained = chain_ppm(&mut delta, 0.9).unwrap();
-        let fresh = solve_ppm_exact(delta.instance(), 0.9, &opts).unwrap();
+        let fresh = exact_ppm(delta.instance(), 0.9).unwrap();
         assert_eq!(chained.device_count(), fresh.device_count());
         assert!(delta.instance().is_feasible(&chained.edges, 0.9));
 
@@ -603,7 +719,7 @@ mod tests {
             "new support group must drop the cache"
         );
         let chained = chain_ppm(&mut delta, 0.9).unwrap();
-        let fresh = solve_ppm_exact(delta.instance(), 0.9, &opts).unwrap();
+        let fresh = exact_ppm(delta.instance(), 0.9).unwrap();
         assert_eq!(chained.device_count(), fresh.device_count());
     }
 
@@ -611,15 +727,14 @@ mod tests {
     fn unrouted_link_toggles_keep_the_warm_chain_alive() {
         let inst = fixture_figure3();
         let mut delta = DeltaInstance::from_instance(&inst);
-        let opts = ExactOptions::default();
         let _ = chain_ppm(&mut delta, 1.0).unwrap();
 
         // Unrouted fail/restore never re-routes: pure bound repairs.
         delta.try_fail_link(1).unwrap();
         assert!(delta.exact_cache.is_some(), "fail must repair in place");
         let a = chain_ppm(&mut delta, 1.0).unwrap();
-        let fresh = solve_ppm_exact(delta.instance(), 1.0, &opts).unwrap();
-        // solve_ppm_exact has no disabled set; compare against the chained
+        let fresh = exact_ppm(delta.instance(), 1.0).unwrap();
+        // The fresh solve has no disabled set; compare against the chained
         // invariant instead: feasible, link excluded, optimal.
         assert!(!a.edges.contains(&1));
         assert!(delta.instance().is_feasible(&a.edges, 1.0));
@@ -628,7 +743,7 @@ mod tests {
         delta.try_restore_link(1).unwrap();
         assert!(delta.exact_cache.is_some(), "restore must repair in place");
         let b = chain_ppm(&mut delta, 1.0).unwrap();
-        let cold = solve_ppm_exact(delta.instance(), 1.0, &opts).unwrap();
+        let cold = exact_ppm(delta.instance(), 1.0).unwrap();
         assert_eq!(b.device_count(), cold.device_count());
 
         // set_installed is a cost/bound repair on the changed edges only.
@@ -638,12 +753,12 @@ mod tests {
             "set_installed must repair in place"
         );
         let c = chain_ppm(&mut delta, 1.0).unwrap();
-        let cold = solve_incremental(delta.instance(), 1.0, &[0], &opts).unwrap();
+        let cold = fresh_incremental(delta.instance(), 1.0, &[0]).unwrap();
         assert_eq!(c.device_count(), cold.device_count());
         assert!(c.edges.contains(&0));
         delta.try_set_installed(&[]).unwrap();
         let d = chain_ppm(&mut delta, 1.0).unwrap();
-        let cold = solve_ppm_exact(delta.instance(), 1.0, &opts).unwrap();
+        let cold = exact_ppm(delta.instance(), 1.0).unwrap();
         assert_eq!(d.device_count(), cold.device_count());
     }
 
@@ -657,7 +772,6 @@ mod tests {
             PpmInstance::from_traffic(&pop.graph, &ts)
         };
         let mut delta = DeltaInstance::from_instance(&inst);
-        let opts = ExactOptions::default();
         let k = 0.8;
         let _ = chain_ppm(&mut delta, k);
 
@@ -708,16 +822,11 @@ mod tests {
                 (None, None) => {}
                 (a, b) => panic!("step {step}: chained {a:?} vs cold {b:?}"),
             }
-            // Solver-independent anchor where the one-shot API applies.
+            // A cold anchor with no mutation history: a fresh chain on the
+            // materialized instance, where no link is failed.
             if delta.disabled.is_empty() {
-                let snapshot = delta.instance();
                 let installed = delta.installed.clone();
-                let one_shot = if installed.is_empty() {
-                    solve_ppm_exact(snapshot, k, &opts)
-                } else {
-                    solve_incremental(snapshot, k, &installed, &opts)
-                };
-                if let Some(b) = one_shot {
+                if let Some(b) = fresh_incremental(delta.instance(), k, &installed) {
                     let a = chain_ppm(&mut delta, k).unwrap();
                     assert_eq!(a.device_count(), b.device_count(), "step {step}");
                 }

@@ -391,7 +391,7 @@ mod tests {
 
         // Install devices from an exact PPM solve at k = 0.95.
         let inst = crate::instance::PpmInstance::from_traffic(&pop.graph, &ts);
-        let sol = crate::passive::solve_ppm_exact(&inst, 0.95, &Default::default()).unwrap();
+        let sol = crate::solve::exact_ppm(&inst, 0.95).unwrap();
         let mut installed = vec![false; ne];
         for &e in &sol.edges {
             installed[e] = true;

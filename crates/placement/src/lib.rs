@@ -13,9 +13,10 @@
 //!   constructing actual graphs and traffic sets;
 //! * [`passive`] — `PPM(k)` solvers: the paper's decreasing-load greedy,
 //!   the adaptive (set-cover) greedy, the flow greedy on the MECF
-//!   relaxation, the exact LP 2 MIP, the LP 1 arc-path MIP for
-//!   cross-validation, brute force for tests, and the incremental /
-//!   budget-constrained variants (Sections 4.3–4.4);
+//!   relaxation, the flow-bound branch-and-bound, the LP 1 arc-path MIP
+//!   for cross-validation and brute force for tests; the exact LP 2 MIP
+//!   and its incremental / budget-constrained variants (Sections 4.3–4.4)
+//!   run through [`solve`];
 //! * [`sampling`] — `PPME(h, k)` with setup and exploitation costs and
 //!   multi-routed traffics (Section 5, Linear Program 3);
 //! * [`dynamic`] — `PPME*(x, h, k)` re-optimization (LP and min-cost-flow
@@ -34,7 +35,8 @@
 //!   and whose link failures re-route only the crossing traffics;
 //! * [`solve`] — the unified solve API: one typed
 //!   [`SolveRequest`](solve::SolveRequest) → [`SolveOutcome`](solve::SolveOutcome)
-//!   pair shared by the batch, delta-chain, and service entry points;
+//!   pair, the only public way to run an exact LP 2 or budget solve,
+//!   shared by the batch, delta-chain, and service entry points;
 //! * [`resilience`] — Monte-Carlo resilience campaigns: a fixed placement
 //!   scored over a sampled failure ensemble through one warm delta chain,
 //!   plus the stochastic-aware greedy on expected coverage.

@@ -1,6 +1,6 @@
 //! Exact `PPM(k)` via the paper's MIP formulations.
 //!
-//! * [`build_lp2`] / [`solve_ppm_exact`] — Linear Program 2, the compact
+//! * [`build_lp2`] / [`ExactModel`] — Linear Program 2, the compact
 //!   formulation: binary `x_e` (device on link `e`), fractional `δ_t`
 //!   (share of traffic `t` monitored), constraints
 //!   `Σ_{e ∈ p_t} x_e ≥ δ_t` and `Σ_t δ_t·v_t ≥ k·Σ_t v_t`.
@@ -8,13 +8,15 @@
 //!   MECF formulation with explicit flow variables `f_t^e`; bigger but kept
 //!   for cross-validation (Theorem 2 says both solve the same problem).
 //!
-//! Every LP 2 and budget solve — [`solve_ppm_exact`], the incremental and
-//! budget variants, the unified dispatcher and the warm chains of
-//! [`crate::delta`] — goes through one crate-private [`ExactModel`]. It
-//! merges identical-support traffics (halving the row count on
-//! symmetric-routing instances), fixes installed and failed links, seeds
-//! the MIP with the best greedy solution on plain instances so
-//! branch-and-bound prunes from the start, and reads the placement back.
+//! Every LP 2 and budget solve goes through one crate-private
+//! [`ExactModel`]: [`crate::solve::solve_instance`] and
+//! [`crate::delta::DeltaInstance::solve`] answer a
+//! [`crate::solve::SolveRequest`] with it, and `sampling`'s inner `PPM(1)`
+//! cover calls it directly at its own gap. It merges identical-support
+//! traffics (halving the row count on symmetric-routing instances), fixes
+//! installed and failed links, seeds the MIP with the best greedy solution
+//! on plain instances so branch-and-bound prunes from the start, and reads
+//! the placement back.
 
 use std::collections::HashMap;
 
@@ -26,11 +28,15 @@ use crate::instance::PpmInstance;
 use crate::passive::{assert_fraction, greedy_incumbent, selected_edges, PpmSolution};
 use crate::solve::{greedy_budget, Anytime};
 
-/// Options for the exact batch solvers: node limit and gap. The
-/// MIP-based ones, one-shot or chained, all run them through one serial
-/// `milp` search configuration. A deterministic work budget is a
-/// [`crate::solve::SolveRequest`] knob, not one of these: the request path
-/// reports a tripped budget as [`crate::solve::SolveOutcome::Degraded`].
+/// Options for the exact solvers that sit outside the
+/// [`crate::solve::SolveRequest`] path: node limit and gap. They are taken
+/// by [`solve_ppm_mecf_bb`](crate::passive::solve_ppm_mecf_bb), the LP 1
+/// reference [`solve_ppm_mecf`], `PPME` ([`crate::sampling::solve_ppme`])
+/// and `sampling`'s inner LP 2 cover. A request maps its node budget onto
+/// these defaults, so every LP 2 and budget solve it runs uses the
+/// default gap; a deterministic work budget is a
+/// [`crate::solve::SolveRequest`] knob, not one of these, and a tripped
+/// one is reported as [`crate::solve::SolveOutcome::Degraded`].
 #[derive(Debug, Clone)]
 pub struct ExactOptions {
     /// Node limit handed to branch-and-bound.
@@ -60,8 +66,8 @@ impl Default for ExactOptions {
 /// own total volume).
 ///
 /// Returns the model and the `x_e` variable per edge (the `δ_t` variables
-/// follow in order but are internal). The generic building block behind
-/// the exact solver and the incremental/budget variants.
+/// follow in order but are internal). The same program the exact LP 2
+/// solves build over the merged instance.
 pub fn build_lp2(inst: &PpmInstance, k: f64) -> (Model, Vec<VarId>) {
     build_lp2_target(inst, k * inst.total_volume())
 }
@@ -122,6 +128,40 @@ fn build_budget_model(merged: &PpmInstance, installed: &[usize]) -> (Model, Vec<
     (model, xs)
 }
 
+/// Drops, in ascending link order, each new (not installed) device of a
+/// budget answer whose removal leaves no positive-volume traffic of
+/// `at.inst` uncovered. The budget model gives devices no cost, so an
+/// optimum may switch on a free link that covers nothing the others do
+/// not. The covered traffics stay the same, so the coverage does too, to
+/// the bit.
+fn drop_idle_devices(at: Deployment<'_>, mut edges: Vec<usize>) -> Vec<usize> {
+    let traffics = &at.inst.traffics;
+    // How many selected devices sit on each traffic.
+    let mut cover: Vec<usize> = traffics
+        .iter()
+        .map(|(_, s)| edges.iter().filter(|e| s.contains(e)).count())
+        .collect();
+    edges.retain(|&e| {
+        if at.installed.binary_search(&e).is_ok() {
+            return true;
+        }
+        let crosses = |(v, s): &(f64, Vec<usize>)| *v > 0.0 && s.contains(&e);
+        let needed = traffics
+            .iter()
+            .zip(&cover)
+            .any(|(t, &c)| crosses(t) && c == 1);
+        if !needed {
+            for (t, c) in traffics.iter().zip(&mut cover) {
+                if crosses(t) {
+                    *c -= 1;
+                }
+            }
+        }
+        needed
+    });
+    edges
+}
+
 /// Builds Linear Program 1 (arc-path MECF form) for `inst` at fraction `k`.
 ///
 /// Variables: `x_e` binary and one `f_t^e ≥ 0` per (traffic, edge on its
@@ -167,16 +207,6 @@ pub fn build_lp1_target(inst: &PpmInstance, target_volume: f64) -> (Model, Vec<V
     (m, xs)
 }
 
-/// Solves `PPM(k)` exactly through Linear Program 2.
-///
-/// Returns `None` when the target is unreachable (uncoverable traffic
-/// exceeds `1 - k`).
-pub fn solve_ppm_exact(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
-    assert_fraction(k);
-    ExactModel::solve_min_devices(&mut None, Deployment::fresh(inst), k, &opts.mip(None))
-        .unbudgeted()
-}
-
 /// Solves `PPM(k)` exactly through the arc-path Linear Program 1 (slower;
 /// used for cross-validation against LP 2).
 pub fn solve_ppm_mecf(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
@@ -209,7 +239,7 @@ pub(super) fn coverage_target(inst: &PpmInstance, k: f64) -> Option<f64> {
 }
 
 impl ExactOptions {
-    /// The MIP search of every exact PPM solve, one-shot or chained: these
+    /// The MIP search of an exact PPM solve, one-shot or chained: these
     /// limits and gap under `work_budget`.
     pub(crate) fn mip(&self, work_budget: Option<u64>) -> MipOptions {
         MipOptions {
@@ -304,7 +334,9 @@ impl ExactModel {
 
     /// Maximum coverage with at most `budget` new devices on top of `at`'s
     /// live installed ones, on the budget model in `slot` — built there
-    /// first when the slot is empty. When the node limit closes the search
+    /// first when the slot is empty. Every answer, complete or
+    /// interrupted, lists only new devices that raise its coverage
+    /// ([`drop_idle_devices`]). When the node limit closes the search
     /// before any incumbent lands, the greedy ([`greedy_budget`]) answers.
     pub(crate) fn solve_max_coverage(
         slot: &mut Option<Self>,
@@ -316,7 +348,7 @@ impl ExactModel {
         this.model.set_rhs(this.goal_row, budget as f64);
         this.solve(
             opts,
-            |edges, proven| PpmSolution::from_edges(at.inst, edges, proven),
+            |edges, proven| PpmSolution::from_edges(at.inst, drop_idle_devices(at, edges), proven),
             |e| {
                 matches!(e, SolverError::NodeLimitNoSolution { .. })
                     .then(|| greedy_budget(at.inst, budget, at.installed, at.disabled))
@@ -478,11 +510,12 @@ mod tests {
     use super::*;
     use crate::instance::fixture_figure3;
     use crate::passive::brute_force_ppm;
+    use crate::solve::exact_ppm;
 
     #[test]
     fn figure3_optimum_is_two() {
         let inst = fixture_figure3();
-        let s = solve_ppm_exact(&inst, 1.0, &ExactOptions::default()).unwrap();
+        let s = exact_ppm(&inst, 1.0).unwrap();
         assert_eq!(
             s.device_count(),
             2,
@@ -496,7 +529,7 @@ mod tests {
     fn lp1_agrees_with_lp2_on_figure3() {
         let inst = fixture_figure3();
         for k in [0.5, 0.75, 1.0] {
-            let a = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+            let a = exact_ppm(&inst, k).unwrap();
             let b = solve_ppm_mecf(&inst, k, &ExactOptions::default()).unwrap();
             assert_eq!(a.device_count(), b.device_count(), "k = {k}");
         }
@@ -518,7 +551,7 @@ mod tests {
         ];
         for inst in instances {
             for k in [0.4, 0.7, 0.9, 1.0] {
-                let exact = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+                let exact = exact_ppm(&inst, k).unwrap();
                 let brute = brute_force_ppm(&inst, k).unwrap();
                 assert_eq!(
                     exact.device_count(),
@@ -535,7 +568,7 @@ mod tests {
     fn exact_never_beaten_by_greedy() {
         let inst = fixture_figure3();
         for k in [0.5, 0.8, 1.0] {
-            let exact = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+            let exact = exact_ppm(&inst, k).unwrap();
             for g in [
                 crate::passive::greedy_static(&inst, k).unwrap(),
                 crate::passive::greedy_adaptive(&inst, k).unwrap(),
@@ -549,15 +582,62 @@ mod tests {
     #[test]
     fn unreachable_target_returns_none() {
         let inst = crate::instance::PpmInstance::new(1, vec![(1.0, vec![0]), (1.0, vec![])]);
-        assert!(solve_ppm_exact(&inst, 1.0, &ExactOptions::default()).is_none());
-        assert!(solve_ppm_exact(&inst, 0.5, &ExactOptions::default()).is_some());
+        assert!(exact_ppm(&inst, 1.0).is_none());
+        assert!(exact_ppm(&inst, 0.5).is_some());
     }
 
     #[test]
     fn zero_k_is_empty_solution() {
         let inst = fixture_figure3();
-        let s = solve_ppm_exact(&inst, 0.0, &ExactOptions::default()).unwrap();
+        let s = exact_ppm(&inst, 0.0).unwrap();
         assert_eq!(s.device_count(), 0);
+    }
+
+    #[test]
+    fn a_loose_gap_stops_early_and_is_never_proven() {
+        use popgen::{PopSpec, TrafficSpec};
+
+        // Both roots are fractional, so at `rel_gap: 1.0` the search stops
+        // at its first incumbent within 100% of the bound: a worse answer
+        // than the default gap proves, reported unproven. Requests always
+        // run the default gap; `sampling`'s inner cover is the one caller
+        // that passes its own.
+        let pop = PopSpec::paper_10().build();
+        let ts = TrafficSpec::default().generate(&pop, 1);
+        let inst = PpmInstance::from_traffic(&pop.graph, &ts);
+        let tight = ExactOptions::default().mip(None);
+        let loose = ExactOptions {
+            rel_gap: 1.0,
+            ..ExactOptions::default()
+        }
+        .mip(None);
+        let fresh = Deployment::fresh(&inst);
+        let based = Deployment {
+            installed: &[3, 5],
+            ..fresh
+        };
+
+        let budget = |opts| ExactModel::solve_max_coverage(&mut None, fresh, 4, opts).unbudgeted();
+        let (a, b) = (budget(&loose), budget(&tight));
+        assert!(b.proven_optimal);
+        assert!(!a.proven_optimal, "budget at rel_gap 1.0 claims optimality");
+        assert!(a.coverage < b.coverage, "budget ignored rel_gap");
+
+        let devices = |opts| {
+            ExactModel::solve_min_devices(&mut None, based, 0.9, opts)
+                .unbudgeted()
+                .expect("reachable")
+        };
+        let (a, b) = (devices(&loose), devices(&tight));
+        assert!(b.proven_optimal);
+        assert!(
+            !a.proven_optimal,
+            "incremental at rel_gap 1.0 claims optimality"
+        );
+        assert!(
+            a.device_count() > b.device_count(),
+            "incremental ignored rel_gap"
+        );
     }
 
     #[test]
@@ -566,7 +646,7 @@ mod tests {
         let ts = popgen::TrafficSpec::default().generate(&pop, 17);
         let inst = crate::instance::PpmInstance::from_traffic(&pop.graph, &ts);
         let k = 0.9;
-        let exact = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+        let exact = exact_ppm(&inst, k).unwrap();
         let greedy = crate::passive::greedy_static(&inst, k).unwrap();
         assert!(inst.is_feasible(&exact.edges, k));
         assert!(exact.device_count() <= greedy.device_count());

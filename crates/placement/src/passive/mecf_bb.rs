@@ -36,8 +36,9 @@ enum EdgeState {
 
 /// Exact `PPM(k)` via branch-and-bound with min-cost-flow bounds.
 ///
-/// Same contract as [`crate::passive::solve_ppm_exact`] (which uses the
-/// LP 2 MIP): returns `None` when the target is unreachable, and a
+/// Same contract as an exact [`crate::solve::SolveRequest::ppm`] solve
+/// (which uses the LP 2 MIP): returns `None` when the target is
+/// unreachable, and a
 /// [`PpmSolution`] with `proven_optimal` reflecting whether the search
 /// completed within the node limit. Preferred for large instances (the
 /// Figure 8 scale); the MIP route is kept for cross-validation.
@@ -475,7 +476,7 @@ impl Prune {
 mod tests {
     use super::*;
     use crate::instance::fixture_figure3;
-    use crate::passive::solve_ppm_exact;
+    use crate::solve::exact_ppm;
 
     #[test]
     fn figure3_optimum() {
@@ -493,7 +494,7 @@ mod tests {
         let inst = crate::instance::PpmInstance::from_traffic(&pop.graph, &ts);
         for k in [0.6, 0.8, 0.9, 0.95, 1.0] {
             let a = solve_ppm_mecf_bb(&inst, k, &ExactOptions::default()).unwrap();
-            let b = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+            let b = exact_ppm(&inst, k).unwrap();
             assert!(a.proven_optimal && b.proven_optimal);
             assert_eq!(a.device_count(), b.device_count(), "k = {k}");
             assert!(inst.is_feasible(&a.edges, k));

@@ -1,22 +1,21 @@
-//! `PPM(k)` solvers: greedy heuristics, exact MIPs, and deployment
-//! variants (paper Sections 4.3–4.4).
+//! `PPM(k)` solvers: greedy heuristics and exact MIPs (paper Sections
+//! 4.3–4.4). The deployment variants — incremental, budget, expected
+//! gain — are [`crate::solve::SolveRequest`]s on a
+//! [`crate::delta::DeltaInstance`].
 
 mod brute;
 mod exact;
 mod greedy;
 mod mecf_bb;
-mod variants;
 
 pub use brute::brute_force_ppm;
 pub use exact::{
-    build_lp1, build_lp1_target, build_lp2, build_lp2_target, solve_ppm_exact, solve_ppm_mecf,
-    ExactOptions,
+    build_lp1, build_lp1_target, build_lp2, build_lp2_target, solve_ppm_mecf, ExactOptions,
 };
 pub(crate) use exact::{Deployment, ExactModel};
 pub(crate) use greedy::{decreasing_load_picks, greedy_incumbent};
 pub use greedy::{flow_greedy_ppm, greedy_adaptive, greedy_static};
 pub use mecf_bb::solve_ppm_mecf_bb;
-pub use variants::{expected_gain, solve_budget, solve_incremental};
 
 use milp::{Solution, VarId};
 

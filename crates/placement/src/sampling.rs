@@ -26,7 +26,7 @@ use milp::{Cmp, Model, Sense, SolveStatus, VarId, VarKind};
 use netgraph::Graph;
 use popgen::{MultiTraffic, TrafficSet};
 
-use crate::passive::ExactOptions;
+use crate::passive::{Deployment, ExactModel, ExactOptions};
 
 /// One routed path of a (possibly multi-routed) traffic.
 #[derive(Debug, Clone)]
@@ -387,14 +387,18 @@ fn full_cover_incumbent(prob: &SamplingProblem, opts: &ExactOptions) -> Option<V
             .map(|p| (p.volume, p.edges.clone()))
             .collect(),
     );
-    // Keep the inner PPM solve cheap: it only seeds the incumbent.
+    // Keep the inner PPM solve cheap: it only seeds the incumbent. The
+    // one LP 2 solve at a gap other than the default, so it runs the
+    // kernel directly rather than through a `SolveRequest`.
     let inner = ExactOptions {
         max_nodes: 2_000,
         rel_gap: opts.rel_gap.max(1e-9),
         ..ExactOptions::default()
     };
-    let cover = crate::passive::solve_ppm_exact(&inst, 1.0, &inner)
-        .or_else(|| crate::passive::greedy_adaptive(&inst, 1.0))?;
+    let cover =
+        ExactModel::solve_min_devices(&mut None, Deployment::fresh(&inst), 1.0, &inner.mip(None))
+            .unbudgeted()
+            .or_else(|| crate::passive::greedy_adaptive(&inst, 1.0))?;
     let mut values = vec![0.0; prob.num_edges * 2 + prob.paths.len()];
     for &e in &cover.edges {
         values[e] = 1.0; // x_e

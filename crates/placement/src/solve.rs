@@ -11,12 +11,18 @@
 //! ([`SolveRequest::validate`]) happens once, with typed
 //! [`PlacementError`]s, before any solver state is touched. A work budget
 //! enters only here, and a tripped one is reported as
-//! [`SolveOutcome::Degraded`]. The batch kernels
-//! ([`solve_ppm_exact`](crate::passive::solve_ppm_exact),
-//! [`solve_budget`](crate::passive::solve_budget), …) take
-//! [`ExactOptions`] and run unbudgeted. See DESIGN.md § "The solve API".
+//! [`SolveOutcome::Degraded`].
 //!
+//! It is the only public way to run an exact LP 2 or budget solve. A
+//! fresh solve is [`solve_instance`]; one with installed or failed links
+//! builds a [`DeltaInstance`], applies them
+//! ([`DeltaInstance::try_set_installed`], [`DeltaInstance::try_fail_link`])
+//! and calls [`DeltaInstance::solve`]. See DESIGN.md § "The solve API".
+//!
+//! [`DeltaInstance`]: crate::delta::DeltaInstance
 //! [`DeltaInstance::solve`]: crate::delta::DeltaInstance::solve
+//! [`DeltaInstance::try_set_installed`]: crate::delta::DeltaInstance::try_set_installed
+//! [`DeltaInstance::try_fail_link`]: crate::delta::DeltaInstance::try_fail_link
 
 use std::fmt;
 
@@ -393,20 +399,29 @@ fn outcome<T>(
     }
 }
 
-/// Solves a one-shot PPM request on a static instance, through the same
-/// dispatch as [`DeltaInstance::solve`] on throwaway models: the batch
-/// kernels ([`solve_ppm_exact`] / [`greedy_static`] / [`solve_budget`])
-/// under the request's knobs. APM requests are rejected here — they need
-/// a router graph, not an edge-support instance; use [`solve_apm`].
+/// Solves a one-shot PPM request on a static instance, nothing installed
+/// and nothing failed, through the same dispatch as
+/// [`DeltaInstance::solve`] on throwaway models: the exact LP 2 or budget
+/// program, or [`greedy_static`], under the request's knobs. APM requests
+/// are rejected here — they need a router graph, not an edge-support
+/// instance; use [`solve_apm`].
 ///
 /// [`DeltaInstance::solve`]: crate::delta::DeltaInstance::solve
-/// [`solve_ppm_exact`]: crate::passive::solve_ppm_exact
-/// [`solve_budget`]: crate::passive::solve_budget
 pub fn solve_instance(
     inst: &PpmInstance,
     req: &SolveRequest,
 ) -> Result<SolveOutcome, PlacementError> {
     solve_ppm_request(req, Deployment::fresh(inst), &mut None, &mut None)
+}
+
+/// An exact `PPM(k)` solve with default knobs on a fresh instance: the
+/// tests' shorthand for [`solve_instance`] with [`SolveRequest::ppm`].
+/// `None` when the target is unreachable.
+#[cfg(test)]
+pub(crate) fn exact_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
+    solve_instance(inst, &SolveRequest::ppm(k))
+        .expect("valid request")
+        .into_ppm()
 }
 
 /// The one PPM request dispatch behind [`solve_instance`] and
@@ -480,10 +495,10 @@ pub fn solve_apm(graph: &Graph, req: &SolveRequest) -> Result<SolveOutcome, Plac
 /// [`DeltaInstance::solve`]), failed links can never host a device,
 /// and the greedy covers the residual target on the traffics the live
 /// installed set leaves uncovered. `installed` and `disabled` must be
-/// sorted.
+/// sorted. Its public form is a greedy [`DeltaInstance::solve`].
 ///
 /// [`DeltaInstance::solve`]: crate::delta::DeltaInstance::solve
-pub fn greedy_constrained(
+pub(crate) fn greedy_constrained(
     inst: &PpmInstance,
     installed: &[usize],
     disabled: &[usize],
@@ -575,7 +590,6 @@ pub(crate) fn greedy_budget(
 mod tests {
     use super::*;
     use crate::delta::DeltaInstance;
-    use crate::passive::{solve_budget, solve_ppm_exact};
 
     fn figure3() -> PpmInstance {
         PpmInstance::new(
@@ -592,10 +606,13 @@ mod tests {
     #[test]
     fn unified_request_matches_the_kernels() {
         let inst = figure3();
-        let opts = ExactOptions::default();
+        let search = ExactOptions::default().mip(None);
+        let fresh = || Deployment::fresh(&inst);
         for k in [0.5, 0.75, 1.0] {
             let unified = solve_instance(&inst, &SolveRequest::ppm(k)).unwrap();
-            let kernel = solve_ppm_exact(&inst, k, &opts).unwrap();
+            let kernel = ExactModel::solve_min_devices(&mut None, fresh(), k, &search)
+                .unbudgeted()
+                .unwrap();
             let SolveOutcome::Ppm(sol) = unified else {
                 panic!("expected a PPM outcome");
             };
@@ -610,7 +627,8 @@ mod tests {
         }
         for b in 0..=3 {
             let unified = solve_instance(&inst, &SolveRequest::budget(b)).unwrap();
-            let kernel = solve_budget(&inst, b, &[], &opts);
+            let kernel =
+                ExactModel::solve_max_coverage(&mut None, fresh(), b, &search).unbudgeted();
             let SolveOutcome::Budget(sol) = unified else {
                 panic!("expected a budget outcome");
             };

@@ -1,18 +1,19 @@
 //! Chain-equals-fresh regression: a [`DeltaInstance`] walking a sweep
 //! grid (warm-started solves, one model per structure) must reproduce the
-//! device counts of the one-shot solvers on fresh instances, point for
-//! point, on the seed-0 state of each experiment grid.
+//! device counts of cold solves, point for point, on the seed-0 state of
+//! each experiment grid.
 //!
 //! This is the correctness half of the warm-start layer's contract (the
 //! speed half is `popbench`'s `serve_whatif` workload): the chains reuse
-//! *bases*, never answers, so every proven-optimal count must agree with the
-//! corresponding `solve_ppm_exact` / `solve_incremental` / `solve_budget`
-//! call scenarios.rs used to make per grid point.
+//! *bases*, never answers, so every proven-optimal count must agree with
+//! a fresh [`solve_instance`] or, once a base is installed, with a fresh
+//! chain per grid point — the cold solves scenarios.rs used to make per
+//! grid point.
 
 use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
-use placement::passive::{solve_budget, solve_incremental, solve_ppm_exact, ExactOptions};
-use placement::solve::SolveRequest;
+use placement::passive::PpmSolution;
+use placement::solve::{solve_instance, SolveRequest};
 use popgen::{PopSpec, TrafficSpec};
 
 fn seed0_instance() -> PpmInstance {
@@ -21,11 +22,24 @@ fn seed0_instance() -> PpmInstance {
     PpmInstance::from_traffic(&pop.graph, &ts)
 }
 
-/// The fig7 k-grid: chained exact solves vs. fresh `solve_ppm_exact`.
+/// A cold exact `PPM(k)` solve, nothing installed.
+fn fresh_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
+    solve_instance(inst, &SolveRequest::ppm(k))
+        .unwrap()
+        .into_ppm()
+}
+
+/// A fresh chain with `installed` pinned: its first solve is cold.
+fn fresh_chain(inst: &PpmInstance, installed: &[usize]) -> DeltaInstance {
+    let mut chain = DeltaInstance::from_instance(inst);
+    chain.try_set_installed(installed).unwrap();
+    chain
+}
+
+/// The fig7 k-grid: chained exact solves vs. fresh [`solve_instance`].
 #[test]
 fn fig7_grid_chain_matches_fresh() {
     let inst = seed0_instance();
-    let opts = ExactOptions::default();
     let mut chain = DeltaInstance::from_instance(&inst);
     for k_pct in [75u32, 80, 85, 90, 95, 100] {
         let k = k_pct as f64 / 100.0;
@@ -34,7 +48,7 @@ fn fig7_grid_chain_matches_fresh() {
             .unwrap()
             .into_ppm()
             .expect("coverable");
-        let fresh = solve_ppm_exact(&inst, k, &opts).expect("coverable");
+        let fresh = fresh_ppm(&inst, k).expect("coverable");
         assert_eq!(
             chained.device_count(),
             fresh.device_count(),
@@ -46,12 +60,11 @@ fn fig7_grid_chain_matches_fresh() {
 }
 
 /// The xp_incremental upgrade grid: a frozen `PPM(0.8)` base, chained
-/// re-targets vs. fresh `solve_incremental` at every higher k.
+/// re-targets vs. a fresh chain with the base pinned at every higher k.
 #[test]
 fn incremental_grid_chain_matches_fresh() {
     let inst = seed0_instance();
-    let opts = ExactOptions::default();
-    let base = solve_ppm_exact(&inst, 0.8, &opts).expect("PPM(0.8) feasible");
+    let base = fresh_ppm(&inst, 0.8).expect("PPM(0.8) feasible");
 
     let mut chain = DeltaInstance::from_instance(&inst);
     chain.try_set_installed(&base.edges).unwrap();
@@ -62,7 +75,11 @@ fn incremental_grid_chain_matches_fresh() {
             .unwrap()
             .into_ppm()
             .expect("feasible");
-        let fresh = solve_incremental(&inst, k, &base.edges, &opts).expect("feasible");
+        let fresh = fresh_chain(&inst, &base.edges)
+            .solve(&SolveRequest::ppm(k))
+            .unwrap()
+            .into_ppm()
+            .expect("feasible");
         assert_eq!(
             chained.device_count(),
             fresh.device_count(),
@@ -75,13 +92,12 @@ fn incremental_grid_chain_matches_fresh() {
     }
 }
 
-/// The xp_incremental buy-devices grid: chained budget solves vs. fresh
-/// `solve_budget` over the extras grid on top of the `PPM(0.8)` base.
+/// The xp_incremental buy-devices grid: chained budget solves vs. a fresh
+/// chain per point over the extras grid on top of the `PPM(0.8)` base.
 #[test]
 fn budget_grid_chain_matches_fresh() {
     let inst = seed0_instance();
-    let opts = ExactOptions::default();
-    let base = solve_ppm_exact(&inst, 0.8, &opts).expect("PPM(0.8) feasible");
+    let base = fresh_ppm(&inst, 0.8).expect("PPM(0.8) feasible");
 
     let mut chain = DeltaInstance::from_instance(&inst);
     chain.try_set_installed(&base.edges).unwrap();
@@ -91,7 +107,11 @@ fn budget_grid_chain_matches_fresh() {
             .unwrap()
             .into_budget()
             .expect("budget");
-        let fresh = solve_budget(&inst, extra, &base.edges, &opts);
+        let fresh = fresh_chain(&inst, &base.edges)
+            .solve(&SolveRequest::budget(extra))
+            .unwrap()
+            .into_budget()
+            .expect("budget");
         assert!(
             (chained.coverage - fresh.coverage).abs() < 1e-6,
             "chained budget diverged from fresh at extra = {extra}: {} vs {}",

@@ -7,9 +7,17 @@
 //! instances come from *routed topologies*, end to end.
 
 use placement::instance::PpmInstance;
-use placement::passive::{greedy_static, solve_ppm_exact, ExactOptions};
+use placement::passive::{greedy_static, PpmSolution};
+use placement::solve::{solve_instance, SolveRequest};
 use popgen::{FamilySpec, GravitySpec, Pop, TrafficSet};
 use proptest::prelude::*;
+
+/// An exact `PPM(k)` solve with default knobs; `None` when unreachable.
+fn exact_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
+    solve_instance(inst, &SolveRequest::ppm(k))
+        .expect("valid request")
+        .into_ppm()
+}
 
 /// Strategy: a seeded random family instance, small enough that the exact
 /// ILP stays cheap across 256 cases.
@@ -79,7 +87,7 @@ proptest! {
             g.edges, k * total
         );
 
-        let e = solve_ppm_exact(&inst, k, &ExactOptions::default()).expect("feasible");
+        let e = exact_ppm(&inst, k).expect("feasible");
         let covered = covered_volume_from_paths(&ts, &e.edges);
         prop_assert!(
             covered + 1e-9 >= k * total,
@@ -110,7 +118,7 @@ proptest! {
         let (_pop, _ts, inst) = build(&spec, seed);
         let k = k_pct as f64 / 100.0;
         let g = greedy_static(&inst, k).expect("coverable");
-        let e = solve_ppm_exact(&inst, k, &ExactOptions::default()).expect("feasible");
+        let e = exact_ppm(&inst, k).expect("feasible");
         prop_assert!(e.proven_optimal, "the exact ILP must close on these small instances");
         prop_assert!(
             e.device_count() <= g.device_count(),

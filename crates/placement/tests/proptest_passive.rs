@@ -14,22 +14,37 @@
 //! the per-node-rescan search it replaced (also kept below), on rough
 //! random instances and on seeded paper_15 instances.
 //!
-//! And it checks the constrained exact kernels — the warm chain's exact
-//! and budget solves, [`solve_incremental`] and [`solve_budget`] —
-//! against subset enumeration over the free links, an oracle that shares
-//! no code with `milp`.
+//! And it checks the constrained exact kernels — the exact and budget
+//! solves of a warm chain and of a fresh chain per query — against subset
+//! enumeration over the free links, an oracle that shares no code with
+//! `milp`.
 
 use placement::delta::DeltaInstance;
 use placement::instance::PpmInstance;
 use placement::passive::{
-    brute_force_ppm, greedy_adaptive, greedy_static, solve_budget, solve_incremental,
-    solve_ppm_exact, solve_ppm_mecf_bb, ExactOptions, PpmSolution,
+    brute_force_ppm, greedy_adaptive, greedy_static, solve_ppm_mecf_bb, ExactOptions, PpmSolution,
 };
 use placement::setcover::slavik_bound;
-use placement::solve::{greedy_constrained, SolveOutcome, SolveRequest};
+use placement::solve::{solve_instance, SolveOutcome, SolveRequest};
 use popgen::{PopSpec, TrafficSpec};
 use proptest::prelude::*;
 use proptest::rng::TestRng;
+
+/// An exact `PPM(k)` solve with default knobs; `None` when unreachable.
+fn exact_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
+    solve_instance(inst, &SolveRequest::ppm(k))
+        .expect("valid request")
+        .into_ppm()
+}
+
+/// A chain's greedy `PPM(k)` answer; `None` when unreachable.
+fn chain_greedy(delta: &mut DeltaInstance, k: f64, what: &str) -> Option<PpmSolution> {
+    match delta.solve(&SolveRequest::ppm(k).greedy()).unwrap() {
+        SolveOutcome::Ppm(sol) => Some(sol),
+        SolveOutcome::Unreachable => None,
+        other => panic!("{what}: unexpected greedy outcome {other:?}"),
+    }
+}
 
 /// Strategy: a random small PPM instance (≤ 8 edges, ≤ 10 traffics, every
 /// traffic crossing 1–3 edges).
@@ -218,9 +233,8 @@ fn knife_edges(count: impl Fn(f64) -> usize) -> Vec<f64> {
 
 /// The one-pass greedy against the reference on seeded paper_15 what-if
 /// chains — fail, restore, `scale_demand` and `set_installed` — through
-/// both [`greedy_constrained`] and the chain's own greedy solve. The
-/// unrouted chain keeps traffic on its failed links; the routed one
-/// re-routes it away.
+/// the chain's own greedy solve. The unrouted chain keeps traffic on its
+/// failed links; the routed one re-routes it away.
 #[test]
 fn one_pass_greedy_matches_reference_on_a_paper15_chain() {
     let pop = PopSpec::paper_15().build();
@@ -263,15 +277,8 @@ fn one_pass_greedy_matches_reference_on_a_paper15_chain() {
                     delta.disabled(),
                     k,
                 );
-                let got =
-                    greedy_constrained(delta.instance(), delta.installed(), delta.disabled(), k);
                 let what = format!("routed {}, step {step}, k = {k}", delta.is_routed());
-                assert_same_greedy(got, want.clone(), &what);
-                let served = match delta.solve(&SolveRequest::ppm(k).greedy()).unwrap() {
-                    SolveOutcome::Ppm(sol) => Some(sol),
-                    SolveOutcome::Unreachable => None,
-                    other => panic!("{what}: unexpected greedy outcome {other:?}"),
-                };
+                let served = chain_greedy(&mut delta, k, &what);
                 assert_same_greedy(served, want, &what);
             }
         }
@@ -284,7 +291,8 @@ proptest! {
     /// The one-pass static and constrained greedies equal the reference
     /// loops bitwise on rough instances, with random installed and failed
     /// links (out-of-range draws dropped), at a random `k` and at every
-    /// knife edge of the reference.
+    /// knife edge of the reference. The constrained greedy runs as a
+    /// chain's greedy solve.
     #[test]
     fn one_pass_greedy_matches_reference(
         inst in rough_instances(),
@@ -309,11 +317,17 @@ proptest! {
             count(reference_greedy_constrained(&inst, &installed, &disabled, k))
         });
         ks.push(k);
+        let mut delta = DeltaInstance::from_instance(&inst);
+        delta.try_set_installed(&installed).unwrap();
+        for &e in &disabled {
+            delta.try_fail_link(e).unwrap();
+        }
         for &k in &ks {
+            let what = format!("constrained, k = {k:e}, installed {installed:?}, disabled {disabled:?}");
             assert_same_greedy(
-                greedy_constrained(&inst, &installed, &disabled, k),
+                chain_greedy(&mut delta, k, &what),
                 reference_greedy_constrained(&inst, &installed, &disabled, k),
-                &format!("constrained, k = {k:e}, installed {installed:?}, disabled {disabled:?}"),
+                &what,
             );
         }
     }
@@ -328,7 +342,7 @@ proptest! {
     #[test]
     fn greedy_and_exact_agree(inst in ppm_instances(), k_pct in 10u32..=100) {
         let k = k_pct as f64 / 100.0;
-        let exact = solve_ppm_exact(&inst, k, &ExactOptions::default());
+        let exact = exact_ppm(&inst, k);
         let greedy = greedy_adaptive(&inst, k);
         match (exact, greedy) {
             (Some(e), Some(g)) => {
@@ -362,7 +376,7 @@ proptest! {
         let k = k_pct as f64 / 100.0;
         if let Some(g) = greedy_static(&inst, k) {
             prop_assert!(inst.is_feasible(&g.edges, k));
-            let e = solve_ppm_exact(&inst, k, &ExactOptions::default())
+            let e = exact_ppm(&inst, k)
                 .expect("greedy's witness proves feasibility");
             prop_assert!(e.device_count() <= g.device_count());
         }
@@ -374,7 +388,7 @@ proptest! {
     fn exact_solvers_agree_with_brute_force(inst in ppm_instances(), k_pct in 10u32..=100) {
         let k = k_pct as f64 / 100.0;
         let opts = ExactOptions::default();
-        let lp2 = solve_ppm_exact(&inst, k, &opts);
+        let lp2 = exact_ppm(&inst, k);
         let mecf = solve_ppm_mecf_bb(&inst, k, &opts);
         let brute = brute_force_ppm(&inst, k);
         match (lp2, mecf, brute) {
@@ -410,9 +424,19 @@ fn oracle_instances() -> impl Strategy<Value = PpmInstance> {
 /// failed): for every subset, its size and the volume covered by the live
 /// installed links plus the subset. Plain Rust throughout.
 struct SubsetOracle {
+    inst: PpmInstance,
     live: Vec<usize>,
     subsets: Vec<(usize, f64)>,
     total: f64,
+}
+
+/// The volume of the traffics of `inst` that cross a link marked in `on`.
+fn covered(inst: &PpmInstance, on: &[bool]) -> f64 {
+    inst.traffics
+        .iter()
+        .filter(|(_, s)| s.iter().any(|&e| on[e]))
+        .map(|(v, _)| v)
+        .sum()
 }
 
 impl SubsetOracle {
@@ -434,17 +458,12 @@ impl SubsetOracle {
                 for (i, &e) in free.iter().enumerate() {
                     on[e] |= bits >> i & 1 == 1;
                 }
-                let covered = inst
-                    .traffics
-                    .iter()
-                    .filter(|(_, s)| s.iter().any(|&e| on[e]))
-                    .map(|(v, _)| v)
-                    .sum();
-                (bits.count_ones() as usize, covered)
+                (bits.count_ones() as usize, covered(inst, &on))
             })
             .collect();
         let total = inst.traffics.iter().map(|(v, _)| v).sum();
         SubsetOracle {
+            inst: inst.clone(),
             live,
             subsets,
             total,
@@ -502,7 +521,8 @@ impl SubsetOracle {
     }
 
     /// Checks a budget answer: the live installed links plus at most
-    /// `budget` free ones, nothing failed, the oracle's coverage, proven.
+    /// `budget` free ones, each of which raises the coverage, nothing
+    /// failed, the oracle's coverage, proven.
     fn check_max_coverage(&self, sol: &PpmSolution, budget: usize, disabled: &[usize], what: &str) {
         assert!(sol.proven_optimal, "{what}: unproven");
         assert!(
@@ -527,6 +547,20 @@ impl SubsetOracle {
             sol.coverage,
             self.max_coverage(budget)
         );
+        let mut on = vec![false; self.inst.num_edges];
+        for &e in &sol.edges {
+            on[e] = true;
+        }
+        let with = covered(&self.inst, &on);
+        for &e in sol.edges.iter().filter(|e| !self.live.contains(e)) {
+            on[e] = false;
+            assert!(
+                covered(&self.inst, &on) < with,
+                "{what}: {:?} lists link {e}, which adds no coverage",
+                sol.edges
+            );
+            on[e] = true;
+        }
     }
 }
 
@@ -536,9 +570,9 @@ proptest! {
     /// The constrained exact kernels against subset enumeration: one warm
     /// chain — solved once plain, then a demand doubled, the installed
     /// set and the failed links applied as in-place repairs — alternating
-    /// exact solves over a `k` grid with budget solves 0–3, and the
-    /// one-shot [`solve_incremental`] / [`solve_budget`] on the installed
-    /// set alone.
+    /// exact solves over a `k` grid with budget solves 0–3, and a fresh
+    /// chain per query with the installed set alone, whose first solve
+    /// builds the model cold.
     #[test]
     fn constrained_exact_kernels_match_subset_oracle(
         inst in oracle_instances(),
@@ -548,7 +582,6 @@ proptest! {
         let n = inst.num_edges;
         let installed: Vec<usize> = installed.into_iter().filter(|&e| e < n).collect();
         let disabled: Vec<usize> = disabled.into_iter().filter(|&e| e < n).collect();
-        let opts = ExactOptions::default();
         let grid = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0];
 
         let mut delta = DeltaInstance::from_instance(&inst);
@@ -577,14 +610,20 @@ proptest! {
         }
 
         let oracle = SubsetOracle::new(&inst, &installed, &[]);
+        let fresh = || {
+            let mut fresh = DeltaInstance::from_instance(&inst);
+            fresh.try_set_installed(&installed).unwrap();
+            fresh
+        };
         for &k in &grid {
-            let what = format!("solve_incremental, k = {k}, installed {installed:?}");
-            oracle.check_min_devices(solve_incremental(&inst, k, &installed, &opts), k, &[], &what);
+            let what = format!("fresh exact, k = {k}, installed {installed:?}");
+            let got = fresh().solve(&SolveRequest::ppm(k)).unwrap().into_ppm();
+            oracle.check_min_devices(got, k, &[], &what);
         }
         for budget in 0..=3 {
-            let what = format!("solve_budget {budget}, installed {installed:?}");
-            let sol = solve_budget(&inst, budget, &installed, &opts);
-            oracle.check_max_coverage(&sol, budget, &[], &what);
+            let what = format!("fresh budget {budget}, installed {installed:?}");
+            let sol = fresh().solve(&SolveRequest::budget(budget)).unwrap().into_budget();
+            oracle.check_max_coverage(&sol.expect("budget outcome"), budget, &[], &what);
         }
     }
 }
@@ -607,7 +646,7 @@ mod reference_mecf_bb {
 
     /// Exact `PPM(k)` via branch-and-bound with min-cost-flow bounds.
     ///
-    /// Same contract as `placement::passive::solve_ppm_exact` (which uses the
+    /// Same contract as an exact `SolveRequest::ppm` solve (which uses the
     /// LP 2 MIP): returns `None` when the target is unreachable, and a
     /// [`PpmSolution`] with `proven_optimal` reflecting whether the search
     /// completed within the node limit. Preferred for large instances (the

@@ -5,7 +5,8 @@
 //! corpus asserting the parser's typed errors.
 
 use placement::instance::PpmInstance;
-use placement::passive::{greedy_static, solve_ppm_exact, ExactOptions};
+use placement::passive::greedy_static;
+use placement::solve::{solve_instance, SolveRequest};
 use popgen::{fileio, FamilySpec, GravitySpec};
 use proptest::prelude::*;
 
@@ -61,9 +62,9 @@ proptest! {
             "greedy device count moved across the round-trip"
         );
 
-        let opts = ExactOptions::default();
-        let e = solve_ppm_exact(&inst, k, &opts).expect("feasible");
-        let e2 = solve_ppm_exact(&inst2, k, &opts).expect("feasible");
+        let req = SolveRequest::ppm(k);
+        let e = solve_instance(&inst, &req).unwrap().into_ppm().expect("feasible");
+        let e2 = solve_instance(&inst2, &req).unwrap().into_ppm().expect("feasible");
         prop_assert_eq!(
             e.device_count(), e2.device_count(),
             "exact device count moved across the round-trip"

@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release --example import_topology`
 
 use popmon::placement::instance::PpmInstance;
-use popmon::placement::passive::{greedy_static, solve_ppm_exact, ExactOptions};
+use popmon::placement::passive::greedy_static;
+use popmon::placement::solve::{solve_instance, SolveRequest};
 use popmon::popgen::fileio;
 
 /// A small POP in the interchange format — in production this would be a
@@ -56,7 +57,10 @@ fn main() {
     let inst = PpmInstance::from_traffic(&pop.graph, &ts);
     for k in [0.8, 1.0] {
         let greedy = greedy_static(&inst, k).expect("feasible");
-        let ilp = solve_ppm_exact(&inst, k, &ExactOptions::default()).expect("feasible");
+        let ilp = solve_instance(&inst, &SolveRequest::ppm(k))
+            .expect("valid request")
+            .into_ppm()
+            .expect("feasible");
         println!(
             "k = {k}: greedy {} devices, ILP {} devices",
             greedy.device_count(),

@@ -4,7 +4,8 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use popmon::placement::instance::PpmInstance;
-use popmon::placement::passive::{greedy_static, solve_ppm_exact, ExactOptions};
+use popmon::placement::passive::greedy_static;
+use popmon::placement::solve::{solve_instance, SolveRequest};
 use popmon::popgen::{PopSpec, TrafficSpec};
 
 fn main() {
@@ -39,7 +40,10 @@ fn main() {
         100.0 * greedy.coverage_fraction()
     );
 
-    let ilp = solve_ppm_exact(&inst, k, &ExactOptions::default()).expect("target reachable");
+    let ilp = solve_instance(&inst, &SolveRequest::ppm(k))
+        .expect("valid request")
+        .into_ppm()
+        .expect("target reachable");
     println!(
         "exact ILP:                {} devices, coverage {:.1}%{}",
         ilp.device_count(),

@@ -9,7 +9,7 @@
 //!
 //! * [`netgraph`] — graph substrate (shortest paths, k-shortest paths);
 //! * [`milp`] — from-scratch LP/MIP solver standing in for CPLEX;
-//! * [`mcmf`] — min-cost flow / max flow and the MECF auxiliary graph;
+//! * [`mcmf`] — min-cost flow and the MECF auxiliary graph;
 //! * [`popgen`] — POP topology and traffic-matrix generators;
 //! * [`placement`] — the paper's contribution: PPM(k), PPME(h,k),
 //!   PPME*(x,h,k) and active beacon placement;

@@ -3,10 +3,18 @@
 
 use popmon::placement::instance::PpmInstance;
 use popmon::placement::passive::{
-    brute_force_ppm, flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_exact,
-    solve_ppm_mecf, ExactOptions,
+    brute_force_ppm, flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_mecf, ExactOptions,
+    PpmSolution,
 };
+use popmon::placement::solve::{solve_instance, SolveRequest};
 use popmon::popgen::{PopSpec, TrafficSpec};
+
+/// An exact `PPM(k)` solve with default knobs; `None` when unreachable.
+fn exact_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
+    solve_instance(inst, &SolveRequest::ppm(k))
+        .expect("valid request")
+        .into_ppm()
+}
 
 fn instance(seed: u64) -> PpmInstance {
     let pop = PopSpec::paper_10().build();
@@ -22,10 +30,7 @@ fn all_solvers_produce_feasible_solutions() {
             ("static", greedy_static(&inst, k).unwrap()),
             ("adaptive", greedy_adaptive(&inst, k).unwrap()),
             ("flow", flow_greedy_ppm(&inst, k).unwrap()),
-            (
-                "exact",
-                solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap(),
-            ),
+            ("exact", exact_ppm(&inst, k).unwrap()),
         ] {
             assert!(
                 inst.is_feasible(&sol.edges, k),
@@ -40,7 +45,7 @@ fn exact_dominates_every_heuristic() {
     for seed in 0..3 {
         let inst = instance(seed);
         for k in [0.8, 0.95, 1.0] {
-            let exact = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+            let exact = exact_ppm(&inst, k).unwrap();
             assert!(exact.proven_optimal, "seed {seed} k {k} must be proven");
             for sol in [
                 greedy_static(&inst, k).unwrap(),
@@ -63,7 +68,7 @@ fn device_count_is_monotone_in_k() {
     let inst = instance(1);
     let mut last = 0usize;
     for k_pct in [60, 70, 80, 90, 95, 100] {
-        let s = solve_ppm_exact(&inst, k_pct as f64 / 100.0, &ExactOptions::default()).unwrap();
+        let s = exact_ppm(&inst, k_pct as f64 / 100.0).unwrap();
         assert!(
             s.device_count() >= last,
             "optimal device count must not decrease with k ({k_pct}%)"
@@ -80,8 +85,8 @@ fn full_coverage_costs_strictly_more_than_95_percent_usually() {
     let mut gap_total = 0i64;
     for seed in 0..5 {
         let inst = instance(seed);
-        let s95 = solve_ppm_exact(&inst, 0.95, &ExactOptions::default()).unwrap();
-        let s100 = solve_ppm_exact(&inst, 1.0, &ExactOptions::default()).unwrap();
+        let s95 = exact_ppm(&inst, 0.95).unwrap();
+        let s100 = exact_ppm(&inst, 1.0).unwrap();
         assert!(s100.device_count() >= s95.device_count());
         gap_total += s100.device_count() as i64 - s95.device_count() as i64;
     }
@@ -101,7 +106,7 @@ fn lp1_and_lp2_agree_on_reduced_instances() {
         inst.traffics.iter().take(40).cloned().collect(),
     );
     for k in [0.8, 1.0] {
-        let a = solve_ppm_exact(&small, k, &ExactOptions::default()).unwrap();
+        let a = exact_ppm(&small, k).unwrap();
         let b = solve_ppm_mecf(&small, k, &ExactOptions::default()).unwrap();
         assert_eq!(a.device_count(), b.device_count(), "k = {k}");
     }
@@ -137,7 +142,7 @@ fn exact_matches_brute_force_on_subsampled_instances() {
     let small = PpmInstance::new(12, traffics);
 
     for k in [0.5, 0.7] {
-        let exact = solve_ppm_exact(&small, k, &ExactOptions::default()).unwrap();
+        let exact = exact_ppm(&small, k).unwrap();
         let brute = brute_force_ppm(&small, k).unwrap();
         assert_eq!(exact.device_count(), brute.device_count(), "k = {k}");
     }
@@ -150,7 +155,7 @@ fn greedy_factor_on_paper_pop_is_bounded() {
     let inst = instance(4);
     let k = 0.9;
     let greedy = greedy_static(&inst, k).unwrap();
-    let exact = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+    let exact = exact_ppm(&inst, k).unwrap();
     let ratio = greedy.device_count() as f64 / exact.device_count() as f64;
     assert!(ratio >= 1.0);
     assert!(ratio <= 6.0, "greedy/ILP ratio {ratio} looks broken");
@@ -160,8 +165,8 @@ fn greedy_factor_on_paper_pop_is_bounded() {
 fn merged_instance_yields_same_optimum() {
     let inst = instance(5);
     let merged = inst.merged();
-    let a = solve_ppm_exact(&inst, 0.9, &ExactOptions::default()).unwrap();
-    let b = solve_ppm_exact(&merged, 0.9, &ExactOptions::default()).unwrap();
+    let a = exact_ppm(&inst, 0.9).unwrap();
+    let b = exact_ppm(&merged, 0.9).unwrap();
     assert_eq!(a.device_count(), b.device_count());
 }
 
@@ -173,7 +178,7 @@ fn fileio_roundtrip_preserves_solutions() {
     let (pop2, ts2) = popmon::popgen::fileio::parse(&text).unwrap();
     let a = PpmInstance::from_traffic(&pop.graph, &ts);
     let b = PpmInstance::from_traffic(&pop2.graph, &ts2);
-    let sa = solve_ppm_exact(&a, 0.9, &ExactOptions::default()).unwrap();
-    let sb = solve_ppm_exact(&b, 0.9, &ExactOptions::default()).unwrap();
+    let sa = exact_ppm(&a, 0.9).unwrap();
+    let sb = exact_ppm(&b, 0.9).unwrap();
     assert_eq!(sa.device_count(), sb.device_count());
 }

@@ -6,8 +6,9 @@ use popmon::placement::dynamic::{
     reoptimize_rates, reoptimize_rates_flow, run_controller, ControllerSpec,
 };
 use popmon::placement::instance::PpmInstance;
-use popmon::placement::passive::{solve_ppm_exact, ExactOptions};
+use popmon::placement::passive::ExactOptions;
 use popmon::placement::sampling::{solve_ppme, SamplingProblem};
+use popmon::placement::solve::{solve_instance, SolveRequest};
 use popmon::popgen::dynamic::{DynamicSpec, TrafficProcess};
 use popmon::popgen::{PopSpec, TrafficSpec};
 
@@ -75,7 +76,10 @@ fn controller_end_to_end_on_exact_deployment() {
     let ts = TrafficSpec::default().generate(&pop, 4);
     let ne = pop.graph.edge_count();
     let inst = PpmInstance::from_traffic(&pop.graph, &ts);
-    let placed = solve_ppm_exact(&inst, 0.95, &ExactOptions::default()).unwrap();
+    let placed = solve_instance(&inst, &SolveRequest::ppm(0.95))
+        .unwrap()
+        .into_ppm()
+        .unwrap();
     let mut installed = vec![false; ne];
     for &e in &placed.edges {
         installed[e] = true;
@@ -127,7 +131,10 @@ fn single_path_ppme_specializes_to_ppm_structure() {
     let inst = PpmInstance::from_traffic(&pop.graph, &ts);
     let k = 0.85;
 
-    let ppm = solve_ppm_exact(&inst, k, &ExactOptions::default()).unwrap();
+    let ppm = solve_instance(&inst, &SolveRequest::ppm(k))
+        .unwrap()
+        .into_ppm()
+        .unwrap();
     let prob =
         SamplingProblem::from_traffic_set(&pop.graph, &ts, 0.0, k, vec![1.0; ne], vec![0.0; ne]);
     let ppme = solve_ppme(&prob, &ExactOptions::default()).unwrap();

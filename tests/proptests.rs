@@ -10,10 +10,11 @@ use proptest::prelude::*;
 use popmon::milp::{Cmp, MipOptions, Model, Sense, VarKind};
 use popmon::placement::instance::PpmInstance;
 use popmon::placement::passive::{
-    brute_force_ppm, flow_greedy_ppm, greedy_adaptive, greedy_static, solve_ppm_exact, ExactOptions,
+    brute_force_ppm, flow_greedy_ppm, greedy_adaptive, greedy_static,
 };
 use popmon::placement::reduction::{msc_to_ppm, ppm_solution_to_msc, ppm_to_msc};
 use popmon::placement::setcover::{brute_force_cover, slavik_bound, SetCoverInstance};
+use popmon::placement::solve::{solve_instance, SolveRequest};
 
 /// Strategy: a random small PPM instance (≤ 8 edges, ≤ 10 traffics, every
 /// traffic crossing 1–3 edges).
@@ -46,7 +47,7 @@ proptest! {
     #[test]
     fn exact_ppm_matches_brute_force(inst in ppm_instances(), k_pct in 10u32..=100) {
         let k = k_pct as f64 / 100.0;
-        let exact = solve_ppm_exact(&inst, k, &ExactOptions::default());
+        let exact = solve_instance(&inst, &SolveRequest::ppm(k)).unwrap().into_ppm();
         let brute = brute_force_ppm(&inst, k);
         match (exact, brute) {
             (Some(e), Some(b)) => {
