@@ -1,5 +1,5 @@
 //! The Minimum Edge Cost Flow (MECF) auxiliary graph of the paper's
-//! Section 4.3 (Figure 5).
+//! Section 4.3 (Figure 5), and its min-cost-flow relaxation.
 //!
 //! Construction (Theorem 2): given edges `E = 0..num_edges` and weighted
 //! traffics `D`, each a volume plus the edges its path traverses,
@@ -13,68 +13,328 @@
 //! 4. arcs `(w_t, T)` of capacity `v_t` (the traffic volume) and zero cost.
 //!
 //! Routing `k · Σ v_t` units from `S` to `T` while paying for each used
-//! `(S, w_e)` arc solves `PPM(k)`. The graph takes any per-unit cost on
-//! the `(S, w_e)` arcs; the `placement` crate solves the fixed-charge
-//! objective and the paper's flow greedy (cost `1/load(e)`) on top of it.
-//! Traffics are plain index lists, so this crate depends on no graph or
-//! traffic crate.
+//! `(S, w_e)` arc solves `PPM(k)`. Under edge fixings its linear
+//! relaxation is a plain min-cost flow:
+//!
+//! * an edge fixed **installed** contributes a free arc `(S, w_e)`;
+//! * an edge fixed **forbidden** loses its arc;
+//! * a free edge keeps cost `1/load(e)` per routed unit, so a fully used
+//!   free edge costs exactly one device.
+//!
+//! [`FlowBound`] computes that flow in closed form rather than building
+//! the graph. Traffics are plain index lists, so this crate depends on no
+//! graph or traffic crate.
 
-use crate::network::FlowNetwork;
-use crate::{ArcId, NodeRef};
-
-/// The built auxiliary graph with handles onto its structured arcs.
-#[derive(Debug, Clone)]
-pub struct MecfGraph {
-    /// The underlying flow network.
-    pub net: FlowNetwork,
-    /// Source `S`.
-    pub source: NodeRef,
-    /// Sink `T`.
-    pub sink: NodeRef,
-    /// `(S, w_e)` arc per edge — flow here means "monitored on e".
-    pub edge_arcs: Vec<ArcId>,
-    /// `(w_t, T)` arc per traffic — flow here means "volume of t monitored".
-    pub traffic_arcs: Vec<ArcId>,
+/// The fixing of one edge in the relaxation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeState {
+    /// Undecided: the `(S, w_e)` arc costs `1/load(e)` per unit.
+    Free,
+    /// A device is installed: the arc is free.
+    Installed,
+    /// No device: the arc is removed.
+    Forbidden,
 }
 
-/// Builds the auxiliary graph of `num_edges` edges and the `(volume,
-/// edges traversed)` traffics, with the given per-unit cost on each
-/// `(S, w_e)` arc (zero cost everywhere else, per the paper). Edge lists
-/// must be duplicate-free.
-pub fn build_mecf(
-    num_edges: usize,
-    traffics: &[(f64, Vec<usize>)],
-    edge_cost: &[f64],
-) -> MecfGraph {
-    assert_eq!(edge_cost.len(), num_edges, "one cost per edge required");
-    let ne = num_edges;
-    let nt = traffics.len();
-    // Layout: 0 = S, 1 = T, 2..2+ne = w_e, 2+ne.. = w_t.
-    let mut net = FlowNetwork::new(2 + ne + nt);
-    let source = NodeRef(0);
-    let sink = NodeRef(1);
-    let we = |e: usize| NodeRef((2 + e) as u32);
-    let wt = |t: usize| NodeRef((2 + ne + t) as u32);
+/// The min-cost flow of the relaxation at the current edge fixings, kept
+/// incrementally across fixings.
+///
+/// Because every `(S, w_e)` and `(w_e, w_t)` arc of the auxiliary graph is
+/// *uncapacitated*, the min-cost flow decomposes per traffic: a unit of
+/// traffic `t` is cheapest through `argmin_{e ∈ p_t, e allowed} cost(e)`
+/// with `cost = 0` on installed edges and `1/load(e)` on free ones; the
+/// optimal flow is then the fractional knapsack "monitor the cheapest
+/// traffics first until `k·V`". This is the optimum of the flow problem,
+/// not an estimate: `placement`'s `mecf_bb` tests check it against the
+/// simplex optimum of the relaxed arc-path LP under random fixings.
+///
+/// The fixings form a trail, as in a depth-first search: [`goto`] pops
+/// back to a prefix of it and fixes one more edge. Per call,
+/// [`evaluate`] re-scans only the traffics crossing an edge whose state
+/// changed since the previous evaluation —
+/// `O(Σ_{e changed} Σ_{t ∋ e} |p_t|)` — and lays the knapsack items out by
+/// a counting sort over precomputed cost ranks, `O(T + E)`.
+///
+/// [`goto`]: FlowBound::goto
+/// [`evaluate`]: FlowBound::evaluate
+pub struct FlowBound<'a> {
+    traffics: &'a [(f64, Vec<usize>)],
+    /// Traffic volumes, and their sum in traffic order.
+    volumes: Vec<f64>,
+    total: f64,
+    loads: Vec<f64>,
+    /// Edge → traffics crossing it.
+    edge_traffics: Vec<Vec<u32>>,
+    /// Knapsack sort key of a free edge: the rank of its cost `1/load`
+    /// among all distinct costs and the installed cost `0`, which has
+    /// rank 0. Equal costs share a rank, so a stable counting sort by rank
+    /// orders the items exactly as a stable comparison sort by cost would.
+    rank: Vec<u32>,
+    state: Vec<EdgeState>,
+    /// The edges fixed on the path to the current node, in branching
+    /// order.
+    trail: Vec<usize>,
+    /// Edges whose state changed since the last evaluation (may repeat).
+    dirty: Vec<usize>,
+    /// Each traffic's cheapest allowed edge `(cost, edge)` under `state`
+    /// (as of the last evaluation), `None` when none is allowed; its sort
+    /// key ([`BLOCKED`] for `None`); the traffics per key; and how many
+    /// traffics have no allowed edge.
+    cheapest: Vec<Option<(f64, usize)>>,
+    key: Vec<u32>,
+    per_key: Vec<u32>,
+    blocked: usize,
+    /// Per-traffic stamp de-duplicating re-scans within one evaluation.
+    scanned: Vec<u64>,
+    epoch: u64,
+    /// Counting-sort scratch: per-key slots, and the knapsack items
+    /// `(cost, volume, edge)` in cost order.
+    slot: Vec<u32>,
+    items: Vec<(f64, f64, usize)>,
+    /// Per free edge: whether the knapsack routed a traffic through it,
+    /// and the volume it carries.
+    with_flow: Vec<(bool, f64)>,
+}
 
-    let edge_arcs: Vec<ArcId> = (0..ne)
-        .map(|e| net.add_arc(source, we(e), f64::INFINITY, edge_cost[e]))
-        .collect();
-    let mut traffic_arcs = Vec::with_capacity(nt);
-    for (t, (v, edges)) in traffics.iter().enumerate() {
-        for &e in edges {
-            assert!(e < ne, "traffic {t} references edge {e} out of range");
-            net.add_arc(we(e), wt(t), f64::INFINITY, 0.0);
+/// Sort key of a traffic without an allowed edge.
+const BLOCKED: u32 = u32::MAX;
+
+impl<'a> FlowBound<'a> {
+    /// The relaxation of `num_edges` edges and the `(volume, edges
+    /// traversed)` traffics at the root: every edge free.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a traffic references an edge `≥ num_edges`.
+    pub fn new(num_edges: usize, traffics: &'a [(f64, Vec<usize>)]) -> Self {
+        let ne = num_edges;
+        let nt = traffics.len();
+        let mut loads = vec![0.0; ne];
+        let mut edge_traffics: Vec<Vec<u32>> = vec![Vec::new(); ne];
+        for (t, (v, support)) in traffics.iter().enumerate() {
+            for &e in support {
+                assert!(e < ne, "traffic {t} references edge {e} out of range");
+                loads[e] += v;
+                edge_traffics[e].push(t as u32);
+            }
         }
-        traffic_arcs.push(net.add_arc(wt(t), sink, *v, 0.0));
+        let cost = |e: usize| (loads[e] > 1e-12).then(|| 1.0 / loads[e]);
+        let mut costs: Vec<f64> = (0..ne).filter_map(cost).collect();
+        costs.push(0.0);
+        costs.sort_by(|a, b| a.partial_cmp(b).expect("finite costs"));
+        costs.dedup();
+        let rank = (0..ne)
+            .map(|e| cost(e).map_or(0, |c| costs.partition_point(|&x| x < c) as u32))
+            .collect();
+        let volumes: Vec<f64> = traffics.iter().map(|&(v, _)| v).collect();
+        let mut fb = Self {
+            traffics,
+            total: volumes.iter().sum(),
+            volumes,
+            loads,
+            edge_traffics,
+            rank,
+            state: vec![EdgeState::Free; ne],
+            trail: Vec::new(),
+            dirty: Vec::new(),
+            cheapest: vec![None; nt],
+            key: vec![BLOCKED; nt],
+            per_key: vec![0; costs.len()],
+            blocked: nt,
+            scanned: vec![0; nt],
+            epoch: 0,
+            slot: vec![0; costs.len()],
+            items: Vec::with_capacity(nt),
+            with_flow: vec![(false, 0.0); ne],
+        };
+        for t in 0..nt {
+            fb.rescan(t);
+        }
+        fb
     }
 
-    MecfGraph {
-        net,
-        source,
-        sink,
-        edge_arcs,
-        traffic_arcs,
+    /// Moves to the node whose fixings are the first `depth` of the
+    /// current trail plus `fix`.
+    #[inline]
+    pub fn goto(&mut self, depth: usize, fix: Option<(usize, EdgeState)>) {
+        while self.trail.len() > depth {
+            let e = self.trail.pop().expect("non-empty trail");
+            self.state[e] = EdgeState::Free;
+            self.dirty.push(e);
+        }
+        if let Some((e, s)) = fix {
+            self.state[e] = s;
+            self.trail.push(e);
+            self.dirty.push(e);
+        }
     }
+
+    /// Re-scans traffic `t`'s support under the current state, moving it
+    /// to its new sort key.
+    fn rescan(&mut self, t: usize) {
+        let best = cheapest_edge(&self.traffics[t].1, &self.state, &self.loads);
+        let key = match best {
+            None => BLOCKED,
+            Some((_, e)) if self.state[e] == EdgeState::Installed => 0,
+            Some((_, e)) => self.rank[e],
+        };
+        match self.key[t] {
+            BLOCKED => self.blocked -= 1,
+            k => self.per_key[k as usize] -= 1,
+        }
+        match key {
+            BLOCKED => self.blocked += 1,
+            k => self.per_key[k as usize] += 1,
+        }
+        self.cheapest[t] = best;
+        self.key[t] = key;
+    }
+
+    /// Routes `target` units at the current fixings: returns the flow's
+    /// cost (the fractional device count over free edges) and the routed
+    /// volume, and fills [`with_flow`](Self::with_flow); `None` when the
+    /// target cannot be routed.
+    ///
+    /// Inlined into callers in other crates: the branch-and-bound calls it
+    /// once per node, and out of line fig8's search spent about 17% more
+    /// CPU time (release build, 2-core x86-64 VM).
+    #[inline]
+    pub fn evaluate(&mut self, target: f64) -> Option<(f64, f64)> {
+        self.with_flow.fill((false, 0.0));
+        if target <= 1e-12 {
+            return Some((0.0, 0.0));
+        }
+
+        // Re-scan the traffics that cross a changed edge.
+        self.epoch += 1;
+        while let Some(e) = self.dirty.pop() {
+            for i in 0..self.edge_traffics[e].len() {
+                let t = self.edge_traffics[e][i] as usize;
+                if self.scanned[t] != self.epoch {
+                    self.scanned[t] = self.epoch;
+                    self.rescan(t);
+                }
+            }
+        }
+
+        let Self {
+            volumes,
+            state,
+            cheapest,
+            key,
+            per_key,
+            slot,
+            items,
+            with_flow,
+            ..
+        } = self;
+        let coverable: f64 = if self.blocked == 0 {
+            self.total
+        } else {
+            volumes
+                .iter()
+                .zip(cheapest.iter())
+                .filter_map(|(&v, c)| c.map(|_| v))
+                .sum()
+        };
+        if coverable + 1e-6 < target {
+            return None;
+        }
+
+        // Fractional knapsack: cheapest unit costs first, ties in traffic
+        // order (a stable counting sort by cost rank).
+        let mut sum = 0;
+        for (s, &n) in slot.iter_mut().zip(per_key.iter()) {
+            (*s, sum) = (sum, sum + n);
+        }
+        items.resize(sum as usize, (0.0, 0.0, 0));
+        for (t, &k) in key.iter().enumerate() {
+            if let Some((c, e)) = cheapest[t] {
+                let s = &mut slot[k as usize];
+                items[*s as usize] = (c, volumes[t], e);
+                *s += 1;
+            }
+        }
+        let mut routed = 0.0f64;
+        let mut cost = 0.0f64;
+        for &(c, v, e) in items.iter() {
+            if routed + 1e-12 >= target {
+                break;
+            }
+            let take = v.min(target - routed);
+            routed += take;
+            cost += c * take;
+            if state[e] == EdgeState::Free {
+                with_flow[e].0 = true;
+                with_flow[e].1 += take;
+            }
+        }
+        Some((cost, routed))
+    }
+
+    /// Per edge, as of the last [`evaluate`](Self::evaluate): whether the
+    /// knapsack routed a traffic through it, and how much volume it
+    /// carries. Only free edges are recorded. The flag is also set by a
+    /// zero-volume traffic, so an edge can be flagged with no flow.
+    pub fn with_flow(&self) -> &[(bool, f64)] {
+        &self.with_flow
+    }
+
+    /// The current state of every edge.
+    pub fn state(&self) -> &[EdgeState] {
+        &self.state
+    }
+
+    /// The edges fixed on the path to the current node, in fixing order.
+    pub fn trail(&self) -> &[usize] {
+        &self.trail
+    }
+
+    /// Per-edge load: the summed volume of the traffics crossing it.
+    pub fn loads(&self) -> &[f64] {
+        &self.loads
+    }
+
+    /// Per-traffic volume.
+    pub fn volumes(&self) -> &[f64] {
+        &self.volumes
+    }
+
+    /// Edge → the traffics crossing it, in traffic order.
+    pub fn edge_traffics(&self) -> &[Vec<u32>] {
+        &self.edge_traffics
+    }
+}
+
+/// The cheapest allowed edge of one traffic's support: cost 0 when
+/// installed, `1/load` when free (edges without load are skipped), and
+/// forbidden edges skipped. Ties prefer the heavier load so flow
+/// consolidates onto fewer edges (better incumbents).
+fn cheapest_edge(support: &[usize], state: &[EdgeState], loads: &[f64]) -> Option<(f64, usize)> {
+    let mut best: Option<(f64, usize)> = None;
+    for &e in support {
+        let cost = match state[e] {
+            EdgeState::Forbidden => continue,
+            EdgeState::Installed => 0.0,
+            EdgeState::Free => {
+                if loads[e] > 1e-12 {
+                    1.0 / loads[e]
+                } else {
+                    continue;
+                }
+            }
+        };
+        let better = match best {
+            None => true,
+            Some((bc, be)) => {
+                cost < bc - 1e-15 || ((cost - bc).abs() <= 1e-15 && loads[e] > loads[be])
+            }
+        };
+        if better {
+            best = Some((cost, e));
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -98,15 +358,19 @@ mod tests {
 
     #[test]
     fn mecf_graph_shape() {
-        let g = build_mecf(5, &figure3_like(), &[1.0; 5]);
-        assert_eq!(g.net.node_count(), 2 + 5 + 4);
-        // 5 edge arcs + 8 incidence arcs + 4 traffic arcs.
-        assert_eq!(g.net.arc_count(), 5 + 8 + 4);
-        assert_eq!(g.edge_arcs.len(), 5);
-        assert_eq!(g.traffic_arcs.len(), 4);
-        // (w_t, T) capacities carry the volumes.
-        assert_eq!(g.net.arc_capacity(g.traffic_arcs[0]), 2.0);
-        assert_eq!(g.net.arc_capacity(g.traffic_arcs[2]), 1.0);
+        // The auxiliary graph as the bound stores it: one (w_e, w_t) arc
+        // per support entry, (w_t, T) capacities carrying the volumes, and
+        // every edge free at the root.
+        let inst = figure3_like();
+        let fb = FlowBound::new(5, &inst);
+        assert_eq!(fb.edge_traffics().len(), 5);
+        let arcs: usize = fb.edge_traffics().iter().map(Vec::len).sum();
+        assert_eq!(arcs, 8);
+        assert_eq!(fb.edge_traffics()[0], vec![0, 1]);
+        assert_eq!(fb.volumes(), &[2.0, 2.0, 1.0, 1.0]);
+        assert_eq!(fb.loads(), &[4.0, 3.0, 3.0, 1.0, 1.0]);
+        assert!(fb.state().iter().all(|&s| s == EdgeState::Free));
+        assert!(fb.trail().is_empty());
     }
 
     #[test]
@@ -114,18 +378,14 @@ mod tests {
         // PPM(0) routes `0 · Σ v_t` units, so no (S, w_e) arc carries flow
         // and no device is selected.
         let inst = figure3_like();
-        let loads = [4.0, 3.0, 3.0, 1.0, 1.0];
-        let costs: Vec<f64> = loads.iter().map(|l| 1.0 / l).collect();
-        let mut g = build_mecf(5, &inst, &costs);
-        let (k, total): (f64, f64) = (0.0, inst.iter().map(|(v, _)| v).sum());
-        let r = crate::mincost::min_cost_flow(&mut g.net, g.source, g.sink, k * total);
-        assert_eq!(r.flow, 0.0);
-        assert!(g.edge_arcs.iter().all(|&a| g.net.flow(a) == 0.0));
+        let mut fb = FlowBound::new(5, &inst);
+        assert_eq!(fb.evaluate(0.0), Some((0.0, 0.0)));
+        assert!(fb.with_flow().iter().all(|&f| f == (false, 0.0)));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_bad_edge_reference() {
-        build_mecf(1, &[(1.0, vec![3])], &[1.0]);
+        FlowBound::new(1, &[(1.0, vec![3])]);
     }
 }

@@ -1,93 +1,123 @@
-//! Property tests for the flow crate: min-cost flow at unlimited demand
-//! routes the min cut on random networks (checked against a brute-force
-//! cut enumeration), costs are consistent and monotone in the routed
-//! volume, and conservation always holds.
+//! Property tests for the MECF flow relaxation ([`FlowBound`]) on random
+//! instances under random edge fixings: the flow routes exactly the
+//! demand and is priced at `1/load` on free edges, never routes more than
+//! the auxiliary graph's max flow, and never gets cheaper when more
+//! volume is demanded.
 
-use mcmf::mincost::min_cost_flow;
-use mcmf::{FlowNetwork, NodeRef};
+use mcmf::mecf::{EdgeState, FlowBound};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
-struct RandomNet {
-    nodes: usize,
-    arcs: Vec<(usize, usize, f64, f64)>, // (from, to, cap, cost)
+struct Case {
+    num_edges: usize,
+    /// `(volume, duplicate-free support)` per traffic.
+    traffics: Vec<(f64, Vec<usize>)>,
+    /// Per edge: 2 = installed, 3 = forbidden, otherwise free.
+    fixings: Vec<u32>,
 }
 
-fn networks() -> impl Strategy<Value = RandomNet> {
-    (3usize..=7).prop_flat_map(|n| {
-        proptest::collection::vec((0..n, 0..n, 0.5f64..8.0, 0.0f64..5.0), 2..=14)
-            .prop_map(move |arcs| RandomNet { nodes: n, arcs })
+fn cases() -> impl Strategy<Value = Case> {
+    (1usize..=6).prop_flat_map(|ne| {
+        (
+            proptest::collection::vec(
+                (0.0f64..5.0, proptest::collection::vec(0..ne, 0..=3)),
+                0..=8,
+            ),
+            proptest::collection::vec(0u32..4, ne),
+        )
+            .prop_map(move |(traffics, fixings)| Case {
+                num_edges: ne,
+                traffics: traffics
+                    .into_iter()
+                    .map(|(v, mut support)| {
+                        support.sort_unstable();
+                        support.dedup();
+                        (v, support)
+                    })
+                    .collect(),
+                fixings,
+            })
     })
 }
 
-fn build(rn: &RandomNet) -> FlowNetwork {
-    let mut net = FlowNetwork::new(rn.nodes);
-    for &(u, v, cap, cost) in &rn.arcs {
-        if u != v {
-            net.add_arc(NodeRef(u as u32), NodeRef(v as u32), cap, cost);
-        }
+/// The relaxation at the case's fixings, applied one edge at a time as a
+/// depth-first search would.
+fn fixed(case: &Case) -> FlowBound<'_> {
+    let mut fb = FlowBound::new(case.num_edges, &case.traffics);
+    for (e, &f) in case.fixings.iter().enumerate() {
+        let s = match f {
+            2 => EdgeState::Installed,
+            3 => EdgeState::Forbidden,
+            _ => continue,
+        };
+        fb.goto(fb.trail().len(), Some((e, s)));
     }
-    net
+    fb
 }
 
-/// Brute-force min s-t cut over all node bipartitions.
-fn brute_min_cut(rn: &RandomNet, s: usize, t: usize) -> f64 {
-    let n = rn.nodes;
-    let mut best = f64::INFINITY;
-    for mask in 0u32..(1 << n) {
-        if mask >> s & 1 == 0 || mask >> t & 1 == 1 {
-            continue; // s must be on the source side, t on the sink side
-        }
-        let mut cut = 0.0;
-        for &(u, v, cap, _) in &rn.arcs {
-            if u != v && mask >> u & 1 == 1 && mask >> v & 1 == 0 {
-                cut += cap;
-            }
-        }
-        best = best.min(cut);
-    }
-    best
+/// The auxiliary graph's max flow at the current fixings: every traffic
+/// with an allowed edge (installed, or free and loaded) sends its volume.
+fn max_flow(fb: &FlowBound, traffics: &[(f64, Vec<usize>)]) -> f64 {
+    let allowed = |e: usize| match fb.state()[e] {
+        EdgeState::Installed => true,
+        EdgeState::Forbidden => false,
+        EdgeState::Free => fb.loads()[e] > 1e-12,
+    };
+    traffics
+        .iter()
+        .filter(|(_, support)| support.iter().any(|&e| allowed(e)))
+        .map(|(v, _)| v)
+        .sum()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn mincost_flow_conserves_and_prices_consistently(rn in networks(), demand in 0.1f64..6.0) {
-        let s = NodeRef(0);
-        let t = NodeRef(rn.nodes as u32 - 1);
-        let mut net = build(&rn);
-        let r = min_cost_flow(&mut net, s, t, demand);
-        prop_assert!(r.flow <= demand + 1e-9);
-        let net_flow = net.check_conservation(s, t).unwrap();
-        prop_assert!((net_flow - r.flow).abs() < 1e-6);
-        prop_assert!((net.flow_cost() - r.cost).abs() < 1e-6);
-        // Cost must be non-negative with non-negative arc costs.
-        prop_assert!(r.cost >= -1e-9);
-    }
-
-    /// By max-flow = min-cut, a min-cost flow asked for unlimited demand
-    /// routes exactly the brute-force min cut.
-    #[test]
-    fn mincost_never_exceeds_maxflow(rn in networks()) {
-        let (s, t) = (0, rn.nodes - 1);
-        let mut net = build(&rn);
-        let r = min_cost_flow(&mut net, NodeRef(s as u32), NodeRef(t as u32), f64::MAX);
-        let cut = brute_min_cut(&rn, s, t);
-        prop_assert!((r.flow - cut).abs() < 1e-6, "min-cost max-flow {} vs cut {cut}", r.flow);
-        net.check_conservation(NodeRef(s as u32), NodeRef(t as u32)).unwrap();
-    }
-
-    #[test]
-    fn more_demand_never_cheaper(rn in networks()) {
-        let s = NodeRef(0);
-        let t = NodeRef(rn.nodes as u32 - 1);
-        let mut net1 = build(&rn);
-        let r1 = min_cost_flow(&mut net1, s, t, 1.0);
-        let mut net2 = build(&rn);
-        let r2 = min_cost_flow(&mut net2, s, t, 3.0);
-        if (r2.flow - 3.0).abs() < 1e-9 && (r1.flow - 1.0).abs() < 1e-9 {
-            prop_assert!(r2.cost >= r1.cost - 1e-9, "cost is monotone in routed volume");
+    fn mincost_flow_conserves_and_prices_consistently(case in cases(), frac in 0.0f64..=1.0) {
+        let mut fb = fixed(&case);
+        let target = frac * max_flow(&fb, &case.traffics);
+        let (cost, routed) = fb.evaluate(target).expect("at most the max flow");
+        prop_assert!((routed - target).abs() < 1e-9, "routed {routed} of {target}");
+        // Only free, loaded edges carry priced flow, within their load,
+        // and the cost is that flow at 1/load per unit.
+        let mut priced = 0.0;
+        let mut carried = 0.0;
+        for (e, &(flagged, flow)) in fb.with_flow().iter().enumerate() {
+            prop_assert!(flow >= 0.0);
+            if flow > 0.0 {
+                prop_assert!(flagged);
+                prop_assert!(fb.state()[e] == EdgeState::Free);
+                prop_assert!(flow <= fb.loads()[e] + 1e-9);
+                priced += flow / fb.loads()[e];
+                carried += flow;
+            }
         }
+        prop_assert!((cost - priced).abs() < 1e-9, "cost {cost} vs priced {priced}");
+        prop_assert!(carried <= routed + 1e-9);
+    }
+
+    #[test]
+    fn mincost_never_exceeds_maxflow(case in cases(), over in 0.0f64..2.0) {
+        let mut fb = fixed(&case);
+        let max = max_flow(&fb, &case.traffics);
+        let target = max + over;
+        match fb.evaluate(target) {
+            Some((_, routed)) => {
+                prop_assert!(over <= 1e-6, "routed {routed} past the max flow {max}");
+                prop_assert!(routed <= max + 1e-9);
+            }
+            None => prop_assert!(over > 1e-6),
+        }
+    }
+
+    #[test]
+    fn more_demand_never_cheaper(case in cases(), a in 0.0f64..=1.0, b in 0.0f64..=1.0) {
+        let mut fb = fixed(&case);
+        let max = max_flow(&fb, &case.traffics);
+        let (lo, hi) = (a.min(b) * max, a.max(b) * max);
+        let (c_lo, _) = fb.evaluate(lo).expect("at most the max flow");
+        let (c_hi, _) = fb.evaluate(hi).expect("at most the max flow");
+        prop_assert!(c_lo <= c_hi + 1e-12, "{c_lo} at {lo} vs {c_hi} at {hi}");
     }
 }

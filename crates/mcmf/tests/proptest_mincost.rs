@@ -1,164 +1,161 @@
-//! Property tests for min-cost flow against a brute-force oracle.
+//! Property tests for the MECF flow relaxation ([`FlowBound`]) against a
+//! brute-force oracle.
 //!
-//! Networks are kept tiny with *integer* capacities and costs so the
-//! oracle can enumerate every integral flow vector exactly: min-cost flow
-//! on integral data has an integral optimum, so the enumeration is a true
-//! optimum, not a bound. Checked invariants:
+//! Instances are tiny with *integer* volumes and demands so the oracle can
+//! enumerate every integral flow: each traffic sends some whole amount of
+//! its volume through one allowed edge (installed at cost 0, or free at
+//! `1/load` per unit). The relaxation is a min-cost flow with integral
+//! capacities and demand, so it has an integral optimum and the
+//! enumeration is the true optimum, not a bound. Checked invariants:
 //!
-//! * **routed amount** — the solver routes `min(demand, max-flow)`, where
-//!   max-flow is the oracle's best feasible value;
-//! * **cost optimality** — when the demand is met, the solver's cost
-//!   equals the enumerated minimum over all feasible integral flows of
-//!   that value;
-//! * **flow conservation** — every intermediate node balances, and the
-//!   network's own accounting (`flow_cost`) agrees with the reported cost.
+//! * **routed amount and cost optimality** — the demand is routed iff the
+//!   oracle reaches it, at the oracle's minimum cost;
+//! * **accounting** — the flow is integral on every edge, within the
+//!   edge's load, and priced at `1/load` per unit;
+//! * **monotonicity** — larger demands never get cheaper.
 
-use mcmf::mincost::min_cost_flow;
-use mcmf::{FlowNetwork, NodeRef};
+use mcmf::mecf::{EdgeState, FlowBound};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
-struct IntNet {
-    nodes: usize,
-    /// `(from, to, cap, cost)` with `cap ∈ 1..=2`, `cost ∈ 0..=4`.
-    arcs: Vec<(usize, usize, u32, u32)>,
+struct IntCase {
+    num_edges: usize,
+    /// `(volume ∈ 0..=3, duplicate-free support)` per traffic.
+    traffics: Vec<(f64, Vec<usize>)>,
+    /// Per edge: 2 = installed, 3 = forbidden, otherwise free.
+    fixings: Vec<u32>,
 }
 
-fn int_networks() -> impl Strategy<Value = IntNet> {
-    (3usize..=5).prop_flat_map(|n| {
-        proptest::collection::vec((0..n, 0..n, 1u32..=2, 0u32..=4), 2..=8).prop_map(move |arcs| {
-            IntNet {
-                nodes: n,
-                arcs: arcs.into_iter().filter(|&(u, v, _, _)| u != v).collect(),
-            }
-        })
+fn int_cases() -> impl Strategy<Value = IntCase> {
+    (1usize..=4).prop_flat_map(|ne| {
+        (
+            proptest::collection::vec((0u32..=3, proptest::collection::vec(0..ne, 1..=3)), 1..=4),
+            proptest::collection::vec(0u32..4, ne),
+        )
+            .prop_map(move |(traffics, fixings)| IntCase {
+                num_edges: ne,
+                traffics: traffics
+                    .into_iter()
+                    .map(|(v, mut support)| {
+                        support.sort_unstable();
+                        support.dedup();
+                        (v as f64, support)
+                    })
+                    .collect(),
+                fixings,
+            })
     })
 }
 
-fn build(rn: &IntNet) -> FlowNetwork {
-    let mut net = FlowNetwork::new(rn.nodes);
-    for &(u, v, cap, cost) in &rn.arcs {
-        net.add_arc(
-            NodeRef(u as u32),
-            NodeRef(v as u32),
-            cap as f64,
-            cost as f64,
-        );
+fn state(f: u32) -> EdgeState {
+    match f {
+        2 => EdgeState::Installed,
+        3 => EdgeState::Forbidden,
+        _ => EdgeState::Free,
     }
-    net
 }
 
-/// Exhaustive oracle: enumerates every integral flow vector
-/// (`f[a] ∈ 0..=cap(a)`), keeping, per feasible flow value, the minimum
-/// cost. Returns `(max_value, min_cost_at_value)` where the map is indexed
-/// by value (`0..=max_value`).
-fn brute_force(rn: &IntNet, s: usize, t: usize) -> (u32, Vec<u32>) {
-    let arcs = &rn.arcs;
-    let mut best: Vec<Option<u32>> = vec![None; 1];
-    let mut f = vec![0u32; arcs.len()];
-    loop {
-        // Evaluate the current vector.
-        let mut net_out = vec![0i64; rn.nodes];
-        let mut cost = 0u64;
-        for (i, &(u, v, _, c)) in arcs.iter().enumerate() {
-            net_out[u] += f[i] as i64;
-            net_out[v] -= f[i] as i64;
-            cost += (f[i] * c) as u64;
-        }
-        let conserved = (0..rn.nodes).all(|n| n == s || n == t || net_out[n] == 0);
-        if conserved && net_out[s] >= 0 && net_out[s] == -net_out[t] {
-            let value = net_out[s] as usize;
-            if best.len() <= value {
-                best.resize(value + 1, None);
-            }
-            let cost = cost as u32;
-            if best[value].is_none_or(|c| cost < c) {
-                best[value] = Some(cost);
-            }
-        }
-        // Odometer increment over 0..=cap per arc.
-        let mut i = 0;
-        loop {
-            if i == arcs.len() {
-                let max_value = best.len() as u32 - 1;
-                let costs = best
-                    .iter()
-                    .map(|c| c.expect("every value below max is feasible"))
-                    .collect();
-                return (max_value, costs);
-            }
-            if f[i] < arcs[i].2 {
-                f[i] += 1;
-                break;
-            }
-            f[i] = 0;
-            i += 1;
+/// The relaxation at the case's fixings.
+fn fixed(case: &IntCase) -> FlowBound<'_> {
+    let mut fb = FlowBound::new(case.num_edges, &case.traffics);
+    for (e, &f) in case.fixings.iter().enumerate() {
+        if state(f) != EdgeState::Free {
+            fb.goto(fb.trail().len(), Some((e, state(f))));
         }
     }
+    fb
+}
+
+/// Exhaustive oracle: the minimum cost of every integral routed value
+/// `0..=max`, over every choice per traffic of an amount and one allowed
+/// edge for it.
+fn brute_force(case: &IntCase) -> Vec<f64> {
+    let mut load = vec![0.0; case.num_edges];
+    for (v, support) in &case.traffics {
+        for &e in support {
+            load[e] += v;
+        }
+    }
+    let mut best = vec![0.0];
+    for (v, support) in &case.traffics {
+        // Unit prices of the allowed edges; one is enough per traffic
+        // (splitting cannot beat the cheapest), but all are tried.
+        let prices: Vec<f64> = support
+            .iter()
+            .filter_map(|&e| match state(case.fixings[e]) {
+                EdgeState::Installed => Some(0.0),
+                EdgeState::Forbidden => None,
+                EdgeState::Free => (load[e] > 0.0).then(|| 1.0 / load[e]),
+            })
+            .collect();
+        let amounts = if prices.is_empty() { 0 } else { *v as usize };
+        let mut next = vec![f64::INFINITY; best.len() + amounts];
+        for (value, &cost) in best.iter().enumerate() {
+            next[value] = next[value].min(cost);
+            for &p in &prices {
+                for a in 1..=amounts {
+                    next[value + a] = next[value + a].min(cost + a as f64 * p);
+                }
+            }
+        }
+        best = next;
+    }
+    best
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn mincost_matches_brute_force_oracle(rn in int_networks(), demand in 1u32..=3) {
-        let s = 0usize;
-        let t = rn.nodes - 1;
-        let (max_value, min_costs) = brute_force(&rn, s, t);
-        let mut net = build(&rn);
-        let r = min_cost_flow(&mut net, NodeRef(s as u32), NodeRef(t as u32), demand as f64);
-
-        // Routed amount: min(demand, max-flow), and integral on this data.
-        let want_flow = demand.min(max_value);
-        prop_assert!(
-            (r.flow - want_flow as f64).abs() < 1e-6,
-            "routed {} but oracle says min(demand {demand}, max {max_value})",
-            r.flow
-        );
-
-        // Cost optimality at the routed value.
-        let want_cost = min_costs[want_flow as usize];
-        prop_assert!(
-            (r.cost - want_cost as f64).abs() < 1e-6,
-            "cost {} vs oracle optimum {want_cost} at value {want_flow}",
-            r.cost
-        );
-    }
-
-    #[test]
-    fn mincost_conserves_flow_and_accounting(rn in int_networks(), demand in 1u32..=3) {
-        let s = NodeRef(0);
-        let t = NodeRef(rn.nodes as u32 - 1);
-        let mut net = build(&rn);
-        let r = min_cost_flow(&mut net, s, t, demand as f64);
-        // Conservation at every intermediate node; source/sink balance.
-        let net_flow = net.check_conservation(s, t).unwrap();
-        prop_assert!((net_flow - r.flow).abs() < 1e-6);
-        // The network's arc-level accounting agrees with the result.
-        prop_assert!((net.flow_cost() - r.cost).abs() < 1e-6);
-        // No arc exceeds its capacity.
-        for i in 0..net.arc_count() {
-            let a = mcmf::ArcId(i as u32);
-            prop_assert!(net.flow(a) <= net.arc_capacity(a) + 1e-9);
-            prop_assert!(net.flow(a) >= -1e-9);
+    fn mincost_matches_brute_force_oracle(case in int_cases(), demand in 1u32..=8) {
+        let oracle = brute_force(&case);
+        let mut fb = fixed(&case);
+        match fb.evaluate(demand as f64) {
+            Some((cost, routed)) => {
+                prop_assert!((demand as usize) < oracle.len(), "routed past the max flow");
+                prop_assert!((routed - demand as f64).abs() < 1e-9);
+                let want = oracle[demand as usize];
+                prop_assert!((cost - want).abs() < 1e-9, "cost {cost} vs oracle {want}");
+            }
+            None => prop_assert!(
+                demand as usize >= oracle.len(),
+                "oracle routes {demand} of max {}",
+                oracle.len() - 1
+            ),
         }
     }
 
     #[test]
-    fn mincost_cost_is_monotone_in_value(rn in int_networks()) {
+    fn mincost_conserves_flow_and_accounting(case in int_cases(), demand in 1u32..=8) {
+        let mut fb = fixed(&case);
+        if let Some((cost, routed)) = fb.evaluate(demand as f64) {
+            let mut priced = 0.0;
+            let mut carried = 0.0;
+            for (e, &(_, flow)) in fb.with_flow().iter().enumerate() {
+                prop_assert_eq!(flow, flow.round(), "edge {} carries {}", e, flow);
+                prop_assert!(flow <= fb.loads()[e]);
+                if flow > 0.0 {
+                    priced += flow / fb.loads()[e];
+                    carried += flow;
+                }
+            }
+            prop_assert!((cost - priced).abs() < 1e-9);
+            prop_assert!(carried <= routed);
+        }
+    }
+
+    #[test]
+    fn mincost_cost_is_monotone_in_value(case in int_cases()) {
         // Successively larger demands can never get cheaper (costs are
         // non-negative), and the oracle's per-value optima agree.
-        let s = NodeRef(0);
-        let t = NodeRef(rn.nodes as u32 - 1);
-        let (max_value, min_costs) = brute_force(&rn, 0, rn.nodes - 1);
-        let mut prev_cost = 0.0f64;
-        for d in 1..=max_value.min(3) {
-            let mut net = build(&rn);
-            let r = min_cost_flow(&mut net, s, t, d as f64);
-            prop_assert!((r.flow - d as f64).abs() < 1e-6);
-            prop_assert!((r.cost - min_costs[d as usize] as f64).abs() < 1e-6);
-            prop_assert!(r.cost >= prev_cost - 1e-9, "cost must be monotone in routed value");
-            prev_cost = r.cost;
+        let oracle = brute_force(&case);
+        let mut fb = fixed(&case);
+        let mut prev = 0.0f64;
+        for d in 1..oracle.len() {
+            let (cost, _) = fb.evaluate(d as f64).expect("within the max flow");
+            prop_assert!((cost - oracle[d]).abs() < 1e-9);
+            prop_assert!(cost >= prev - 1e-12, "cost must be monotone in routed value");
+            prev = cost;
         }
     }
 }

@@ -4,9 +4,11 @@
 //! Once devices are installed they cannot move ("it implies human
 //! maintenance on each router"), but sampling ratios can track the traffic.
 //! With the `x_e` fixed, Linear Program 3 loses its binaries and becomes a
-//! plain LP solvable in polynomial time; the paper also notes the problem
-//! "can be expressed as a minimum cost flow problem". Both solvers are
-//! here, plus the threshold controller:
+//! plain LP solvable in polynomial time ([`reoptimize_rates`]). The paper
+//! also notes the problem "can be expressed as a minimum cost flow
+//! problem"; that form relaxes the per-device rate into per-traffic
+//! attribution and may miss the per-traffic floors, so the LP is the one
+//! solver here. The threshold controller runs it:
 //!
 //! ```text
 //! 1. While Σ δ_p v_p ≥ T · Σ v_p:  wait;
@@ -85,82 +87,6 @@ pub fn reoptimize_rates(prob: &SamplingProblem, installed: &[bool]) -> Option<Ra
         Err(e) => panic!("LP solver failed unexpectedly: {e}"),
     };
     let rates: Vec<f64> = rs.iter().map(|&r| sol.value(r).clamp(0.0, 1.0)).collect();
-    let exploit_cost = rates
-        .iter()
-        .zip(&prob.exploit_cost)
-        .map(|(r, c)| r * c)
-        .sum();
-    let monitored = prob.total_monitored(&rates);
-    Some(RatesSolution {
-        rates,
-        exploit_cost,
-        monitored,
-    })
-}
-
-/// Fast min-cost-flow relaxation of `PPME*` for single-path traffics under
-/// the *volume-attribution* semantics (each device may dedicate sampling
-/// capacity per traffic, as with the packet-marking techniques of Section
-/// 5.2): route `k·V` units through the MECF auxiliary graph restricted to
-/// installed links, with per-unit cost `cost_e(e)/load(e)`.
-///
-/// The returned cost lower-bounds the LP optimum of [`reoptimize_rates`]
-/// (the attribution semantics is more flexible than a single per-device
-/// rate); the derived rates `r_e = flow_e / load(e)` are a fast warm
-/// estimate, not guaranteed to meet per-traffic floors. Returns `None`
-/// when the installed links cannot carry `k·V`.
-pub fn reoptimize_rates_flow(prob: &SamplingProblem, installed: &[bool]) -> Option<RatesSolution> {
-    assert_eq!(installed.len(), prob.num_edges, "one flag per link");
-    // The traffics over installed links only (uninstalled links get
-    // pruned from supports; traffics with no installed link keep an empty
-    // support and simply cannot be attributed), and their link loads.
-    let traffics: Vec<(f64, Vec<usize>)> = prob
-        .paths
-        .iter()
-        .map(|p| {
-            (
-                p.volume,
-                p.edges
-                    .iter()
-                    .copied()
-                    .filter(|&e| installed[e])
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    let mut loads = vec![0.0; prob.num_edges];
-    for (v, edges) in &traffics {
-        for &e in edges {
-            loads[e] += v;
-        }
-    }
-    let costs: Vec<f64> = (0..prob.num_edges)
-        .map(|e| {
-            if loads[e] > 1e-12 {
-                prob.exploit_cost[e] / loads[e]
-            } else {
-                1e12
-            }
-        })
-        .collect();
-    let mut g = mcmf::mecf::build_mecf(prob.num_edges, &traffics, &costs);
-    let demand = prob.k * prob.total_volume();
-    let res = mcmf::mincost::min_cost_flow(&mut g.net, g.source, g.sink, demand);
-    if res.flow + 1e-9 < demand {
-        return None;
-    }
-    let rates: Vec<f64> = g
-        .edge_arcs
-        .iter()
-        .enumerate()
-        .map(|(e, &a)| {
-            if loads[e] > 1e-12 {
-                (g.net.flow(a) / loads[e]).clamp(0.0, 1.0)
-            } else {
-                0.0
-            }
-        })
-        .collect();
     let exploit_cost = rates
         .iter()
         .zip(&prob.exploit_cost)
@@ -360,27 +286,6 @@ mod tests {
         let r = reoptimize_rates(&prob, &installed).unwrap();
         assert_eq!(r.rates[3], 0.0);
         assert_eq!(r.rates[4], 0.0);
-    }
-
-    #[test]
-    fn flow_relaxation_lower_bounds_lp() {
-        let prob = small_problem(0.8);
-        let installed = vec![true, true, true, false, false];
-        let lp = reoptimize_rates(&prob, &installed).unwrap();
-        let flow = reoptimize_rates_flow(&prob, &installed).unwrap();
-        assert!(
-            flow.exploit_cost <= lp.exploit_cost + 1e-6,
-            "flow {} vs lp {}",
-            flow.exploit_cost,
-            lp.exploit_cost
-        );
-    }
-
-    #[test]
-    fn flow_relaxation_detects_infeasibility() {
-        let prob = small_problem(1.0);
-        let installed = vec![true, false, false, false, false];
-        assert!(reoptimize_rates_flow(&prob, &installed).is_none());
     }
 
     #[test]

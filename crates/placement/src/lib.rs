@@ -19,8 +19,8 @@
 //!   run through [`solve`];
 //! * [`sampling`] — `PPME(h, k)` with setup and exploitation costs and
 //!   multi-routed traffics (Section 5, Linear Program 3);
-//! * [`dynamic`] — `PPME*(x, h, k)` re-optimization (LP and min-cost-flow
-//!   forms) plus the threshold controller of Section 5.4;
+//! * [`dynamic`] — `PPME*(x, h, k)` rate re-optimization (an LP) plus the
+//!   threshold controller of Section 5.4;
 //! * [`active`] — probe-set computation and beacon placement: the baseline
 //!   of Nguyen–Thiran \[15\], the improved greedy, and the exact ILP
 //!   (Section 6);

@@ -10,11 +10,11 @@
 //!   which permits to monitor the larger volume of traffic not monitored
 //!   yet", Section 4.3), which carries the Slavík guarantee.
 //! * [`flow_greedy_ppm`] — a min-cost flow on the MECF auxiliary graph
-//!   (built by `mcmf`) with `1/load(e)` arc costs, which the paper shows
-//!   formalizes the greedy family (Section 4.3 "Heuristics").
+//!   with `1/load(e)` arc costs (`mcmf`'s analytic relaxation at its
+//!   root), which the paper shows formalizes the greedy family (Section
+//!   4.3 "Heuristics").
 
-use mcmf::mecf::build_mecf;
-use mcmf::mincost::min_cost_flow;
+use mcmf::mecf::FlowBound;
 use mcmf::FLOW_EPS;
 
 use crate::instance::PpmInstance;
@@ -132,30 +132,27 @@ pub fn greedy_adaptive(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
 }
 
 /// The paper's flow greedy: a min-cost flow of `k·V` units on the MECF
-/// auxiliary graph ([`mcmf::mecf::build_mecf`]) with `(S, w_e)` cost
-/// `1/load(e)` per monitored unit, selecting every edge whose arc carries
-/// flow. Returns `None` when even monitoring every edge cannot route the
-/// target.
+/// auxiliary graph with `(S, w_e)` cost `1/load(e)` per monitored unit
+/// (heavily loaded links are cheap per unit), selecting every edge whose
+/// arc carries flow. The flow is the root of [`FlowBound`], where every
+/// edge is free: each traffic on its cheapest edge, then a fractional
+/// knapsack up to `k·V`. Returns `None` when even monitoring every edge
+/// cannot route the target.
 pub fn flow_greedy_ppm(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
     assert_fraction(k);
     let demand = k * inst.total_volume();
     if demand <= FLOW_EPS {
         return Some(PpmSolution::from_edges(inst, Vec::new(), false));
     }
-    // Cost 1/load: heavily loaded links are cheap per monitored unit.
-    // Unused links get an effectively prohibitive (but finite) cost.
-    let costs: Vec<f64> = inst
-        .edge_loads()
-        .iter()
-        .map(|&l| if l > FLOW_EPS { 1.0 / l } else { 1e12 })
-        .collect();
-    let mut g = build_mecf(inst.num_edges, &inst.traffics, &costs);
-    let res = min_cost_flow(&mut g.net, g.source, g.sink, demand);
-    if res.flow + FLOW_EPS < demand {
+    let mut fb = FlowBound::new(inst.num_edges, &inst.traffics);
+    let (_, routed) = fb.evaluate(demand)?;
+    if routed + FLOW_EPS < demand {
         return None;
     }
+    // By flow amount, not the routed flag: a zero-volume traffic sets the
+    // flag on its edge without putting flow on it.
     let edges = (0..inst.num_edges)
-        .filter(|&e| g.net.flow(g.edge_arcs[e]) > FLOW_EPS)
+        .filter(|&e| fb.with_flow()[e].1 > FLOW_EPS)
         .collect();
     Some(PpmSolution::from_edges(inst, edges, false))
 }
@@ -236,6 +233,24 @@ mod tests {
         let inst = fixture_figure3();
         let f = flow_greedy_ppm(&inst, 4.0 / 6.0).unwrap();
         assert_eq!(f.edges, vec![0]);
+    }
+
+    #[test]
+    fn flow_greedy_selects_only_edges_carrying_flow() {
+        // The knapsack routes the zero-volume traffic onto edge 0 before
+        // the last unit of traffic 3, which flags edge 0 without giving
+        // it flow; the selection is the edges that carry flow.
+        let inst = PpmInstance::new(
+            3,
+            vec![
+                (1.0, vec![0, 1]),
+                (5.0, vec![1]),
+                (0.0, vec![0]),
+                (1.0, vec![2]),
+            ],
+        );
+        let f = flow_greedy_ppm(&inst, 1.0).unwrap();
+        assert_eq!(f.edges, vec![1, 2]);
     }
 
     #[test]

@@ -14,40 +14,46 @@
 //! selected edges, paying at most one per device). Every arc out of `S`
 //! and into a traffic node is uncapacitated, so the flow is computed
 //! analytically — each traffic's cheapest allowed edge, then a fractional
-//! knapsack up to `k·V` (see [`FlowBound`]) — instead of by a flow or
-//! simplex solve. Every node also yields a feasible incumbent for free:
-//! the installed edges plus the free edges carrying flow form a cover.
+//! knapsack up to `k·V` (see `mcmf`'s [`FlowBound`]) — instead of by a
+//! flow or simplex solve. Every node also yields a feasible incumbent for
+//! free: the installed edges plus the free edges carrying flow form a
+//! cover.
 //!
 //! The search is incremental: a depth-first child differs from its parent
-//! in one edge, so the per-traffic cheapest-edge choices are cached for
-//! the whole search and only the traffics crossing an edge whose state
-//! changed are re-scanned at the next node.
+//! in one edge, so the bound keeps the per-traffic cheapest-edge choices
+//! for the whole search and re-scans only the traffics crossing an edge
+//! whose state changed at the next node. This module keeps the search
+//! itself: the frames, the branching rule and the redundancy prune.
+
+use mcmf::mecf::{EdgeState, FlowBound};
 
 use crate::instance::PpmInstance;
 use crate::passive::exact::coverage_target;
 use crate::passive::{assert_fraction, greedy_incumbent, ExactOptions, PpmSolution};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeState {
-    Free,
-    Installed,
-    Forbidden,
-}
-
 /// Exact `PPM(k)` via branch-and-bound with min-cost-flow bounds.
 ///
 /// Same contract as an exact [`crate::solve::SolveRequest::ppm`] solve
 /// (which uses the LP 2 MIP): returns `None` when the target is
-/// unreachable, and a
-/// [`PpmSolution`] with `proven_optimal` reflecting whether the search
-/// completed within the node limit. Preferred for large instances (the
-/// Figure 8 scale); the MIP route is kept for cross-validation.
+/// unreachable, and a [`PpmSolution`] with `proven_optimal` reflecting
+/// whether the search completed within the node limit.
+///
+/// Its bound is LP 1's relaxation, which charges a link only for the
+/// share of its load routed through it, while LP 2 counts a selected link
+/// for every traffic that crosses it. So it is not the route for large
+/// instances: on the 150-router POP (seed 0) the root flow bound is 9.60
+/// and LP 2's is 31.14. Its nodes are cheap on small and mid-size POPs,
+/// and it is the exact solver of fig8, `xp_scale_150`,
+/// `xp_topology_families`, `popmon_cli passive` and popbench's
+/// `batch_sweep`, and the Section 4.3 branching algorithm that
+/// `xp_mecf_ablation` measures; the LP 2 MIP answers every other
+/// production exact solve.
 pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Option<PpmSolution> {
     assert_fraction(k);
     let target = coverage_target(inst, k)?;
     let merged = inst.merged();
     let ne = merged.num_edges;
-    let mut fb = FlowBound::new(&merged);
+    let mut fb = FlowBound::new(ne, &merged.traffics);
 
     // Initial incumbent from the greedy pair.
     let mut incumbent: Option<Vec<usize>> = greedy_incumbent(inst, k).map(|s| s.edges);
@@ -87,7 +93,7 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
         let Some((bound_frac, routed)) = fb.evaluate(target) else {
             continue; // target unreachable under these fixings
         };
-        let (state, flow_edges, loads) = (&fb.state, &fb.with_flow, &fb.loads);
+        let (state, flow_edges, loads) = (fb.state(), fb.with_flow(), fb.loads());
         let bound = frame.installed + (bound_frac - 1e-9).ceil().max(0.0) as usize;
         if bound >= best {
             continue;
@@ -98,7 +104,7 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
         if routed + 1e-6 >= target {
             cover.clear();
             cover.extend((0..ne).filter(|&e| state[e] == EdgeState::Installed || flow_edges[e].0));
-            prune.run(&fb.volumes, loads, &fb.edge_traffics, &mut cover, target);
+            prune.run(fb.volumes(), loads, fb.edge_traffics(), &mut cover, target);
             if cover.len() < best {
                 incumbent = Some(cover.clone());
             }
@@ -133,7 +139,7 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
 
         // Down child (forbid e) pushed first so the up child (install e,
         // plunging toward covers) is explored first.
-        let depth = fb.trail.len();
+        let depth = fb.trail().len();
         stack.push(Frame {
             depth,
             fix: Some((e, EdgeState::Forbidden)),
@@ -147,254 +153,6 @@ pub fn solve_ppm_mecf_bb(inst: &PpmInstance, k: f64, opts: &ExactOptions) -> Opt
     }
 
     incumbent.map(|edges| PpmSolution::from_edges(inst, edges, proven))
-}
-
-/// The min-cost-flow bound of the search's current node, kept
-/// incrementally across nodes.
-///
-/// Because every `(S, w_e)` and `(w_e, w_t)` arc of the auxiliary graph is
-/// *uncapacitated*, the min-cost flow decomposes per traffic: a unit of
-/// traffic `t` is cheapest through `argmin_{e ∈ p_t, e allowed} cost(e)`
-/// with `cost = 0` on installed edges and `1/load(e)` on free ones; the
-/// optimal flow is then the fractional knapsack "monitor the cheapest
-/// traffics first until `k·V`". This gives the exact same value as running
-/// successive shortest paths. (The equivalence is unit-tested against
-/// [`mcmf::mincost::min_cost_flow`] below, under random fixings.)
-///
-/// Per node, [`FlowBound::evaluate`] re-scans only the traffics crossing
-/// an edge whose state changed since the previous evaluation —
-/// `O(Σ_{e changed} Σ_{t ∋ e} |p_t|)` — and lays the knapsack items out by
-/// a counting sort over precomputed cost ranks, `O(T + E)`.
-struct FlowBound<'a> {
-    traffics: &'a [(f64, Vec<usize>)],
-    /// Traffic volumes, and their sum in traffic order.
-    volumes: Vec<f64>,
-    total: f64,
-    loads: Vec<f64>,
-    /// Edge → traffics crossing it; also walked by the redundancy prune.
-    edge_traffics: Vec<Vec<u32>>,
-    /// Knapsack sort key of a free edge: the rank of its cost `1/load`
-    /// among all distinct costs and the installed cost `0`, which has
-    /// rank 0. Equal costs share a rank, so a stable counting sort by rank
-    /// orders the items exactly as a stable comparison sort by cost would.
-    rank: Vec<u32>,
-    state: Vec<EdgeState>,
-    /// The edges fixed on the path to the current node, in branching
-    /// order.
-    trail: Vec<usize>,
-    /// Edges whose state changed since the last evaluation (may repeat).
-    dirty: Vec<usize>,
-    /// Each traffic's cheapest allowed edge `(cost, edge)` under `state`
-    /// (as of the last evaluation), `None` when none is allowed; its sort
-    /// key ([`BLOCKED`] for `None`); the traffics per key; and how many
-    /// traffics have no allowed edge.
-    cheapest: Vec<Option<(f64, usize)>>,
-    key: Vec<u32>,
-    per_key: Vec<u32>,
-    blocked: usize,
-    /// Per-traffic stamp de-duplicating re-scans within one evaluation.
-    scanned: Vec<u64>,
-    epoch: u64,
-    /// Counting-sort scratch: per-key slots, and the knapsack items
-    /// `(cost, volume, edge)` in cost order.
-    slot: Vec<u32>,
-    items: Vec<(f64, f64, usize)>,
-    /// Per edge: whether it carries flow, and how much.
-    with_flow: Vec<(bool, f64)>,
-}
-
-/// Sort key of a traffic without an allowed edge.
-const BLOCKED: u32 = u32::MAX;
-
-impl<'a> FlowBound<'a> {
-    /// The bound at the root: every edge free.
-    fn new(inst: &'a PpmInstance) -> Self {
-        let ne = inst.num_edges;
-        let nt = inst.traffics.len();
-        let loads = inst.edge_loads();
-        let mut edge_traffics: Vec<Vec<u32>> = vec![Vec::new(); ne];
-        for (t, (_, support)) in inst.traffics.iter().enumerate() {
-            for &e in support {
-                edge_traffics[e].push(t as u32);
-            }
-        }
-        let cost = |e: usize| (loads[e] > 1e-12).then(|| 1.0 / loads[e]);
-        let mut costs: Vec<f64> = (0..ne).filter_map(cost).collect();
-        costs.push(0.0);
-        costs.sort_by(|a, b| a.partial_cmp(b).expect("finite costs"));
-        costs.dedup();
-        let rank = (0..ne)
-            .map(|e| cost(e).map_or(0, |c| costs.partition_point(|&x| x < c) as u32))
-            .collect();
-        let volumes: Vec<f64> = inst.traffics.iter().map(|&(v, _)| v).collect();
-        let mut fb = Self {
-            traffics: &inst.traffics,
-            total: volumes.iter().sum(),
-            volumes,
-            loads,
-            edge_traffics,
-            rank,
-            state: vec![EdgeState::Free; ne],
-            trail: Vec::new(),
-            dirty: Vec::new(),
-            cheapest: vec![None; nt],
-            key: vec![BLOCKED; nt],
-            per_key: vec![0; costs.len()],
-            blocked: nt,
-            scanned: vec![0; nt],
-            epoch: 0,
-            slot: vec![0; costs.len()],
-            items: Vec::with_capacity(nt),
-            with_flow: vec![(false, 0.0); ne],
-        };
-        for t in 0..nt {
-            fb.rescan(t);
-        }
-        fb
-    }
-
-    /// Moves to the node whose fixings are the first `depth` of the
-    /// current trail plus `fix`.
-    fn goto(&mut self, depth: usize, fix: Option<(usize, EdgeState)>) {
-        while self.trail.len() > depth {
-            let e = self.trail.pop().expect("non-empty trail");
-            self.state[e] = EdgeState::Free;
-            self.dirty.push(e);
-        }
-        if let Some((e, s)) = fix {
-            self.state[e] = s;
-            self.trail.push(e);
-            self.dirty.push(e);
-        }
-    }
-
-    /// Re-scans traffic `t`'s support under the current state, moving it
-    /// to its new sort key.
-    fn rescan(&mut self, t: usize) {
-        let best = cheapest_edge(&self.traffics[t].1, &self.state, &self.loads);
-        let key = match best {
-            None => BLOCKED,
-            Some((_, e)) if self.state[e] == EdgeState::Installed => 0,
-            Some((_, e)) => self.rank[e],
-        };
-        match self.key[t] {
-            BLOCKED => self.blocked -= 1,
-            k => self.per_key[k as usize] -= 1,
-        }
-        match key {
-            BLOCKED => self.blocked += 1,
-            k => self.per_key[k as usize] += 1,
-        }
-        self.cheapest[t] = best;
-        self.key[t] = key;
-    }
-
-    /// Computes the bound at the current node: the fractional device
-    /// bound over free edges and the routed volume, filling `with_flow`;
-    /// `None` when the target cannot be routed.
-    fn evaluate(&mut self, target: f64) -> Option<(f64, f64)> {
-        self.with_flow.fill((false, 0.0));
-        if target <= 1e-12 {
-            return Some((0.0, 0.0));
-        }
-
-        // Re-scan the traffics that cross a changed edge.
-        self.epoch += 1;
-        while let Some(e) = self.dirty.pop() {
-            for i in 0..self.edge_traffics[e].len() {
-                let t = self.edge_traffics[e][i] as usize;
-                if self.scanned[t] != self.epoch {
-                    self.scanned[t] = self.epoch;
-                    self.rescan(t);
-                }
-            }
-        }
-
-        let Self {
-            volumes,
-            state,
-            cheapest,
-            key,
-            per_key,
-            slot,
-            items,
-            with_flow,
-            ..
-        } = self;
-        let coverable: f64 = if self.blocked == 0 {
-            self.total
-        } else {
-            volumes
-                .iter()
-                .zip(cheapest.iter())
-                .filter_map(|(&v, c)| c.map(|_| v))
-                .sum()
-        };
-        if coverable + 1e-6 < target {
-            return None;
-        }
-
-        // Fractional knapsack: cheapest unit costs first, ties in traffic
-        // order (a stable counting sort by cost rank).
-        let mut sum = 0;
-        for (s, &n) in slot.iter_mut().zip(per_key.iter()) {
-            (*s, sum) = (sum, sum + n);
-        }
-        items.resize(sum as usize, (0.0, 0.0, 0));
-        for (t, &k) in key.iter().enumerate() {
-            if let Some((c, e)) = cheapest[t] {
-                let s = &mut slot[k as usize];
-                items[*s as usize] = (c, volumes[t], e);
-                *s += 1;
-            }
-        }
-        let mut routed = 0.0f64;
-        let mut cost = 0.0f64;
-        for &(c, v, e) in items.iter() {
-            if routed + 1e-12 >= target {
-                break;
-            }
-            let take = v.min(target - routed);
-            routed += take;
-            cost += c * take;
-            if state[e] == EdgeState::Free {
-                with_flow[e].0 = true;
-                with_flow[e].1 += take;
-            }
-        }
-        Some((cost, routed))
-    }
-}
-
-/// The cheapest allowed edge of one traffic's support: cost 0 when
-/// installed, `1/load` when free (edges without load are skipped), and
-/// forbidden edges skipped. Ties prefer the heavier load so flow
-/// consolidates onto fewer edges (better incumbents).
-fn cheapest_edge(support: &[usize], state: &[EdgeState], loads: &[f64]) -> Option<(f64, usize)> {
-    let mut best: Option<(f64, usize)> = None;
-    for &e in support {
-        let cost = match state[e] {
-            EdgeState::Forbidden => continue,
-            EdgeState::Installed => 0.0,
-            EdgeState::Free => {
-                if loads[e] > 1e-12 {
-                    1.0 / loads[e]
-                } else {
-                    continue;
-                }
-            }
-        };
-        let better = match best {
-            None => true,
-            Some((bc, be)) => {
-                cost < bc - 1e-15 || ((cost - bc).abs() <= 1e-15 && loads[e] > loads[be])
-            }
-        };
-        if better {
-            best = Some((cost, e));
-        }
-    }
-    best
 }
 
 /// Scratch buffers of the redundancy prune, reused across incumbents.
@@ -529,46 +287,40 @@ mod tests {
         assert!(solve_ppm_mecf_bb(&inst, 0.5, &ExactOptions::default()).is_some());
     }
 
-    /// The min-cost flow of the node's auxiliary graph, solved by
-    /// successive shortest paths: installed arcs cost nothing, forbidden
-    /// arcs (and free arcs of load-less edges, which the bound skips) are
-    /// removed, free arcs cost `1/load`. `None` when `target` cannot be
-    /// routed.
-    fn ssp_bound(inst: &PpmInstance, state: &[EdgeState], target: f64) -> Option<f64> {
-        let loads = inst.edge_loads();
-        let allowed = |e: usize| match state[e] {
-            EdgeState::Installed => true,
-            EdgeState::Forbidden => false,
-            EdgeState::Free => loads[e] > 1e-12,
-        };
-        let traffics: Vec<(f64, Vec<usize>)> = inst
-            .traffics
-            .iter()
-            .map(|(v, support)| {
-                (
-                    *v,
-                    support.iter().copied().filter(|&e| allowed(e)).collect(),
-                )
-            })
-            .collect();
-        let costs: Vec<f64> = (0..inst.num_edges)
-            .map(|e| match state[e] {
-                EdgeState::Free if allowed(e) => 1.0 / loads[e],
-                _ => 0.0,
-            })
-            .collect();
-        let mut g = mcmf::mecf::build_mecf(inst.num_edges, &traffics, &costs);
-        let r = mcmf::mincost::min_cost_flow(&mut g.net, g.source, g.sink, target);
-        (r.flow + 1e-6 >= target).then_some(r.cost)
+    /// The node's bound by an independent route: the linear relaxation of
+    /// LP 1 (the arc-path program), solved by `milp`'s simplex with each
+    /// installed link fixed to 1 and each forbidden link to 0. Its
+    /// optimum is `|installed| + Σ_free flow_e/load(e)` over the same
+    /// flows, so the free part is the analytic bound. `None` when the LP
+    /// is infeasible (`target` cannot be routed).
+    fn lp1_bound(inst: &PpmInstance, state: &[EdgeState], target: f64) -> Option<f64> {
+        let (mut model, xs) = crate::passive::build_lp1_target(inst, target);
+        let mut installed = 0;
+        for (e, &x) in xs.iter().enumerate() {
+            match state[e] {
+                EdgeState::Installed => {
+                    model.set_bounds(x, 1.0, 1.0);
+                    installed += 1;
+                }
+                EdgeState::Forbidden => model.set_bounds(x, 0.0, 0.0),
+                EdgeState::Free => {}
+            }
+        }
+        match model.solve_lp() {
+            Ok(sol) => Some(sol.objective - installed as f64),
+            Err(milp::SolverError::Infeasible) => None,
+            Err(e) => panic!("LP 1 relaxation failed: {e}"),
+        }
     }
 
     #[test]
     fn analytic_bound_matches_real_min_cost_flow() {
-        // The knapsack decomposition must equal the SSP min-cost flow on
-        // the same auxiliary graph (uncapacitated (S, w_e) arcs), at the
-        // root and at every node of random walks over the fixings — which
-        // also checks that the incrementally re-scanned cheapest-edge
-        // cache matches the walk's current state.
+        // The knapsack decomposition must equal the min-cost flow on the
+        // same auxiliary graph (uncapacitated (S, w_e) arcs), computed as
+        // the LP 1 relaxation by the simplex, at the root and at every
+        // node of random walks over the fixings — which also checks that
+        // the incrementally re-scanned cheapest-edge cache matches the
+        // walk's current state.
         let paper = popgen::PopSpec::paper_10().build();
         let family = popgen::FamilySpec::waxman(30, 10)
             .build(3)
@@ -584,28 +336,28 @@ mod tests {
         for (pop, seed) in [(&paper, 4), (&family, 5)] {
             let ts = popgen::TrafficSpec::default().generate(pop, seed);
             let inst = PpmInstance::from_traffic(&pop.graph, &ts).merged();
-            let mut fb = FlowBound::new(&inst);
+            let mut fb = FlowBound::new(inst.num_edges, &inst.traffics);
             for k in [0.3, 0.6, 0.9] {
                 let target = k * inst.total_volume();
                 let (analytic, routed) = fb.evaluate(target).expect("coverable");
                 assert!((routed - target).abs() < 1e-6);
-                let ssp = ssp_bound(&inst, &fb.state, target).expect("routable");
+                let lp = lp1_bound(&inst, fb.state(), target).expect("routable");
                 assert!(
-                    (analytic - ssp).abs() < 1e-6,
-                    "k = {k}: analytic {analytic} vs flow {ssp}"
+                    (analytic - lp).abs() < 1e-6,
+                    "k = {k}: analytic {analytic} vs LP 1 {lp}"
                 );
             }
             for _ in 0..300 {
                 // Mostly plunge, sometimes back up to a random depth of
                 // the trail; then fix one more edge, as the search does.
-                let len = fb.trail.len();
+                let len = fb.trail().len();
                 let depth = match next(10) {
                     _ if len == inst.num_edges => next(len),
                     0 => next(len + 1),
                     _ => len,
                 };
                 let free: Vec<usize> = (0..inst.num_edges)
-                    .filter(|e| !fb.trail[..depth].contains(e))
+                    .filter(|e| !fb.trail()[..depth].contains(e))
                     .collect();
                 let e = free[next(free.len())];
                 let s = if next(4) == 0 {
@@ -616,15 +368,15 @@ mod tests {
                 fb.goto(depth, Some((e, s)));
                 let target = [0.3, 0.6, 0.9, 1.0][next(4)] * inst.total_volume();
                 let analytic = fb.evaluate(target);
-                let ssp = ssp_bound(&inst, &fb.state, target);
-                match (analytic, ssp) {
+                let lp = lp1_bound(&inst, fb.state(), target);
+                match (analytic, lp) {
                     (Some((a, routed)), Some(f)) => {
                         assert!((routed - target).abs() < 1e-6);
-                        assert!((a - f).abs() < 1e-6, "analytic {a} vs flow {f}");
+                        assert!((a - f).abs() < 1e-6, "analytic {a} vs LP 1 {f}");
                         checked += 1;
                     }
                     (None, None) => unreachable += 1,
-                    (a, f) => panic!("analytic {a:?} vs flow {f:?} at {:?}", fb.trail),
+                    (a, f) => panic!("analytic {a:?} vs LP 1 {f:?} at {:?}", fb.trail()),
                 }
             }
         }

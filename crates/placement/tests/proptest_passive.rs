@@ -803,7 +803,7 @@ mod reference_mecf_bb {
     /// traffics first until `k·V`". This gives the exact same value as running
     /// successive shortest paths, in `O(Σ|p_t| + T log T)` — microseconds per
     /// node instead of a full flow solve. (The equivalence is unit-tested
-    /// against [`mcmf::mincost::min_cost_flow`] below.)
+    /// against the LP 1 relaxation in `mecf_bb`'s tests.)
     ///
     /// Returns the fractional device bound over free edges and the routed
     /// volume, filling `with_flow` with a `(carries flow, flow amount)` pair

@@ -38,13 +38,12 @@ pub const MAX_SCENARIOS: usize = 4096;
 /// sized so that single-digit-millisecond deadlines already admit the
 /// root relaxation on the paper-scale instances.
 ///
-/// The solver's measured rate is far lower. `milp.units_per_ms` on the
-/// benchmark's `serve_whatif` workload (2-core x86-64 VM, median of 8
-/// traced runs) reads about 200 units/ms with the dual phase
-/// recomputing its duals and pivot row on every bound flip, and about
-/// 250 with the flip-stable caches. A `deadline_ms` therefore runs about
-/// 8× longer than its face value. Changing the constant would change
-/// deadline semantics, so it stays.
+/// The solver's measured rate is far lower. Since a work unit became a
+/// real dual pivot, `milp.units_per_ms` on the benchmark's
+/// `serve_whatif` workload reads about 130–145 units/ms (seed 1, 25 s,
+/// traced, on a 2-core x86-64 VM). A `deadline_ms` therefore runs about
+/// 14–15× longer than its face value. Changing the constant would change
+/// deadline semantics, and the benchmark reads it, so it stays.
 pub const WORK_UNITS_PER_MS: u64 = 2_000;
 
 /// Back-off hint (milliseconds) attached to `overloaded` shed errors.

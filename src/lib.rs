@@ -9,7 +9,8 @@
 //!
 //! * [`netgraph`] — graph substrate (shortest paths, k-shortest paths);
 //! * [`milp`] — from-scratch LP/MIP solver standing in for CPLEX;
-//! * [`mcmf`] — min-cost flow and the MECF auxiliary graph;
+//! * [`mcmf`] — the MECF auxiliary graph's min-cost-flow relaxation,
+//!   solved analytically under edge fixings;
 //! * [`popgen`] — POP topology and traffic-matrix generators;
 //! * [`placement`] — the paper's contribution: PPM(k), PPME(h,k),
 //!   PPME*(x,h,k) and active beacon placement;

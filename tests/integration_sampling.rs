@@ -1,10 +1,8 @@
 //! Cross-crate integration tests for `PPME(h, k)` and the dynamic
-//! controller: sampling solutions validate end-to-end, the LP/flow
-//! re-optimizers relate correctly, and the controller repairs coverage.
+//! controller: sampling solutions validate end-to-end, the LP rate
+//! re-optimizer meets its target, and the controller repairs coverage.
 
-use popmon::placement::dynamic::{
-    reoptimize_rates, reoptimize_rates_flow, run_controller, ControllerSpec,
-};
+use popmon::placement::dynamic::{reoptimize_rates, run_controller, ControllerSpec};
 use popmon::placement::instance::PpmInstance;
 use popmon::placement::passive::ExactOptions;
 use popmon::placement::sampling::{solve_ppme, SamplingProblem};
@@ -54,7 +52,7 @@ fn ppme_cost_monotone_in_k() {
 }
 
 #[test]
-fn reoptimizers_agree_on_their_bound_relation() {
+fn lp_reoptimizer_meets_target() {
     let pop = PopSpec::paper_10().build();
     let ts = TrafficSpec::default().generate(&pop, 3);
     let ne = pop.graph.edge_count();
@@ -62,10 +60,6 @@ fn reoptimizers_agree_on_their_bound_relation() {
     let prob = SamplingProblem::from_traffic_set(&pop.graph, &ts, 0.0, 0.9, ci, ce);
     let installed = vec![true; ne];
     let lp = reoptimize_rates(&prob, &installed).unwrap();
-    let flow = reoptimize_rates_flow(&prob, &installed).unwrap();
-    // Volume-attribution semantics is a relaxation: its cost lower-bounds
-    // the per-device-rate LP optimum.
-    assert!(flow.exploit_cost <= lp.exploit_cost + 1e-6);
     // The LP rates genuinely achieve the target in the rate semantics.
     assert!(lp.monitored + 1e-6 >= 0.9 * prob.total_volume());
 }
