@@ -86,31 +86,20 @@ impl PartialOrd for HeapEntry {
 /// Runs Dijkstra from `source` over the whole graph.
 ///
 /// Edge weights must be non-negative (enforced at graph construction).
-/// Optionally a set of forbidden nodes/edges can be supplied through
-/// [`shortest_path_tree_avoiding`]; this plain entry point forbids nothing.
 pub fn shortest_path_tree(graph: &Graph, source: NodeId) -> Result<ShortestPathTree> {
-    shortest_path_tree_avoiding(graph, source, &[], &[])
+    tree_avoiding_until(graph, source, None, &[], &[])
 }
 
-/// Dijkstra from `source` that never traverses `forbidden_edges` nor enters
-/// `forbidden_nodes` (the source itself may appear in `forbidden_nodes`
-/// without effect). Used by Yen's algorithm for k-shortest paths.
-pub fn shortest_path_tree_avoiding(
-    graph: &Graph,
-    source: NodeId,
-    forbidden_nodes: &[NodeId],
-    forbidden_edges: &[EdgeId],
-) -> Result<ShortestPathTree> {
-    tree_avoiding_until(graph, source, None, forbidden_nodes, forbidden_edges)
-}
-
-/// Single-pair variant of [`shortest_path_tree_avoiding`]: stops as soon
-/// as `target` is settled instead of exploring the whole graph. Once a
-/// node is popped its distance and predecessor are final and can never be
-/// revised (not even by the tie-break rule), so the returned path is
-/// byte-identical to the full tree's — this only saves the work past the
-/// target. Yen's spur computations (one per path node per iteration) are
-/// the main beneficiary.
+/// Shortest path from `source` to `target` that never traverses
+/// `forbidden_edges` nor enters `forbidden_nodes` (the source itself may
+/// appear in `forbidden_nodes` without effect). It stops as soon as
+/// `target` is settled instead of exploring the whole graph. Once a node
+/// is popped its distance and predecessor are final and can never be
+/// revised (not even by the tie-break rule), so with nothing forbidden
+/// the returned path is byte-identical to [`shortest_path_tree`]'s —
+/// this only saves the work past the target. Yen's spur computations
+/// (one per path node per iteration) and the routed delta chains'
+/// re-routes are its callers.
 pub fn shortest_path_avoiding(
     graph: &Graph,
     source: NodeId,
@@ -196,20 +185,6 @@ fn tree_avoiding_until(
 /// tie-breaking purposes.
 const TIE_EPS: f64 = 1e-12;
 
-/// Convenience wrapper: shortest path between a single pair.
-pub fn shortest_path(graph: &Graph, source: NodeId, target: NodeId) -> Result<Path> {
-    shortest_path_tree(graph, source)?.path_to(graph, target)
-}
-
-/// Distance between a single pair, `Err(Unreachable)` if disconnected.
-pub fn distance(graph: &Graph, source: NodeId, target: NodeId) -> Result<f64> {
-    let t = shortest_path_tree(graph, source)?;
-    t.distance(target).ok_or(GraphError::Unreachable {
-        source: source.index(),
-        target: target.index(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +204,10 @@ mod tests {
     #[test]
     fn prefers_cheaper_two_hop() {
         let (g, n) = detour();
-        let p = shortest_path(&g, n[0], n[2]).unwrap();
+        let p = shortest_path_tree(&g, n[0])
+            .unwrap()
+            .path_to(&g, n[2])
+            .unwrap();
         assert_eq!(p.nodes(), &[n[0], n[1], n[2]]);
         assert!((p.cost(&g) - 2.0).abs() < 1e-12);
     }
@@ -249,20 +227,24 @@ mod tests {
         let a = b.add_node("a");
         let c = b.add_node("b");
         let g = b.build();
+        let t = shortest_path_tree(&g, a).unwrap();
         assert!(matches!(
-            shortest_path(&g, a, c),
+            t.path_to(&g, c),
             Err(GraphError::Unreachable {
                 source: 0,
                 target: 1
             })
         ));
-        assert!(distance(&g, a, c).is_err());
+        assert_eq!(t.distance(c), None);
     }
 
     #[test]
     fn path_to_source_is_trivial() {
         let (g, n) = detour();
-        let p = shortest_path(&g, n[0], n[0]).unwrap();
+        let p = shortest_path_tree(&g, n[0])
+            .unwrap()
+            .path_to(&g, n[0])
+            .unwrap();
         assert!(p.is_empty());
     }
 
@@ -278,8 +260,13 @@ mod tests {
         b.add_edge(n[2], n[3], 1.0);
         let g = b.build();
         for _ in 0..10 {
-            let p = shortest_path(&g, n[0], n[3]).unwrap();
+            let p = shortest_path_tree(&g, n[0])
+                .unwrap()
+                .path_to(&g, n[3])
+                .unwrap();
             assert_eq!(p.nodes()[1], n[1]);
+            let q = shortest_path_avoiding(&g, n[0], n[3], &[], &[]).unwrap();
+            assert_eq!(q, p, "the early stop must not change the tie-break");
         }
     }
 
@@ -287,8 +274,7 @@ mod tests {
     fn avoiding_edges_forces_detour() {
         let (g, n) = detour();
         let direct = g.find_edge(n[0], n[1]).unwrap();
-        let t = shortest_path_tree_avoiding(&g, n[0], &[], &[direct]).unwrap();
-        let p = t.path_to(&g, n[2]).unwrap();
+        let p = shortest_path_avoiding(&g, n[0], n[2], &[], &[direct]).unwrap();
         assert_eq!(p.nodes(), &[n[0], n[2]]);
         assert!((p.cost(&g) - 5.0).abs() < 1e-12);
     }
@@ -296,8 +282,7 @@ mod tests {
     #[test]
     fn avoiding_nodes_blocks_route() {
         let (g, n) = detour();
-        let t = shortest_path_tree_avoiding(&g, n[0], &[n[1]], &[]).unwrap();
-        let p = t.path_to(&g, n[2]).unwrap();
+        let p = shortest_path_avoiding(&g, n[0], n[2], &[n[1]], &[]).unwrap();
         assert_eq!(p.len(), 1);
     }
 
@@ -308,6 +293,7 @@ mod tests {
         b.add_edge(n[0], n[1], 0.0);
         b.add_edge(n[1], n[2], 0.0);
         let g = b.build();
-        assert_eq!(distance(&g, n[0], n[2]).unwrap(), 0.0);
+        let t = shortest_path_tree(&g, n[0]).unwrap();
+        assert_eq!(t.distance(n[2]), Some(0.0));
     }
 }

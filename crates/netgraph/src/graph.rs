@@ -215,22 +215,6 @@ impl Graph {
         self.edges[edge.index()].weight
     }
 
-    /// Given one endpoint of an edge, returns the opposite endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edge` is invalid or `node` is not an endpoint of `edge`.
-    pub fn opposite(&self, edge: EdgeId, node: NodeId) -> NodeId {
-        let e = &self.edges[edge.index()];
-        if e.u == node {
-            e.v
-        } else if e.v == node {
-            e.u
-        } else {
-            panic!("{node} is not an endpoint of {edge}");
-        }
-    }
-
     /// Neighbors of `node` as `(edge, opposite endpoint)` pairs, in
     /// deterministic `(neighbor id, edge id)` order.
     ///
@@ -307,18 +291,10 @@ mod tests {
     }
 
     #[test]
-    fn endpoints_and_opposite() {
-        let (g, [a, b, _c], [e0, ..]) = triangle();
+    fn endpoints_keep_insertion_order() {
+        let (g, [a, b, c], [e0, _, e2]) = triangle();
         assert_eq!(g.endpoints(e0), (a, b));
-        assert_eq!(g.opposite(e0, a), b);
-        assert_eq!(g.opposite(e0, b), a);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn opposite_panics_on_non_endpoint() {
-        let (g, [.., c], [e0, ..]) = triangle();
-        g.opposite(e0, c);
+        assert_eq!(g.endpoints(e2), (c, a));
     }
 
     #[test]

@@ -22,29 +22,13 @@ pub fn k_shortest_paths(
     target: NodeId,
     k: usize,
 ) -> Result<Vec<Path>> {
-    k_shortest_paths_avoiding(graph, source, target, k, &[])
-}
-
-/// [`k_shortest_paths`] over the subgraph with `banned_edges` removed: the
-/// `k` cheapest loopless paths that traverse none of the banned edges.
-///
-/// This is the delta-routing primitive (see [`crate::delta`]): a sweep
-/// that fails links re-solves each affected pair against the same graph
-/// with a longer ban list, without rebuilding the graph.
-pub fn k_shortest_paths_avoiding(
-    graph: &Graph,
-    source: NodeId,
-    target: NodeId,
-    k: usize,
-    banned_edges: &[crate::EdgeId],
-) -> Result<Vec<Path>> {
     graph.check_node(source)?;
     graph.check_node(target)?;
     if k == 0 {
         return Ok(Vec::new());
     }
 
-    let first = match shortest_path_avoiding(graph, source, target, &[], banned_edges) {
+    let first = match shortest_path_avoiding(graph, source, target, &[], &[]) {
         Ok(p) => p,
         Err(GraphError::Unreachable { .. }) => return Ok(Vec::new()),
         Err(e) => return Err(e),
@@ -65,8 +49,8 @@ pub fn k_shortest_paths_avoiding(
             let root_edges = &last.edges()[..i];
 
             // Edges leaving the spur node along any accepted path sharing
-            // this root must be removed, on top of the caller's bans.
-            let mut spur_banned = banned_edges.to_vec();
+            // this root must be removed.
+            let mut spur_banned = Vec::new();
             for p in &accepted {
                 if p.nodes().len() > i && p.nodes()[..=i] == *root_nodes {
                     if let Some(&e) = p.edges().get(i) {

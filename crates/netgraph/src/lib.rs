@@ -10,12 +10,13 @@
 //! * [`Graph`] — an undirected multigraph with per-edge routing weights,
 //!   built through [`GraphBuilder`] and stored in adjacency-list form;
 //! * [`Path`] — a validated node/edge sequence between two endpoints;
-//! * [`dijkstra`] — single-pair and single-source shortest paths with
-//!   deterministic tie-breaking (so that experiments are reproducible);
-//! * [`ksp`] — Yen's algorithm for the k shortest loopless paths, used for
-//!   the multi-routed traffics of the paper's Section 5;
-//! * [`delta`] — delta-aware re-routing: cached route plans that re-run
-//!   Yen only for the pairs a link perturbation can actually affect;
+//! * [`dijkstra`] — single-source shortest-path trees and a single-pair
+//!   search that avoids given nodes and edges (the re-route primitive of
+//!   routed delta chains), with deterministic tie-breaking (so that
+//!   experiments are reproducible);
+//! * [`ksp`] — Yen's algorithm for the k shortest loopless paths over the
+//!   whole graph (it takes no ban list), used for the multi-routed
+//!   traffics of the paper's Section 5 and the re-routing campaigns;
 //! * [`bfs`] — unweighted traversal and connectivity checks;
 //! * [`dot`] — Graphviz export used by the figure-regeneration binaries.
 //!
@@ -33,15 +34,16 @@
 //! b.add_edge(a, d, 5.0);
 //! let g = b.build();
 //!
-//! let path = dijkstra::shortest_path(&g, a, d).expect("connected");
+//! let tree = dijkstra::shortest_path_tree(&g, a).expect("valid source");
+//! let path = tree.path_to(&g, d).expect("connected");
 //! assert_eq!(path.nodes().len(), 3); // a -> c -> d beats the direct 5.0 edge
+//! assert_eq!(tree.distance(d), Some(2.0));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfs;
-pub mod delta;
 pub mod dijkstra;
 pub mod dot;
 mod error;

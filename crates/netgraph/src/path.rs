@@ -103,11 +103,6 @@ impl Path {
         seen.windows(2).all(|w| w[0] != w[1])
     }
 
-    /// `true` when the path visits `node`.
-    pub fn visits(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
-    }
-
     /// Concatenates two paths; `self.target()` must equal `other.source()`.
     pub fn concat(&self, graph: &Graph, other: &Path) -> Result<Path> {
         if self.target() != other.source() {

@@ -19,9 +19,13 @@
 //!   deltas repair the minimum-device model in place. This module only
 //!   decides whether a delta repairs or drops a model; how a model is
 //!   built, constrained, seeded, solved and read back is the kernel's;
-//! * **delta-aware re-routing** — in routed mode, failing a link re-runs
-//!   Yen/Dijkstra only for the traffics whose path actually crossed it
-//!   ([`netgraph::delta::RoutePlan`]).
+//! * **delta-aware re-routing** — in routed mode each traffic keeps its
+//!   one shortest path `p_t` (the paper's routing), and failing a link
+//!   re-runs one Dijkstra ([`netgraph::dijkstra::shortest_path_avoiding`],
+//!   banning every failed link) only for the traffics whose path crossed
+//!   it. Banning a link cannot shorten any other path, so a path that
+//!   avoids it stays shortest; restoring a failed link can, so a restore
+//!   re-routes every routed traffic.
 //!
 //! Results are *identical* to cold solves — the chains reuse bases,
 //! never answers: a proven-optimal device count is the unique optimum
@@ -37,26 +41,25 @@
 //!
 //! [`solve_instance`]: crate::solve::solve_instance
 
-use netgraph::delta::RoutePlan;
-use netgraph::{EdgeId, Graph, NodeId};
+use netgraph::dijkstra::shortest_path_avoiding;
+use netgraph::{EdgeId, Graph, GraphError, NodeId};
 use popgen::TrafficSet;
 
 use crate::instance::PpmInstance;
 use crate::passive::{Deployment, ExactModel};
 use crate::solve::{solve_ppm_request, PlacementError, SolveOutcome, SolveRequest};
 
-/// Routed backing for link toggles: the graph and the delta-aware route
-/// plan under the current failures (the failure set itself lives in
-/// `DeltaInstance::disabled`; the plan records it as its ban list).
+/// Routed backing for link toggles: the graph and each traffic's
+/// endpoints. The ban list is `DeltaInstance::disabled`, and each routed
+/// traffic's current path is its support.
 #[derive(Debug, Clone)]
 struct Routing {
     graph: Graph,
-    plan: RoutePlan,
-    /// For each current traffic, the plan pair that routes it — `None`
-    /// for flows added later with an explicit support, which are not
-    /// endpoint-routed and never re-route. Aligned with the instance's
-    /// traffics across flow insertions and removals.
-    pair_of: Vec<Option<usize>>,
+    /// Aligned with the instance's traffics across flow insertions and
+    /// removals: each traffic's `(source, target)`, `None` for flows added
+    /// with an explicit support, which are not endpoint-routed and never
+    /// re-route.
+    ends: Vec<Option<(NodeId, NodeId)>>,
 }
 
 /// A `PPM` instance under a chain of deltas (see the module docs).
@@ -106,9 +109,9 @@ impl DeltaInstance {
     }
 
     /// Starts a *routed* chain: volumes and endpoints come from `ts`, and
-    /// every traffic is (re-)routed on `graph` by this instance — along
-    /// the crate's deterministic shortest paths, delta-aware under link
-    /// failures.
+    /// every traffic is routed on `graph` by this instance along its
+    /// deterministic shortest path. Link failures and restores re-route it
+    /// (see [`DeltaInstance::try_fail_link`]).
     ///
     /// # Panics
     ///
@@ -120,17 +123,18 @@ impl DeltaInstance {
     /// Fallible form of [`DeltaInstance::from_traffic`]: a typed error
     /// instead of a panic when `ts` references nodes outside `graph`.
     pub fn try_from_traffic(graph: &Graph, ts: &TrafficSet) -> Result<Self, PlacementError> {
-        let pairs: Vec<(NodeId, NodeId)> = ts.traffics.iter().map(|t| (t.src, t.dst)).collect();
-        let plan = RoutePlan::compute(graph, &pairs, 1, &[]).map_err(|e| {
-            PlacementError::new("traffic", format!("endpoints outside the graph: {e}"))
-        })?;
-        let traffics = ts
-            .traffics
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.volume, support_of(&plan, i)))
-            .collect();
-        let pair_of = (0..pairs.len()).map(Some).collect();
+        let mut traffics = Vec::with_capacity(ts.traffics.len());
+        let mut ends = Vec::with_capacity(ts.traffics.len());
+        for t in &ts.traffics {
+            graph
+                .check_node(t.src)
+                .and_then(|()| graph.check_node(t.dst))
+                .map_err(|e| {
+                    PlacementError::new("traffic", format!("endpoints outside the graph: {e}"))
+                })?;
+            traffics.push((t.volume, route(graph, t.src, t.dst, &[])));
+            ends.push(Some((t.src, t.dst)));
+        }
         Ok(DeltaInstance {
             inst: PpmInstance {
                 num_edges: graph.edge_count(),
@@ -138,8 +142,7 @@ impl DeltaInstance {
             },
             routing: Some(Routing {
                 graph: graph.clone(),
-                plan,
-                pair_of,
+                ends,
             }),
             ..Default::default()
         })
@@ -214,7 +217,7 @@ impl DeltaInstance {
         if let Some(routing) = self.routing.as_mut() {
             // Explicit-support flows are not endpoint-routed: they keep
             // their support verbatim across link toggles.
-            routing.pair_of.push(None);
+            routing.ends.push(None);
         }
         self.inst.traffics.push((volume, support));
         self.refresh_exact_volumes();
@@ -228,7 +231,7 @@ impl DeltaInstance {
         self.check_traffic(t)?;
         self.budget_cache = None;
         if let Some(routing) = self.routing.as_mut() {
-            routing.pair_of.remove(t);
+            routing.ends.remove(t);
         }
         self.inst.traffics.remove(t);
         self.refresh_exact_volumes();
@@ -296,11 +299,13 @@ impl DeltaInstance {
     /// Fails link `e`: no device may sit on it — even a pre-installed one
     /// (failure beats installation in both the exact and the budget
     /// solves of [`DeltaInstance::solve`]) — and, in routed mode, every
-    /// traffic whose path crossed it is re-routed around it (traffics
-    /// disconnected by the failure keep their volume with an empty
-    /// support, i.e. become uncoverable). Returns how many traffics were
-    /// actually re-routed — the delta-aware savings are `traffic_count()`
-    /// minus that.
+    /// live routed traffic whose path crossed it is re-routed on the
+    /// shortest path avoiding every failed link (traffics disconnected by
+    /// the failures keep their volume with an empty support, i.e. become
+    /// uncoverable, and no later failure re-routes them). Returns how many
+    /// traffics were re-routed: live routed traffics only, never a removed
+    /// flow or one added with an explicit support. Failing an
+    /// already-failed link re-routes nothing.
     ///
     /// When nothing re-routes (unrouted chains, or no traffic crossed the
     /// link), this is a pure bound repair on the cached exact model —
@@ -308,35 +313,47 @@ impl DeltaInstance {
     /// re-optimization, not a cold rebuild.
     pub fn try_fail_link(&mut self, e: usize) -> Result<usize, PlacementError> {
         self.check_link("link", e)?;
-        if !self.disabled.contains(&e) {
-            self.disabled.push(e);
-            self.disabled.sort_unstable();
-        }
-        Ok(self.relink(e))
+        let rerouted = match self.disabled.binary_search(&e) {
+            Ok(_) => 0,
+            Err(at) => {
+                self.disabled.insert(at, e);
+                self.reroute(|support| support.binary_search(&e).is_ok())
+            }
+        };
+        self.relink(e, rerouted);
+        Ok(rerouted)
     }
 
-    /// Restores a previously failed link (an *improving* change: in
-    /// routed mode every traffic is re-routed from scratch). Returns the
-    /// number of re-routed traffics. Like [`DeltaInstance::try_fail_link`],
-    /// a re-route-free restore keeps the warm chain alive.
+    /// Restores a failed link. In routed mode that is an *improving*
+    /// change, which can shorten any path, so every live routed traffic is
+    /// re-routed against the remaining failures. Returns the number of
+    /// re-routed traffics, counted as [`DeltaInstance::try_fail_link`]
+    /// counts them; restoring a live link re-routes nothing. Like
+    /// [`DeltaInstance::try_fail_link`], a re-route-free restore keeps the
+    /// warm chain alive.
     pub fn try_restore_link(&mut self, e: usize) -> Result<usize, PlacementError> {
         self.check_link("link", e)?;
-        self.disabled.retain(|&d| d != e);
-        Ok(self.relink(e))
+        let rerouted = match self.disabled.binary_search(&e) {
+            Ok(at) => {
+                self.disabled.remove(at);
+                self.reroute(|_| true)
+            }
+            Err(_) => 0,
+        };
+        self.relink(e, rerouted);
+        Ok(rerouted)
     }
 
-    /// After link `e` changed status: re-routes, then repairs the cached
-    /// exact model in place when nothing re-routed (drops it otherwise —
-    /// the merged group structure is stale). Returns the re-route count.
-    fn relink(&mut self, e: usize) -> usize {
-        let rerouted = self.reroute();
+    /// After a toggle of link `e` that re-routed `rerouted` traffics:
+    /// repairs the cached exact model in place when nothing re-routed
+    /// (drops it otherwise — the merged group structure is stale).
+    fn relink(&mut self, e: usize, rerouted: usize) {
         self.budget_cache = None;
         if rerouted > 0 {
             self.exact_cache = None;
         } else if let Some(cache) = self.exact_cache.as_mut() {
             cache.sync_edge(&self.installed, &self.disabled, e);
         }
-        rerouted
     }
 
     /// Checks that link `e`, given as `field`, exists.
@@ -367,23 +384,24 @@ impl DeltaInstance {
         Ok(())
     }
 
-    /// Re-routes against the current failure set; no-op without routing.
-    fn reroute(&mut self) -> usize {
-        let Some(routing) = self.routing.as_mut() else {
+    /// Re-routes every routed traffic whose support `stale` flags against
+    /// the current failure set and returns how many it re-routed; no-op
+    /// without routing.
+    fn reroute(&mut self, stale: impl Fn(&[usize]) -> bool) -> usize {
+        let Some(routing) = self.routing.as_ref() else {
             return 0;
         };
         let banned: Vec<EdgeId> = self.disabled.iter().map(|&e| EdgeId(e as u32)).collect();
-        let (plan, recomputed) = routing
-            .plan
-            .reroute_avoiding(&routing.graph, &banned)
-            .expect("pairs stay valid");
-        routing.plan = plan;
-        for (i, t) in self.inst.traffics.iter_mut().enumerate() {
-            if let Some(p) = routing.pair_of[i] {
-                t.1 = support_of(&routing.plan, p);
+        let mut rerouted = 0;
+        for (t, ends) in self.inst.traffics.iter_mut().zip(&routing.ends) {
+            if let Some((src, dst)) = *ends {
+                if stale(&t.1) {
+                    t.1 = route(&routing.graph, src, dst, &banned);
+                    rerouted += 1;
+                }
             }
         }
-        recomputed
+        rerouted
     }
 
     /// After a volume-only delta, repairs the cached exact model's coverage
@@ -433,16 +451,19 @@ fn check_volume(volume: f64) -> Result<(), PlacementError> {
     Ok(())
 }
 
-/// The sorted support of pair `i` under `plan` (empty when disconnected).
-fn support_of(plan: &RoutePlan, i: usize) -> Vec<usize> {
-    match plan.routes(i).first() {
-        Some(p) => {
+/// The sorted support of the shortest `src`→`dst` path avoiding `banned`
+/// (empty when the failures disconnect the pair). The endpoints and the
+/// banned links must belong to `graph`.
+fn route(graph: &Graph, src: NodeId, dst: NodeId, banned: &[EdgeId]) -> Vec<usize> {
+    match shortest_path_avoiding(graph, src, dst, &[], banned) {
+        Ok(p) => {
             let mut s: Vec<usize> = p.edges().iter().map(|e| e.index()).collect();
             s.sort_unstable();
             s.dedup();
             s
         }
-        None => Vec::new(),
+        Err(GraphError::Unreachable { .. }) => Vec::new(),
+        Err(e) => panic!("routing on checked ids failed: {e}"),
     }
 }
 
@@ -452,6 +473,22 @@ mod tests {
     use crate::instance::fixture_figure3;
     use crate::passive::PpmSolution;
     use crate::solve::exact_ppm;
+
+    /// The sorted support of a fresh shortest `src`→`dst` route avoiding
+    /// every link in `failed` (empty when disconnected): the routed
+    /// chains' ground truth.
+    fn fresh_support(graph: &Graph, src: NodeId, dst: NodeId, failed: &[usize]) -> Vec<usize> {
+        let banned: Vec<EdgeId> = failed.iter().map(|&e| EdgeId(e as u32)).collect();
+        match netgraph::dijkstra::shortest_path_avoiding(graph, src, dst, &[], &banned) {
+            Ok(p) => {
+                let mut s: Vec<usize> = p.edges().iter().map(|e| e.index()).collect();
+                s.sort_unstable();
+                s.dedup();
+                s
+            }
+            Err(_) => Vec::new(),
+        }
+    }
 
     /// An exact `PPM(k)` solve on the chain with default knobs.
     fn chain_ppm(delta: &mut DeltaInstance, k: f64) -> Option<PpmSolution> {
@@ -916,23 +953,8 @@ mod tests {
 
         // And the graph-level ground truth: every re-routed support is the
         // shortest path avoiding the failed link.
-        let banned = [netgraph::EdgeId(heavy as u32)];
         for (i, t) in ts.traffics.iter().enumerate() {
-            let want: Vec<usize> = match netgraph::dijkstra::shortest_path_avoiding(
-                &pop.graph,
-                t.src,
-                t.dst,
-                &[],
-                &banned,
-            ) {
-                Ok(p) => {
-                    let mut s: Vec<usize> = p.edges().iter().map(|e| e.index()).collect();
-                    s.sort_unstable();
-                    s.dedup();
-                    s
-                }
-                Err(_) => Vec::new(),
-            };
+            let want = fresh_support(&pop.graph, t.src, t.dst, &[heavy]);
             assert_eq!(after.traffics[i].1, want, "traffic {i}");
         }
     }
@@ -948,8 +970,8 @@ mod tests {
 
         // Remove a middle flow, then add one with an explicit support;
         // the surviving endpoint-routed traffics must keep re-routing
-        // against their own pairs (this used to index the route plan
-        // with post-churn traffic indices).
+        // against their own endpoints (an earlier design indexed a
+        // separate per-pair route cache with post-churn traffic indices).
         delta.try_remove_flow(1).unwrap();
         let added = delta.try_add_flow(4.0, vec![0, 1]).unwrap();
         let mut endpoints: Vec<_> = ts.traffics.iter().map(|t| (t.src, t.dst)).collect();
@@ -963,22 +985,10 @@ mod tests {
             vec![0, 1],
             "explicit-support flows never re-route"
         );
-        let banned = [netgraph::EdgeId(heavy as u32)];
-        let ground_truth = |src, dst, banned: &[netgraph::EdgeId]| -> Vec<usize> {
-            match netgraph::dijkstra::shortest_path_avoiding(&pop.graph, src, dst, &[], banned) {
-                Ok(p) => {
-                    let mut s: Vec<usize> = p.edges().iter().map(|e| e.index()).collect();
-                    s.sort_unstable();
-                    s.dedup();
-                    s
-                }
-                Err(_) => Vec::new(),
-            }
-        };
         for (i, &(src, dst)) in endpoints.iter().enumerate() {
             assert_eq!(
                 after.traffics[i].1,
-                ground_truth(src, dst, &banned),
+                fresh_support(&pop.graph, src, dst, &[heavy]),
                 "routed traffic {i} after churn + failure"
             );
         }
@@ -990,10 +1000,119 @@ mod tests {
         for (i, &(src, dst)) in endpoints.iter().enumerate() {
             assert_eq!(
                 restored.traffics[i].1,
-                ground_truth(src, dst, &[]),
+                fresh_support(&pop.graph, src, dst, &[]),
                 "routed traffic {i} after restore"
             );
         }
         assert_eq!(restored.traffics[added].1, vec![0, 1]);
+    }
+
+    #[test]
+    fn delta_matches_full_recompute_as_bans_grow() {
+        use popgen::{PopSpec, TrafficSpec};
+
+        let pop = PopSpec::paper_10().build();
+        let ts = TrafficSpec::default().generate(&pop, 2);
+        let mut delta = DeltaInstance::from_traffic(&pop.graph, &ts);
+        // Fail links one by one, each on some live route: after every
+        // failure each support must equal a fresh route against the whole
+        // failure set, while only the crossing traffics re-route.
+        for step in 0..4 {
+            let inst = delta.instance();
+            let e = inst.traffics[7 * step].1[0];
+            let crossing = inst.traffics.iter().filter(|(_, s)| s.contains(&e)).count();
+            let rerouted = delta.try_fail_link(e).unwrap();
+            assert_eq!(rerouted, crossing, "step {step}");
+            assert!(rerouted < delta.traffic_count(), "step {step}: no reuse");
+            let after = delta.instance();
+            for (i, t) in ts.traffics.iter().enumerate() {
+                let want = fresh_support(&pop.graph, t.src, t.dst, delta.disabled());
+                assert_eq!(after.traffics[i].1, want, "step {step}, traffic {i}");
+            }
+        }
+        assert_eq!(delta.disabled().len(), 4, "four distinct links failed");
+    }
+
+    #[test]
+    fn disconnection_is_cached_and_correct() {
+        use popgen::Traffic;
+
+        // Edge 0 is the only link to n[1]; edge 1 the only one to n[2].
+        let mut b = netgraph::GraphBuilder::new();
+        let n = b.add_nodes("r", 3);
+        b.add_edge(n[0], n[1], 1.0);
+        b.add_edge(n[0], n[2], 1.0);
+        let g = b.build();
+        let traffic = |dst: NodeId| Traffic {
+            src: n[0],
+            dst,
+            volume: 1.0,
+            path: netgraph::Path::from_nodes(&g, vec![n[0], dst]).unwrap(),
+        };
+        let ts = TrafficSet {
+            traffics: vec![traffic(n[1]), traffic(n[2])],
+        };
+        let mut delta = DeltaInstance::from_traffic(&g, &ts);
+        assert_eq!(delta.try_fail_link(0).unwrap(), 1);
+        assert!(delta.instance().traffics[0].1.is_empty(), "disconnected");
+        assert_eq!(delta.instance().traffics[1].1, vec![1]);
+        // A further failure must neither resurrect nor count the dead
+        // traffic: only the one crossing edge 1 re-routes.
+        assert_eq!(delta.try_fail_link(1).unwrap(), 1);
+        assert!(delta.instance().traffics[0].1.is_empty());
+        assert!(delta.instance().traffics[1].1.is_empty());
+        // Failing an already-failed link re-routes nothing.
+        assert_eq!(delta.try_fail_link(0).unwrap(), 0);
+    }
+
+    #[test]
+    fn lifting_a_ban_recomputes_everything_and_stays_exact() {
+        use popgen::{PopSpec, TrafficSpec};
+
+        let pop = PopSpec::paper_10().build();
+        let ts = TrafficSpec::default().generate(&pop, 4);
+        let mut delta = DeltaInstance::from_traffic(&pop.graph, &ts);
+        let a = delta.instance().traffics[0].1[0];
+        delta.try_fail_link(a).unwrap();
+        let b = delta.instance().traffics[1].1[0];
+        delta.try_fail_link(b).unwrap();
+        // An explicit-support flow never re-routes, so it is not counted.
+        let added = delta.try_add_flow(1.0, vec![a]).unwrap();
+
+        // Restoring a failed link may shorten any route: every routed
+        // traffic re-routes, against the failures that remain.
+        assert_eq!(delta.try_restore_link(a).unwrap(), ts.traffics.len());
+        for (i, t) in ts.traffics.iter().enumerate() {
+            let want = fresh_support(&pop.graph, t.src, t.dst, &[b]);
+            assert_eq!(delta.instance().traffics[i].1, want, "traffic {i}");
+        }
+        assert_eq!(delta.instance().traffics[added].1, vec![a]);
+        // Restoring a live link re-routes nothing.
+        assert_eq!(delta.try_restore_link(a).unwrap(), 0);
+    }
+
+    #[test]
+    fn removed_flows_are_not_counted_as_rerouted() {
+        use popgen::{PopSpec, TrafficSpec};
+
+        let pop = PopSpec::paper_10().build();
+        let ts = TrafficSpec::default().generate(&pop, 0);
+        let mut delta = DeltaInstance::from_traffic(&pop.graph, &ts);
+        let e = delta.instance().traffics[0].1[0];
+        delta.try_fail_link(e).unwrap();
+        delta.try_remove_flow(0).unwrap();
+        let live = delta.traffic_count();
+        assert_eq!(live, 131);
+        // The re-route counts cover live routed traffics only: a restore
+        // re-routes all of them, and a failure the ones crossing it.
+        assert_eq!(delta.try_restore_link(e).unwrap(), live);
+        let crossing = delta
+            .instance()
+            .traffics
+            .iter()
+            .filter(|(_, s)| s.contains(&e))
+            .count();
+        assert_eq!(crossing, 15);
+        assert_eq!(delta.try_fail_link(e).unwrap(), crossing);
     }
 }

@@ -33,10 +33,10 @@
 //! * [`delta`] — sweep grids as chains of deltas: one mutable instance
 //!   whose exact solves are warm-started point to point (LP basis reuse)
 //!   and whose link failures re-route only the crossing traffics;
-//! * [`solve`] — the unified solve API: one typed
-//!   [`SolveRequest`](solve::SolveRequest) → [`SolveOutcome`](solve::SolveOutcome)
-//!   pair, the only public way to run an exact LP 2 or budget solve,
-//!   shared by the batch, delta-chain, and service entry points;
+//! * [`solve`] — the unified solve API: one typed [`SolveRequest`] →
+//!   [`SolveOutcome`] pair, the only public way to run an exact LP 2 or
+//!   budget solve, shared by the batch, delta-chain, and service entry
+//!   points;
 //! * [`resilience`] — Monte-Carlo resilience campaigns: a fixed placement
 //!   scored over a sampled failure ensemble through one warm delta chain,
 //!   plus the stochastic-aware greedy on expected coverage.

@@ -25,7 +25,7 @@ use crate::setcover::greedy_partial_cover;
 /// Static decreasing-load greedy. Returns `None` when even all edges
 /// cannot reach the target (uncoverable traffic).
 ///
-/// One pass: O(Σ|support| + E log E) (see [`decreasing_load_picks`]).
+/// One pass: O(Σ|support| + E log E) (see `decreasing_load_picks`).
 pub fn greedy_static(inst: &PpmInstance, k: f64) -> Option<PpmSolution> {
     assert_fraction(k);
     let total = inst.total_volume();

@@ -15,7 +15,7 @@
 //! wins). The map lock is held only to look up, insert, evict or snapshot
 //! slots — never while an instance is built or solved — so the
 //! `max_instances` cap is exact and `list` sees one consistent set. Each
-//! slot holds the immutable topology plus a mutex-guarded [`SlotState`]:
+//! slot holds the immutable topology plus a mutex-guarded `SlotState`:
 //! the instance's [`DeltaInstance`] warm chain, a version counter bumped
 //! by every mutation, and a solve memo emptied by every mutation. A solve
 //! locks the slot, so identical concurrent queries serialize onto one

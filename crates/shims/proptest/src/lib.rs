@@ -242,7 +242,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use std::ops::{Range, RangeInclusive};
 
-    /// Anything usable as the size argument of [`vec`]: a fixed length or
+    /// Anything usable as the size argument of [`vec()`]: a fixed length or
     /// a (half-open / inclusive) range of lengths.
     pub trait SizeRange {
         /// Inclusive `(min, max)` bounds.
